@@ -11,16 +11,14 @@ from .closedform import (
     closed_form_spectrum,
     copy_block_forms,
     coronal,
-    double_corona_spectrum,
     edge_corona_cubic,
-    edge_corona_spectrum,
     excess_quadratic,
+    excess_quotient,
     fixed_family_value,
     flatten,
     quartic_factor,
-    real_roots,
+    quotient_matrix,
     vertex_corona_cubic,
-    vertex_corona_spectrum,
 )
 from .corona import CoronaLayout, double_corona, r_edge_corona, r_graph, r_vertex_corona
 from .cospectral import (

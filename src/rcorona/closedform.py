@@ -13,9 +13,14 @@ double corona splits into:
   * when m > n, the two roots of an excess quadratic, multiplicity m - n.
 
 Setting G2 (resp. G1) to the null graph degenerates the quartic to a
-cubic and is handled by the vertex- (resp. edge-) corona variants.
-All polynomial coefficients are expanded symbolically (convolution of
-coefficient arrays); the expansion is exact whenever the inputs are exact.
+cubic: the vertex (resp. edge) corona.  The printed polynomials are
+expanded symbolically (convolution of coefficient arrays), exactly
+whenever the inputs are exact.  Their roots are computed as the
+eigenvalues of the equitable-partition quotient matrix of each family
+(Brouwer & Haemers, Spectra of Graphs, section 2.3), a symmetric matrix of
+order at most 4 whose characteristic polynomial is a positive multiple of
+the printed one.  Only these small blocks go to LAPACK; the corona itself
+is never solved here, so the numeric oracle stays an independent check.
 """
 
 from dataclasses import dataclass
@@ -27,7 +32,7 @@ import numpy as np
 
 from .errors import HypothesisError, InternalConsistencyError, PoleError
 from .graphs import Graph, degree_profile, is_connected
-from .spectra import Spectrum, nl_spectrum, normalized_laplacian
+from .spectra import Spectrum, nl_spectrum, normalized_laplacian, summarize
 
 __all__ = [
     "CoronaParams",
@@ -42,18 +47,12 @@ __all__ = [
     "vertex_corona_cubic",
     "edge_corona_cubic",
     "excess_quadratic",
-    "real_roots",
-    "double_corona_spectrum",
-    "vertex_corona_spectrum",
-    "edge_corona_spectrum",
+    "quotient_matrix",
+    "excess_quotient",
     "closed_form_spectrum",
     "flatten",
 ]
 
-# root search window; strictly contains [0, 2], padded so boundary roots
-# are not lost to the half-open Sturm count
-_ROOT_LO = -1.0 - 1e-9
-_ROOT_HI = 3.0 + 1e-9
 _GROUP_TOL = 1e-9
 
 
@@ -126,17 +125,6 @@ class RealPolynomial:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    def __call__(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self) -> "RealPolynomial":
-        if self.degree == 0:
-            return RealPolynomial((0.0,))
-        return RealPolynomial(tuple(i * c for i, c in enumerate(self.coefficients) if i > 0))
-
 
 @dataclass(frozen=True)
 class FixedFamily:
@@ -147,9 +135,13 @@ class FixedFamily:
 
 @dataclass(frozen=True)
 class RootFamily:
+    """The roots of ``poly``, each with ``multiplicity``; they are computed
+    as the eigenvalues of the symmetric ``quotient`` matrix."""
+
     poly: RealPolynomial
     multiplicity: int
     label: str
+    quotient: tuple[tuple[float, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -311,203 +303,43 @@ def excess_quadratic(p: CoronaParams) -> RealPolynomial:
     return RealPolynomial(tuple(_first_factor(p)))
 
 
-# --- real root extraction ----------------------------------------------------
+# --- quotient matrices --------------------------------------------------------
 
-# Normalized-remainder cutoff for ending the Sturm chain early (a common
-# factor of p and p' exists).  Division noise for a genuinely repeated root
-# sits around 1e-12; distinct roots separated by delta leave a remainder of
-# order delta^2, so this still resolves pairs down to ~5e-6 apart, at the
-# conditioning limit of double-precision quartic coefficients.
-_CHAIN_EPS = 3e-11
+# Rows of the equitable-partition quotient: an old (base) vertex, a new (edge)
+# vertex, and the all-ones vector on each attachment copy.
+_OLD, _NEW, _COPY1, _COPY2 = range(4)
 
 
-def _trim(c: list[float]) -> list[float]:
-    out = list(c)
-    while len(out) > 1 and out[-1] == 0.0:
-        out.pop()
-    return out
+def _quotient(p: CoronaParams, mu, rows: list[int]) -> tuple[tuple[float, ...], ...]:
+    d0, de = 2 * p.r + p.n1, 2 + p.n2
+    m = [[0.0] * 4 for _ in range(4)]
+    m[_OLD][_OLD] = p.r * (1 - mu) / d0
+    # a computed base eigenvalue may overshoot 2 by rounding
+    m[_OLD][_NEW] = m[_NEW][_OLD] = math.sqrt(max(p.r * (2 - mu), 0) / (d0 * de))
+    m[_OLD][_COPY1] = m[_COPY1][_OLD] = math.sqrt(p.n1 / (d0 * (p.r1 + 1)))
+    m[_COPY1][_COPY1] = p.r1 / (p.r1 + 1)
+    m[_NEW][_COPY2] = m[_COPY2][_NEW] = math.sqrt(p.n2 / (de * (p.r2 + 1)))
+    m[_COPY2][_COPY2] = p.r2 / (p.r2 + 1)
+    return tuple(tuple(float(i == j) - float(m[i][j]) for j in rows) for i in rows)
 
 
-def _normalize(c: list[float]) -> list[float]:
-    m = max(abs(x) for x in c)
-    return [x / m for x in c] if m > 0 else list(c)
+def quotient_matrix(p: CoronaParams, base_eig) -> tuple[tuple[float, ...], ...]:
+    """The symmetric quotient Q = I - M whose eigenvalues are the corona
+    eigenvalues inherited from one base eigenvalue.
 
-
-def _peval(c: list[float], x: float) -> float:
-    acc = 0.0
-    for v in reversed(c):
-        acc = acc * x + v
-    return acc
-
-
-def _pderiv(c: list[float]) -> list[float]:
-    return [i * v for i, v in enumerate(c)][1:] or [0.0]
-
-
-def _poly_divmod(a: list[float], b: list[float]) -> tuple[list[float], list[float]]:
-    a = list(a)
-    q = [0.0] * max(len(a) - len(b) + 1, 1)
-    lead = b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        factor = a[k + len(b) - 1] / lead
-        q[k] = factor
-        for j in range(len(b)):
-            a[k + j] -= factor * b[j]
-    return q, a[: len(b) - 1] or [0.0]
-
-
-def _sturm_chain(c: list[float]) -> tuple[list[list[float]], list[float] | None]:
-    """Sturm chain of c; returns (chain, gcd) where gcd is the last chain
-    element when it has degree >= 1 (c not square-free), else None."""
-    chain = [_normalize(c)]
-    d = _trim(_pderiv(c))
-    if len(d) == 1 and d[0] == 0.0:
-        return chain, None
-    chain.append(_normalize(d))
-    while len(chain[-1]) > 1:
-        _, rem = _poly_divmod(chain[-2], chain[-1])
-        rem = _trim([-v for v in rem])
-        if max(abs(v) for v in rem) <= _CHAIN_EPS:
-            return chain, chain[-1]
-        chain.append(_normalize(rem))
-    return chain, None
-
-
-def _variations(chain: list[list[float]], x: float) -> int:
-    signs = []
-    for c in chain:
-        v = _peval(c, x)
-        if v != 0.0:
-            signs.append(v > 0.0)
-    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
-
-
-def _polish(c: list[float], dc: list[float], chain: list[list[float]], a: float, b: float) -> float:
-    """Refine the single root known to lie in the half-open interval (a, b].
-
-    Narrows by bisection on the Sturm variation count (robust to roots at
-    subdivision points, where sign tests mislead), then finishes with
-    Newton steps clamped near the bracket.
+    Rows are old vertex, new vertex, first copy, second copy; the row of a
+    null copy graph is dropped, so Q is 4x4 for the double corona and 3x3
+    for the vertex and edge coronas.  det(xI - Q) is a positive multiple of
+    the printed per-eigenvalue polynomial.
     """
-    if _peval(c, b) == 0.0:
-        return b
-    va = _variations(chain, a)
-    while b - a > 1e-8:
-        mid = 0.5 * (a + b)
-        vm = _variations(chain, mid)
-        if va - vm >= 1:
-            b = mid
-        else:
-            a, va = mid, vm
-    lo, hi = a - 1e-7, b + 1e-7
-    x = 0.5 * (a + b)
-    for _ in range(100):
-        f = _peval(c, x)
-        if f == 0.0:
-            return x
-        df = _peval(dc, x)
-        if df == 0.0:
-            break
-        nxt = min(max(x - f / df, lo), hi)
-        if abs(nxt - x) <= 1e-15 * (1.0 + abs(x)):
-            return nxt
-        x = nxt
-    return x
+    copies = [row for row, size in ((_COPY1, p.n1), (_COPY2, p.n2)) if size]
+    return _quotient(p, base_eig, [_OLD, _NEW, *copies])
 
 
-def _polish_cluster(c: list[float], k: int, a: float, b: float) -> float:
-    """Center of a k-fold root cluster in [a, b]: the nearby simple root of
-    the (k-1)-th derivative, which stays well-conditioned."""
-    dk = list(c)
-    for _ in range(k - 1):
-        dk = _trim(_pderiv(dk))
-    ddk = _trim(_pderiv(dk))
-    x = 0.5 * (a + b)
-    for _ in range(60):
-        f = _peval(dk, x)
-        df = _peval(ddk, x)
-        if df == 0.0:
-            break
-        nxt = min(max(x - f / df, a), b)
-        if abs(nxt - x) <= 1e-15 * (1.0 + abs(x)):
-            return nxt
-        x = nxt
-    return x
-
-
-def _isolate_square_free(c: list[float]) -> list[float]:
-    chain, _ = _sturm_chain(c)
-    dc = _trim(_pderiv(c))
-    lo, hi = _ROOT_LO, _ROOT_HI
-    total = _variations(chain, lo) - _variations(chain, hi)
-    roots: list[float] = []
-    stack = [(lo, hi, total, 0)]
-    while stack:
-        a, b, k, depth = stack.pop()
-        if k <= 0:
-            continue
-        if k == 1:
-            roots.append(_polish(c, dc, chain, a, b))
-            continue
-        if depth > 80 or b - a < 1e-12:
-            # tighter than the chain can separate: report the cluster center
-            roots.extend([_polish_cluster(c, k, a, b)] * k)
-            continue
-        mid = 0.5 * (a + b)
-        left = _variations(chain, a) - _variations(chain, mid)
-        stack.append((a, mid, left, depth + 1))
-        stack.append((mid, b, k - left, depth + 1))
-    return roots
-
-
-def _roots_with_multiplicity(c: list[float]) -> list[float]:
-    c = _normalize(_trim(c))
-    degree = len(c) - 1
-    if degree == 0:
-        return []
-    if degree == 1:
-        root = -c[0] / c[1]
-        return [root] if _ROOT_LO <= root <= _ROOT_HI else []
-    chain, gcd = _sturm_chain(c)
-    if gcd is None:
-        return _isolate_square_free(c)
-    square_free, _ = _poly_divmod(c, gcd)
-    base = _isolate_square_free(_normalize(_trim(square_free)))
-    merged = list(base)
-    for rep in _roots_with_multiplicity(list(gcd)):
-        if base:
-            nearest = min(base, key=lambda t: abs(t - rep))
-            merged.append(nearest if abs(nearest - rep) < 1e-5 else rep)
-        else:
-            merged.append(rep)
-    return merged
-
-
-def real_roots(q: RealPolynomial) -> list[float]:
-    """All real roots of q in the window [-1, 3], with multiplicity, sorted.
-
-    Roots are isolated by Sturm-sequence bisection and polished by guarded
-    Newton iteration to better than 1e-12.  A genuine multiple root is
-    detected via the chain's terminal common factor and reported the right
-    number of times; a near-multiple pair that the coefficients can no
-    longer distinguish is recovered from the critical points.
-    """
-    if not 1 <= q.degree <= 4:
-        raise ValueError(f"real_roots handles degree 1..4, got {q.degree}")
-    coeffs = list(q.coefficients)
-    roots = sorted(_roots_with_multiplicity(coeffs))
-    if len(roots) < q.degree:
-        scale = max(abs(v) for v in coeffs)
-        for t in sorted(_roots_with_multiplicity(_trim(_pderiv(coeffs)))):
-            if len(roots) >= q.degree:
-                break
-            if any(abs(t - r) < 1e-6 for r in roots):
-                continue
-            local = max(scale, math.fsum(abs(v) * abs(t) ** i for i, v in enumerate(coeffs)))
-            if abs(_peval(coeffs, t)) <= 1e-7 * local:
-                roots.extend([t, t])
-        roots.sort()
-    return roots
+def excess_quotient(p: CoronaParams) -> tuple[tuple[float, ...], ...]:
+    """The {new vertex, second copy} block of Q at base eigenvalue 2, which
+    carries the m - n edge excess; [1] when the second copy graph is null."""
+    return _quotient(p, 2, [_NEW, _COPY2] if p.n2 else [_NEW])
 
 
 # --- assembly ----------------------------------------------------------------
@@ -523,40 +355,27 @@ def _require_base(g: Graph, p: CoronaParams) -> None:
         )
 
 
-def _copy_spectrum(g: Graph, size: int, degree: int) -> list[float]:
+def _copy_spectrum(g: Graph, size: int, degree: int) -> Spectrum:
     # an edgeless copy graph joins each copy vertex only to its center; the
     # copy block is the identity and the fixed-family map ignores the
     # eigenvalues entirely, so zeros stand in without a Laplacian
     if degree == 0:
-        return [0.0] * size
-    return list(nl_spectrum(g).values)
-
-
-def _grouped(values: list[float], tol: float = _GROUP_TOL) -> list[tuple[float, int]]:
-    groups: list[tuple[float, int]] = []
-    cluster: list[float] = []
-    for v in sorted(values):
-        if cluster and v - cluster[-1] > tol:
-            groups.append((math.fsum(cluster) / len(cluster), len(cluster)))
-            cluster = []
-        cluster.append(v)
-    if cluster:
-        groups.append((math.fsum(cluster) / len(cluster), len(cluster)))
-    return groups
+        return Spectrum((0.0,) * size)
+    return nl_spectrum(g)
 
 
 def _fixed_families(
-    values: list[float], degree: int, per_value_mult: int, tag: str
+    spectrum: Spectrum, degree: int, per_value_mult: int, tag: str
 ) -> list[FixedFamily]:
     """Families from a copy graph's spectrum with one zero dropped."""
-    tail = sorted(values)[1:]
+    tail = Spectrum(spectrum.values[1:])
     return [
         FixedFamily(
             fixed_family_value(v, degree),
             count * per_value_mult,
             f"{tag} eigenvalue {v:.10g}",
         )
-        for v, count in _grouped(tail)
+        for v, count in summarize(tail, _GROUP_TOL).groups
     ]
 
 
@@ -568,43 +387,33 @@ def _check_total(cfs: ClosedFormSpectrum, expected: int) -> ClosedFormSpectrum:
     return cfs
 
 
-def double_corona_spectrum(g: Graph, g1: Graph, g2: Graph) -> ClosedFormSpectrum:
-    """Closed-form spectrum of the double corona; both copies nonempty."""
-    if g1.is_null or g2.is_null:
+def closed_form_spectrum(g: Graph, g1: Graph, g2: Graph) -> ClosedFormSpectrum:
+    """Closed-form spectrum of the double corona of regular g, g1, g2.
+
+    A null g2 (g1) gives the vertex (edge) corona, whose per-eigenvalue
+    polynomial is a cubic instead of the quartic; both null is refused.
+    """
+    if g1.is_null and g2.is_null:
         raise HypothesisError(
-            "double-corona closed form needs both attachment graphs nonempty; "
-            "use the vertex- or edge-corona variant instead"
+            "no closed form implemented for the bare R-graph (both copies null); "
+            "use the numeric path"
         )
     p = CoronaParams.from_graphs(g, g1, g2)
     _require_base(g, p)
-    mu = list(nl_spectrum(g).values)
+    if p.n2 == 0:
+        factor, excess_poly = vertex_corona_cubic, RealPolynomial((-1.0, 1.0))
+    elif p.n1 == 0:
+        factor, excess_poly = edge_corona_cubic, excess_quadratic(p)
+    else:
+        factor, excess_poly = quartic_factor, excess_quadratic(p)
     fixed = _fixed_families(_copy_spectrum(g1, p.n1, p.r1), p.r1, p.n, "attach1")
     fixed += _fixed_families(_copy_spectrum(g2, p.n2, p.r2), p.r2, p.m, "attach2")
     roots = [
-        RootFamily(quartic_factor(p, v), count, f"base eigenvalue {v:.10g}")
-        for v, count in _grouped(mu)
+        RootFamily(factor(p, v), count, f"base eigenvalue {v:.10g}", quotient_matrix(p, v))
+        for v, count in summarize(nl_spectrum(g), _GROUP_TOL).groups
     ]
     excess = (
-        RootFamily(excess_quadratic(p), p.m - p.n, "edge excess") if p.m > p.n else None
-    )
-    cfs = ClosedFormSpectrum(tuple(fixed), tuple(roots), excess)
-    return _check_total(cfs, p.total_vertices)
-
-
-def vertex_corona_spectrum(g: Graph, g1: Graph) -> ClosedFormSpectrum:
-    """Closed-form spectrum of the vertex corona (second copy null)."""
-    if g1.is_null:
-        raise HypothesisError("vertex-corona closed form needs a nonempty attachment graph")
-    p = CoronaParams.from_graphs(g, g1, Graph(0, ()))
-    _require_base(g, p)
-    mu = list(nl_spectrum(g).values)
-    fixed = _fixed_families(_copy_spectrum(g1, p.n1, p.r1), p.r1, p.n, "attach1")
-    roots = [
-        RootFamily(vertex_corona_cubic(p, v), count, f"base eigenvalue {v:.10g}")
-        for v, count in _grouped(mu)
-    ]
-    excess = (
-        RootFamily(RealPolynomial((-1.0, 1.0)), p.m - p.n, "edge excess")
+        RootFamily(excess_poly, p.m - p.n, "edge excess", excess_quotient(p))
         if p.m > p.n
         else None
     )
@@ -612,54 +421,26 @@ def vertex_corona_spectrum(g: Graph, g1: Graph) -> ClosedFormSpectrum:
     return _check_total(cfs, p.total_vertices)
 
 
-def edge_corona_spectrum(g: Graph, g2: Graph) -> ClosedFormSpectrum:
-    """Closed-form spectrum of the edge corona (first copy null)."""
-    if g2.is_null:
-        raise HypothesisError("edge-corona closed form needs a nonempty attachment graph")
-    p = CoronaParams.from_graphs(g, Graph(0, ()), g2)
-    _require_base(g, p)
-    mu = list(nl_spectrum(g).values)
-    fixed = _fixed_families(_copy_spectrum(g2, p.n2, p.r2), p.r2, p.m, "attach2")
-    roots = [
-        RootFamily(edge_corona_cubic(p, v), count, f"base eigenvalue {v:.10g}")
-        for v, count in _grouped(mu)
-    ]
-    excess = (
-        RootFamily(excess_quadratic(p), p.m - p.n, "edge excess") if p.m > p.n else None
-    )
-    cfs = ClosedFormSpectrum(tuple(fixed), tuple(roots), excess)
-    return _check_total(cfs, p.total_vertices)
-
-
-def closed_form_spectrum(g: Graph, g1: Graph, g2: Graph) -> ClosedFormSpectrum:
-    """Route to the applicable closed form by which copies are nonempty."""
-    if g1.is_null and g2.is_null:
-        raise HypothesisError(
-            "no closed form implemented for the bare R-graph (both copies null); "
-            "use the numeric path"
-        )
-    if g2.is_null:
-        return vertex_corona_spectrum(g, g1)
-    if g1.is_null:
-        return edge_corona_spectrum(g, g2)
-    return double_corona_spectrum(g, g1, g2)
-
-
 def flatten(cfs: ClosedFormSpectrum) -> Spectrum:
-    """Expand all families into a sorted eigenvalue multiset."""
+    """Expand all families into a sorted eigenvalue multiset.
+
+    Each root family contributes the eigenvalues of its quotient matrix;
+    the quotients are solved in one batch per matrix size.
+    """
     values: list[float] = []
     for fam in cfs.fixed_families:
         values.extend([fam.value] * fam.multiplicity)
-    families = list(cfs.root_families)
-    if cfs.excess_family is not None:
-        families.append(cfs.excess_family)
-    for fam in families:
-        roots = real_roots(fam.poly)
-        if len(roots) != fam.poly.degree:
+    by_size: dict[int, list[RootFamily]] = {}
+    for fam in cfs.root_families + ((cfs.excess_family,) if cfs.excess_family else ()):
+        if len(fam.quotient) != fam.poly.degree:
             raise InternalConsistencyError(
-                f"{fam.label}: found {len(roots)} real roots for degree "
-                f"{fam.poly.degree} polynomial {list(fam.poly.coefficients)}"
+                f"{fam.label}: {len(fam.quotient)}x{len(fam.quotient)} quotient for "
+                f"degree {fam.poly.degree} polynomial {list(fam.poly.coefficients)}"
             )
-        for root in roots:
-            values.extend([root] * fam.multiplicity)
-    return Spectrum(tuple(sorted(values)), "closed-form")
+        by_size.setdefault(fam.poly.degree, []).append(fam)
+    for fams in by_size.values():
+        roots = np.linalg.eigvalsh(np.array([fam.quotient for fam in fams]))
+        for fam, row in zip(fams, roots.tolist()):
+            for root in row:
+                values.extend([root] * fam.multiplicity)
+    return Spectrum(tuple(values), "closed-form")

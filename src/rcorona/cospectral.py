@@ -10,7 +10,7 @@ them with the numeric eigensolver.
 from dataclasses import dataclass
 import json
 
-from .corona import double_corona, r_edge_corona, r_graph, r_vertex_corona
+from .corona import double_corona
 from .errors import HypothesisError
 from .graphs import Graph, adjacency_matrix, degree_profile, generate, is_connected, to_graph_json
 from .spectra import Spectrum, compare_spectra, nl_spectrum, numeric_spectrum
@@ -83,14 +83,13 @@ def regular_cospectrality_agrees(g: Graph, h: Graph, tol: float = 1e-8) -> bool:
     return adjacency_cospectral(g, h, tol) == nl_cospectral(g, h, tol)
 
 
-def _corona_for(g: Graph, g1: Graph, g2: Graph) -> tuple[Graph, str]:
-    if g1.is_null and g2.is_null:
-        return r_graph(g)[0], "r_graph"
-    if g2.is_null:
-        return r_vertex_corona(g, g1)[0], "vertex"
-    if g1.is_null:
-        return r_edge_corona(g, g2)[0], "edge"
-    return double_corona(g, g1, g2)[0], "double"
+# certificate recipe kind, keyed by (g1 is null, g2 is null)
+_KINDS = {
+    (False, False): "double",
+    (False, True): "vertex",
+    (True, False): "edge",
+    (True, True): "r_graph",
+}
 
 
 def _graph_dict(g: Graph) -> dict:
@@ -137,13 +136,13 @@ def build_cospectral_pair(
             "same labeled graph twice"
         )
 
-    corona_a, kind = _corona_for(g, g1, g2)
-    corona_b, _ = _corona_for(h, h1, h2)
+    corona_a, _ = double_corona(g, g1, g2)
+    corona_b, _ = double_corona(h, h1, h2)
     sa = nl_spectrum(corona_a)
     sb = nl_spectrum(corona_b)
     report = compare_spectra(sa, sb, tol)
     recipe = {
-        "kind": kind,
+        "kind": _KINDS[g1.is_null, g2.is_null],
         "g": _graph_dict(g),
         "h": _graph_dict(h),
         "g1": _graph_dict(g1),

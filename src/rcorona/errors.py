@@ -35,5 +35,7 @@ class ConvergenceError(RuntimeError):
 
 
 class InternalConsistencyError(RuntimeError):
-    """A polynomial produced by the closed form yielded fewer real roots
-    than its degree; signals an implementation bug, not a user error."""
+    """The closed form's families disagree with the corona's size: their
+    multiplicities do not total its vertex count, or a family's quotient
+    matrix does not match its polynomial's degree.  Signals an
+    implementation bug, not a user error."""

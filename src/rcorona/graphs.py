@@ -299,9 +299,27 @@ def to_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_graph_json(text: str) -> Graph:
+    """Parse the JSON format {"n": int, "edges": [[u, v], ...]}.
+
+    Any other shape, including non-integer or boolean values, raises
+    GraphValidationError.
+    """
     obj = json.loads(text)
-    return build_graph(obj["n"], [tuple(e) for e in obj["edges"]])
+    if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
+        raise GraphValidationError('graph JSON must be an object with keys "n" and "edges"')
+    n, edges = obj["n"], obj["edges"]
+    if not _is_int(n):
+        raise GraphValidationError(f'graph JSON "n" must be an integer, got {n!r}')
+    if not isinstance(edges, list) or not all(
+        isinstance(e, list) and len(e) == 2 and all(_is_int(x) for x in e) for e in edges
+    ):
+        raise GraphValidationError('graph JSON "edges" must be a list of integer pairs [u, v]')
+    return build_graph(n, [tuple(e) for e in edges])
 
 
 def to_graph_json(g: Graph) -> str:

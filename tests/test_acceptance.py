@@ -27,7 +27,6 @@ from rcorona import (
     degree_kirchhoff,
     degree_profile,
     double_corona,
-    double_corona_spectrum,
     edge_corona_cubic,
     flatten,
     generate,
@@ -112,7 +111,7 @@ def test_a01_golden_spectrum():
     with _report("A1 golden 18-eigenvalue reproduction (1e-9 vs exact, 1e-8 vs numeric, <1s)"):
         start = time.perf_counter()
         k3, p2 = generate("complete", 3), generate("path", 2)
-        closed = flatten(double_corona_spectrum(k3, p2, p2))
+        closed = flatten(closed_form_spectrum(k3, p2, p2))
         assert len(closed) == 18
         assert max(abs(a - b) for a, b in zip(closed.values, GOLDEN_18)) <= 1e-9
         corona, _ = double_corona(k3, p2, p2)
@@ -250,7 +249,7 @@ def test_a10_documented_refusal(tmp_path, capsys):
         assert "m<n unsupported" in captured.err
 
         with pytest.raises(HypothesisError, match="m<n unsupported"):
-            double_corona_spectrum(generate("complete", 2), generate("path", 2), generate("path", 2))
+            closed_form_spectrum(generate("complete", 2), generate("path", 2), generate("path", 2))
 
         code = cli_main(["spectrum", "--corona", "double", str(k2), str(p2), str(p2),
                          "--method", "numeric", "--json"])

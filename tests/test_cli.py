@@ -136,6 +136,18 @@ class TestSpectrum:
         values = [float(v) for v in capsys.readouterr().out.split()]
         assert len(values) == 9  # 2 + 1 + 2*2 + 1*2
 
+    @pytest.mark.parametrize("text", [
+        '{"n": 3}',
+        '{"n": 2.7, "edges": [[0, 1]]}',
+        '{"n": true, "edges": []}',
+        '{"n": 3, "edges": [[0, true]]}',
+    ])
+    def test_malformed_json_graph_exit_2(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text + "\n")
+        assert main(["spectrum", str(bad)]) == 2
+        assert "graph JSON" in capsys.readouterr().err
+
     def test_closed_form_without_corona_exit_3(self, files, capsys):
         assert main(["spectrum", files["K3"], "--method", "closed-form"]) == 3
 

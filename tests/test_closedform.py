@@ -1,11 +1,14 @@
 """Closed-form spectrum machinery: scalar pieces, polynomial factors,
-root extraction, and oracle equivalence against the numeric eigensolver."""
+quotient matrices, and oracle equivalence against the numeric eigensolver."""
 
+import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from rcorona import (
     ClosedFormSpectrum,
@@ -22,21 +25,19 @@ from rcorona import (
     copy_block_forms,
     coronal,
     double_corona,
-    double_corona_spectrum,
     edge_corona_cubic,
-    edge_corona_spectrum,
     excess_quadratic,
+    excess_quotient,
     fixed_family_value,
     flatten,
     generate,
     nl_spectrum,
     normalized_laplacian,
     quartic_factor,
+    quotient_matrix,
     r_edge_corona,
     r_vertex_corona,
-    real_roots,
     vertex_corona_cubic,
-    vertex_corona_spectrum,
 )
 
 K3P2P2 = CoronaParams(n=3, m=3, r=2, n1=2, r1=1, n2=2, r2=1)
@@ -143,8 +144,8 @@ class TestPolynomialFactors:
 
     def test_excess_roots_real_in_range(self):
         for p in (K3P2P2, CoronaParams(4, 6, 3, 0, 0, 5, 2), CoronaParams(6, 9, 3, 0, 0, 3, 0)):
-            roots = real_roots(excess_quadratic(p))
-            assert len(roots) == 2
+            roots = np.linalg.eigvalsh(np.array(excess_quotient(p)))
+            assert len(roots) == excess_quadratic(p).degree == 2
             assert all(-1e-12 <= t <= 2 + 1e-12 for t in roots)
 
     def test_quartic_requires_both_copies(self):
@@ -164,85 +165,119 @@ class TestFixedFamilyValue:
             assert fixed_family_value(1, r) == pytest.approx(1.0)
 
 
+def _eigenvalues(quotient):
+    return sorted(np.linalg.eigvalsh(np.array(quotient)))
+
+
 class TestRealRoots:
+    """The roots of the printed polynomials, read off as quotient eigenvalues."""
+
     def test_golden_quartic(self):
-        q = quartic_factor(K3P2P2, Fraction(3, 2))
         expect = sorted([1 / 6, (3 - math.sqrt(3)) / 4, (3 + math.sqrt(3)) / 4, 3 / 2])
-        assert real_roots(q) == pytest.approx(expect, abs=1e-12)
+        assert _eigenvalues(quotient_matrix(K3P2P2, Fraction(3, 2))) == pytest.approx(expect, abs=1e-12)
 
     def test_golden_quartic_mu_zero(self):
-        q = quartic_factor(K3P2P2, 0)
         expect = sorted([0, (7 - math.sqrt(13)) / 12, (7 + math.sqrt(13)) / 12, 3 / 2])
-        assert real_roots(q) == pytest.approx(expect, abs=1e-12)
+        assert _eigenvalues(quotient_matrix(K3P2P2, 0)) == pytest.approx(expect, abs=1e-12)
 
     def test_simple_quadratic(self):
-        assert real_roots(RealPolynomial((-1.0, 0.0, 1.0))) == pytest.approx([-1.0, 1.0], abs=1e-12)
+        # 8x^2 - 12x + 2, the golden excess quadratic
+        expect = [(3 - math.sqrt(5)) / 4, (3 + math.sqrt(5)) / 4]
+        assert _eigenvalues(excess_quotient(K3P2P2)) == pytest.approx(expect, abs=1e-12)
 
     def test_linear(self):
-        assert real_roots(RealPolynomial((-3.0, 2.0))) == pytest.approx([1.5], abs=1e-14)
-
-    def test_double_root(self):
-        # (x-1)^2 (x-0.5) (x-2), expanded
-        coeffs = np.polynomial.polynomial.polyfromroots([1.0, 1.0, 0.5, 2.0])
-        got = real_roots(RealPolynomial(tuple(coeffs)))
-        assert got == pytest.approx([0.5, 1.0, 1.0, 2.0], abs=1e-9)
-
-    def test_triple_root(self):
-        coeffs = np.polynomial.polynomial.polyfromroots([1.0, 1.0, 1.0, 2.0])
-        assert real_roots(RealPolynomial(tuple(coeffs))) == pytest.approx(
-            [1.0, 1.0, 1.0, 2.0], abs=1e-6
-        )
-
-    def test_quadruple_root(self):
-        coeffs = np.polynomial.polynomial.polyfromroots([1.0] * 4)
-        assert real_roots(RealPolynomial(tuple(coeffs))) == pytest.approx([1.0] * 4, abs=1e-4)
-
-    def test_root_at_subdivision_point(self):
-        # x = 1 sits exactly on a bisection midpoint of the search window
-        coeffs = np.polynomial.polynomial.polyfromroots([1.0, 0.5432235637169979, 1.6567764362830021])
-        got = real_roots(RealPolynomial(tuple(coeffs)))
-        assert got == pytest.approx([0.5432235637169979, 1.0, 1.6567764362830021], abs=1e-10)
-
-    def test_near_double_complex_split_recovered(self):
-        # perturbing a double root into a conjugate pair; the all-real
-        # provenance recovery reports the pair at the critical point
-        base = np.polynomial.polynomial.polyfromroots([0.5, 2.5])
-        bump = np.polynomial.polynomial.polymul(base, [1.0 + 1e-16, -2.0, 1.0])
-        got = real_roots(RealPolynomial(tuple(np.polynomial.polynomial.polymul([1.0], bump))))
-        assert len(got) == 4
-        assert got == pytest.approx([0.5, 1.0, 1.0, 2.5], abs=1e-6)
-
-    def test_no_real_roots_returns_empty(self):
-        assert real_roots(RealPolynomial((1.0, 0.0, 1.0))) == []
-
-    def test_degree_out_of_range(self):
-        with pytest.raises(ValueError):
-            real_roots(RealPolynomial((1.0,)))
+        # the vertex corona's excess factor is x - 1: a 1x1 quotient
+        cfs = closed_form_spectrum(generate("complete", 4), generate("path", 2), generate("null"))
+        assert cfs.excess_family.poly.coefficients == (-1.0, 1.0)
+        assert cfs.excess_family.quotient == ((1.0,),)
 
     def test_random_battery(self):
-        # seeded battery: separated simple roots exact to 1e-9, repeated
-        # roots recovered with full multiplicity to 1e-6
+        # seeded battery over random regular parameters and base eigenvalues:
+        # the quotient eigenvalues are the printed polynomial's roots
         rng = np.random.default_rng(424242)
-        poly = np.polynomial.polynomial
-        for _ in range(150):
-            deg = int(rng.integers(1, 5))
-            roots = np.sort(rng.uniform(-0.9, 2.9, deg))
-            if deg > 1 and np.min(np.diff(roots)) < 1e-3:
+        checked = 0
+        while checked < 150:
+            r = int(rng.integers(2, 7))
+            n = int(rng.integers(r + 1, 13))
+            n1, n2 = (int(v) for v in rng.integers(0, 6, 2))
+            if n * r % 2 or n1 == n2 == 0:
                 continue
-            c = poly.polyfromroots(roots) * rng.uniform(0.5, 50)
-            got = real_roots(RealPolynomial(tuple(c)))
-            assert len(got) == deg
-            assert np.max(np.abs(np.array(got) - roots)) < 1e-9
-        for _ in range(100):
-            d = rng.uniform(-0.5, 2.5)
-            extra = rng.uniform(-0.9, 2.9)
-            if abs(extra - d) < 1e-2:
+            r1 = int(rng.integers(0, n1)) if n1 else 0
+            r2 = int(rng.integers(0, n2)) if n2 else 0
+            p = CoronaParams(n, n * r // 2, r, n1, r1, n2, r2)
+            mu = float(rng.uniform(0, 2))
+            factor = vertex_corona_cubic if n2 == 0 else edge_corona_cubic if n1 == 0 else quartic_factor
+            expect = np.sort(np.polynomial.polynomial.polyroots(factor(p, mu).coefficients).real)
+            got = _eigenvalues(quotient_matrix(p, mu))
+            assert len(got) == len(expect)
+            if np.min(np.diff(expect)) < 1e-3:
                 continue
-            target = np.sort([d, d, extra])
-            c = poly.polyfromroots(target)
-            got = real_roots(RealPolynomial(tuple(c)))
-            assert len(got) == 3
-            assert np.max(np.abs(np.array(got) - target)) < 1e-6
+            assert np.max(np.abs(np.array(got) - expect)) < 1e-9
+            checked += 1
+
+
+def _exact_quotient(p, mu, rows):
+    """I - M with the quotient entries in exact sympy arithmetic; rows index
+    old vertex, new vertex, first copy, second copy."""
+    rat, sqrt = sympy.Rational, sympy.sqrt
+    d0, de = 2 * p.r + p.n1, 2 + p.n2
+    m = sympy.zeros(4, 4)
+    m[0, 0] = p.r * (1 - mu) / d0
+    m[0, 1] = m[1, 0] = sqrt(p.r * (2 - mu) / (d0 * de))
+    m[0, 2] = m[2, 0] = sqrt(rat(p.n1, d0 * (p.r1 + 1)))
+    m[2, 2] = rat(p.r1, p.r1 + 1)
+    m[1, 3] = m[3, 1] = sqrt(rat(p.n2, de * (p.r2 + 1)))
+    m[3, 3] = rat(p.r2, p.r2 + 1)
+    return sympy.eye(len(rows)) - m.extract(rows, rows)
+
+
+def _assert_char_poly_multiple(poly, exact_q, float_q):
+    """poly is a positive multiple of det(xI - Q), exactly; float_q is the
+    package's Q at the same point."""
+    x = sympy.Symbol("x")
+    char = exact_q.charpoly(x)
+    # the coefficients are dyadic rationals here, so their floats are exact
+    target = sympy.Poly([sympy.Rational(c) for c in reversed(poly.coefficients)], x)
+    ratio = target.LC() / char.LC()
+    assert ratio > 0
+    assert target.all_coeffs() == [ratio * c for c in char.all_coeffs()]
+    exact = np.array(exact_q.evalf(30).tolist(), dtype=float)
+    assert np.max(np.abs(np.array(float_q) - exact)) <= 1e-15
+
+
+_EXACT_GRID = [K3P2P2] + [
+    CoronaParams(n, m, r, n1, r1, n2, r2)
+    for (n, m, r), (n1, r1), (n2, r2) in itertools.product(
+        [(4, 4, 2), (4, 6, 3), (10, 15, 3)], [(1, 0), (3, 2)], [(2, 1), (4, 3)]
+    )
+]
+
+
+class TestQuotientExact:
+    """Each printed factor is a positive multiple of the characteristic
+    polynomial of its quotient matrix, in exact arithmetic."""
+
+    @pytest.mark.parametrize("p", _EXACT_GRID, ids=lambda p: "-".join(map(str, dataclasses.astuple(p))))
+    def test_factors(self, p):
+        vertex = dataclasses.replace(p, n2=0, r2=0)
+        edge = dataclasses.replace(p, n1=0, r1=0)
+        for f in (Fraction(0), Fraction(1, 2), Fraction(3, 2), Fraction(2)):
+            mu = sympy.Rational(f.numerator, f.denominator)
+            _assert_char_poly_multiple(
+                quartic_factor(p, f), _exact_quotient(p, mu, [0, 1, 2, 3]), quotient_matrix(p, f)
+            )
+            _assert_char_poly_multiple(
+                vertex_corona_cubic(vertex, f),
+                _exact_quotient(vertex, mu, [0, 1, 2]),
+                quotient_matrix(vertex, f),
+            )
+            _assert_char_poly_multiple(
+                edge_corona_cubic(edge, f), _exact_quotient(edge, mu, [0, 1, 3]), quotient_matrix(edge, f)
+            )
+        for q in (p, edge):
+            _assert_char_poly_multiple(
+                excess_quadratic(q), _exact_quotient(q, 2, [1, 3]), excess_quotient(q)
+            )
 
 
 class TestParams:
@@ -310,14 +345,14 @@ class TestSpectrumAssembly:
     def test_vertex_corona_c5_k1(self):
         g, g1 = generate("cycle", 5), generate("complete", 1)
         corona, _ = r_vertex_corona(g, g1)
-        closed = flatten(vertex_corona_spectrum(g, g1))
+        closed = flatten(closed_form_spectrum(g, g1, generate("null")))
         assert compare_spectra(closed, nl_spectrum(corona), 1e-8).matched
         assert len(closed) == 15
 
     def test_edge_corona_c6_p2(self):
         g, g2 = generate("cycle", 6), generate("path", 2)
         corona, _ = r_edge_corona(g, g2)
-        closed = flatten(edge_corona_spectrum(g, g2))
+        closed = flatten(closed_form_spectrum(g, generate("null"), g2))
         assert compare_spectra(closed, nl_spectrum(corona), 1e-8).matched
 
     def test_disconnected_copy_graph_accepted(self):
@@ -343,15 +378,7 @@ class TestSpectrumAssembly:
         k2 = generate("complete", 2)
         p2 = generate("path", 2)
         with pytest.raises(HypothesisError, match="m<n unsupported"):
-            double_corona_spectrum(k2, p2, p2)
-
-    def test_double_requires_nonempty_copies(self):
-        # null-copy cases must route to the degenerate variants instead
-        k3, p2, null = generate("complete", 3), generate("path", 2), generate("null")
-        with pytest.raises(HypothesisError):
-            double_corona_spectrum(k3, p2, null)
-        with pytest.raises(HypothesisError):
-            double_corona_spectrum(k3, null, p2)
+            closed_form_spectrum(k2, p2, p2)
 
     def test_router(self):
         k3, p2, null = generate("complete", 3), generate("path", 2), generate("null")
@@ -380,7 +407,8 @@ class TestFlatten:
         assert flatten(ClosedFormSpectrum((), (), None)).source_tag == "closed-form"
 
     def test_missing_real_roots_is_internal_error(self):
-        fam = RootFamily(RealPolynomial((1.0, 0.0, 1.0)), 1, "broken")
+        # a 1x1 quotient yields one root where the quadratic is owed two
+        fam = RootFamily(RealPolynomial((1.0, 0.0, 1.0)), 1, "broken", ((1.0,),))
         with pytest.raises(InternalConsistencyError):
             flatten(ClosedFormSpectrum((), (fam,), None))
 
