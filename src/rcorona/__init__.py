@@ -11,14 +11,12 @@ from .closedform import (
     closed_form_spectrum,
     copy_block_forms,
     coronal,
-    edge_corona_cubic,
-    excess_quadratic,
+    excess_polynomial,
     excess_quotient,
+    family_polynomial,
     fixed_family_value,
     flatten,
-    quartic_factor,
     quotient_matrix,
-    vertex_corona_cubic,
 )
 from .corona import CoronaLayout, double_corona, r_edge_corona, r_graph, r_vertex_corona
 from .cospectral import (
@@ -45,6 +43,7 @@ from .graphs import (
     adjacency_matrix,
     build_graph,
     degree_profile,
+    format_graph,
     generate,
     incidence_matrix,
     is_connected,

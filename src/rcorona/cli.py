@@ -4,19 +4,22 @@ cospectral certification as reproducible batch runs.
 Exit codes: 0 success / spectra match / verdict cospectral; 1 mismatch or
 negative verdict; 2 usage error (bad flags, parameters, or input files);
 3 violated mathematical hypothesis (disconnected base, non-regular input,
-the m<n closed-form regime, ...).  All numeric output uses 17 significant
-digits; pass --json where available for the machine-readable form.
+the m<n closed-form regime, ...); 4 internal error (an eigensolve that did
+not converge, or closed-form families inconsistent with the corona).  All
+numeric output uses 17 significant digits; pass --json where available for
+the machine-readable form.
 """
 
 import argparse
 import json
+import math
 import sys
 
 from .closedform import closed_form_spectrum, flatten
-from .corona import double_corona, r_edge_corona, r_vertex_corona
+from .corona import double_corona
 from .cospectral import build_cospectral_pair
-from .errors import GraphValidationError, HypothesisError
-from .graphs import Graph, build_graph, generate, load_graph, save_graph, to_edge_list, to_graph_json
+from .errors import ConvergenceError, GraphValidationError, HypothesisError, InternalConsistencyError
+from .graphs import Graph, build_graph, format_graph, generate, load_graph, save_graph
 from .invariants import degree_kirchhoff, spanning_trees_matrix_tree, spanning_trees_spectral
 from .spectra import compare_spectra, nl_spectrum
 
@@ -25,6 +28,16 @@ __all__ = ["main"]
 
 def _fmt(v: float) -> str:
     return f"{v:.17g}"
+
+
+def _tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be a finite positive number, got {text!r}")
+    return tol
 
 
 def _load(path: str) -> Graph:
@@ -47,7 +60,7 @@ def _cmd_generate(args) -> int:
     if args.out:
         save_graph(g, args.out, args.format)
     else:
-        sys.stdout.write(to_edge_list(g) if args.format == "edgelist" else to_graph_json(g) + "\n")
+        sys.stdout.write(format_graph(g, args.format))
     return 0
 
 
@@ -76,7 +89,7 @@ def _cmd_corona(args) -> int:
     if args.out:
         save_graph(corona, args.out, args.format)
     else:
-        sys.stdout.write(to_edge_list(corona) if args.format == "edgelist" else to_graph_json(corona) + "\n")
+        sys.stdout.write(format_graph(corona, args.format))
     if args.emit_layout:
         _write_or_print(layout.to_json(), args.emit_layout)
     print(f"vertices={corona.vertex_count} edges={corona.edge_count}", file=sys.stderr)
@@ -190,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graphs", nargs="+", help="graph file, or corona inputs with --corona")
     p.add_argument("--corona", choices=("double", "vertex", "edge"))
     p.add_argument("--method", choices=("numeric", "closed-form", "both"), default="numeric")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.add_argument("--json", action="store_true")
     p.add_argument("--allow-disconnected", action="store_true")
     p.set_defaults(func=_cmd_spectrum)
@@ -198,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cospectral", help="build and certify a cospectral corona pair")
     p.add_argument("graphs", nargs=6, metavar=("G",) * 6,
                    help="gA gB g1A g1B g2A g2B ('null' allowed for attachments)")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.add_argument("--out", metavar="CERT_JSON")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_cospectral)
@@ -222,6 +235,9 @@ def main(argv=None) -> int:
     except (GraphValidationError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ConvergenceError, InternalConsistencyError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -13,14 +13,14 @@ double corona splits into:
   * when m > n, the two roots of an excess quadratic, multiplicity m - n.
 
 Setting G2 (resp. G1) to the null graph degenerates the quartic to a
-cubic: the vertex (resp. edge) corona.  The printed polynomials are
-expanded symbolically (convolution of coefficient arrays), exactly
-whenever the inputs are exact.  Their roots are computed as the
-eigenvalues of the equitable-partition quotient matrix of each family
-(Brouwer & Haemers, Spectra of Graphs, section 2.3), a symmetric matrix of
-order at most 4 whose characteristic polynomial is a positive multiple of
-the printed one.  Only these small blocks go to LAPACK; the corona itself
-is never solved here, so the numeric oracle stays an independent check.
+cubic: the vertex (resp. edge) corona.  Every printed polynomial and its
+roots come from one table, the corona's equitable partition per base
+eigenvalue (Brouwer & Haemers, Spectra of Graphs, section 2.3): the
+polynomial is the partition's tridiagonal determinant, expanded without
+division and so exactly whenever the inputs are exact, and its roots are
+the eigenvalues of the partition's symmetric quotient matrix, of order at
+most 4.  Only these small blocks go to LAPACK; the corona itself is never
+solved here, so the numeric oracle stays an independent check.
 """
 
 from dataclasses import dataclass
@@ -43,10 +43,8 @@ __all__ = [
     "coronal",
     "copy_block_forms",
     "fixed_family_value",
-    "quartic_factor",
-    "vertex_corona_cubic",
-    "edge_corona_cubic",
-    "excess_quadratic",
+    "family_polynomial",
+    "excess_polynomial",
     "quotient_matrix",
     "excess_quotient",
     "closed_form_spectrum",
@@ -218,128 +216,95 @@ def copy_block_forms(g1: Graph) -> tuple[np.ndarray, np.ndarray]:
     return lap * b, (np.eye(n) + r * lap) / (r + 1)
 
 
-# --- symbolic polynomial expansion ------------------------------------------
+# --- equitable partition ------------------------------------------------------
+
+# For one base eigenvalue mu the corona has an equitable partition whose
+# classes form a path: the first copy's vertices, an old (base) vertex, a new
+# (edge) vertex, the second copy's vertices (Brouwer & Haemers, Spectra of
+# Graphs, section 2.3).  A null copy graph's class is absent.
+_COPY1, _OLD, _NEW, _COPY2 = range(4)
+# LAPACK receives the quotient's rows in this order, which fixes the last bits
+# of the roots.
+_QUOTIENT_ORDER = (_OLD, _NEW, _COPY1, _COPY2)
 
 
-def _pmul(a: list, b: list) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    exact = all(isinstance(c, (int, Fraction)) for c in a + b)
-    if exact:
-        for i, ai in enumerate(a):
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-        return out
-    cells: list[list[float]] = [[] for _ in out]
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            cells[i + j].append(float(ai) * float(bj))
-    return [math.fsum(cell) if cell else 0.0 for cell in cells]
-
-
-def _padd(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    a = a + [0] * (n - len(a))
-    b = b + [0] * (n - len(b))
-    return [x + y for x, y in zip(a, b)]
-
-
-def _pscale(a: list, s) -> list:
-    return [s * c for c in a]
-
-
-def _first_factor(p: CoronaParams) -> list:
-    # (x-1)(2+n2)(x*r2+x-1) - n2
-    return _padd(_pscale(_pmul([-1, 1], [-1, p.r2 + 1]), 2 + p.n2), [-p.n2])
-
-
-def _second_factor(p: CoronaParams, mu) -> list:
-    # (x-1)(2r+n1)(x*r1+x-1) + r(1-mu)(x*r1+x-1) - n1
-    spoke1 = [-1, p.r1 + 1]
-    out = _pscale(_pmul([-1, 1], spoke1), 2 * p.r + p.n1)
-    out = _padd(out, _pscale(spoke1, p.r * (1 - mu)))
-    return _padd(out, [-p.n1])
-
-
-def quartic_factor(p: CoronaParams, base_eig) -> RealPolynomial:
-    """The quartic whose four roots the corona inherits from one base
-    eigenvalue; requires both attachment graphs nonempty.
-
-    ``base_eig`` may be a float, int, or Fraction; with exact inputs the
-    expansion is carried out in exact arithmetic before conversion.
-    """
-    if p.n1 < 1 or p.n2 < 1:
-        raise HypothesisError("quartic factor requires both attachment graphs nonempty")
-    spoke1 = [-1, p.r1 + 1]
-    spoke2 = [-1, p.r2 + 1]
-    out = _pmul(_first_factor(p), _second_factor(p, base_eig))
-    out = _padd(out, _pscale(_pmul(spoke1, spoke2), p.r * (base_eig - 2)))
-    return RealPolynomial(tuple(out))
-
-
-def vertex_corona_cubic(p: CoronaParams, base_eig) -> RealPolynomial:
-    """Per-base-eigenvalue cubic for the vertex corona (second copy null)."""
-    if p.n1 < 1:
-        raise HypothesisError("vertex-corona cubic requires a nonempty attachment graph")
-    spoke1 = [-1, p.r1 + 1]
-    out = _pscale(_pmul([-1, 1], _second_factor(p, base_eig)), 2)
-    out = _padd(out, _pscale(spoke1, p.r * (base_eig - 2)))
-    return RealPolynomial(tuple(out))
-
-
-def edge_corona_cubic(p: CoronaParams, base_eig) -> RealPolynomial:
-    """Per-base-eigenvalue cubic for the edge corona (first copy null)."""
-    if p.n2 < 1:
-        raise HypothesisError("edge-corona cubic requires a nonempty attachment graph")
-    spoke2 = [-1, p.r2 + 1]
-    out = _pmul([-1 - base_eig, 2], _first_factor(p))
-    out = _padd(out, _pscale(spoke2, base_eig - 2))
-    return RealPolynomial(tuple(out))
-
-
-def excess_quadratic(p: CoronaParams) -> RealPolynomial:
-    """The quadratic carrying the m-n edge-excess multiplicity."""
-    if p.n2 < 1:
-        raise HypothesisError("excess quadratic requires a nonempty second attachment graph")
-    return RealPolynomial(tuple(_first_factor(p)))
-
-
-# --- quotient matrices --------------------------------------------------------
-
-# Rows of the equitable-partition quotient: an old (base) vertex, a new (edge)
-# vertex, and the all-ones vector on each attachment copy.
-_OLD, _NEW, _COPY1, _COPY2 = range(4)
-
-
-def _quotient(p: CoronaParams, mu, rows: list[int]) -> tuple[tuple[float, ...], ...]:
-    d0, de = 2 * p.r + p.n1, 2 + p.n2
-    m = [[0.0] * 4 for _ in range(4)]
-    m[_OLD][_OLD] = p.r * (1 - mu) / d0
+def _partition(p: CoronaParams, mu, first: int):
+    """The present classes from path position ``first`` on, and the table
+    rows: w, each class's corona degree; a, the weight inside each class;
+    c, the weight joining class k to class k + 1."""
+    w = (p.r1 + 1, 2 * p.r + p.n1, 2 + p.n2, p.r2 + 1)
+    a = (p.r1, p.r * (1 - mu), 0, p.r2)
     # a computed base eigenvalue may overshoot 2 by rounding
-    m[_OLD][_NEW] = m[_NEW][_OLD] = math.sqrt(max(p.r * (2 - mu), 0) / (d0 * de))
-    m[_OLD][_COPY1] = m[_COPY1][_OLD] = math.sqrt(p.n1 / (d0 * (p.r1 + 1)))
-    m[_COPY1][_COPY1] = p.r1 / (p.r1 + 1)
-    m[_NEW][_COPY2] = m[_COPY2][_NEW] = math.sqrt(p.n2 / (de * (p.r2 + 1)))
-    m[_COPY2][_COPY2] = p.r2 / (p.r2 + 1)
+    c = (p.n1, max(p.r * (2 - mu), 0), p.n2)
+    classes = range(max(first, _COPY1 if p.n1 else _OLD), _COPY2 + 1 if p.n2 else _COPY2)
+    return classes, w, a, c
+
+
+def _polynomial(p: CoronaParams, mu, first: int) -> RealPolynomial:
+    # det(xW - W + A) by the continuant
+    # P_k = (w_k x - w_k + a_k) P_{k-1} - c_{k-1} P_{k-2}
+    classes, w, a, c = _partition(p, mu, first)
+    prev, cur = [], [1]
+    for k in classes:
+        nxt = [0] * (len(cur) + 1)
+        for i, coef in enumerate(cur):
+            nxt[i] += (a[k] - w[k]) * coef
+            nxt[i + 1] += w[k] * coef
+        for i, coef in enumerate(prev):
+            nxt[i] -= c[k - 1] * coef
+        prev, cur = cur, nxt
+    return RealPolynomial(tuple(cur))
+
+
+def _quotient(p: CoronaParams, mu, first: int) -> tuple[tuple[float, ...], ...]:
+    # Q = I - M with M_kk = a_k/w_k and M_k,k+1 = sqrt(c_k/(w_k w_k+1))
+    classes, w, a, c = _partition(p, mu, first)
+    m = [[0.0] * 4 for _ in range(4)]
+    for k in classes:
+        m[k][k] = a[k] / w[k]
+        if k + 1 in classes:
+            m[k][k + 1] = m[k + 1][k] = math.sqrt(c[k] / (w[k] * w[k + 1]))
+    rows = [k for k in _QUOTIENT_ORDER if k in classes]
     return tuple(tuple(float(i == j) - float(m[i][j]) for j in rows) for i in rows)
 
 
-def quotient_matrix(p: CoronaParams, base_eig) -> tuple[tuple[float, ...], ...]:
-    """The symmetric quotient Q = I - M whose eigenvalues are the corona
-    eigenvalues inherited from one base eigenvalue.
+def family_polynomial(p: CoronaParams, base_eig) -> RealPolynomial:
+    """The printed polynomial whose roots the corona inherits from one base
+    eigenvalue: a quartic for the double corona, a cubic for the vertex
+    (second copy null) and edge (first copy null) coronas.
 
-    Rows are old vertex, new vertex, first copy, second copy; the row of a
-    null copy graph is dropped, so Q is 4x4 for the double corona and 3x3
-    for the vertex and edge coronas.  det(xI - Q) is a positive multiple of
-    the printed per-eigenvalue polynomial.
+    It is det(xW - W + A) over the equitable partition, with W = diag(w)
+    and A symmetric tridiagonal with a on its diagonal and sqrt(c) beside
+    it; its leading coefficient is the product of the present classes'
+    corona degrees.
+    ``base_eig`` may be a float, int, or Fraction; the expansion has no
+    division, so exact inputs give exact coefficients before conversion.
     """
-    copies = [row for row, size in ((_COPY1, p.n1), (_COPY2, p.n2)) if size]
-    return _quotient(p, base_eig, [_OLD, _NEW, *copies])
+    return _polynomial(p, base_eig, _COPY1)
+
+
+def excess_polynomial(p: CoronaParams) -> RealPolynomial:
+    """The polynomial carrying the m - n edge excess: the partition from the
+    new vertex on at base eigenvalue 2, a quadratic, or 2(x - 1) when the
+    second copy graph is null."""
+    return _polynomial(p, 2, _NEW)
+
+
+def quotient_matrix(p: CoronaParams, base_eig) -> tuple[tuple[float, ...], ...]:
+    """The symmetric quotient Q = I - W^(-1/2) A W^(-1/2) whose eigenvalues
+    are the roots of ``family_polynomial(p, base_eig)``.
+
+    Rows are old vertex, new vertex, first copy, second copy, without the
+    row of a null copy graph; det(xI - Q) times the product of the class
+    degrees is the printed polynomial.
+    """
+    return _quotient(p, base_eig, _COPY1)
 
 
 def excess_quotient(p: CoronaParams) -> tuple[tuple[float, ...], ...]:
-    """The {new vertex, second copy} block of Q at base eigenvalue 2, which
-    carries the m - n edge excess; [1] when the second copy graph is null."""
-    return _quotient(p, 2, [_NEW, _COPY2] if p.n2 else [_NEW])
+    """The {new vertex, second copy} block of Q at base eigenvalue 2, whose
+    eigenvalues are the roots of ``excess_polynomial(p)``."""
+    return _quotient(p, 2, _NEW)
 
 
 # --- assembly ----------------------------------------------------------------
@@ -400,20 +365,14 @@ def closed_form_spectrum(g: Graph, g1: Graph, g2: Graph) -> ClosedFormSpectrum:
         )
     p = CoronaParams.from_graphs(g, g1, g2)
     _require_base(g, p)
-    if p.n2 == 0:
-        factor, excess_poly = vertex_corona_cubic, RealPolynomial((-1.0, 1.0))
-    elif p.n1 == 0:
-        factor, excess_poly = edge_corona_cubic, excess_quadratic(p)
-    else:
-        factor, excess_poly = quartic_factor, excess_quadratic(p)
     fixed = _fixed_families(_copy_spectrum(g1, p.n1, p.r1), p.r1, p.n, "attach1")
     fixed += _fixed_families(_copy_spectrum(g2, p.n2, p.r2), p.r2, p.m, "attach2")
     roots = [
-        RootFamily(factor(p, v), count, f"base eigenvalue {v:.10g}", quotient_matrix(p, v))
+        RootFamily(family_polynomial(p, v), count, f"base eigenvalue {v:.10g}", quotient_matrix(p, v))
         for v, count in summarize(nl_spectrum(g), _GROUP_TOL).groups
     ]
     excess = (
-        RootFamily(excess_poly, p.m - p.n, "edge excess", excess_quotient(p))
+        RootFamily(excess_polynomial(p), p.m - p.n, "edge excess", excess_quotient(p))
         if p.m > p.n
         else None
     )

@@ -33,6 +33,7 @@ __all__ = [
     "to_edge_list",
     "parse_graph_json",
     "to_graph_json",
+    "format_graph",
     "load_graph",
     "save_graph",
 ]
@@ -326,6 +327,15 @@ def to_graph_json(g: Graph) -> str:
     return json.dumps({"n": g.vertex_count, "edges": [list(e) for e in g.edges]})
 
 
+def format_graph(g: Graph, fmt: str) -> str:
+    """The text of g in one file format: "edgelist" or "json"."""
+    if fmt == "edgelist":
+        return to_edge_list(g)
+    if fmt == "json":
+        return to_graph_json(g) + "\n"
+    raise ValueError(f"unknown format {fmt!r}")
+
+
 def load_graph(path: str) -> Graph:
     """Read a graph file, sniffing JSON vs edge-list by the leading brace."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -336,8 +346,6 @@ def load_graph(path: str) -> Graph:
 
 
 def save_graph(g: Graph, path: str, fmt: str = "edgelist") -> None:
-    if fmt not in ("edgelist", "json"):
-        raise ValueError(f"unknown format {fmt!r}")
-    payload = to_edge_list(g) if fmt == "edgelist" else to_graph_json(g) + "\n"
+    payload = format_graph(g, fmt)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(payload)

@@ -7,6 +7,7 @@ shows the FAIL lines for failing tests regardless).  Run via:
 """
 
 import contextlib
+import dataclasses
 import itertools
 import json
 import math
@@ -27,7 +28,7 @@ from rcorona import (
     degree_kirchhoff,
     degree_profile,
     double_corona,
-    edge_corona_cubic,
+    family_polynomial,
     flatten,
     generate,
     incidence_matrix,
@@ -35,11 +36,9 @@ from rcorona import (
     nl_spectrum,
     normalized_laplacian,
     normalized_laplacian_regular,
-    quartic_factor,
     regular_cospectrality_agrees,
     spanning_trees_matrix_tree,
     spanning_trees_spectral,
-    vertex_corona_cubic,
 )
 from rcorona.closedform import CoronaParams
 from rcorona.cli import main as cli_main
@@ -132,12 +131,14 @@ def _coeffs_match(poly, target_ascending):
 def test_a02_polynomial_reproduction():
     with _report("A2 printed quartics and cubics up to positive scalar (1e-9)"):
         p = CoronaParams(3, 3, 2, 2, 1, 2, 1)
-        _coeffs_match(quartic_factor(p, Fraction(3, 2)), [9 / 4, -24, 75, -76, 24])
-        _coeffs_match(quartic_factor(p, 0), [0, -9, 48, -64, 24])
-        _coeffs_match(vertex_corona_cubic(p, Fraction(3, 2)), [-9 / 2, 24, -32, 12])
-        _coeffs_match(vertex_corona_cubic(p, 0), [0, 6, -13, 6])
-        _coeffs_match(edge_corona_cubic(p, Fraction(3, 2)), [-9 / 2, 33, -44, 16])
-        _coeffs_match(edge_corona_cubic(p, 0), [0, 3, -8, 4])
+        vertex = dataclasses.replace(p, n2=0, r2=0)
+        edge = dataclasses.replace(p, n1=0, r1=0)
+        _coeffs_match(family_polynomial(p, Fraction(3, 2)), [9 / 4, -24, 75, -76, 24])
+        _coeffs_match(family_polynomial(p, 0), [0, -9, 48, -64, 24])
+        _coeffs_match(family_polynomial(vertex, Fraction(3, 2)), [-9 / 2, 24, -32, 12])
+        _coeffs_match(family_polynomial(vertex, 0), [0, 6, -13, 6])
+        _coeffs_match(family_polynomial(edge, Fraction(3, 2)), [-9 / 2, 33, -44, 16])
+        _coeffs_match(family_polynomial(edge, 0), [0, 3, -8, 4])
 
 
 def test_a03_oracle_equivalence_sweep(sweep_results):

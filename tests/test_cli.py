@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from rcorona import parse_edge_list, parse_graph_json
+from rcorona import ConvergenceError, parse_edge_list, parse_graph_json
 from rcorona.cli import main
 
 
@@ -147,6 +147,27 @@ class TestSpectrum:
         bad.write_text(text + "\n")
         assert main(["spectrum", str(bad)]) == 2
         assert "graph JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-5", "0"])
+    def test_bad_tolerance_exit_2(self, files, capsys, tol):
+        corona = ["--corona", "double", files["K3"], files["P2"], files["P2"]]
+        for argv in (
+            ["spectrum", *corona, "--method", "both", "--tol", tol],
+            ["spectrum", *corona, "--method", "closed-form", "--tol", tol],
+            ["cospectral", files["K3"], files["K3"], files["P2"], files["P2"], "null", "null", "--tol", tol],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "tolerance must be a finite positive number" in capsys.readouterr().err
+
+    def test_internal_error_exit_4(self, files, capsys, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise ConvergenceError("QL iteration cap reached")
+
+        monkeypatch.setattr("rcorona.cli.nl_spectrum", diverge)
+        assert main(["spectrum", files["K3"]]) == 4
+        assert capsys.readouterr().err == "internal error: QL iteration cap reached\n"
 
     def test_closed_form_without_corona_exit_3(self, files, capsys):
         assert main(["spectrum", files["K3"], "--method", "closed-form"]) == 3

@@ -9,6 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rcorona import (
     ClosedFormSpectrum,
@@ -25,22 +27,29 @@ from rcorona import (
     copy_block_forms,
     coronal,
     double_corona,
-    edge_corona_cubic,
-    excess_quadratic,
+    excess_polynomial,
     excess_quotient,
+    family_polynomial,
     fixed_family_value,
     flatten,
     generate,
+    is_connected,
     nl_spectrum,
     normalized_laplacian,
-    quartic_factor,
     quotient_matrix,
     r_edge_corona,
     r_vertex_corona,
-    vertex_corona_cubic,
 )
 
 K3P2P2 = CoronaParams(n=3, m=3, r=2, n1=2, r1=1, n2=2, r2=1)
+
+
+def _vertex(p):
+    return dataclasses.replace(p, n2=0, r2=0)
+
+
+def _edge(p):
+    return dataclasses.replace(p, n1=0, r1=0)
 
 
 def _coronal_oracle(g, x):
@@ -106,51 +115,52 @@ def _normalized_to(poly, lead):
 
 class TestPolynomialFactors:
     def test_quartic_golden_three_halves(self):
-        got = _normalized_to(quartic_factor(K3P2P2, Fraction(3, 2)), 24)
+        got = _normalized_to(family_polynomial(K3P2P2, Fraction(3, 2)), 24)
         assert got == pytest.approx([9 / 4, -24, 75, -76, 24], abs=1e-12)
 
     def test_quartic_golden_zero(self):
-        got = _normalized_to(quartic_factor(K3P2P2, 0), 24)
+        got = _normalized_to(family_polynomial(K3P2P2, 0), 24)
         assert got == pytest.approx([0, -9, 48, -64, 24], abs=1e-12)
 
     def test_quartic_leading_coefficient(self):
-        for p in (K3P2P2, CoronaParams(4, 4, 2, 3, 2, 1, 0), CoronaParams(10, 15, 3, 4, 2, 2, 1)):
-            for mu in (0.0, 0.37, 1.5, 2.0):
-                q = quartic_factor(p, mu)
-                assert q.degree == 4
-                assert q.coefficients[4] == (2 + p.n2) * (p.r2 + 1) * (2 * p.r + p.n1) * (p.r1 + 1)
+        # the leading coefficient is the product of the present classes'
+        # corona degrees, for the double, vertex and edge coronas alike
+        for base in (K3P2P2, CoronaParams(4, 4, 2, 3, 2, 1, 0), CoronaParams(10, 15, 3, 4, 2, 2, 1)):
+            for p in (base, _vertex(base), _edge(base)):
+                degrees = [2 * p.r + p.n1, 2 + p.n2]
+                degrees += [p.r1 + 1] * (p.n1 > 0) + [p.r2 + 1] * (p.n2 > 0)
+                for mu in (0.0, 0.37, 1.5, 2.0):
+                    q = family_polynomial(p, mu)
+                    assert q.degree == len(degrees)
+                    assert q.coefficients[-1] == math.prod(degrees)
 
     def test_vertex_cubic_golden(self):
-        assert _normalized_to(vertex_corona_cubic(K3P2P2, Fraction(3, 2)), 12) == pytest.approx(
+        assert _normalized_to(family_polynomial(_vertex(K3P2P2), Fraction(3, 2)), 12) == pytest.approx(
             [-9 / 2, 24, -32, 12], abs=1e-12
         )
-        assert _normalized_to(vertex_corona_cubic(K3P2P2, 0), 6) == pytest.approx(
+        assert _normalized_to(family_polynomial(_vertex(K3P2P2), 0), 6) == pytest.approx(
             [0, 6, -13, 6], abs=1e-12
         )
 
     def test_edge_cubic_golden(self):
-        assert _normalized_to(edge_corona_cubic(K3P2P2, Fraction(3, 2)), 16) == pytest.approx(
+        assert _normalized_to(family_polynomial(_edge(K3P2P2), Fraction(3, 2)), 16) == pytest.approx(
             [-9 / 2, 33, -44, 16], abs=1e-12
         )
-        assert _normalized_to(edge_corona_cubic(K3P2P2, 0), 4) == pytest.approx(
+        assert _normalized_to(family_polynomial(_edge(K3P2P2), 0), 4) == pytest.approx(
             [0, 3, -8, 4], abs=1e-12
         )
 
-    def test_excess_quadratic_expansions(self):
+    def test_excess_polynomial_expansions(self):
         # (x-1)(2+n2)(x r2 + x - 1) - n2, expanded by hand
-        assert excess_quadratic(K3P2P2).coefficients == (2.0, -12.0, 8.0)
+        assert excess_polynomial(K3P2P2).coefficients == (2.0, -12.0, 8.0)
         p = CoronaParams(3, 3, 2, 0, 0, 1, 0)
-        assert excess_quadratic(p).coefficients == (2.0, -6.0, 3.0)
+        assert excess_polynomial(p).coefficients == (2.0, -6.0, 3.0)
 
     def test_excess_roots_real_in_range(self):
         for p in (K3P2P2, CoronaParams(4, 6, 3, 0, 0, 5, 2), CoronaParams(6, 9, 3, 0, 0, 3, 0)):
             roots = np.linalg.eigvalsh(np.array(excess_quotient(p)))
-            assert len(roots) == excess_quadratic(p).degree == 2
+            assert len(roots) == excess_polynomial(p).degree == 2
             assert all(-1e-12 <= t <= 2 + 1e-12 for t in roots)
-
-    def test_quartic_requires_both_copies(self):
-        with pytest.raises(HypothesisError):
-            quartic_factor(CoronaParams(3, 3, 2, 0, 0, 2, 1), 0.0)
 
 
 class TestFixedFamilyValue:
@@ -186,9 +196,9 @@ class TestRealRoots:
         assert _eigenvalues(excess_quotient(K3P2P2)) == pytest.approx(expect, abs=1e-12)
 
     def test_linear(self):
-        # the vertex corona's excess factor is x - 1: a 1x1 quotient
+        # the vertex corona's excess factor is 2(x - 1): a 1x1 quotient
         cfs = closed_form_spectrum(generate("complete", 4), generate("path", 2), generate("null"))
-        assert cfs.excess_family.poly.coefficients == (-1.0, 1.0)
+        assert cfs.excess_family.poly.coefficients == (-2.0, 2.0)
         assert cfs.excess_family.quotient == ((1.0,),)
 
     def test_random_battery(self):
@@ -206,8 +216,7 @@ class TestRealRoots:
             r2 = int(rng.integers(0, n2)) if n2 else 0
             p = CoronaParams(n, n * r // 2, r, n1, r1, n2, r2)
             mu = float(rng.uniform(0, 2))
-            factor = vertex_corona_cubic if n2 == 0 else edge_corona_cubic if n1 == 0 else quartic_factor
-            expect = np.sort(np.polynomial.polynomial.polyroots(factor(p, mu).coefficients).real)
+            expect = np.sort(np.polynomial.polynomial.polyroots(family_polynomial(p, mu).coefficients).real)
             got = _eigenvalues(quotient_matrix(p, mu))
             assert len(got) == len(expect)
             if np.min(np.diff(expect)) < 1e-3:
@@ -259,25 +268,15 @@ class TestQuotientExact:
 
     @pytest.mark.parametrize("p", _EXACT_GRID, ids=lambda p: "-".join(map(str, dataclasses.astuple(p))))
     def test_factors(self, p):
-        vertex = dataclasses.replace(p, n2=0, r2=0)
-        edge = dataclasses.replace(p, n1=0, r1=0)
+        vertex, edge = _vertex(p), _edge(p)
         for f in (Fraction(0), Fraction(1, 2), Fraction(3, 2), Fraction(2)):
             mu = sympy.Rational(f.numerator, f.denominator)
-            _assert_char_poly_multiple(
-                quartic_factor(p, f), _exact_quotient(p, mu, [0, 1, 2, 3]), quotient_matrix(p, f)
-            )
-            _assert_char_poly_multiple(
-                vertex_corona_cubic(vertex, f),
-                _exact_quotient(vertex, mu, [0, 1, 2]),
-                quotient_matrix(vertex, f),
-            )
-            _assert_char_poly_multiple(
-                edge_corona_cubic(edge, f), _exact_quotient(edge, mu, [0, 1, 3]), quotient_matrix(edge, f)
-            )
-        for q in (p, edge):
-            _assert_char_poly_multiple(
-                excess_quadratic(q), _exact_quotient(q, 2, [1, 3]), excess_quotient(q)
-            )
+            for q, rows in ((p, [0, 1, 2, 3]), (vertex, [0, 1, 2]), (edge, [0, 1, 3])):
+                _assert_char_poly_multiple(
+                    family_polynomial(q, f), _exact_quotient(q, mu, rows), quotient_matrix(q, f)
+                )
+        for q, rows in ((p, [1, 3]), (vertex, [1]), (edge, [1, 3])):
+            _assert_char_poly_multiple(excess_polynomial(q), _exact_quotient(q, 2, rows), excess_quotient(q))
 
 
 class TestParams:
@@ -392,6 +391,44 @@ class TestSpectrumAssembly:
         two_k3 = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         with pytest.raises(HypothesisError, match="connected"):
             closed_form_spectrum(two_k3, generate("path", 2), generate("null"))
+
+
+@st.composite
+def _circulant(draw, sizes):
+    n = draw(sizes)
+    jumps = draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=2))
+    return generate("circulant", n, *jumps)
+
+
+_ATTACHMENTS = st.one_of(
+    st.just(generate("null")),
+    st.integers(1, 4).map(lambda k: generate("complete", k)),
+    st.integers(3, 5).map(lambda k: generate("cycle", k)),
+    _circulant(st.integers(4, 5)),
+    st.integers(2, 4).map(lambda k: build_graph(k, [])),
+)
+
+
+def _poly_residual(poly, x):
+    """|poly(x)| relative to the coefficient magnitudes weighted by
+    max(1, |x|)^i, a scale that stays away from zero at a root x = 0."""
+    value = math.fsum(c * x**i for i, c in enumerate(poly.coefficients))
+    return abs(value) / math.fsum(abs(c) * max(1.0, abs(x)) ** i for i, c in enumerate(poly.coefficients))
+
+
+class TestRandomCoronas:
+    """Random connected circulant bases with random regular attachments."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(g=_circulant(st.integers(3, 12)), g1=_ATTACHMENTS, g2=_ATTACHMENTS)
+    def test_closed_form_against_oracle(self, g, g1, g2):
+        assume(is_connected(g) and not (g1.is_null and g2.is_null))
+        assert g.edge_count >= g.vertex_count
+        _oracle_check(g, g1, g2)
+        cfs = closed_form_spectrum(g, g1, g2)
+        for fam in cfs.root_families + ((cfs.excess_family,) if cfs.excess_family else ()):
+            for x in np.linalg.eigvalsh(np.array(fam.quotient)):
+                assert _poly_residual(fam.poly, float(x)) <= 1e-9, fam.label
 
 
 class TestFlatten:

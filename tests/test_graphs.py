@@ -14,6 +14,7 @@ from rcorona import (
     adjacency_matrix,
     build_graph,
     degree_profile,
+    format_graph,
     generate,
     incidence_matrix,
     is_connected,
@@ -217,3 +218,10 @@ class TestFormats:
     def test_order_preserved(self):
         g = build_graph(4, [(3, 2), (0, 1)])
         assert parse_edge_list(to_edge_list(g)).edges == ((2, 3), (0, 1))
+
+    def test_format_graph(self):
+        g = generate("path", 3)
+        assert format_graph(g, "edgelist") == "3 2\n0 1\n1 2\n"
+        assert format_graph(g, "json") == '{"n": 3, "edges": [[0, 1], [1, 2]]}\n'
+        with pytest.raises(ValueError, match="unknown format"):
+            format_graph(g, "graphml")
