@@ -1,9 +1,14 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import json
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 import pytest
 
+import rcorona
 from rcorona import ConvergenceError, parse_edge_list, parse_graph_json
 from rcorona.cli import main
 
@@ -179,6 +184,25 @@ class TestSpectrum:
         first = capsys.readouterr().out
         main(argv)
         assert capsys.readouterr().out == first
+
+    def test_blas_thread_count_invariant(self, tmp_path):
+        # N = 264 spans more than two panels of the blocked reduction
+        graphs = []
+        for name, family, n in (("C24", "cycle", "24"), ("K4", "complete", "4"), ("C5", "cycle", "5")):
+            graphs.append(str(tmp_path / f"{name}.el"))
+            assert main(["generate", family, n, "--out", graphs[-1]]) == 0
+        argv = [sys.executable, "-m", "rcorona.cli", "spectrum", "--corona", "double", *graphs,
+                "--method", "both"]
+        src = str(Path(rcorona.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+            run = subprocess.run(argv, env=env, capture_output=True, check=True, timeout=120)
+            outputs.append(run.stdout)
+        assert b"verdict: MATCH\n" in outputs[0]
+        assert outputs[0] == outputs[1]
 
     def test_17_digit_output(self, files, capsys):
         main(["spectrum", files["P2"], "--method", "numeric"])

@@ -20,6 +20,17 @@ from rcorona import (
     numeric_spectrum,
     summarize,
 )
+from rcorona.spectra import _PANEL, _householder_tridiagonal
+
+
+def assert_reduction_invariants(m):
+    """The reduction is an orthogonal similarity: it keeps the trace and the
+    Frobenius norm, to 1e-12 relative to ||m||_F."""
+    d, e = _householder_tridiagonal(m)
+    fro = math.sqrt(float(np.sum(m * m)))
+    assert abs(math.fsum(d) - np.trace(m)) <= 1e-12 * fro
+    fro2 = math.fsum(d * d) + 2 * math.fsum(e * e)
+    assert abs(fro2 - fro * fro) <= 1e-12 * fro * fro
 
 
 class TestNormalizedLaplacian:
@@ -96,6 +107,15 @@ class TestNumericSpectrum:
         got = numeric_spectrum(m).values
         assert np.allclose(got, np.sort(np.linalg.eigvalsh(m)), atol=1e-10 * n)
 
+    @pytest.mark.parametrize("n", [_PANEL - 1, _PANEL, _PANEL + 1, _PANEL + 2, 2 * _PANEL + 2, 150])
+    def test_matches_lapack_across_panel_edges(self, n):
+        rng = np.random.default_rng(n)
+        m = rng.standard_normal((n, n))
+        m = (m + m.T) / 2
+        got = numeric_spectrum(m).values
+        assert np.allclose(got, np.sort(np.linalg.eigvalsh(m)), atol=1e-10 * n)
+        assert_reduction_invariants(m)
+
     def test_adversarial_structures(self):
         rng = np.random.default_rng(99)
         v = rng.standard_normal(25)
@@ -109,11 +129,18 @@ class TestNumericSpectrum:
             "rank one": np.outer(v, v),
             "repeated blocks": np.kron(np.eye(8), block),
             "zero": np.zeros((12, 12)),
+            # zero columns in the middle of later panels
+            "repeated blocks, three panels": np.kron(np.eye(14), block),
+            "diagonal, three panels": np.diag(rng.standard_normal(2 * _PANEL + 6)),
+            "disconnected 2C40": normalized_laplacian(
+                build_graph(80, [(i + o, (i + 1) % 40 + o) for o in (0, 40) for i in range(40)])
+            ),
         }
         for name, m in cases.items():
             got = np.array(numeric_spectrum(m).values)
             ref = np.sort(np.linalg.eigvalsh(m))
             assert np.max(np.abs(got - ref)) < 1e-11, name
+            assert_reduction_invariants(m)
 
     def test_broken_tridiagonal(self):
         # zero subdiagonal entries exercise the deflation splits
