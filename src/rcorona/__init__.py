@@ -29,6 +29,7 @@ from .cospectral import (
 )
 from .errors import (
     ConvergenceError,
+    DenseMemoryError,
     DuplicateEdgeError,
     EndpointRangeError,
     GraphValidationError,

@@ -2,7 +2,8 @@
 cospectral certification as reproducible batch runs.
 
 Exit codes: 0 success / spectra match / verdict cospectral; 1 mismatch or
-negative verdict; 2 usage error (bad flags, parameters, or input files);
+negative verdict; 2 usage error (bad flags, parameters, or input files, or
+a graph whose dense computation would not fit in physical memory);
 3 violated mathematical hypothesis (disconnected base, non-regular input,
 the m<n closed-form regime, ...); 4 internal error (an eigensolve that did
 not converge, or closed-form families inconsistent with the corona).  All

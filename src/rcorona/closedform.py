@@ -19,8 +19,10 @@ eigenvalue (Brouwer & Haemers, Spectra of Graphs, section 2.3): the
 polynomial is the partition's tridiagonal determinant, expanded without
 division and so exactly whenever the inputs are exact, and its roots are
 the eigenvalues of the partition's symmetric quotient matrix, of order at
-most 4.  Only these small blocks go to LAPACK; the corona itself is never
-solved here, so the numeric oracle stays an independent check.
+most 4.  The spectra of G, G1 and G2 and the quotient blocks go to LAPACK
+(``numpy.linalg.eigvalsh``); the corona itself is never solved here, and
+nothing here calls the package's own eigensolver, so the numeric route,
+which alone uses that solver, stays an independent check.
 """
 
 from dataclasses import dataclass
@@ -32,7 +34,7 @@ import numpy as np
 
 from .errors import HypothesisError, InternalConsistencyError, PoleError
 from .graphs import Graph, degree_profile, is_connected
-from .spectra import Spectrum, nl_spectrum, normalized_laplacian, summarize
+from .spectra import Spectrum, normalized_laplacian, summarize
 
 __all__ = [
     "CoronaParams",
@@ -52,6 +54,10 @@ __all__ = [
 ]
 
 _GROUP_TOL = 1e-9
+# Family labels print the group value rounded to _GROUP_TOL, so that solver
+# noise below the grouping tolerance (a zero eigenvalue computed as -4e-16)
+# never reaches a label.
+_LABEL_DECIMALS = -round(math.log10(_GROUP_TOL))
 
 
 @dataclass(frozen=True)
@@ -320,13 +326,23 @@ def _require_base(g: Graph, p: CoronaParams) -> None:
         )
 
 
+def _input_spectrum(g: Graph) -> Spectrum:
+    # LAPACK, never the numeric oracle: see the module docstring
+    return Spectrum(np.linalg.eigvalsh(normalized_laplacian(g)).tolist(), "lapack")
+
+
 def _copy_spectrum(g: Graph, size: int, degree: int) -> Spectrum:
     # an edgeless copy graph joins each copy vertex only to its center; the
     # copy block is the identity and the fixed-family map ignores the
     # eigenvalues entirely, so zeros stand in without a Laplacian
     if degree == 0:
         return Spectrum((0.0,) * size)
-    return nl_spectrum(g)
+    return _input_spectrum(g)
+
+
+def _label(tag: str, v: float) -> str:
+    # adding 0.0 folds -0.0 into 0.0
+    return f"{tag} eigenvalue {round(v, _LABEL_DECIMALS) + 0.0:.10g}"
 
 
 def _fixed_families(
@@ -335,11 +351,7 @@ def _fixed_families(
     """Families from a copy graph's spectrum with one zero dropped."""
     tail = Spectrum(spectrum.values[1:])
     return [
-        FixedFamily(
-            fixed_family_value(v, degree),
-            count * per_value_mult,
-            f"{tag} eigenvalue {v:.10g}",
-        )
+        FixedFamily(fixed_family_value(v, degree), count * per_value_mult, _label(tag, v))
         for v, count in summarize(tail, _GROUP_TOL).groups
     ]
 
@@ -368,8 +380,8 @@ def closed_form_spectrum(g: Graph, g1: Graph, g2: Graph) -> ClosedFormSpectrum:
     fixed = _fixed_families(_copy_spectrum(g1, p.n1, p.r1), p.r1, p.n, "attach1")
     fixed += _fixed_families(_copy_spectrum(g2, p.n2, p.r2), p.r2, p.m, "attach2")
     roots = [
-        RootFamily(family_polynomial(p, v), count, f"base eigenvalue {v:.10g}", quotient_matrix(p, v))
-        for v, count in summarize(nl_spectrum(g), _GROUP_TOL).groups
+        RootFamily(family_polynomial(p, v), count, _label("base", v), quotient_matrix(p, v))
+        for v, count in summarize(_input_spectrum(g), _GROUP_TOL).groups
     ]
     excess = (
         RootFamily(excess_polynomial(p), p.m - p.n, "edge excess", excess_quotient(p))

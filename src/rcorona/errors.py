@@ -26,6 +26,11 @@ class HypothesisError(ValueError):
     """
 
 
+class DenseMemoryError(ValueError):
+    """A dense N x N computation would need more than the machine's physical
+    memory; refused before the matrix is allocated (a usage error)."""
+
+
 class PoleError(ValueError):
     """A rational expression was evaluated at its pole."""
 

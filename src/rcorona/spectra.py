@@ -6,7 +6,10 @@ Householder reduction to tridiagonal form (Golub & Van Loan, *Matrix
 Computations*, §8.3), then implicit-shift QL on the tridiagonal.  It uses
 numpy's matrix products but never ``numpy.linalg``, is deterministic for
 fixed input on a given numpy/BLAS build, and fails loudly on
-non-convergence.
+non-convergence.  It serves the numeric route (the corona's spectrum in
+``spectrum --method numeric|both``), the cospectral certificates and the
+spectral invariants; the closed form solves its input spectra with LAPACK
+instead, so a cross-check never runs both sides through this solver.
 """
 
 from dataclasses import dataclass

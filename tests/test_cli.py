@@ -174,6 +174,37 @@ class TestSpectrum:
         assert main(["spectrum", files["K3"]]) == 4
         assert capsys.readouterr().err == "internal error: QL iteration cap reached\n"
 
+    def test_both_runs_the_oracle_once_on_the_corona(self, files, capsys, monkeypatch):
+        reduce = rcorona.spectra._householder_tridiagonal
+        orders = []
+
+        def recording(mat):
+            orders.append(len(mat))
+            return reduce(mat)
+
+        monkeypatch.setattr("rcorona.spectra._householder_tridiagonal", recording)
+        argv = ["spectrum", "--corona", "double", files["SH"], files["K3"], files["P2"], "--method", "both"]
+        assert main(argv) == 0
+        # Shrikhande (16 vertices, 48 edges) with K3 and P2 copies
+        assert orders == [16 + 48 + 16 * 3 + 48 * 2]
+
+    @pytest.mark.parametrize("method, code", [("numeric", 2), ("both", 2), ("closed-form", 0)])
+    def test_dense_work_beyond_memory_refused(self, tmp_path, capsys, monkeypatch, method, code):
+        graphs = []
+        for name, family, n in (("C24", "cycle", "24"), ("K4", "complete", "4"), ("C5", "cycle", "5")):
+            graphs.append(str(tmp_path / f"{name}.el"))
+            assert main(["generate", family, n, "--out", graphs[-1]]) == 0
+        # 1 MB fits the 24-vertex base's dense path but not the corona's (N = 264)
+        monkeypatch.setattr("rcorona.graphs._physical_memory", lambda: 10**6)
+        argv = ["spectrum", "--corona", "double", *graphs, "--method", method]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.out == ""
+            assert "264x264" in captured.err and "physical memory" in captured.err
+        monkeypatch.setattr("rcorona.graphs._physical_memory", lambda: None)
+        assert main(argv) == 0
+
     def test_closed_form_without_corona_exit_3(self, files, capsys):
         assert main(["spectrum", files["K3"], "--method", "closed-form"]) == 3
 

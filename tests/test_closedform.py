@@ -416,6 +416,42 @@ def _poly_residual(poly, x):
     return abs(value) / math.fsum(abs(c) * max(1.0, abs(x)) ** i for i, c in enumerate(poly.coefficients))
 
 
+class TestRouteIndependence:
+    """The closed form and the numeric oracle share no eigensolver."""
+
+    @pytest.mark.parametrize("attach", [("complete", 3), ("cycle", 4)])
+    def test_closed_form_never_calls_the_oracle(self, monkeypatch, attach):
+        g, g1, g2 = generate("petersen"), generate(*attach), generate("cycle", 4)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the closed form called the numeric oracle")
+
+        with monkeypatch.context() as patch:
+            patch.setattr("rcorona.spectra._householder_tridiagonal", forbidden)
+            patch.setattr("rcorona.spectra._ql_implicit", forbidden)
+            closed = flatten(closed_form_spectrum(g, g1, g2))
+        corona, _ = double_corona(g, g1, g2)
+        report = compare_spectra(closed, nl_spectrum(corona), 1e-8)
+        assert report.matched, report.reason
+
+
+class TestFamilyLabels:
+    @pytest.mark.parametrize(
+        "g, g1, g2",
+        [
+            (("petersen",), ("complete", 3), ("cycle", 4)),
+            (("cycle", 500), ("complete", 4), ("cycle", 5)),
+        ],
+    )
+    def test_labels_carry_no_solver_noise(self, g, g1, g2):
+        cfs = closed_form_spectrum(generate(*g), generate(*g1), generate(*g2))
+        # both zeros come out of LAPACK as about -3e-16 and round to -0.0
+        assert cfs.root_families[0].label == "base eigenvalue 0"
+        for fam in cfs.fixed_families + cfs.root_families:
+            value = float(fam.label.rpartition(" ")[2])
+            assert value == round(value, 9) and "e-1" not in fam.label, fam.label
+
+
 class TestRandomCoronas:
     """Random connected circulant bases with random regular attachments."""
 

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import rcorona.graphs
 from rcorona import (
+    DenseMemoryError,
     DuplicateEdgeError,
     EndpointRangeError,
     HypothesisError,
@@ -71,6 +73,25 @@ class TestMatrixViews:
 
     def test_adjacency_p2(self):
         assert np.array_equal(adjacency_matrix(generate("path", 2)), [[0, 1], [1, 0]])
+
+    @pytest.mark.parametrize("pages", [-1, ValueError, AttributeError])
+    def test_unknown_memory_refuses_nothing(self, monkeypatch, pages):
+        def sysconf(name):
+            if name != "SC_PHYS_PAGES":
+                return 4096
+            if isinstance(pages, int):
+                return pages
+            raise pages(name)
+
+        monkeypatch.setattr("rcorona.graphs.os.sysconf", sysconf)
+        assert rcorona.graphs._physical_memory() is None
+        assert adjacency_matrix(generate("cycle", 40)).shape == (40, 40)
+
+    def test_dense_memory_refusal_names_the_order(self, monkeypatch):
+        monkeypatch.setattr("rcorona.graphs._physical_memory", lambda: 4.1 * 8 * 40 * 40 - 1)
+        with pytest.raises(DenseMemoryError, match="40x40"):
+            adjacency_matrix(generate("cycle", 40))
+        assert adjacency_matrix(generate("cycle", 39)).shape == (39, 39)
 
     def test_incidence_k3_columns(self):
         m = incidence_matrix(generate("complete", 3))
