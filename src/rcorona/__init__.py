@@ -10,7 +10,6 @@ from .closedform import (
     RootFamily,
     closed_form_spectrum,
     copy_block_forms,
-    coronal,
     excess_polynomial,
     excess_quotient,
     family_polynomial,
@@ -18,7 +17,7 @@ from .closedform import (
     flatten,
     quotient_matrix,
 )
-from .corona import CoronaLayout, double_corona, r_edge_corona, r_graph, r_vertex_corona
+from .corona import CoronaLayout, double_corona, r_graph
 from .cospectral import (
     CospectralCertificate,
     adjacency_cospectral,
@@ -35,7 +34,6 @@ from .errors import (
     GraphValidationError,
     HypothesisError,
     InternalConsistencyError,
-    PoleError,
     SelfLoopError,
 )
 from .graphs import (

@@ -65,28 +65,30 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _build_corona(kind: str, files: list[str], allow_disconnected: bool):
+def _corona_inputs(kind: str, files: list[str]) -> tuple[Graph, Graph, Graph]:
+    """Load the base and copy graphs of a corona kind; a kind without a
+    copy graph gets the null graph in its place."""
     g = _load(files[0])
     if kind == "double":
         if len(files) != 3:
             raise ValueError("corona double takes three graphs: g g1 g2 ('null' allowed)")
-        g1, g2 = _load(files[1]), _load(files[2])
-    elif kind == "vertex":
+        return g, _load(files[1]), _load(files[2])
+    if kind == "vertex":
         if len(files) != 2:
             raise ValueError("corona vertex takes two graphs: g g1")
-        g1, g2 = _load(files[1]), build_graph(0, [])
-    elif kind == "edge":
+        return g, _load(files[1]), build_graph(0, [])
+    if kind == "edge":
         if len(files) != 2:
             raise ValueError("corona edge takes two graphs: g g2")
-        g1, g2 = build_graph(0, []), _load(files[1])
-    else:
-        raise ValueError(f"unknown corona kind {kind!r}")
-    corona, layout = double_corona(g, g1, g2, allow_disconnected=allow_disconnected)
-    return g, g1, g2, corona, layout
+        return g, build_graph(0, []), _load(files[1])
+    raise ValueError(f"unknown corona kind {kind!r}")
 
 
 def _cmd_corona(args) -> int:
-    _, _, _, corona, layout = _build_corona(args.kind, args.graphs, args.allow_disconnected)
+    corona, layout = double_corona(
+        *_corona_inputs(args.kind, args.graphs),
+        allow_disconnected=args.allow_disconnected,
+    )
     if args.out:
         save_graph(corona, args.out, args.format)
     else:
@@ -99,27 +101,31 @@ def _cmd_corona(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     if args.corona:
-        g, g1, g2, corona, _ = _build_corona(args.corona, args.graphs, args.allow_disconnected)
-        corona_inputs = (g, g1, g2)
+        inputs = _corona_inputs(args.corona, args.graphs)
+    elif len(args.graphs) != 1:
+        raise ValueError("spectrum takes one graph file unless --corona is given")
     else:
-        if len(args.graphs) != 1:
-            raise ValueError("spectrum takes one graph file unless --corona is given")
-        corona = _load(args.graphs[0])
-        corona_inputs = None
+        graph, inputs = _load(args.graphs[0]), None
 
     numeric = closed = None
     if args.method in ("numeric", "both"):
-        numeric = nl_spectrum(corona)
+        # only the numeric route builds the corona: the closed form reads
+        # just the base and copy graphs
+        if inputs is not None:
+            graph, _ = double_corona(*inputs, allow_disconnected=args.allow_disconnected)
+        numeric = nl_spectrum(graph)
     cf = None
     if args.method in ("closed-form", "both"):
-        if corona_inputs is None:
+        if inputs is None:
             raise HypothesisError(
                 "closed-form spectra exist only for coronas; pass --corona"
             )
-        cf = closed_form_spectrum(*corona_inputs)
+        cf = closed_form_spectrum(*inputs)
         closed = flatten(cf)
 
-    payload: dict = {"vertices": corona.vertex_count, "method": args.method}
+    # either spectrum has one value per vertex
+    spectrum = numeric if numeric is not None else closed
+    payload: dict = {"vertices": len(spectrum), "method": args.method}
     if numeric is not None:
         payload["numeric"] = list(numeric.values)
     if closed is not None:
@@ -143,8 +149,7 @@ def _cmd_spectrum(args) -> int:
         print(f"verdict: {'MATCH' if payload['match'] else 'MISMATCH'}")
         print(f"max deviation: {_fmt(payload['max_deviation'])} (tol {_fmt(args.tol)})")
     else:
-        values = numeric.values if numeric is not None else closed.values
-        for v in values:
+        for v in spectrum.values:
             print(_fmt(v))
     return code
 

@@ -12,9 +12,12 @@ double corona splits into:
     normalized Laplacian;
   * when m > n, the two roots of an excess quadratic, multiplicity m - n.
 
-Setting G2 (resp. G1) to the null graph degenerates the quartic to a
-cubic: the vertex (resp. edge) corona.  Every printed polynomial and its
-roots come from one table, the corona's equitable partition per base
+A null copy graph contributes no fixed family and removes one degree from
+each polynomial: a null G2 (resp. G1) gives the vertex (resp. edge)
+corona with a cubic per base eigenvalue, and both null give the bare
+R-graph G^(R) with a quadratic; a null G2 also turns the excess quadratic
+into 2(x - 1).  For every corona kind alike, each printed polynomial and
+its roots come from one table, the corona's equitable partition per base
 eigenvalue (Brouwer & Haemers, Spectra of Graphs, section 2.3): the
 polynomial is the partition's tridiagonal determinant, expanded without
 division and so exactly whenever the inputs are exact, and its roots are
@@ -26,13 +29,12 @@ which alone uses that solver, stays an independent check.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 import json
 import math
 
 import numpy as np
 
-from .errors import HypothesisError, InternalConsistencyError, PoleError
+from .errors import HypothesisError, InternalConsistencyError
 from .graphs import Graph, degree_profile, is_connected
 from .spectra import Spectrum, normalized_laplacian, summarize
 
@@ -42,7 +44,6 @@ __all__ = [
     "FixedFamily",
     "RootFamily",
     "ClosedFormSpectrum",
-    "coronal",
     "copy_block_forms",
     "fixed_family_value",
     "family_polynomial",
@@ -183,19 +184,6 @@ class ClosedFormSpectrum:
 # --- scalar building blocks ------------------------------------------------
 
 
-def coronal(size: int, degree: int, x: float):
-    """Row-sum coronal of a regular graph's scaled Laplacian block:
-    size / (x - 1/(degree+1)).  The null graph contributes 0."""
-    if size < 0 or degree < 0:
-        raise ValueError("size and degree must be non-negative")
-    if size == 0:
-        return 0.0
-    pole = 1.0 / (degree + 1) if not isinstance(x, Fraction) else Fraction(1, degree + 1)
-    if x == pole:
-        raise PoleError(f"coronal has a pole at x = 1/{degree + 1}")
-    return size / (x - pole)
-
-
 def fixed_family_value(eig: float, degree: int):
     """Map a copy-graph eigenvalue t to (1 + degree*t)/(degree + 1)."""
     if degree < 0:
@@ -277,7 +265,8 @@ def _quotient(p: CoronaParams, mu, first: int) -> tuple[tuple[float, ...], ...]:
 def family_polynomial(p: CoronaParams, base_eig) -> RealPolynomial:
     """The printed polynomial whose roots the corona inherits from one base
     eigenvalue: a quartic for the double corona, a cubic for the vertex
-    (second copy null) and edge (first copy null) coronas.
+    (second copy null) and edge (first copy null) coronas, and a quadratic
+    for the bare R-graph (both null).
 
     It is det(xW - W + A) over the equitable partition, with W = diag(w)
     and A symmetric tridiagonal with a on its diagonal and sqrt(c) beside
@@ -314,16 +303,6 @@ def excess_quotient(p: CoronaParams) -> tuple[tuple[float, ...], ...]:
 
 
 # --- assembly ----------------------------------------------------------------
-
-
-def _require_base(g: Graph, p: CoronaParams) -> None:
-    if not is_connected(g):
-        raise HypothesisError("closed-form spectrum requires a connected base graph")
-    if p.m < p.n:
-        raise HypothesisError(
-            f"m<n unsupported: base graph has m = {p.m} < n = {p.n}; "
-            "the closed form needs at least as many edges as vertices"
-        )
 
 
 def _input_spectrum(g: Graph) -> Spectrum:
@@ -367,16 +346,18 @@ def _check_total(cfs: ClosedFormSpectrum, expected: int) -> ClosedFormSpectrum:
 def closed_form_spectrum(g: Graph, g1: Graph, g2: Graph) -> ClosedFormSpectrum:
     """Closed-form spectrum of the double corona of regular g, g1, g2.
 
-    A null g2 (g1) gives the vertex (edge) corona, whose per-eigenvalue
-    polynomial is a cubic instead of the quartic; both null is refused.
+    Either copy graph may be null: a null g2 (g1) gives the vertex (edge)
+    corona, both null the bare R-graph.  The base graph must be nonempty,
+    connected, regular of degree >= 1, and have m >= n edges.
     """
-    if g1.is_null and g2.is_null:
-        raise HypothesisError(
-            "no closed form implemented for the bare R-graph (both copies null); "
-            "use the numeric path"
-        )
+    if g.is_null or not is_connected(g):
+        raise HypothesisError("closed-form spectrum requires a nonempty connected base graph")
     p = CoronaParams.from_graphs(g, g1, g2)
-    _require_base(g, p)
+    if p.m < p.n:
+        raise HypothesisError(
+            f"m<n unsupported: base graph has m = {p.m} < n = {p.n}; "
+            "the closed form needs at least as many edges as vertices"
+        )
     fixed = _fixed_families(_copy_spectrum(g1, p.n1, p.r1), p.r1, p.n, "attach1")
     fixed += _fixed_families(_copy_spectrum(g2, p.n2, p.r2), p.r2, p.m, "attach2")
     roots = [

@@ -1,5 +1,10 @@
 """R-graph and corona constructions with a fixed vertex-ordering contract.
 
+``double_corona`` builds every corona kind: a null second (first) copy
+graph gives the R-vertex (R-edge) corona, and both null the bare R-graph
+of a connected base.  ``r_graph`` builds the R-graph of any base,
+including a null or disconnected one.
+
 Output vertex order is always: the base graph's vertices ("old",
 0..n-1), then one new vertex per base edge ("new", n..n+m-1), then n
 contiguous copies of the first attachment graph, then m contiguous copies
@@ -19,8 +24,6 @@ __all__ = [
     "CoronaLayout",
     "r_graph",
     "double_corona",
-    "r_vertex_corona",
-    "r_edge_corona",
 ]
 
 
@@ -108,16 +111,3 @@ def double_corona(
         raise HypothesisError("corona base graph must be connected")
     return _assemble(g, g1, g2)
 
-
-def r_vertex_corona(
-    g: Graph, g1: Graph, *, allow_disconnected: bool = False
-) -> tuple[Graph, CoronaLayout]:
-    """Double corona with the second copy graph null."""
-    return double_corona(g, g1, build_graph(0, []), allow_disconnected=allow_disconnected)
-
-
-def r_edge_corona(
-    g: Graph, g2: Graph, *, allow_disconnected: bool = False
-) -> tuple[Graph, CoronaLayout]:
-    """Double corona with the first copy graph null."""
-    return double_corona(g, build_graph(0, []), g2, allow_disconnected=allow_disconnected)

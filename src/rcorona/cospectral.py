@@ -3,8 +3,10 @@ non-regular graph pairs.
 
 The closed-form spectrum of a corona depends only on the seed graphs'
 sizes, regularities, and spectra; coronas over cospectral regular seeds
-are therefore cospectral.  This module builds such pairs and certifies
-them with the numeric eigensolver.
+are therefore cospectral.  That holds for every recipe kind, the bare
+R-graph (both attachments null, kind "r_graph") included, because the
+closed form covers every kind.  This module builds such pairs and
+certifies them with the numeric eigensolver.
 """
 
 from dataclasses import dataclass
@@ -108,8 +110,9 @@ def build_cospectral_pair(
     """Build the corona over each seed triple and certify cospectrality.
 
     Requires connected regular cospectral seeds (g, h); each attachment
-    pair must be both null or both regular and cospectral.  Degenerate
-    null pairs route to the vertex/edge corona or the bare R-graph.
+    pair must be both null or both regular and cospectral.  One null pair
+    gives the vertex or edge corona, two give the bare R-graph; every
+    kind is built by ``double_corona``.
     """
     for tag, gi in (("g", g), ("h", h)):
         if gi.is_null:

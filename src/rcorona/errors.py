@@ -31,10 +31,6 @@ class DenseMemoryError(ValueError):
     memory; refused before the matrix is allocated (a usage error)."""
 
 
-class PoleError(ValueError):
-    """A rational expression was evaluated at its pole."""
-
-
 class ConvergenceError(RuntimeError):
     """The eigenvalue iteration failed to converge within its cap."""
 

@@ -86,20 +86,19 @@ class SpectrumComparison:
 
 def normalized_laplacian(g: Graph) -> np.ndarray:
     """I - D^{-1/2} A D^{-1/2}; requires every vertex to have degree >= 1."""
+    # the dense pre-flight comes first: an order too large for memory is
+    # refused before the O(n) degree list is built
+    a = adjacency_matrix(g).astype(np.float64)
     deg = degree_profile(g).degrees
     if any(d == 0 for d in deg):
         bad = deg.index(0)
         raise HypothesisError(
             f"normalized Laplacian undefined for degree-0 vertex (vertex {bad})"
         )
-    n = g.vertex_count
-    if n == 0:
-        return np.zeros((0, 0))
-    a = adjacency_matrix(g).astype(np.float64)
     d = np.array(deg, dtype=np.float64)
     # dividing by sqrt(d_i * d_j) keeps the regular case bit-identical to
     # the I - A/r shortcut (sqrt of a perfect square is exact)
-    return np.eye(n) - a / np.sqrt(np.outer(d, d))
+    return np.eye(g.vertex_count) - a / np.sqrt(np.outer(d, d))
 
 
 def normalized_laplacian_regular(g: Graph) -> np.ndarray:

@@ -87,8 +87,6 @@ def sweep_results():
     for bname, g in _sweep_bases().items():
         for aname, g1 in _sweep_attachments().items():
             for bname2, g2 in _sweep_attachments().items():
-                if g1.is_null and g2.is_null:
-                    continue
                 corona, _ = double_corona(g, g1, g2)
                 closed = flatten(closed_form_spectrum(g, g1, g2))
                 numeric = nl_spectrum(corona)

@@ -22,6 +22,7 @@ def files(tmp_path):
 
     return {
         "K3": write("K3.el", ["complete", "3"]),
+        "K4": write("K4.el", ["complete", "4"]),
         "K2": write("K2.el", ["complete", "2"]),
         "P2": write("P2.el", ["path", "2"]),
         "K1": write("K1.el", ["complete", "1"]),
@@ -109,6 +110,30 @@ class TestSpectrum:
         out = capsys.readouterr().out
         assert code == 0
         assert "MATCH" in out
+
+    def test_bare_r_graph_both_match(self, files, capsys):
+        code = main(["spectrum", "--corona", "double", files["K4"], "null", "null", "--method", "both"])
+        assert code == 0
+        assert "verdict: MATCH\n" in capsys.readouterr().out
+
+    def test_closed_form_builds_no_corona(self, files, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the closed form built the corona")
+
+        monkeypatch.setattr("rcorona.cli.double_corona", forbidden)
+        code = main(["spectrum", "--corona", "double", files["K3"], files["P2"], files["P2"],
+                     "--method", "closed-form", "--json"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["vertices"] == 18
+
+    @pytest.mark.parametrize("text", ["0 0\n", "4 2\n0 1\n2 3\n"], ids=["null", "disconnected"])
+    def test_closed_form_bad_base_exit_3(self, files, tmp_path, capsys, text):
+        base = tmp_path / "base.el"
+        base.write_text(text)
+        code = main(["spectrum", "--corona", "double", str(base), files["P2"], files["P2"],
+                     "--method", "closed-form"])
+        assert code == 3
+        assert "base graph" in capsys.readouterr().err
 
     def test_mismatch_exit_1(self, files, capsys):
         # the numeric-vs-closed-form deviation is tiny but nonzero, so an
@@ -204,6 +229,15 @@ class TestSpectrum:
             assert "264x264" in captured.err and "physical memory" in captured.err
         monkeypatch.setattr("rcorona.graphs._physical_memory", lambda: None)
         assert main(argv) == 0
+
+    def test_huge_header_refused_exit_2(self, tmp_path, capsys, monkeypatch):
+        # refused by the dense pre-flight before any O(n) work on the graph
+        huge = tmp_path / "huge.el"
+        huge.write_text("1000000000000000 0\n")
+        monkeypatch.setattr("rcorona.graphs._physical_memory", lambda: 8 * 2**30)
+        assert main(["spectrum", str(huge)]) == 2
+        err = capsys.readouterr().err
+        assert "1000000000000000x1000000000000000" in err and "physical memory" in err
 
     def test_closed_form_without_corona_exit_3(self, files, capsys):
         assert main(["spectrum", files["K3"], "--method", "closed-form"]) == 3

@@ -12,9 +12,7 @@ from rcorona import (
     double_corona,
     generate,
     incidence_matrix,
-    r_edge_corona,
     r_graph,
-    r_vertex_corona,
 )
 
 from test_graphs import small_graphs
@@ -98,20 +96,18 @@ class TestDoubleCorona:
 
 
 class TestSpecializations:
+    """The vertex and edge coronas: double coronas with one null copy graph."""
+
     def test_vertex_corona_k3_p2(self):
-        g, _ = r_vertex_corona(generate("complete", 3), generate("path", 2))
+        g, _ = double_corona(generate("complete", 3), generate("path", 2), generate("null"))
         assert g.vertex_count == 12  # 3 + 3 + 3*2
 
-    def test_vertex_corona_null_copy(self):
-        k3 = generate("complete", 3)
-        assert r_vertex_corona(k3, generate("null"))[0] == r_graph(k3)[0]
-
     def test_edge_corona_k3_p2(self):
-        g, _ = r_edge_corona(generate("complete", 3), generate("path", 2))
+        g, _ = double_corona(generate("complete", 3), generate("null"), generate("path", 2))
         assert g.vertex_count == 12
 
     def test_edge_corona_c4_k1_new_vertex_degree(self):
-        g, layout = r_edge_corona(generate("cycle", 4), generate("complete", 1))
+        g, layout = double_corona(generate("cycle", 4), generate("null"), generate("complete", 1))
         assert g.vertex_count == 12
         deg = degree_profile(g).degrees
         lo, hi = layout.new_vertex_range
