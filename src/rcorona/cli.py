@@ -3,7 +3,7 @@ cospectral certification as reproducible batch runs.
 
 Exit codes: 0 success / spectra match / verdict cospectral; 1 mismatch or
 negative verdict; 2 usage error (bad flags, parameters, or input files, or
-a graph whose dense computation would not fit in physical memory);
+a graph whose dense computation would not fit in memory);
 3 violated mathematical hypothesis (disconnected base, non-regular input,
 the m<n closed-form regime, ...); 4 internal error (an eigensolve that did
 not converge, or closed-form families inconsistent with the corona).  All
@@ -19,7 +19,7 @@ import sys
 from .closedform import closed_form_spectrum, flatten
 from .corona import double_corona
 from .cospectral import build_cospectral_pair
-from .errors import ConvergenceError, GraphValidationError, HypothesisError, InternalConsistencyError
+from .errors import ConvergenceError, HypothesisError, InternalConsistencyError
 from .graphs import Graph, build_graph, format_graph, generate, load_graph, save_graph
 from .invariants import degree_kirchhoff, spanning_trees_matrix_tree, spanning_trees_spectral
 from .spectra import compare_spectra, nl_spectrum
@@ -65,23 +65,18 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+# the copy graphs each corona kind reads after its base; a missing one is null
+_CORONA_COPIES = {"double": ("g1", "g2"), "vertex": ("g1",), "edge": ("g2",)}
+
+
 def _corona_inputs(kind: str, files: list[str]) -> tuple[Graph, Graph, Graph]:
-    """Load the base and copy graphs of a corona kind; a kind without a
-    copy graph gets the null graph in its place."""
-    g = _load(files[0])
-    if kind == "double":
-        if len(files) != 3:
-            raise ValueError("corona double takes three graphs: g g1 g2 ('null' allowed)")
-        return g, _load(files[1]), _load(files[2])
-    if kind == "vertex":
-        if len(files) != 2:
-            raise ValueError("corona vertex takes two graphs: g g1")
-        return g, _load(files[1]), build_graph(0, [])
-    if kind == "edge":
-        if len(files) != 2:
-            raise ValueError("corona edge takes two graphs: g g2")
-        return g, build_graph(0, []), _load(files[1])
-    raise ValueError(f"unknown corona kind {kind!r}")
+    """Load the base and copy graphs of a corona kind."""
+    copies = _CORONA_COPIES[kind]
+    if len(files) != 1 + len(copies):
+        raise ValueError(f"corona {kind} takes {1 + len(copies)} graphs: g {' '.join(copies)} "
+                         "('null' allowed)")
+    paths = {"g1": "null", "g2": "null", **dict(zip(("g", *copies), files))}
+    return _load(paths["g"]), _load(paths["g1"]), _load(paths["g2"])
 
 
 def _cmd_corona(args) -> int:
@@ -149,8 +144,7 @@ def _cmd_spectrum(args) -> int:
         print(f"verdict: {'MATCH' if payload['match'] else 'MISMATCH'}")
         print(f"max deviation: {_fmt(payload['max_deviation'])} (tol {_fmt(args.tol)})")
     else:
-        for v in spectrum.values:
-            print(_fmt(v))
+        sys.stdout.write(spectrum.to_csv())
     return code
 
 
@@ -197,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("corona", help="construct an R-graph corona")
-    p.add_argument("kind", choices=("double", "vertex", "edge"))
+    p.add_argument("kind", choices=_CORONA_COPIES)
     p.add_argument("graphs", nargs="+", help="graph files ('null' for the null graph)")
     p.add_argument("--out")
     p.add_argument("--format", choices=("edgelist", "json"), default="edgelist")
@@ -207,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="normalized Laplacian spectrum")
     p.add_argument("graphs", nargs="+", help="graph file, or corona inputs with --corona")
-    p.add_argument("--corona", choices=("double", "vertex", "edge"))
+    p.add_argument("--corona", choices=_CORONA_COPIES)
     p.add_argument("--method", choices=("numeric", "closed-form", "both"), default="numeric")
     p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.add_argument("--json", action="store_true")
@@ -238,7 +232,7 @@ def main(argv=None) -> int:
     except HypothesisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (GraphValidationError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConvergenceError, InternalConsistencyError) as exc:

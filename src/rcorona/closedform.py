@@ -92,20 +92,21 @@ class CoronaParams:
 
     @classmethod
     def from_graphs(cls, g: Graph, g1: Graph, g2: Graph) -> "CoronaParams":
+        """The parameters of a corona triple, and the one check of the paper's
+        hypotheses on it: a nonempty connected base, regular of degree r >= 1,
+        and regular or null copy graphs."""
+        if g.is_null or not is_connected(g):
+            raise HypothesisError("closed-form spectrum requires a nonempty connected base graph")
         prof = degree_profile(g)
         if prof.regular_degree is None:
             raise HypothesisError("base graph must be regular")
-        sizes = []
+        copies = []
         for tag, gi in (("first", g1), ("second", g2)):
-            if gi.is_null:
-                sizes.append((0, 0))
-                continue
-            p = degree_profile(gi)
-            if p.regular_degree is None:
+            degree = 0 if gi.is_null else degree_profile(gi).regular_degree
+            if degree is None:
                 raise HypothesisError(f"{tag} attachment graph must be regular")
-            sizes.append((gi.vertex_count, p.regular_degree))
-        (n1, r1), (n2, r2) = sizes
-        return cls(g.vertex_count, g.edge_count, prof.regular_degree, n1, r1, n2, r2)
+            copies += gi.vertex_count, degree
+        return cls(g.vertex_count, g.edge_count, prof.regular_degree, *copies)
 
     @property
     def total_vertices(self) -> int:
@@ -307,7 +308,7 @@ def excess_quotient(p: CoronaParams) -> tuple[tuple[float, ...], ...]:
 
 def _input_spectrum(g: Graph) -> Spectrum:
     # LAPACK, never the numeric oracle: see the module docstring
-    return Spectrum(np.linalg.eigvalsh(normalized_laplacian(g)).tolist(), "lapack")
+    return Spectrum(np.linalg.eigvalsh(normalized_laplacian(g)).tolist())
 
 
 def _copy_spectrum(g: Graph, size: int, degree: int) -> Spectrum:
@@ -347,11 +348,9 @@ def closed_form_spectrum(g: Graph, g1: Graph, g2: Graph) -> ClosedFormSpectrum:
     """Closed-form spectrum of the double corona of regular g, g1, g2.
 
     Either copy graph may be null: a null g2 (g1) gives the vertex (edge)
-    corona, both null the bare R-graph.  The base graph must be nonempty,
-    connected, regular of degree >= 1, and have m >= n edges.
+    corona, both null the bare R-graph.  The inputs must pass
+    ``CoronaParams.from_graphs``, and the base must have m >= n edges.
     """
-    if g.is_null or not is_connected(g):
-        raise HypothesisError("closed-form spectrum requires a nonempty connected base graph")
     p = CoronaParams.from_graphs(g, g1, g2)
     if p.m < p.n:
         raise HypothesisError(
@@ -395,4 +394,4 @@ def flatten(cfs: ClosedFormSpectrum) -> Spectrum:
         for fam, row in zip(fams, roots.tolist()):
             for root in row:
                 values.extend([root] * fam.multiplicity)
-    return Spectrum(tuple(values), "closed-form")
+    return Spectrum(tuple(values))

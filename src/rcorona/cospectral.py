@@ -1,20 +1,21 @@
 """Construction and certification of normalized-Laplacian-cospectral,
 non-regular graph pairs.
 
-The closed-form spectrum of a corona depends only on the seed graphs'
-sizes, regularities, and spectra; coronas over cospectral regular seeds
-are therefore cospectral.  That holds for every recipe kind, the bare
-R-graph (both attachments null, kind "r_graph") included, because the
-closed form covers every kind.  This module builds such pairs and
-certifies them with the numeric eigensolver.
+The closed-form spectrum of a corona depends only on the parameters that
+``CoronaParams.from_graphs`` checks and reads off the seed graphs, and on
+their spectra; coronas over seed triples with equal parameters and
+cospectral inputs are therefore cospectral.  That holds for every recipe
+kind, the bare R-graph (both attachments null, kind "r_graph") included.
+This module builds such pairs and certifies them with the numeric eigensolver.
 """
 
 from dataclasses import dataclass
 import json
 
+from .closedform import CoronaParams
 from .corona import double_corona
 from .errors import HypothesisError
-from .graphs import Graph, adjacency_matrix, degree_profile, generate, is_connected, to_graph_json
+from .graphs import Graph, adjacency_matrix, degree_profile, generate, to_graph_json
 from .spectra import Spectrum, compare_spectra, nl_spectrum, numeric_spectrum
 
 __all__ = [
@@ -52,8 +53,8 @@ class CospectralCertificate:
                 "verdict": self.verdict,
                 "max_deviation": self.max_deviation,
                 "tolerance": self.tolerance,
-                "graph_a": json.loads(to_graph_json(self.graph_a)),
-                "graph_b": json.loads(to_graph_json(self.graph_b)),
+                "graph_a": _graph_dict(self.graph_a),
+                "graph_b": _graph_dict(self.graph_b),
                 "spectrum_a": list(self.spectrum_a.values),
                 "spectrum_b": list(self.spectrum_b.values),
                 "non_regular": list(self.non_regular),
@@ -109,30 +110,21 @@ def build_cospectral_pair(
 ) -> CospectralCertificate:
     """Build the corona over each seed triple and certify cospectrality.
 
-    Requires connected regular cospectral seeds (g, h); each attachment
-    pair must be both null or both regular and cospectral.  One null pair
-    gives the vertex or edge corona, two give the bare R-graph; every
+    Both triples must pass ``CoronaParams.from_graphs``, the closed form's
+    hypotheses, with equal parameters (so null attachments pair up), and
+    each pair that is not null must be adjacency-cospectral at tol.  One null
+    pair gives the vertex or edge corona, two give the bare R-graph; every
     kind is built by ``double_corona``.
     """
-    for tag, gi in (("g", g), ("h", h)):
-        if gi.is_null:
-            raise HypothesisError(f"seed {tag} must be nonempty")
-        if degree_profile(gi).regular_degree is None:
-            raise HypothesisError(f"seed {tag} must be regular")
-        if not is_connected(gi):
-            raise HypothesisError(f"seed {tag} must be connected")
-    if not adjacency_cospectral(g, h, tol):
-        raise HypothesisError("seeds g, h are not adjacency-cospectral")
-    for tag, ga, gb in (("attachment pair 1", g1, h1), ("attachment pair 2", g2, h2)):
-        if ga.is_null != gb.is_null:
-            raise HypothesisError(f"{tag}: one side null, the other not")
-        if ga.is_null:
-            continue
-        for side, gi in (("left", ga), ("right", gb)):
-            if degree_profile(gi).regular_degree is None:
-                raise HypothesisError(f"{tag} ({side}) must be regular")
-        if not adjacency_cospectral(ga, gb, tol):
-            raise HypothesisError(f"{tag} is not adjacency-cospectral")
+    pa = CoronaParams.from_graphs(g, g1, g2)
+    pb = CoronaParams.from_graphs(h, h1, h2)
+    if pa != pb:
+        raise HypothesisError(f"seed triples do not fit the cospectral construction: their sizes, "
+                              f"degrees or null attachments differ ({pa} vs {pb})")
+    for tag, ga, gb in (("seeds g, h", g, h), ("attachments g1, h1", g1, h1),
+                        ("attachments g2, h2", g2, h2)):
+        if not ga.is_null and not adjacency_cospectral(ga, gb, tol):
+            raise HypothesisError(f"{tag} are not adjacency-cospectral")
     if g == h and g1.is_null and g2.is_null:
         raise HypothesisError(
             "identical seed with both attachments null would produce the "

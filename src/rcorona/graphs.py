@@ -6,6 +6,7 @@ downstream construction indexes new vertices by it.  The graph with no
 vertices (the null graph) is a legal value.
 """
 
+import contextlib
 from dataclasses import dataclass
 import json
 import os
@@ -95,31 +96,39 @@ def build_graph(n: int, edges) -> Graph:
 # in N x N float64 matrices: 4.11 at N = 612 and 4.04 at N = 1105, for the
 # numeric oracle and for LAPACK alike (growth of ru_maxrss over the call).
 _DENSE_PEAK_MATRICES = 4.1
+# this process's cgroup v2 memory limit as a container sees it ("max": none)
+_CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"
 
 
 def _physical_memory() -> int | None:
-    """Physical memory in bytes, or None where the platform does not say."""
-    try:
+    """Memory available to this process in bytes: physical memory, or the
+    cgroup v2 limit where that is smaller; None where neither is known."""
+    limits = []
+    with contextlib.suppress(AttributeError, ValueError, OSError):
         pages, page_size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):
-        return None
-    # sysconf reports -1 for a value it does not know
-    return pages * page_size if pages > 0 and page_size > 0 else None
+        # sysconf reports -1 for a value it does not know
+        if pages > 0 and page_size > 0:
+            limits.append(pages * page_size)
+    with contextlib.suppress(OSError), open(_CGROUP_MEMORY_MAX, encoding="ascii") as fh:
+        text = fh.read().strip()
+        if text.isdigit():
+            limits.append(int(text))
+    return min(limits, default=None)
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """Symmetric 0/1 adjacency matrix with zero diagonal (integer dtype).
 
     Every dense computation starts here, so an order whose dense path would
-    not fit in physical memory is refused (DenseMemoryError) before anything
-    is allocated.
+    not fit in physical memory, or in a smaller cgroup limit, is refused
+    (DenseMemoryError) before anything is allocated.
     """
     n = g.vertex_count
     memory, need = _physical_memory(), _DENSE_PEAK_MATRICES * n * n * 8
     if memory is not None and need > memory:
         raise DenseMemoryError(
             f"a dense {n}x{n} computation needs about {need / 2**30:.1f} GiB, "
-            f"more than the {memory / 2**30:.1f} GiB of physical memory"
+            f"more than the {memory / 2**30:.1f} GiB available (physical memory or cgroup limit)"
         )
     a = np.zeros((n, n), dtype=np.int64)
     for u, v in g.edges:
@@ -150,6 +159,9 @@ def is_connected(g: Graph) -> bool:
     """Breadth-first reachability from vertex 0; undefined for the null graph."""
     if g.is_null:
         raise HypothesisError("connectivity is undefined for the null graph")
+    # a connected graph has at least n - 1 edges; checked before any O(n) work
+    if g.edge_count < g.vertex_count - 1:
+        return False
     neighbors: list[list[int]] = [[] for _ in range(g.vertex_count)]
     for u, v in g.edges:
         neighbors[u].append(v)
@@ -340,7 +352,10 @@ def parse_graph_json(text: str) -> Graph:
     Any other shape, including non-integer or boolean values, raises
     GraphValidationError.
     """
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise GraphValidationError("graph JSON is nested too deeply") from None
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise GraphValidationError('graph JSON must be an object with keys "n" and "edges"')
     n, edges = obj["n"], obj["edges"]

@@ -44,10 +44,9 @@ _EPS = float(np.finfo(np.float64).eps)
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Sorted eigenvalue multiset with a provenance tag."""
+    """Sorted eigenvalue multiset."""
 
     values: tuple[float, ...]
-    source_tag: str = "numeric"
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(sorted(float(v) for v in self.values)))
@@ -224,7 +223,7 @@ def _ql_implicit(d: list[float], e: list[float]) -> list[float]:
     return d
 
 
-def numeric_spectrum(mat: np.ndarray, source_tag: str = "numeric") -> Spectrum:
+def numeric_spectrum(mat: np.ndarray) -> Spectrum:
     """All eigenvalues of a symmetric matrix, sorted non-decreasing.
 
     Symmetry is checked to 1e-12 entrywise; a 0x0 input yields the empty
@@ -235,22 +234,22 @@ def numeric_spectrum(mat: np.ndarray, source_tag: str = "numeric") -> Spectrum:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     n = mat.shape[0]
     if n == 0:
-        return Spectrum((), source_tag)
+        return Spectrum(())
     if not np.isfinite(mat).all():
         raise ValueError("matrix contains non-finite entries")
     asym = float(np.max(np.abs(mat - mat.T)))
     if asym > _SYMMETRY_TOL:
         raise ValueError(f"matrix is not symmetric (max |M - M^T| = {asym:.3e})")
     if n == 1:
-        return Spectrum((float(mat[0, 0]),), source_tag)
+        return Spectrum((float(mat[0, 0]),))
     d, e = _householder_tridiagonal(mat)
     values = _ql_implicit(d.tolist(), e.tolist())
-    return Spectrum(tuple(sorted(values)), source_tag)
+    return Spectrum(tuple(sorted(values)))
 
 
-def nl_spectrum(g: Graph, source_tag: str = "numeric") -> Spectrum:
+def nl_spectrum(g: Graph) -> Spectrum:
     """Convenience: numeric spectrum of the normalized Laplacian."""
-    return numeric_spectrum(normalized_laplacian(g), source_tag)
+    return numeric_spectrum(normalized_laplacian(g))
 
 
 def compare_spectra(a: Spectrum, b: Spectrum, tol: float = 1e-8) -> SpectrumComparison:

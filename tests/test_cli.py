@@ -3,6 +3,7 @@
 import json
 import os
 from pathlib import Path
+import resource
 import subprocess
 import sys
 
@@ -34,7 +35,7 @@ def files(tmp_path):
 
 class TestGenerate:
     def test_writes_edge_list(self, files):
-        g = parse_edge_list(open(files["K3"]).read())
+        g = parse_edge_list(Path(files["K3"]).read_text())
         assert (g.vertex_count, g.edge_count) == (3, 3)
 
     def test_json_format(self, tmp_path):
@@ -239,6 +240,35 @@ class TestSpectrum:
         err = capsys.readouterr().err
         assert "1000000000000000x1000000000000000" in err and "physical memory" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--corona", "double", "{huge}", "{K4}", "{K4}", "--method", "closed-form"],
+        ["corona", "double", "{huge}", "null", "null"],
+    ], ids=["closed-form", "corona"])
+    def test_huge_header_corona_routes_exit_3(self, files, tmp_path, argv):
+        # a base with 10^15 vertices and no edges is disconnected; the check
+        # must not allocate per vertex.  The address-space limit makes a
+        # regression fail fast with a MemoryError instead of exhausting memory.
+        huge = tmp_path / "huge.el"
+        huge.write_text("1000000000000000 0\n")
+        argv = [a.format(huge=huge, K4=files["K4"]) for a in argv]
+        src = str(Path(rcorona.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
+
+        run = subprocess.run([sys.executable, "-m", "rcorona.cli", *argv], env=env,
+                             capture_output=True, timeout=120, preexec_fn=limit_memory)
+        assert run.returncode == 3, run.stderr
+        assert b"connected" in run.stderr and b"Traceback" not in run.stderr
+
+    def test_deeply_nested_json_exit_2(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text('{"n": ' + "[" * 200_000)
+        assert main(["spectrum", str(deep)]) == 2
+        assert "graph JSON is nested too deeply" in capsys.readouterr().err
+
     def test_closed_form_without_corona_exit_3(self, files, capsys):
         assert main(["spectrum", files["K3"], "--method", "closed-form"]) == 3
 
@@ -300,6 +330,13 @@ class TestCospectral:
         code = main(["cospectral", files["K3"], str(c4),
                      "null", "null", "null", "null"])
         assert code == 3
+
+    def test_k1_seeds_exit_3(self, files, capsys):
+        # K1 has degree 0, outside the closed form's hypotheses, although
+        # its corona with a K1 copy (K2) has a spectrum
+        code = main(["cospectral", files["K1"], files["K1"], files["K1"], files["K1"], "null", "null"])
+        assert code == 3
+        assert "degree >= 1" in capsys.readouterr().err
 
     def test_seed_verification_uses_requested_tolerance(self, files, capsys):
         # an unreachable tolerance already fails the seed check

@@ -447,9 +447,6 @@ class TestFlatten:
         s = flatten(ClosedFormSpectrum((FixedFamily(0.25, 3, "x"),), (), None))
         assert s.values == (0.25, 0.25, 0.25)
 
-    def test_source_tag(self):
-        assert flatten(ClosedFormSpectrum((), (), None)).source_tag == "closed-form"
-
     def test_missing_real_roots_is_internal_error(self):
         # a 1x1 quotient yields one root where the quadratic is owed two
         fam = RootFamily(RealPolynomial((1.0, 0.0, 1.0)), 1, "broken", ((1.0,),))

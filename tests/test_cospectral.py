@@ -112,6 +112,24 @@ class TestBuildPair:
         with pytest.raises(HypothesisError, match="null"):
             build_cospectral_pair(*seeds, k1, null, k1, k1)
 
+    @pytest.mark.parametrize("triple, match", [
+        (("two_k3", "null", "null"), "nonempty connected base graph"),
+        (("k3", "star", "null"), "first attachment graph must be regular"),
+        (("k3", "null", "star"), "second attachment graph must be regular"),
+    ])
+    def test_hypotheses_are_the_closed_forms(self, triple, match):
+        # both triples are checked by CoronaParams.from_graphs, so a
+        # cospectral pair violating a hypothesis gets its refusal
+        graphs = {
+            "two_k3": build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+            "k3": generate("complete", 3),
+            "star": generate("complete_bipartite", 1, 2),
+            "null": generate("null"),
+        }
+        g, g1, g2 = (graphs[name] for name in triple)
+        with pytest.raises(HypothesisError, match=match):
+            build_cospectral_pair(g, g, g1, g1, g2, g2)
+
     def test_degree_profiles_match_as_multisets(self, seeds):
         p2 = generate("path", 2)
         null = generate("null")

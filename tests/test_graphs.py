@@ -75,7 +75,7 @@ class TestMatrixViews:
         assert np.array_equal(adjacency_matrix(generate("path", 2)), [[0, 1], [1, 0]])
 
     @pytest.mark.parametrize("pages", [-1, ValueError, AttributeError])
-    def test_unknown_memory_refuses_nothing(self, monkeypatch, pages):
+    def test_unknown_memory_refuses_nothing(self, monkeypatch, tmp_path, pages):
         def sysconf(name):
             if name != "SC_PHYS_PAGES":
                 return 4096
@@ -84,8 +84,25 @@ class TestMatrixViews:
             raise pages(name)
 
         monkeypatch.setattr("rcorona.graphs.os.sysconf", sysconf)
+        monkeypatch.setattr("rcorona.graphs._CGROUP_MEMORY_MAX", str(tmp_path / "absent"))
         assert rcorona.graphs._physical_memory() is None
         assert adjacency_matrix(generate("cycle", 40)).shape == (40, 40)
+
+    @pytest.mark.parametrize("pages, limit, expected", [
+        (1000, "1000000\n", 10**6),
+        (1000, "max\n", 4096 * 1000),
+        (1000, None, 4096 * 1000),
+        (1000, f"{10**12}\n", 4096 * 1000),
+        (-1, "1000000\n", 10**6),
+    ], ids=["cgroup-smaller", "cgroup-max", "cgroup-absent", "cgroup-larger", "cgroup-only"])
+    def test_cgroup_limit_caps_memory(self, monkeypatch, tmp_path, pages, limit, expected):
+        monkeypatch.setattr("rcorona.graphs.os.sysconf",
+                            lambda name: pages if name == "SC_PHYS_PAGES" else 4096)
+        path = tmp_path / "memory.max"
+        if limit is not None:
+            path.write_text(limit)
+        monkeypatch.setattr("rcorona.graphs._CGROUP_MEMORY_MAX", str(path))
+        assert rcorona.graphs._physical_memory() == expected
 
     def test_dense_memory_refusal_names_the_order(self, monkeypatch):
         monkeypatch.setattr("rcorona.graphs._physical_memory", lambda: 4.1 * 8 * 40 * 40 - 1)
