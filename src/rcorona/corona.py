@@ -18,13 +18,19 @@ from dataclasses import dataclass
 import json
 
 from .errors import HypothesisError
-from .graphs import Graph, build_graph, is_connected
+from .graphs import Graph, _refuse_beyond_memory, build_graph, is_connected
 
 __all__ = [
     "CoronaLayout",
     "r_graph",
     "double_corona",
 ]
+
+
+# Peak memory of an assembly per layout entry (one per old and new vertex)
+# or output edge: 280 bytes, from the growth of ru_maxrss over
+# double_corona(C_5000, K4, C5), which has 10 000 entries and 115 000 edges.
+_ASSEMBLY_BYTES_PER_ENTRY = 280
 
 
 @dataclass(frozen=True)
@@ -59,6 +65,12 @@ class CoronaLayout:
 def _assemble(g: Graph, g1: Graph, g2: Graph) -> tuple[Graph, CoronaLayout]:
     n, m = g.vertex_count, g.edge_count
     n1, n2 = g1.vertex_count, g2.vertex_count
+    total = n + m + n * n1 + m * n2
+    edge_count = 3 * m + n * (g1.edge_count + n1) + m * (g2.edge_count + n2)
+    _refuse_beyond_memory(
+        _ASSEMBLY_BYTES_PER_ENTRY * (n + m + edge_count),
+        f"a corona with {total} vertices and {edge_count} edges",
+    )
 
     edges: list[tuple[int, int]] = list(g.edges)
     for j, (u, v) in enumerate(g.edges):
@@ -77,7 +89,6 @@ def _assemble(g: Graph, g1: Graph, g2: Graph) -> tuple[Graph, CoronaLayout]:
         edges.extend((off + a, off + b) for a, b in g2.edges)
         edges.extend((n + j, off + t) for t in range(n2))
 
-    total = g2_base + m * n2
     layout = CoronaLayout(
         old_vertex_range=(0, n),
         new_vertex_range=(n, n + m),

@@ -27,8 +27,9 @@ class HypothesisError(ValueError):
 
 
 class DenseMemoryError(ValueError):
-    """A dense N x N computation would need more than the machine's physical
-    memory; refused before the matrix is allocated (a usage error)."""
+    """A dense N x N computation, or a corona's assembly, would need more
+    than the memory available (physical memory or cgroup limit); refused
+    before anything is allocated (a usage error)."""
 
 
 class ConvergenceError(RuntimeError):

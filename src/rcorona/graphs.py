@@ -8,6 +8,7 @@ vertices (the null graph) is a legal value.
 
 import contextlib
 from dataclasses import dataclass
+import functools
 import json
 import os
 
@@ -102,18 +103,36 @@ _CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"
 
 def _physical_memory() -> int | None:
     """Memory available to this process in bytes: physical memory, or the
-    cgroup v2 limit where that is smaller; None where neither is known."""
+    cgroup v2 limit where that is smaller; None where neither is known.
+
+    Both limits are read once per process (once per value of
+    _CGROUP_MEMORY_MAX); later calls return the first answer."""
+    return _memory_limits(_CGROUP_MEMORY_MAX)
+
+
+@functools.lru_cache(maxsize=8)
+def _memory_limits(cgroup_memory_max: str) -> int | None:
     limits = []
     with contextlib.suppress(AttributeError, ValueError, OSError):
         pages, page_size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
         # sysconf reports -1 for a value it does not know
         if pages > 0 and page_size > 0:
             limits.append(pages * page_size)
-    with contextlib.suppress(OSError), open(_CGROUP_MEMORY_MAX, encoding="ascii") as fh:
+    with contextlib.suppress(OSError), open(cgroup_memory_max, encoding="ascii") as fh:
         text = fh.read().strip()
         if text.isdigit():
             limits.append(int(text))
     return min(limits, default=None)
+
+
+def _refuse_beyond_memory(need: float, what: str) -> None:
+    """Raise DenseMemoryError when need bytes exceed the available memory."""
+    memory = _physical_memory()
+    if memory is not None and need > memory:
+        raise DenseMemoryError(
+            f"{what} needs about {need / 2**30:.1f} GiB, more than the "
+            f"{memory / 2**30:.1f} GiB available (physical memory or cgroup limit)"
+        )
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
@@ -124,12 +143,7 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     (DenseMemoryError) before anything is allocated.
     """
     n = g.vertex_count
-    memory, need = _physical_memory(), _DENSE_PEAK_MATRICES * n * n * 8
-    if memory is not None and need > memory:
-        raise DenseMemoryError(
-            f"a dense {n}x{n} computation needs about {need / 2**30:.1f} GiB, "
-            f"more than the {memory / 2**30:.1f} GiB available (physical memory or cgroup limit)"
-        )
+    _refuse_beyond_memory(_DENSE_PEAK_MATRICES * n * n * 8, f"a dense {n}x{n} computation")
     a = np.zeros((n, n), dtype=np.int64)
     for u, v in g.edges:
         a[u, v] = 1

@@ -3,13 +3,18 @@ tolerance-aware spectrum comparison.
 
 The eigensolver is the package's independent numeric oracle: a blocked
 Householder reduction to tridiagonal form (Golub & Van Loan, *Matrix
-Computations*, §8.3), then implicit-shift QL on the tridiagonal.  It uses
-numpy's matrix products but never ``numpy.linalg``, is deterministic for
-fixed input on a given numpy/BLAS build, and fails loudly on
-non-convergence.  It serves the numeric route (the corona's spectrum in
-``spectrum --method numeric|both``), the cospectral certificates and the
-spectral invariants; the closed form solves its input spectra with LAPACK
-instead, so a cross-check never runs both sides through this solver.
+Computations*, §8.3), then divide and conquer over QL leaves on the
+tridiagonal.  Orders up to _DC_CROSSOVER go to implicit-shift QL directly;
+larger ones are torn in half recursively (Cuppen 1981) down to QL leaves,
+and each merge deflates and solves a secular equation for the rest (Gu &
+Eisenstat 1995; LAPACK's dstedc).  The multiple eigenvalues of a corona
+deflate, so they cost no secular solve.  It uses numpy's matrix products
+but never ``numpy.linalg``, is deterministic for fixed input on a given
+numpy/BLAS build, and fails loudly on non-convergence.  It serves the
+numeric route (the corona's spectrum in ``spectrum --method
+numeric|both``), the cospectral certificates and the spectral invariants;
+the closed form solves its input spectra with LAPACK instead, so a
+cross-check never runs both sides through this solver.
 """
 
 from dataclasses import dataclass
@@ -35,6 +40,14 @@ __all__ = [
 
 _SYMMETRY_TOL = 1e-12
 _QL_MAX_ITER = 100
+# per secular root, as LAPACK's dlaed4 (MAXIT)
+_SECULAR_MAX_ITER = 30
+# Orders above _DC_CROSSOVER take divide and conquer: in a sweep of orders
+# 96 to 288 it was slower than QL up to 144 and faster from 160, on random,
+# circulant and relabelled circulant matrices.  Leaves have at most _DC_LEAF
+# rows (48 and 64 ran equally fast; 32 was slower).
+_DC_CROSSOVER = 160
+_DC_LEAF = 48
 # Columns per panel of the blocked Householder reduction (16 and 64 run
 # equally fast), and rows per slice of its trailing update.
 _PANEL = 32
@@ -169,15 +182,19 @@ def _householder_tridiagonal(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d, e
 
 
-def _ql_implicit(d: list[float], e: list[float]) -> list[float]:
+def _ql_implicit(d: list[float], e: list[float], rows=None) -> list[float]:
     """Eigenvalues of a symmetric tridiagonal matrix by implicit-shift QL.
 
-    d: diagonal (length n), e: subdiagonal (length n-1).  Raises
-    ConvergenceError if any eigenvalue needs more than the iteration cap.
+    d: diagonal (length n), e: subdiagonal (length n-1).  rows, if given,
+    is the pair (first, last) of rows of the identity, updated in place to
+    the first and last rows of the eigenvector matrix (columns in the order
+    of the returned eigenvalues).  Raises ConvergenceError if any
+    eigenvalue needs more than the iteration cap.
     """
     n = len(d)
     d = list(d)
     e = list(e) + [0.0]
+    first, last = rows or (None, None)
     for l in range(n):
         iterations = 0
         while True:
@@ -216,6 +233,13 @@ def _ql_implicit(d: list[float], e: list[float]) -> list[float]:
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - b
+                if rows:
+                    f = first[i + 1]
+                    first[i + 1] = s * first[i] + c * f
+                    first[i] = c * first[i] - s * f
+                    f = last[i + 1]
+                    last[i + 1] = s * last[i] + c * f
+                    last[i] = c * last[i] - s * f
             else:
                 d[l] -= p
                 e[l] = g
@@ -223,11 +247,197 @@ def _ql_implicit(d: list[float], e: list[float]) -> list[float]:
     return d
 
 
+def _inside_root(a, b, c, t, lo, hi, fallback):
+    """The offset from t to the root of a x^2 - b x + c = 0 (in x, an offset
+    from t) that lands in the bracket [lo, hi] but not on the pole at 0,
+    else fallback.  A bracket end other than 0 is no pole and may hold the
+    root itself (say a midpoint where f rounds to 0)."""
+    disc = b * b - 4.0 * a * c
+    q = 0.5 * (b + np.copysign(np.sqrt(np.abs(disc)), b))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for x in (q / a, c / q):
+            y = t + x
+            fallback = np.where((disc >= 0.0) & (y >= lo) & (y <= hi) & (y != 0.0), x, fallback)
+    return fallback
+
+
+def _secular_roots(d: np.ndarray, z: np.ndarray, rho: float, order: int):
+    """Roots of 1/rho + sum_i z_i^2 / (d_i - x) for strictly increasing
+    poles d, nonzero z and rho > 0; returns (roots, delta) with
+    delta[i, j] = d_i - root_j.
+
+    Root j lies between d_j and d_(j+1) (the last one between d_k and
+    d_k + rho |z|^2).  It is found as an offset tau from the nearer pole,
+    so a root close to a pole keeps its relative accuracy (LAPACK's
+    dlaed4).  The first guess keeps the interval's two poles exact and the
+    rest as a constant, evaluated at the interval's midpoint.  Each step
+    then solves the middle-way model of R.-C. Li (LAWN 89), which matches
+    the value and slope of the poles below and above the root separately,
+    or, where f falls slowly, a model that keeps the origin's pole exact;
+    a model root outside the bracket falls back to bisection.  All roots
+    iterate together, in k x k arrays.
+    """
+    k = d.size
+    z2 = z * z
+    if k == 1:
+        return d + rho * z2, -rho * z2[:, None]
+    j = np.arange(k)
+    # the root's model poles, lower and lower + 1 (for the last root the
+    # two largest poles, as in dlaed4)
+    lower = np.minimum(j, k - 2)
+    upper = lower + 1
+    below = (j[:, None] <= lower).astype(np.float64)
+    above = 1.0 - below
+    width = np.append(d[1:] - d[:-1], rho * float(z2.sum()))
+    half = 0.5 * width
+    gaps = d[:, None] - d[None, :]
+    terms = z2[:, None] / (gaps - half)
+    f_mid = 1.0 / rho + terms.sum(axis=0)
+    left_half = f_mid >= 0.0
+    from_lower = left_half | (j == k - 1)
+    origin = np.where(from_lower, j, j + 1)
+    base = np.where(from_lower, 0.0, width)
+    shift = gaps[:, origin]
+    lo = np.where(left_half, 0.0, half) - base
+    hi = np.where(left_half, half, width) - base
+    # first guess: c + z_p^2 / (dp - tau) + z_q^2 / (dq - tau) = 0
+    const = f_mid - terms[lower, j] - terms[upper, j]
+    zp, zq = z2[lower], z2[upper]
+    dp, dq = shift[lower, j], shift[upper, j]
+    tau = _inside_root(const, const * (dp + dq) + zp + zq, const * dp * dq + zp * dq + zq * dp,
+                       0.0, lo, hi, 0.5 * (lo + hi))
+    # per root: the last value of f, and whether the model keeps the
+    # origin's pole exact instead (dlaed4 switches so when f falls slowly)
+    last_f = np.zeros(k)
+    fixed = np.zeros(k, dtype=bool)
+    active = j
+    for _ in range(_SECULAR_MAX_ITER):
+        t = tau[active]
+        delta = shift[:, active] - t
+        terms = z2[:, None] / delta
+        slopes = terms / delta
+        psi = np.einsum("ij,ij->j", terms, below[:, active])
+        phi = np.einsum("ij,ij->j", terms, above[:, active])
+        dpsi = np.einsum("ij,ij->j", slopes, below[:, active])
+        dphi = np.einsum("ij,ij->j", slopes, above[:, active])
+        f = 1.0 / rho + psi + phi
+        # the rounding error of f, as bounded in dlaed4
+        moving = np.abs(f) > _EPS * (8.0 * (np.abs(psi) + np.abs(phi)) + 2.0 / rho
+                                     + np.abs(t) * (dpsi + dphi))
+        if not moving.all():
+            active, t, f, dpsi, dphi = (x[moving] for x in (active, t, f, dpsi, dphi))
+            delta = delta[:, moving]
+            if not active.size:
+                break
+        lo[active] = np.where(f < 0.0, t, lo[active])
+        hi[active] = np.where(f > 0.0, t, hi[active])
+        prev = last_f[active]
+        fixed[active] ^= (f * prev > 0.0) & (np.abs(f) > 0.1 * np.abs(prev))
+        last_f[active] = f
+        columns = np.arange(active.size)
+        dl, du = delta[lower[active], columns], delta[upper[active], columns]
+        # the model c + s / (dl - eta) + S / (du - eta) = 0, with weights
+        # s = dl^2 dpsi, S = du^2 dphi (middle way) or, fixed, the origin
+        # pole's own z^2 and the rest of the slope on the other pole
+        c = f - dl * dpsi - du * dphi
+        use = fixed[active]
+        if use.any():
+            at_lower = origin[active] == lower[active]
+            do, dx = np.where(at_lower, dl, du), np.where(at_lower, du, dl)
+            c = np.where(use, f - dx * (dpsi + dphi) - z2[origin[active]] * (do - dx) / (do * do), c)
+        l, h = lo[active], hi[active]
+        tau[active] = t + _inside_root(c, (dl + du) * f - dl * du * (dpsi + dphi), dl * du * f,
+                                       t, l, h, 0.5 * (l + h) - t)
+    if active.size:
+        raise ConvergenceError(
+            f"secular equation of a divide-and-conquer merge of order {order} "
+            f"failed to converge after {_SECULAR_MAX_ITER} iterations"
+        )
+    return d[origin] + tau, shift - tau
+
+
+def _cuppen_merge(left, right, beta: float):
+    """Merge the eigensystems of the two halves of a torn tridiagonal.
+
+    left and right are (values, first row, last row) of the halves'
+    eigenvector matrices, after the tear took |beta| off the last diagonal
+    entry of the first half and the first of the second; the whole is
+    Q (D + rho z z^T) Q^T with rho = 2|beta| and z the unit vector of half
+    one's last row and sign(beta) times half two's first row.  Entries
+    with a negligible rho z_i, and one of each pair of near-equal poles
+    after a Givens rotation, deflate (LAPACK's dlaed2); the rest solve the
+    secular equation.  Returns the merged (values, first row, last row).
+    Its sums and products are elementwise or einsum (no BLAS call), so they
+    do not depend on the BLAS thread count.
+    """
+    (d1, f1, l1), (d2, f2, l2) = left, right
+    n1, n2 = d1.size, d2.size
+    rho = 2.0 * abs(beta)
+    d = np.concatenate((d1, d2))
+    z = np.concatenate((l1, math.copysign(1.0, beta) * f2)) / math.sqrt(2.0)
+    first = np.concatenate((f1, np.zeros(n2)))
+    last = np.concatenate((np.zeros(n1), l2))
+    perm = np.argsort(d, kind="stable")
+    d, z, first, last = d[perm], z[perm], first[perm], last[perm]
+    tol = 8.0 * _EPS * max(float(np.max(np.abs(d))), rho)
+    live = rho * np.abs(z) > tol
+    kept, rotated = [], []
+    survivors = zip(d[live].tolist(), z[live].tolist(), first[live].tolist(), last[live].tolist())
+    prev = next(survivors, None)
+    for cur in survivors:
+        (pd, pz, pf, pl), (nd, nz, nf, nl) = prev, cur
+        r = math.hypot(pz, nz)
+        c, s = nz / r, -pz / r
+        if abs((nd - pd) * c * s) <= tol:
+            # rotate z_p into z_n; the rotated pole p leaves the secular set
+            rotated.append((c * c * pd + s * s * nd, c * pf + s * nf, c * pl + s * nl))
+            prev = (s * s * pd + c * c * nd, r, c * nf - s * pf, c * nl - s * pl)
+        else:
+            kept.append(prev)
+            prev = cur
+    if prev is not None:
+        kept.append(prev)
+    parts = [(d[~live], first[~live], last[~live]), np.array(rotated).reshape(-1, 3).T]
+    if kept:
+        kd, kz, kf, kl = np.array(kept).T
+        roots, delta = _secular_roots(kd, kz, rho, n1 + n2)
+        # Loewner's formula gives the z for which the computed roots are
+        # exact, so the eigenvectors zhat_i / (d_i - root_j) come out
+        # orthogonal (Gu & Eisenstat 1995)
+        ratio = delta / np.where(np.eye(kd.size, dtype=bool), 1.0, kd[:, None] - kd[None, :])
+        zhat = np.copysign(np.sqrt(np.abs(np.prod(ratio, axis=1))), kz)
+        vecs = zhat[:, None] / delta
+        norms = np.sqrt(np.einsum("ij,ij->j", vecs, vecs))
+        parts.append((roots, np.einsum("i,ij->j", kf, vecs) / norms,
+                      np.einsum("i,ij->j", kl, vecs) / norms))
+    d, first, last = (np.concatenate(column) for column in zip(*parts))
+    perm = np.argsort(d, kind="stable")
+    return d[perm], first[perm], last[perm]
+
+
+def _divide_and_conquer(d: np.ndarray, e: np.ndarray):
+    """(values, first row, last row) of the eigensystem of the symmetric
+    tridiagonal (d, e), by Cuppen's divide and conquer over QL leaves of at
+    most _DC_LEAF rows."""
+    n = d.size
+    if n <= _DC_LEAF:
+        rows = ([1.0] + [0.0] * (n - 1), [0.0] * (n - 1) + [1.0])
+        values = _ql_implicit(d.tolist(), e.tolist(), rows)
+        return np.array(values), np.array(rows[0]), np.array(rows[1])
+    h = n // 2
+    beta = float(e[h - 1])
+    d1, d2 = d[:h].copy(), d[h:].copy()
+    d1[-1] -= abs(beta)
+    d2[0] -= abs(beta)
+    return _cuppen_merge(_divide_and_conquer(d1, e[: h - 1]), _divide_and_conquer(d2, e[h:]), beta)
+
+
 def numeric_spectrum(mat: np.ndarray) -> Spectrum:
     """All eigenvalues of a symmetric matrix, sorted non-decreasing.
 
     Symmetry is checked to 1e-12 entrywise; a 0x0 input yields the empty
-    spectrum.
+    spectrum.  The tridiagonal stage is QL up to order _DC_CROSSOVER and
+    divide and conquer above it.
     """
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -243,7 +453,10 @@ def numeric_spectrum(mat: np.ndarray) -> Spectrum:
     if n == 1:
         return Spectrum((float(mat[0, 0]),))
     d, e = _householder_tridiagonal(mat)
-    values = _ql_implicit(d.tolist(), e.tolist())
+    if n <= _DC_CROSSOVER:
+        values = _ql_implicit(d.tolist(), e.tolist())
+    else:
+        values = _divide_and_conquer(d, e)[0].tolist()
     return Spectrum(tuple(sorted(values)))
 
 

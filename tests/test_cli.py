@@ -240,14 +240,11 @@ class TestSpectrum:
         err = capsys.readouterr().err
         assert "1000000000000000x1000000000000000" in err and "physical memory" in err
 
-    @pytest.mark.parametrize("argv", [
-        ["spectrum", "--corona", "double", "{huge}", "{K4}", "{K4}", "--method", "closed-form"],
-        ["corona", "double", "{huge}", "null", "null"],
-    ], ids=["closed-form", "corona"])
-    def test_huge_header_corona_routes_exit_3(self, files, tmp_path, argv):
-        # a base with 10^15 vertices and no edges is disconnected; the check
-        # must not allocate per vertex.  The address-space limit makes a
-        # regression fail fast with a MemoryError instead of exhausting memory.
+    @staticmethod
+    def _run_on_huge_base(files, tmp_path, argv, timeout):
+        """Run the CLI in a subprocess on a base with 10^15 vertices and no
+        edges.  The address-space limit makes a regression that allocates
+        per vertex fail fast with a MemoryError instead of exhausting memory."""
         huge = tmp_path / "huge.el"
         huge.write_text("1000000000000000 0\n")
         argv = [a.format(huge=huge, K4=files["K4"]) for a in argv]
@@ -258,10 +255,30 @@ class TestSpectrum:
         def limit_memory():
             resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
 
-        run = subprocess.run([sys.executable, "-m", "rcorona.cli", *argv], env=env,
-                             capture_output=True, timeout=120, preexec_fn=limit_memory)
+        return subprocess.run([sys.executable, "-m", "rcorona.cli", *argv], env=env,
+                              capture_output=True, timeout=timeout, preexec_fn=limit_memory)
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--corona", "double", "{huge}", "{K4}", "{K4}", "--method", "closed-form"],
+        ["corona", "double", "{huge}", "null", "null"],
+    ], ids=["closed-form", "corona"])
+    def test_huge_header_corona_routes_exit_3(self, files, tmp_path, argv):
+        # the base is disconnected; the check must not allocate per vertex
+        run = self._run_on_huge_base(files, tmp_path, argv, timeout=120)
         assert run.returncode == 3, run.stderr
         assert b"connected" in run.stderr and b"Traceback" not in run.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["corona", "double", "{huge}", "null", "null", "--allow-disconnected"],
+        ["spectrum", "--corona", "double", "{huge}", "null", "null", "--method", "both",
+         "--allow-disconnected"],
+    ], ids=["corona", "both"])
+    def test_huge_header_allow_disconnected_exit_2(self, files, tmp_path, argv):
+        # without the connectivity check the assembly itself must refuse the
+        # 10^15 layout entries before its per-vertex loops
+        run = self._run_on_huge_base(files, tmp_path, argv, timeout=60)
+        assert run.returncode == 2, run.stderr
+        assert b"1000000000000000 vertices" in run.stderr and b"Traceback" not in run.stderr
 
     def test_deeply_nested_json_exit_2(self, tmp_path, capsys):
         deep = tmp_path / "deep.json"

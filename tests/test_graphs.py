@@ -104,6 +104,19 @@ class TestMatrixViews:
         monkeypatch.setattr("rcorona.graphs._CGROUP_MEMORY_MAX", str(path))
         assert rcorona.graphs._physical_memory() == expected
 
+    def test_memory_limit_read_once_per_path(self, monkeypatch, tmp_path):
+        monkeypatch.setattr("rcorona.graphs.os.sysconf", lambda name: -1)
+        path = tmp_path / "memory.max"
+        path.write_text("1000000\n")
+        monkeypatch.setattr("rcorona.graphs._CGROUP_MEMORY_MAX", str(path))
+        assert rcorona.graphs._physical_memory() == 10**6
+        path.write_text("2000000\n")
+        assert rcorona.graphs._physical_memory() == 10**6
+        other = tmp_path / "other.max"
+        other.write_text("2000000\n")
+        monkeypatch.setattr("rcorona.graphs._CGROUP_MEMORY_MAX", str(other))
+        assert rcorona.graphs._physical_memory() == 2 * 10**6
+
     def test_dense_memory_refusal_names_the_order(self, monkeypatch):
         monkeypatch.setattr("rcorona.graphs._physical_memory", lambda: 4.1 * 8 * 40 * 40 - 1)
         with pytest.raises(DenseMemoryError, match="40x40"):

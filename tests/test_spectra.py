@@ -20,7 +20,15 @@ from rcorona import (
     numeric_spectrum,
     summarize,
 )
-from rcorona.spectra import _PANEL, _householder_tridiagonal
+from rcorona import ConvergenceError
+from rcorona.spectra import (
+    _DC_CROSSOVER,
+    _PANEL,
+    _divide_and_conquer,
+    _householder_tridiagonal,
+    _ql_implicit,
+    _secular_roots,
+)
 
 
 def assert_reduction_invariants(m):
@@ -31,6 +39,16 @@ def assert_reduction_invariants(m):
     assert abs(math.fsum(d) - np.trace(m)) <= 1e-12 * fro
     fro2 = math.fsum(d * d) + 2 * math.fsum(e * e)
     assert abs(fro2 - fro * fro) <= 1e-12 * fro * fro
+
+
+def tridiagonal(d, e):
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+
+
+def wilkinson_plus(n):
+    """W+_n: diagonal |i - (n-1)/2|, unit off-diagonal; its largest
+    eigenvalues come in pairs that agree to many digits."""
+    return np.abs(np.arange(n) - (n - 1) / 2), np.ones(n - 1)
 
 
 class TestNormalizedLaplacian:
@@ -81,8 +99,10 @@ class TestNumericSpectrum:
             numeric_spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_deterministic(self):
-        lap = normalized_laplacian(generate("petersen"))
-        assert numeric_spectrum(lap).values == numeric_spectrum(lap).values
+        # the second order takes divide and conquer
+        for g in (generate("petersen"), generate("circulant", 2 * _DC_CROSSOVER, 1, 3)):
+            lap = normalized_laplacian(g)
+            assert numeric_spectrum(lap).values == numeric_spectrum(lap).values
 
     def test_cycle_closed_form(self):
         # solver self-test: C_n eigenvalues are 1 - cos(2 pi k / n)
@@ -122,6 +142,9 @@ class TestNumericSpectrum:
         v /= np.linalg.norm(v)
         block = rng.standard_normal((5, 5))
         block = (block + block.T) / 2
+        glued = np.kron(np.eye(16), tridiagonal(*wilkinson_plus(21)))
+        for i in range(1, 16):
+            glued[21 * i - 1, 21 * i] = glued[21 * i, 21 * i - 1] = 1e-8
         cases = {
             "diagonal": np.diag(rng.standard_normal(40)),
             "scaled identity": 7.5 * np.eye(30),
@@ -134,6 +157,13 @@ class TestNumericSpectrum:
             "diagonal, three panels": np.diag(rng.standard_normal(2 * _PANEL + 6)),
             "disconnected 2C40": normalized_laplacian(
                 build_graph(80, [(i + o, (i + 1) % 40 + o) for o in (0, 40) for i in range(40)])
+            ),
+            # above the divide-and-conquer crossover: tight clusters, and
+            # massive deflation of both kinds (repeated poles, vanishing z)
+            "glued Wilkinson": glued,
+            "repeated blocks, forty copies": np.kron(np.eye(40), block),
+            "disconnected 2C200": normalized_laplacian(
+                build_graph(400, [(i + o, (i + 1) % 200 + o) for o in (0, 200) for i in range(200)])
             ),
         }
         for name, m in cases.items():
@@ -174,6 +204,88 @@ class TestNumericSpectrum:
             s = nl_spectrum(g)
             assert abs(s.values[0]) <= 1e-12, name
             assert s.values[1] > 1e-9, name
+
+
+class TestDivideAndConquer:
+    """Orders above _DC_CROSSOVER take divide and conquer; the rest QL."""
+
+    @pytest.mark.parametrize("n", [_DC_CROSSOVER - 1, _DC_CROSSOVER, _DC_CROSSOVER + 1,
+                                   2 * _DC_CROSSOVER + 1])
+    def test_matches_lapack_across_the_crossover(self, n):
+        rng = np.random.default_rng(n)
+        m = rng.standard_normal((n, n))
+        m = (m + m.T) / 2
+        got = numeric_spectrum(m).values
+        assert np.allclose(got, np.sort(np.linalg.eigvalsh(m)), atol=1e-10 * n)
+
+    def test_routing_by_order(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        m = rng.standard_normal((_DC_CROSSOVER + 1, _DC_CROSSOVER + 1))
+        m = (m + m.T) / 2
+        d, e = _householder_tridiagonal(m)
+        assert numeric_spectrum(m).values == tuple(sorted(_divide_and_conquer(d, e)[0].tolist()))
+        small = m[:_DC_CROSSOVER, :_DC_CROSSOVER]
+        d, e = _householder_tridiagonal(small)
+        expect = tuple(sorted(_ql_implicit(d.tolist(), e.tolist())))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an order at the crossover took divide and conquer")
+
+        monkeypatch.setattr("rcorona.spectra._divide_and_conquer", forbidden)
+        assert numeric_spectrum(small).values == expect
+
+    def test_adversarial_tridiagonals(self, monkeypatch):
+        # small leaves, so that these orders go through several merges
+        monkeypatch.setattr("rcorona.spectra._DC_LEAF", 5)
+        rng = np.random.default_rng(21)
+        d, e = rng.standard_normal(40), rng.standard_normal(39)
+        negative = e.copy()
+        negative[19] = -abs(negative[19])
+        zeros = e.copy()
+        zeros[[3, 9, 19, 30]] = 0.0
+        cases = {
+            "Wilkinson W21+": wilkinson_plus(21),
+            "negative beta at the top split": (d, negative),
+            "positive beta at the top split": (d, np.abs(e)),
+            "exact zero off-diagonals": (d, zeros),
+            "zero matrix": (np.zeros(30), np.zeros(29)),
+        }
+        for name, (dd, ee) in cases.items():
+            got, _, _ = _divide_and_conquer(dd, ee)
+            ref = np.linalg.eigvalsh(tridiagonal(dd, ee))
+            assert np.max(np.abs(np.sort(got) - ref)) < 1e-11, name
+
+    def test_rows_are_the_eigenvector_rows(self, monkeypatch):
+        monkeypatch.setattr("rcorona.spectra._DC_LEAF", 7)
+        rng = np.random.default_rng(4)
+        d, e = rng.standard_normal(60), rng.standard_normal(59)
+        values, first, last = _divide_and_conquer(d, e)
+        ref_values, vecs = np.linalg.eigh(tridiagonal(d, e))
+        order = np.argsort(values)
+        assert np.allclose(values[order], ref_values, atol=1e-12)
+        # eigenvectors are defined up to sign: take it from the pair of rows
+        signs = np.sign(first[order] * vecs[0] + last[order] * vecs[-1])
+        assert np.allclose(first[order], signs * vecs[0], atol=1e-10)
+        assert np.allclose(last[order], signs * vecs[-1], atol=1e-10)
+
+    def test_secular_root_on_the_bracket_end(self):
+        # the last root lies exactly halfway between d_k and d_k + rho |z|^2,
+        # where f rounds to 0: the midpoint must be reachable, not bisected
+        # towards forever
+        # poles and weights left after deflation in a merge of order 10 of an
+        # integer tridiagonal (beta = 1)
+        d = np.array([0.3819660112501053, 2.6180339887498945])
+        z = np.array([0.8506508083520399, 0.5257311121191336])
+        roots, _ = _secular_roots(d, z, 2.0, 2)
+        ref = np.linalg.eigvalsh(np.diag(d) + 2.0 * np.outer(z, z))
+        assert np.allclose(roots, ref, atol=1e-14)
+
+    def test_secular_cap_raises(self, monkeypatch):
+        monkeypatch.setattr("rcorona.spectra._SECULAR_MAX_ITER", 0)
+        rng = np.random.default_rng(5)
+        m = rng.standard_normal((_DC_CROSSOVER + 1, _DC_CROSSOVER + 1))
+        with pytest.raises(ConvergenceError, match=r"merge of order \d+"):
+            numeric_spectrum((m + m.T) / 2)
 
 
 class TestCompare:
