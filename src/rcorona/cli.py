@@ -3,7 +3,8 @@ cospectral certification as reproducible batch runs.
 
 Exit codes: 0 success / spectra match / verdict cospectral; 1 mismatch or
 negative verdict; 2 usage error (bad flags, parameters, or input files, or
-a graph whose dense computation would not fit in memory);
+a graph whose dense computation, corona assembly or generation would not
+fit in memory);
 3 violated mathematical hypothesis (disconnected base, non-regular input,
 the m<n closed-form regime, ...); 4 internal error (an eigensolve that did
 not converge, or closed-form families inconsistent with the corona).  All
@@ -22,7 +23,7 @@ from .cospectral import build_cospectral_pair
 from .errors import ConvergenceError, HypothesisError, InternalConsistencyError
 from .graphs import Graph, build_graph, format_graph, generate, load_graph, save_graph
 from .invariants import degree_kirchhoff, spanning_trees_matrix_tree, spanning_trees_spectral
-from .spectra import compare_spectra, nl_spectrum
+from .spectra import _MATCH_TOL, compare_spectra, nl_spectrum
 
 __all__ = ["main"]
 
@@ -203,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graphs", nargs="+", help="graph file, or corona inputs with --corona")
     p.add_argument("--corona", choices=_CORONA_COPIES)
     p.add_argument("--method", choices=("numeric", "closed-form", "both"), default="numeric")
-    p.add_argument("--tol", type=_tolerance, default=1e-8)
+    p.add_argument("--tol", type=_tolerance, default=_MATCH_TOL)
     p.add_argument("--json", action="store_true")
     p.add_argument("--allow-disconnected", action="store_true")
     p.set_defaults(func=_cmd_spectrum)
@@ -211,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cospectral", help="build and certify a cospectral corona pair")
     p.add_argument("graphs", nargs=6, metavar=("G",) * 6,
                    help="gA gB g1A g1B g2A g2B ('null' allowed for attachments)")
-    p.add_argument("--tol", type=_tolerance, default=1e-8)
+    p.add_argument("--tol", type=_tolerance, default=_MATCH_TOL)
     p.add_argument("--out", metavar="CERT_JSON")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_cospectral)

@@ -16,7 +16,7 @@ from .closedform import CoronaParams
 from .corona import double_corona
 from .errors import HypothesisError
 from .graphs import Graph, adjacency_matrix, degree_profile, generate, to_graph_json
-from .spectra import Spectrum, compare_spectra, nl_spectrum, numeric_spectrum
+from .spectra import _MATCH_TOL, Spectrum, compare_spectra, nl_spectrum, numeric_spectrum
 
 __all__ = [
     "CospectralCertificate",
@@ -64,19 +64,19 @@ class CospectralCertificate:
         )
 
 
-def adjacency_cospectral(g: Graph, h: Graph, tol: float = 1e-8) -> bool:
+def adjacency_cospectral(g: Graph, h: Graph, tol: float = _MATCH_TOL) -> bool:
     """True iff the adjacency spectra agree as multisets at tol."""
     sa = numeric_spectrum(adjacency_matrix(g).astype(float))
     sb = numeric_spectrum(adjacency_matrix(h).astype(float))
     return compare_spectra(sa, sb, tol).matched
 
 
-def nl_cospectral(g: Graph, h: Graph, tol: float = 1e-8) -> bool:
+def nl_cospectral(g: Graph, h: Graph, tol: float = _MATCH_TOL) -> bool:
     """True iff the normalized Laplacian spectra agree as multisets at tol."""
     return compare_spectra(nl_spectrum(g), nl_spectrum(h), tol).matched
 
 
-def regular_cospectrality_agrees(g: Graph, h: Graph, tol: float = 1e-8) -> bool:
+def regular_cospectrality_agrees(g: Graph, h: Graph, tol: float = _MATCH_TOL) -> bool:
     """For two regular graphs, adjacency cospectrality and normalized
     Laplacian cospectrality are equivalent; returns True iff both tests
     deliver the same verdict here."""
@@ -106,7 +106,7 @@ def build_cospectral_pair(
     h1: Graph,
     g2: Graph,
     h2: Graph,
-    tol: float = 1e-8,
+    tol: float = _MATCH_TOL,
 ) -> CospectralCertificate:
     """Build the corona over each seed triple and certify cospectrality.
 
@@ -163,7 +163,7 @@ def build_cospectral_pair(
     )
 
 
-def verified_seed_pairs(tol: float = 1e-8) -> list[tuple[Graph, Graph, str]]:
+def verified_seed_pairs(tol: float = _MATCH_TOL) -> list[tuple[Graph, Graph, str]]:
     """The shipped cospectral seed catalog, re-verified by the solver.
 
     Every returned pair has been confirmed adjacency-cospectral at tol;

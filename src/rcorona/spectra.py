@@ -38,6 +38,9 @@ __all__ = [
     "summarize",
 ]
 
+# Agreement of two spectra, value by value: the 1e-8 to which the closed
+# form and the numeric oracle must agree, and the CLI's default --tol.
+_MATCH_TOL = 1e-8
 _SYMMETRY_TOL = 1e-12
 _QL_MAX_ITER = 100
 # per secular root, as LAPACK's dlaed4 (MAXIT)
@@ -465,7 +468,7 @@ def nl_spectrum(g: Graph) -> Spectrum:
     return numeric_spectrum(normalized_laplacian(g))
 
 
-def compare_spectra(a: Spectrum, b: Spectrum, tol: float = 1e-8) -> SpectrumComparison:
+def compare_spectra(a: Spectrum, b: Spectrum, tol: float = _MATCH_TOL) -> SpectrumComparison:
     """Sorted pairwise comparison; reports the worst deviation and its index."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -486,7 +489,7 @@ def compare_spectra(a: Spectrum, b: Spectrum, tol: float = 1e-8) -> SpectrumComp
     )
 
 
-def summarize(s: Spectrum, tol: float = 1e-8) -> SpectrumSummary:
+def summarize(s: Spectrum, tol: float = _MATCH_TOL) -> SpectrumSummary:
     """Greedy left-to-right clustering; representative = cluster mean."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")

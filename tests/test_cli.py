@@ -51,6 +51,19 @@ class TestGenerate:
         assert main(["generate", "cycle", "2"]) == 2
         assert main(["generate", "nosuchfamily"]) == 2
 
+    @pytest.mark.parametrize("params", [
+        ["complete", "100000"], ["cycle", "100000000"], ["hypercube", "28"],
+        ["hypercube", "1000000000000"], ["circulant", "100000000", "1", "2"],
+    ])
+    def test_beyond_memory_exit_2(self, tmp_path, capsys, monkeypatch, params):
+        # refused from the edge count before anything is built
+        monkeypatch.setattr("rcorona.graphs._physical_memory", lambda: 8 * 2**30)
+        out = tmp_path / "g.el"
+        assert main(["generate", *params, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{params[0]}({', '.join(params[1:])}) needs about" in err
+        assert "physical memory" in err and not out.exists()
+
     def test_deterministic(self, capsys):
         main(["generate", "petersen"])
         first = capsys.readouterr().out

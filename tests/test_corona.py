@@ -41,6 +41,8 @@ class TestRGraph:
         rg, _ = r_graph(g)
         assert rg.vertex_count == g.vertex_count + g.edge_count
         assert rg.edge_count == 3 * g.edge_count
+        # the assembly skips build_graph: its edges must already be canonical
+        assert build_graph(rg.vertex_count, rg.edges) == rg
 
 
 class TestDoubleCorona:
@@ -82,7 +84,10 @@ class TestDoubleCorona:
         n1, n2 = g1.vertex_count, g2.vertex_count
         assert corona.vertex_count == n + m + n * n1 + m * n2
         assert corona.edge_count == 3 * m + n * (g1.edge_count + n1) + m * (g2.edge_count + n2)
-        assert layout.total == corona.vertex_count
+        ranges = (layout.new_vertex_range, *layout.g1_copy_ranges, *layout.g2_copy_ranges)
+        assert ranges[-1][1] == corona.vertex_count
+        # the assembly skips build_graph: its edges must already be canonical
+        assert build_graph(corona.vertex_count, corona.edges) == corona
 
     def test_layout_ranges_disjoint_contiguous(self):
         g, layout = double_corona(generate("cycle", 4), generate("path", 2), generate("complete", 3))

@@ -248,6 +248,33 @@ class TestGenerators:
         with pytest.raises(ValueError):
             generate("petersen", 10)
 
+    @pytest.mark.parametrize("family, params, text", [
+        ("petersen", (10,), "petersen takes no parameters"),
+        ("null", (0,), "null takes no parameters"),
+        ("cycle", (), "cycle takes 1 parameter(s), got 0"),
+        ("complete_bipartite", (3,), "complete_bipartite takes 2 parameter(s), got 1"),
+        ("hypercube", (3, 1), "hypercube takes 1 parameter(s), got 2"),
+        ("circulant", (5,), "circulant takes n followed by at least one connection"),
+        ("moebius", (5,), "unknown family 'moebius'; known: complete, cycle, path, "
+                          "complete_bipartite, circulant, petersen, hypercube, shrikhande, "
+                          "rook4x4, null"),
+    ])
+    def test_parameter_error_texts(self, family, params, text):
+        with pytest.raises(ValueError) as exc:
+            generate(family, *params)
+        assert str(exc.value) == text
+
+    @pytest.mark.parametrize("family, params", [
+        ("complete", (-10**8,)), ("cycle", (-10**400,)), ("path", (0,)),
+        ("complete_bipartite", (-10**6, -10**6)), ("circulant", (-10**9, 1)),
+        ("hypercube", (-10**400,)),
+    ])
+    def test_invalid_size_keeps_its_own_error(self, monkeypatch, family, params):
+        # an invalid size counts no edges, so the memory refusal never preempts it
+        monkeypatch.setattr("rcorona.graphs._physical_memory", lambda: 1)
+        with pytest.raises(ValueError, match="requires"):
+            generate(family, *params)
+
 
 class TestFormats:
     @given(small_graphs())
