@@ -8,6 +8,7 @@ from .closedform import (
     FixedFamily,
     RealPolynomial,
     RootFamily,
+    closed_form_from_spectra,
     closed_form_spectrum,
     copy_block_forms,
     excess_polynomial,

@@ -110,7 +110,6 @@ def _cmd_spectrum(args) -> int:
         if inputs is not None:
             graph, _ = double_corona(*inputs, allow_disconnected=args.allow_disconnected)
         numeric = nl_spectrum(graph)
-    cf = None
     if args.method in ("closed-form", "both"):
         if inputs is None:
             raise HypothesisError(
@@ -121,29 +120,27 @@ def _cmd_spectrum(args) -> int:
 
     # either spectrum has one value per vertex
     spectrum = numeric if numeric is not None else closed
-    payload: dict = {"vertices": len(spectrum), "method": args.method}
-    if numeric is not None:
-        payload["numeric"] = list(numeric.values)
-    if closed is not None:
-        payload["closed_form"] = list(closed.values)
-        payload["families"] = json.loads(cf.to_json())
-    code = 0
-    if args.method == "both":
-        report = compare_spectra(closed, numeric, args.tol)
-        payload["match"] = report.matched
-        payload["max_deviation"] = report.max_deviation
-        code = 0 if report.matched else 1
+    report = compare_spectra(closed, numeric, args.tol) if args.method == "both" else None
+    code = 1 if report is not None and not report.matched else 0
 
+    # the payload, families included, is built only when it is printed
     if args.json:
+        payload: dict = {"vertices": len(spectrum), "method": args.method}
+        if numeric is not None:
+            payload["numeric"] = list(numeric.values)
+        if closed is not None:
+            payload["closed_form"] = list(closed.values)
+            payload["families"] = json.loads(cf.to_json())
+        if report is not None:
+            payload["match"] = report.matched
+            payload["max_deviation"] = report.max_deviation
         sys.stdout.write(json.dumps(payload) + "\n")
-        return code
-
-    if args.method == "both":
+    elif report is not None:
         print(f"{'numeric':>24}  {'closed-form':>24}  {'|diff|':>12}")
         for a, b in zip(numeric.values, closed.values):
             print(f"{_fmt(a):>24}  {_fmt(b):>24}  {abs(a - b):>12.3e}")
-        print(f"verdict: {'MATCH' if payload['match'] else 'MISMATCH'}")
-        print(f"max deviation: {_fmt(payload['max_deviation'])} (tol {_fmt(args.tol)})")
+        print(f"verdict: {'MATCH' if report.matched else 'MISMATCH'}")
+        print(f"max deviation: {_fmt(report.max_deviation)} (tol {_fmt(args.tol)})")
     else:
         sys.stdout.write(spectrum.to_csv())
     return code
@@ -210,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("cospectral", help="build and certify a cospectral corona pair")
-    p.add_argument("graphs", nargs=6, metavar=("G",) * 6,
+    p.add_argument("graphs", nargs=6, metavar="G",
                    help="gA gB g1A g1B g2A g2B ('null' allowed for attachments)")
     p.add_argument("--tol", type=_tolerance, default=_MATCH_TOL)
     p.add_argument("--out", metavar="CERT_JSON")

@@ -22,10 +22,17 @@ eigenvalue (Brouwer & Haemers, Spectra of Graphs, section 2.3): the
 polynomial is the partition's tridiagonal determinant, expanded without
 division and so exactly whenever the inputs are exact, and its roots are
 the eigenvalues of the partition's symmetric quotient matrix, of order at
-most 4.  The spectra of G, G1 and G2 and the quotient blocks go to LAPACK
-(``numpy.linalg.eigvalsh``); the corona itself is never solved here, and
-nothing here calls the package's own eigensolver, so the numeric route,
-which alone uses that solver, stays an independent check.
+most 4.
+
+As in the paper's theorem, the closed form reads only the spectra of G, G1
+and G2 (``closed_form_from_spectra``).  ``closed_form_spectrum`` takes them
+from structure where that is exact and independent of the labelling: a
+complete graph K_n has 0 once and n/(n - 1) n - 1 times, a connected
+2-regular graph is C_n with 1 - cos(2 pi k/n), and an edgeless copy graph
+needs only zeros.  Every other input spectrum, and every quotient block, goes
+to LAPACK (``numpy.linalg.eigvalsh``).  The corona itself is never solved
+here, and nothing here calls the package's own eigensolver, so the numeric
+route, which alone uses that solver, stays an independent check.
 """
 
 from dataclasses import dataclass
@@ -50,6 +57,7 @@ __all__ = [
     "excess_polynomial",
     "quotient_matrix",
     "excess_quotient",
+    "closed_form_from_spectra",
     "closed_form_spectrum",
     "flatten",
 ]
@@ -306,18 +314,38 @@ def excess_quotient(p: CoronaParams) -> tuple[tuple[float, ...], ...]:
 # --- assembly ----------------------------------------------------------------
 
 
-def _input_spectrum(g: Graph) -> Spectrum:
-    # LAPACK, never the numeric oracle: see the module docstring
-    return Spectrum(np.linalg.eigvalsh(normalized_laplacian(g)).tolist())
+def _spectrum_groups(
+    g: Graph, degree: int, connected: bool = False
+) -> tuple[tuple[float, int], ...]:
+    """The spectrum of g's normalized Laplacian as increasing (value,
+    multiplicity) pairs, for a regular g of the given degree; ``connected``
+    says the caller has already found g connected.
 
-
-def _copy_spectrum(g: Graph, size: int, degree: int) -> Spectrum:
-    # an edgeless copy graph joins each copy vertex only to its center; the
-    # copy block is the identity and the fixed-family map ignores the
-    # eigenvalues entirely, so zeros stand in without a Laplacian
+    Complete and connected 2-regular graphs, and edgeless ones, get their
+    exact spectrum from their structure, whatever their labelling; every
+    other graph goes to LAPACK, never to the numeric oracle (see the module
+    docstring).
+    """
+    n = g.vertex_count
     if degree == 0:
-        return Spectrum((0.0,) * size)
-    return _input_spectrum(g)
+        # an edgeless graph joins each copy vertex only to its centre: the
+        # copy block is the identity, and zeros stand in for its spectrum
+        return ((0.0, n),) if n else ()
+    if degree == n - 1:
+        # K_n, K2 included
+        return ((0.0, 1), (n / (n - 1), n - 1))
+    if degree == 2 and (connected or is_connected(g)):
+        # C_n: 1 - cos(2 pi k / n), written so that it keeps its precision
+        # near 0, twice for each k except 0 and n/2
+        return tuple(
+            (2 * math.sin(math.pi * k / n) ** 2, 1 if 2 * k in (0, n) else 2)
+            for k in range(n // 2 + 1)
+        )
+    values = np.linalg.eigvalsh(normalized_laplacian(g)).tolist()
+    # the least value is the zero every such Laplacian has, kept as a group
+    # of its own, so that dropping it from a copy graph's groups leaves the
+    # other groups' means as they were
+    return ((values[0], 1),) + summarize(Spectrum(values[1:]), _GROUP_TOL).groups
 
 
 def _label(tag: str, v: float) -> str:
@@ -325,15 +353,16 @@ def _label(tag: str, v: float) -> str:
     return f"{tag} eigenvalue {round(v, _LABEL_DECIMALS) + 0.0:.10g}"
 
 
-def _fixed_families(
-    spectrum: Spectrum, degree: int, per_value_mult: int, tag: str
-) -> list[FixedFamily]:
-    """Families from a copy graph's spectrum with one zero dropped."""
-    tail = Spectrum(spectrum.values[1:])
-    return [
-        FixedFamily(fixed_family_value(v, degree), count * per_value_mult, _label(tag, v))
-        for v, count in summarize(tail, _GROUP_TOL).groups
-    ]
+def _fixed_families(groups, degree: int, per_value_mult: int, tag: str) -> list[FixedFamily]:
+    """Families from a copy graph's groups, one zero dropped from the first."""
+    families = []
+    for i, (v, count) in enumerate(groups):
+        count -= i == 0
+        if count:
+            families.append(
+                FixedFamily(fixed_family_value(v, degree), count * per_value_mult, _label(tag, v))
+            )
+    return families
 
 
 def _check_total(cfs: ClosedFormSpectrum, expected: int) -> ClosedFormSpectrum:
@@ -344,24 +373,36 @@ def _check_total(cfs: ClosedFormSpectrum, expected: int) -> ClosedFormSpectrum:
     return cfs
 
 
-def closed_form_spectrum(g: Graph, g1: Graph, g2: Graph) -> ClosedFormSpectrum:
-    """Closed-form spectrum of the double corona of regular g, g1, g2.
-
-    Either copy graph may be null: a null g2 (g1) gives the vertex (edge)
-    corona, both null the bare R-graph.  The inputs must pass
-    ``CoronaParams.from_graphs``, and the base must have m >= n edges.
-    """
-    p = CoronaParams.from_graphs(g, g1, g2)
+def _refuse_fewer_edges(p: CoronaParams) -> None:
     if p.m < p.n:
         raise HypothesisError(
             f"m<n unsupported: base graph has m = {p.m} < n = {p.n}; "
             "the closed form needs at least as many edges as vertices"
         )
-    fixed = _fixed_families(_copy_spectrum(g1, p.n1, p.r1), p.r1, p.n, "attach1")
-    fixed += _fixed_families(_copy_spectrum(g2, p.n2, p.r2), p.r2, p.m, "attach2")
+
+
+def closed_form_from_spectra(
+    params: CoronaParams, base_groups, g1_groups, g2_groups
+) -> ClosedFormSpectrum:
+    """Closed-form spectrum of the double corona from the spectra of its
+    base and copy graphs, as the paper's theorem states it.
+
+    Each spectrum is a tuple of increasing (value, multiplicity) pairs of
+    the graph's normalized Laplacian, whose multiplicities add up to n, n1
+    and n2 of ``params``; the first pair of a copy graph holds its zero.
+    The base must have m >= n edges.
+    """
+    p = params
+    for groups, size, tag in ((base_groups, p.n, "base"), (g1_groups, p.n1, "first copy"),
+                              (g2_groups, p.n2, "second copy")):
+        if sum(count for _, count in groups) != size:
+            raise ValueError(f"{tag} spectrum has multiplicities that do not add up to {size}")
+    _refuse_fewer_edges(p)
+    fixed = _fixed_families(g1_groups, p.r1, p.n, "attach1")
+    fixed += _fixed_families(g2_groups, p.r2, p.m, "attach2")
     roots = [
         RootFamily(family_polynomial(p, v), count, _label("base", v), quotient_matrix(p, v))
-        for v, count in summarize(_input_spectrum(g), _GROUP_TOL).groups
+        for v, count in base_groups
     ]
     excess = (
         RootFamily(excess_polynomial(p), p.m - p.n, "edge excess", excess_quotient(p))
@@ -370,6 +411,24 @@ def closed_form_spectrum(g: Graph, g1: Graph, g2: Graph) -> ClosedFormSpectrum:
     )
     cfs = ClosedFormSpectrum(tuple(fixed), tuple(roots), excess)
     return _check_total(cfs, p.total_vertices)
+
+
+def closed_form_spectrum(g: Graph, g1: Graph, g2: Graph) -> ClosedFormSpectrum:
+    """Closed-form spectrum of the double corona of regular g, g1, g2.
+
+    Either copy graph may be null: a null g2 (g1) gives the vertex (edge)
+    corona, both null the bare R-graph.  The inputs must pass
+    ``CoronaParams.from_graphs``, and the base must have m >= n edges.
+    """
+    p = CoronaParams.from_graphs(g, g1, g2)
+    # refused before any input spectrum is solved
+    _refuse_fewer_edges(p)
+    return closed_form_from_spectra(
+        p,
+        _spectrum_groups(g, p.r, connected=True),
+        _spectrum_groups(g1, p.r1),
+        _spectrum_groups(g2, p.r2),
+    )
 
 
 def flatten(cfs: ClosedFormSpectrum) -> Spectrum:

@@ -64,7 +64,8 @@ def _assemble(g: Graph, g1: Graph, g2: Graph) -> tuple[Graph, CoronaLayout]:
     total = n + m + n * n1 + m * n2
     edge_count = 3 * m + n * (g1.edge_count + n1) + m * (g2.edge_count + n2)
     _refuse_beyond_memory(
-        _ASSEMBLY_BYTES_PER_ENTRY * (n + m + edge_count),
+        n + m + edge_count,
+        _ASSEMBLY_BYTES_PER_ENTRY,
         f"a corona with {total} vertices and {edge_count} edges",
     )
 

@@ -27,9 +27,10 @@ class HypothesisError(ValueError):
 
 
 class DenseMemoryError(ValueError):
-    """A dense N x N computation, or a corona's assembly, would need more
-    than the memory available (physical memory or cgroup limit); refused
-    before anything is allocated (a usage error)."""
+    """A dense N x N computation, a corona's assembly or a generated graph
+    would need more than the memory available (physical memory, cgroup or
+    address-space limit); refused before anything is allocated (a usage
+    error)."""
 
 
 class ConvergenceError(RuntimeError):

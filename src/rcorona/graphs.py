@@ -15,6 +15,11 @@ import os
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 from .errors import (
     DenseMemoryError,
     DuplicateEdgeError,
@@ -104,9 +109,10 @@ _CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"
 
 def _physical_memory() -> int | None:
     """Memory available to this process in bytes: physical memory, or the
-    cgroup v2 limit where that is smaller; None where neither is known.
+    cgroup v2 limit or the soft address-space limit (RLIMIT_AS) where one
+    is smaller; None where none is known.
 
-    Both limits are read once per process (once per value of
+    The limits are read once per process (once per value of
     _CGROUP_MEMORY_MAX); later calls return the first answer."""
     return _memory_limits(_CGROUP_MEMORY_MAX)
 
@@ -123,16 +129,27 @@ def _memory_limits(cgroup_memory_max: str) -> int | None:
         text = fh.read().strip()
         if text.isdigit():
             limits.append(int(text))
+    if resource is not None:
+        soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+        if soft != resource.RLIM_INFINITY:
+            limits.append(soft)
     return min(limits, default=None)
 
 
-def _refuse_beyond_memory(need: float, what: str) -> None:
-    """Raise DenseMemoryError when need bytes exceed the available memory."""
+def _refuse_beyond_memory(count: float, bytes_each: float, what: str) -> None:
+    """Raise DenseMemoryError when count items of bytes_each bytes exceed
+    the available memory.  A need beyond any float exceeds any memory."""
     memory = _physical_memory()
-    if memory is not None and need > memory:
+    if memory is None:
+        return
+    try:
+        need = float(bytes_each * count)
+    except OverflowError:
+        need = math.inf
+    if need > memory:
         raise DenseMemoryError(
             f"{what} needs about {need / 2**30:.1f} GiB, more than the "
-            f"{memory / 2**30:.1f} GiB available (physical memory or cgroup limit)"
+            f"{memory / 2**30:.1f} GiB available (physical memory, cgroup or address-space limit)"
         )
 
 
@@ -144,7 +161,7 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     (DenseMemoryError) before anything is allocated.
     """
     n = g.vertex_count
-    _refuse_beyond_memory(_DENSE_PEAK_MATRICES * n * n * 8, f"a dense {n}x{n} computation")
+    _refuse_beyond_memory(n * n, _DENSE_PEAK_MATRICES * 8, f"a dense {n}x{n} computation")
     a = np.zeros((n, n), dtype=np.int64)
     for u, v in g.edges:
         a[u, v] = 1
@@ -324,10 +341,10 @@ def generate(family: str, *params: int) -> Graph:
     elif len(params) != arity:
         raise ValueError(f"{family} takes {arity} parameter(s), got {len(params)}")
     try:
-        need = float(_GENERATED_BYTES_PER_EDGE * edge_count(*params))
-    except OverflowError:  # a count beyond any float, let alone any memory
-        need = math.inf
-    _refuse_beyond_memory(need, f"{family}({', '.join(map(str, params))})")
+        edges = edge_count(*params)
+    except OverflowError:  # hypercube's float count beyond any float
+        edges = math.inf
+    _refuse_beyond_memory(edges, _GENERATED_BYTES_PER_EDGE, f"{family}({', '.join(map(str, params))})")
     return builder(*params)
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import argparse
 import json
 import os
 from pathlib import Path
@@ -11,7 +12,41 @@ import pytest
 
 import rcorona
 from rcorona import ConvergenceError, parse_edge_list, parse_graph_json
-from rcorona.cli import main
+from rcorona.cli import build_parser, main
+
+
+def _run_cli(argv, threads="1", address_space=None, timeout=120):
+    """Run the CLI in a subprocess with the BLAS thread count pinned and,
+    if given, an address-space limit (RLIMIT_AS) in bytes."""
+    src = str(Path(rcorona.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+               MKL_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    return subprocess.run([sys.executable, "-m", "rcorona.cli", *argv], env=env,
+                          capture_output=True, timeout=timeout,
+                          preexec_fn=limit_memory if address_space else None)
+
+
+def _stdout_under_1_and_2_threads(argv):
+    outputs = []
+    for threads in ("1", "2"):
+        run = _run_cli(argv, threads)
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    return outputs
+
+
+def _generate_files(tmp_path, *specs):
+    """Write one catalog graph per (name, family, params...) spec."""
+    paths = []
+    for name, *args in specs:
+        paths.append(str(tmp_path / f"{name}.el"))
+        assert main(["generate", *args, "--out", paths[-1]]) == 0
+    return paths
 
 
 @pytest.fixture()
@@ -63,6 +98,13 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert f"{params[0]}({', '.join(params[1:])}) needs about" in err
         assert "physical memory" in err and not out.exists()
+
+    def test_beyond_address_space_exit_2(self):
+        # about 3 GiB of edges against a 2 GiB RLIMIT_AS: refused, not a MemoryError
+        run = _run_cli(["generate", "cycle", "10000000"], address_space=2 * 2**30, timeout=60)
+        assert run.returncode == 2, run.stderr
+        assert b"address-space limit" in run.stderr and b"Traceback" not in run.stderr
+        assert run.stdout == b""
 
     def test_deterministic(self, capsys):
         main(["generate", "petersen"])
@@ -229,10 +271,8 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("method, code", [("numeric", 2), ("both", 2), ("closed-form", 0)])
     def test_dense_work_beyond_memory_refused(self, tmp_path, capsys, monkeypatch, method, code):
-        graphs = []
-        for name, family, n in (("C24", "cycle", "24"), ("K4", "complete", "4"), ("C5", "cycle", "5")):
-            graphs.append(str(tmp_path / f"{name}.el"))
-            assert main(["generate", family, n, "--out", graphs[-1]]) == 0
+        graphs = _generate_files(tmp_path, ("C24", "cycle", "24"), ("K4", "complete", "4"),
+                                 ("C5", "cycle", "5"))
         # 1 MB fits the 24-vertex base's dense path but not the corona's (N = 264)
         monkeypatch.setattr("rcorona.graphs._physical_memory", lambda: 10**6)
         argv = ["spectrum", "--corona", "double", *graphs, "--method", method]
@@ -261,15 +301,7 @@ class TestSpectrum:
         huge = tmp_path / "huge.el"
         huge.write_text("1000000000000000 0\n")
         argv = [a.format(huge=huge, K4=files["K4"]) for a in argv]
-        src = str(Path(rcorona.__file__).resolve().parents[1])
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
-
-        return subprocess.run([sys.executable, "-m", "rcorona.cli", *argv], env=env,
-                              capture_output=True, timeout=timeout, preexec_fn=limit_memory)
+        return _run_cli(argv, address_space=2 * 2**30, timeout=timeout)
 
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--corona", "double", "{huge}", "{K4}", "{K4}", "--method", "closed-form"],
@@ -312,22 +344,31 @@ class TestSpectrum:
 
     def test_blas_thread_count_invariant(self, tmp_path):
         # N = 264 spans more than two panels of the blocked reduction
-        graphs = []
-        for name, family, n in (("C24", "cycle", "24"), ("K4", "complete", "4"), ("C5", "cycle", "5")):
-            graphs.append(str(tmp_path / f"{name}.el"))
-            assert main(["generate", family, n, "--out", graphs[-1]]) == 0
-        argv = [sys.executable, "-m", "rcorona.cli", "spectrum", "--corona", "double", *graphs,
-                "--method", "both"]
-        src = str(Path(rcorona.__file__).resolve().parents[1])
-        outputs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                       MKL_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-            run = subprocess.run(argv, env=env, capture_output=True, check=True, timeout=120)
-            outputs.append(run.stdout)
-        assert b"verdict: MATCH\n" in outputs[0]
-        assert outputs[0] == outputs[1]
+        graphs = _generate_files(tmp_path, ("C24", "cycle", "24"), ("K4", "complete", "4"),
+                                 ("C5", "cycle", "5"))
+        one, two = _stdout_under_1_and_2_threads(
+            ["spectrum", "--corona", "double", *graphs, "--method", "both"])
+        assert b"verdict: MATCH\n" in one
+        assert one == two
+
+    def test_closed_form_blas_thread_count_invariant(self, tmp_path):
+        # the 500-vertex base's spectrum comes from its structure, not from
+        # a LAPACK solve whose last bits follow the thread count
+        graphs = _generate_files(tmp_path, ("C500", "cycle", "500"), ("K4", "complete", "4"),
+                                 ("C5", "cycle", "5"))
+        one, two = _stdout_under_1_and_2_threads(
+            ["spectrum", "--corona", "double", *graphs, "--method", "closed-form"])
+        assert one.count(b"\n") == 5500
+        assert one == two
+
+    def test_header_beyond_any_float_exit_2(self, tmp_path, capsys, monkeypatch):
+        # 10^320 vertices: the dense pre-flight's estimate exceeds any float
+        huge = tmp_path / "huge.el"
+        huge.write_text("1" + "0" * 320 + " 0\n")
+        monkeypatch.setattr("rcorona.graphs._physical_memory", lambda: 8 * 2**30)
+        assert main(["spectrum", str(huge)]) == 2
+        err = capsys.readouterr().err
+        assert "needs about inf GiB" in err and "physical memory" in err
 
     def test_17_digit_output(self, files, capsys):
         main(["spectrum", files["P2"], "--method", "numeric"])
@@ -396,3 +437,17 @@ class TestInvariants:
 
     def test_missing_file_exit_2(self):
         assert main(["invariants", "/nonexistent/file.el"]) == 2
+
+
+def _subcommands():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return list(sub.choices)
+
+
+@pytest.mark.parametrize("argv", [["--help"]] + [[name, "--help"] for name in _subcommands()],
+                         ids=lambda argv: argv[0])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: rcorona")

@@ -4,6 +4,7 @@ quotient matrices, and oracle equivalence against the numeric eigensolver."""
 import dataclasses
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,9 @@ from rcorona import (
     InternalConsistencyError,
     RealPolynomial,
     RootFamily,
+    Spectrum,
     build_graph,
+    closed_form_from_spectra,
     closed_form_spectrum,
     compare_spectra,
     copy_block_forms,
@@ -35,7 +38,9 @@ from rcorona import (
     nl_spectrum,
     normalized_laplacian,
     quotient_matrix,
+    summarize,
 )
+from rcorona.closedform import _spectrum_groups
 
 K3P2P2 = CoronaParams(n=3, m=3, r=2, n1=2, r1=1, n2=2, r2=1)
 
@@ -417,7 +422,8 @@ class TestFamilyLabels:
     )
     def test_labels_carry_no_solver_noise(self, g, g1, g2):
         cfs = closed_form_spectrum(generate(*g), generate(*g1), generate(*g2))
-        # both zeros come out of LAPACK as about -3e-16 and round to -0.0
+        # Petersen's zero comes out of LAPACK as about -3e-16 and rounds to
+        # -0.0; C_500's spectrum comes from its structure
         assert cfs.root_families[0].label == "base eigenvalue 0"
         for fam in cfs.fixed_families + cfs.root_families:
             value = float(fam.label.rpartition(" ")[2])
@@ -468,3 +474,105 @@ class TestFlatten:
         cfs = closed_form_spectrum(generate("complete", 4), generate("path", 2), generate("path", 2))
         assert cfs.excess_family is not None
         assert cfs.excess_family.multiplicity == 2  # m - n = 6 - 4
+
+
+def _relabelled(g, seed):
+    perm = list(range(g.vertex_count))
+    random.Random(seed).shuffle(perm)
+    return build_graph(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def _forbid_lapack_inputs(monkeypatch):
+    def forbidden(g):
+        raise AssertionError(f"an input spectrum of order {g.vertex_count} went to LAPACK")
+
+    monkeypatch.setattr("rcorona.closedform.normalized_laplacian", forbidden)
+
+
+def _expanded(groups):
+    return [v for v, count in groups for _ in range(count)]
+
+
+# the A03 sweep's grid
+_GRID_BASES = [("complete", 3), ("complete", 4), ("cycle", 4), ("cycle", 5), ("cycle", 6),
+               ("petersen",), ("complete_bipartite", 3, 3)]
+_GRID_COPIES = [("null",), ("complete", 1), ("path", 2), ("complete", 3), ("cycle", 4)]
+
+
+def _lapack_groups(g):
+    if g.edge_count == 0:
+        return ((0.0, g.vertex_count),) if g.vertex_count else ()
+    return summarize(Spectrum(np.linalg.eigvalsh(normalized_laplacian(g))), 1e-9).groups
+
+
+class TestStructuralSpectra:
+    """Input spectra taken from structure, against LAPACK at 1e-12."""
+
+    @pytest.mark.parametrize("graphs, degree", [
+        ([generate("cycle", n) for n in range(3, 61)]
+         + [_relabelled(generate("cycle", n), n) for n in range(3, 61)], 2),
+        ([generate("complete", n) for n in range(1, 31)], None),
+        ([generate("path", 2)], 1),
+    ], ids=["C3-C60", "K1-K30", "P2"])
+    def test_against_lapack(self, monkeypatch, graphs, degree):
+        expected = [np.linalg.eigvalsh(normalized_laplacian(g)) if g.edge_count else [0.0]
+                    for g in graphs]
+        _forbid_lapack_inputs(monkeypatch)
+        for g, want in zip(graphs, expected):
+            n = g.vertex_count
+            groups = _spectrum_groups(g, n - 1 if degree is None else degree)
+            values = [v for v, _ in groups]
+            assert values == sorted(set(values)) and sum(c for _, c in groups) == n
+            assert np.max(np.abs(np.array(_expanded(groups)) - want)) <= 1e-12, n
+
+    def test_disconnected_cycle_copy_falls_back_to_lapack(self, monkeypatch):
+        real, orders = normalized_laplacian, []
+
+        def counted(g):
+            orders.append(g.vertex_count)
+            return real(g)
+
+        monkeypatch.setattr("rcorona.closedform.normalized_laplacian", counted)
+        two_c4 = generate("circulant", 8, 2)
+        _oracle_check(generate("cycle", 6), two_c4, generate("complete", 3))
+        assert orders == [8]
+
+    @pytest.mark.parametrize("base", [("cycle", 7), ("cycle", 500), ("complete", 6)])
+    def test_cycle_and_complete_bases_skip_lapack(self, monkeypatch, base):
+        g = _relabelled(generate(*base), 1)
+        g1, g2 = generate("complete", 4), generate("cycle", 5)
+        with monkeypatch.context() as patch:
+            _forbid_lapack_inputs(patch)
+            cfs = closed_form_spectrum(g, g1, g2)
+        want = closed_form_from_spectra(
+            CoronaParams.from_graphs(g, g1, g2), _lapack_groups(g), _lapack_groups(g1),
+            _lapack_groups(g2))
+        assert np.allclose(flatten(cfs).values, flatten(want).values, rtol=0, atol=1e-12)
+
+    def test_from_spectra_on_the_sweep_grid(self):
+        for base, c1, c2 in itertools.product(_GRID_BASES, _GRID_COPIES, _GRID_COPIES):
+            g, g1, g2 = generate(*base), generate(*c1), generate(*c2)
+            p = CoronaParams.from_graphs(g, g1, g2)
+            groups = [_spectrum_groups(g, p.r, connected=True), _spectrum_groups(g1, p.r1),
+                      _spectrum_groups(g2, p.r2)]
+            cfs = closed_form_spectrum(g, g1, g2)
+            assert closed_form_from_spectra(p, *groups) == cfs
+            # the same tables, to rounding, from LAPACK's spectra
+            lapack = closed_form_from_spectra(p, _lapack_groups(g), _lapack_groups(g1),
+                                              _lapack_groups(g2))
+            for a, b in zip(cfs.fixed_families, lapack.fixed_families, strict=True):
+                assert (a.label, a.multiplicity) == (b.label, b.multiplicity)
+                assert abs(a.value - b.value) <= 1e-12
+            for a, b in zip(cfs.root_families, lapack.root_families, strict=True):
+                assert (a.label, a.multiplicity) == (b.label, b.multiplicity)
+                assert np.allclose(a.poly.coefficients, b.poly.coefficients, rtol=0, atol=1e-12)
+                # entries beside a zero are square roots of rounding noise
+                # in LAPACK's input, so the quotients are compared by roots
+                assert np.allclose(np.linalg.eigvalsh(a.quotient), np.linalg.eigvalsh(b.quotient),
+                                   rtol=0, atol=1e-12)
+            assert cfs.excess_family == lapack.excess_family
+
+    def test_from_spectra_checks_multiplicities(self):
+        p = CoronaParams.from_graphs(generate("cycle", 4), generate("path", 2), generate("null"))
+        with pytest.raises(ValueError, match="do not add up to 4"):
+            closed_form_from_spectra(p, ((0.0, 1), (1.0, 2)), ((0.0, 1), (2.0, 1)), ())

@@ -1,6 +1,7 @@
 """Graph construction, validation, generators, matrix views, and formats."""
 
 import itertools
+import resource
 
 import numpy as np
 import pytest
@@ -85,6 +86,8 @@ class TestMatrixViews:
 
         monkeypatch.setattr("rcorona.graphs.os.sysconf", sysconf)
         monkeypatch.setattr("rcorona.graphs._CGROUP_MEMORY_MAX", str(tmp_path / "absent"))
+        monkeypatch.setattr("rcorona.graphs.resource.getrlimit",
+                            lambda which: (resource.RLIM_INFINITY, resource.RLIM_INFINITY))
         assert rcorona.graphs._physical_memory() is None
         assert adjacency_matrix(generate("cycle", 40)).shape == (40, 40)
 
@@ -102,6 +105,18 @@ class TestMatrixViews:
         if limit is not None:
             path.write_text(limit)
         monkeypatch.setattr("rcorona.graphs._CGROUP_MEMORY_MAX", str(path))
+        assert rcorona.graphs._physical_memory() == expected
+
+    @pytest.mark.parametrize("soft, expected", [
+        (10**6, 10**6), (10**12, 4096 * 1000), (resource.RLIM_INFINITY, 4096 * 1000),
+    ], ids=["smaller", "larger", "unlimited"])
+    def test_address_space_limit_caps_memory(self, monkeypatch, tmp_path, soft, expected):
+        monkeypatch.setattr("rcorona.graphs.os.sysconf",
+                            lambda name: 1000 if name == "SC_PHYS_PAGES" else 4096)
+        monkeypatch.setattr("rcorona.graphs._CGROUP_MEMORY_MAX", str(tmp_path / "absent"))
+        monkeypatch.setattr("rcorona.graphs.resource.getrlimit",
+                            lambda which: (soft, resource.RLIM_INFINITY))
+        rcorona.graphs._memory_limits.cache_clear()
         assert rcorona.graphs._physical_memory() == expected
 
     def test_memory_limit_read_once_per_path(self, monkeypatch, tmp_path):
