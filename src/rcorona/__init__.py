@@ -5,6 +5,7 @@ cross-validation, and cospectral pair certification."""
 from .closedform import (
     ClosedFormSpectrum,
     CoronaParams,
+    FamilyTable,
     FixedFamily,
     RealPolynomial,
     RootFamily,

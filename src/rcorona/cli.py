@@ -130,7 +130,7 @@ def _cmd_spectrum(args) -> int:
             payload["numeric"] = list(numeric.values)
         if closed is not None:
             payload["closed_form"] = list(closed.values)
-            payload["families"] = json.loads(cf.to_json())
+            payload["families"] = cf.to_dict()
         if report is not None:
             payload["match"] = report.matched
             payload["max_deviation"] = report.max_deviation

@@ -17,12 +17,13 @@ each polynomial: a null G2 (resp. G1) gives the vertex (resp. edge)
 corona with a cubic per base eigenvalue, and both null give the bare
 R-graph G^(R) with a quadratic; a null G2 also turns the excess quadratic
 into 2(x - 1).  For every corona kind alike, each printed polynomial and
-its roots come from one table, the corona's equitable partition per base
-eigenvalue (Brouwer & Haemers, Spectra of Graphs, section 2.3): the
-polynomial is the partition's tridiagonal determinant, expanded without
+its roots come from one table over all base eigenvalues at once, held as
+arrays (``FamilyTable``).  Each row is the corona's equitable partition at
+one base eigenvalue (Brouwer & Haemers, Spectra of Graphs, section 2.3):
+the polynomial is the partition's tridiagonal determinant, expanded without
 division and so exactly whenever the inputs are exact, and its roots are
 the eigenvalues of the partition's symmetric quotient matrix, of order at
-most 4.
+most 4, solved for a whole table in one LAPACK batch.
 
 As in the paper's theorem, the closed form reads only the spectra of G, G1
 and G2 (``closed_form_from_spectra``).  ``closed_form_spectrum`` takes them
@@ -35,7 +36,7 @@ here, and nothing here calls the package's own eigensolver, so the numeric
 route, which alone uses that solver, stays an independent check.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 import json
 import math
 
@@ -50,6 +51,7 @@ __all__ = [
     "RealPolynomial",
     "FixedFamily",
     "RootFamily",
+    "FamilyTable",
     "ClosedFormSpectrum",
     "copy_block_forms",
     "fixed_family_value",
@@ -150,7 +152,8 @@ class FixedFamily:
 @dataclass(frozen=True)
 class RootFamily:
     """The roots of ``poly``, each with ``multiplicity``; they are computed
-    as the eigenvalues of the symmetric ``quotient`` matrix."""
+    as the eigenvalues of the symmetric ``quotient`` matrix.  A view of one
+    row of a ``FamilyTable``."""
 
     poly: RealPolynomial
     multiplicity: int
@@ -158,36 +161,86 @@ class RootFamily:
     quotient: tuple[tuple[float, ...], ...]
 
 
+@dataclass(frozen=True, eq=False)
+class FamilyTable:
+    """Root families as arrays, one row per base eigenvalue.
+
+    Row i holds the base eigenvalue ``mu[i]``, the ``multiplicity[i]`` of
+    each of its roots, the ascending ``coefficients[i]`` of the printed
+    polynomial, and ``quotients[i]``, the symmetric matrix whose eigenvalues
+    are that polynomial's roots.  The coefficients are float64 when every mu
+    is a float, and exact Python numbers in an object array otherwise; the
+    quotients are always float64.
+    """
+
+    mu: np.ndarray  # (G,)
+    multiplicity: np.ndarray  # (G,) int64
+    coefficients: np.ndarray  # (G, d + 1)
+    quotients: np.ndarray  # (G, d, d)
+
+    def __eq__(self, other):
+        if not isinstance(other, FamilyTable):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
+
+    @property
+    def degree(self) -> int:
+        return self.coefficients.shape[1] - 1
+
+    def families(self, labels) -> tuple[RootFamily, ...]:
+        """The rows as ``RootFamily`` objects, with the given labels."""
+        rows = zip(self.coefficients.tolist(), self.multiplicity.tolist(), labels,
+                   self.quotients.tolist())
+        return tuple(
+            RootFamily(RealPolynomial(tuple(coeffs)), mult, label, tuple(map(tuple, quotient)))
+            for coeffs, mult, label, quotient in rows
+        )
+
+
 @dataclass(frozen=True)
 class ClosedFormSpectrum:
-    """Spectrum as labeled families: fixed values plus per-polynomial roots."""
+    """Spectrum as labeled families: fixed values, one root family per base
+    eigenvalue, and the edge-excess family when m > n."""
 
     fixed_families: tuple[FixedFamily, ...]
-    root_families: tuple[RootFamily, ...]
-    excess_family: RootFamily | None
+    roots: FamilyTable
+    excess: FamilyTable | None
+
+    @property
+    def root_families(self) -> tuple[RootFamily, ...]:
+        """The root families, labelled by their base eigenvalue; built on
+        each call."""
+        return self.roots.families(_label("base", v) for v in self.roots.mu.tolist())
+
+    @property
+    def excess_family(self) -> RootFamily | None:
+        return None if self.excess is None else self.excess.families(("edge excess",))[0]
 
     @property
     def total_multiplicity(self) -> int:
         total = sum(f.multiplicity for f in self.fixed_families)
-        total += sum(f.poly.degree * f.multiplicity for f in self.root_families)
-        if self.excess_family is not None:
-            total += self.excess_family.poly.degree * self.excess_family.multiplicity
+        for table in (self.roots, self.excess):
+            if table is not None:
+                total += table.degree * int(table.multiplicity.sum())
         return total
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
         def fam(f: RootFamily) -> dict:
             return {"coeffs": list(f.poly.coefficients), "mult": f.multiplicity, "label": f.label}
 
-        return json.dumps(
-            {
-                "fixed": [
-                    {"value": f.value, "mult": f.multiplicity, "label": f.label}
-                    for f in self.fixed_families
-                ],
-                "roots": [fam(f) for f in self.root_families],
-                "excess": fam(self.excess_family) if self.excess_family else None,
-            }
-        )
+        excess = self.excess_family
+        return {
+            "fixed": [
+                {"value": f.value, "mult": f.multiplicity, "label": f.label}
+                for f in self.fixed_families
+            ],
+            "roots": [fam(f) for f in self.root_families],
+            "excess": fam(excess) if excess else None,
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
 
 # --- scalar building blocks ------------------------------------------------
@@ -231,22 +284,38 @@ _COPY1, _OLD, _NEW, _COPY2 = range(4)
 _QUOTIENT_ORDER = (_OLD, _NEW, _COPY1, _COPY2)
 
 
-def _partition(p: CoronaParams, mu, first: int):
-    """The present classes from path position ``first`` on, and the table
-    rows: w, each class's corona degree; a, the weight inside each class;
-    c, the weight joining class k to class k + 1."""
+# Table entries are numbers, or arrays over mu where they depend on it; a
+# number stays a Python number, which costs far less than a numpy call when
+# there are few base eigenvalues.
+
+
+def _float(x):
+    return x.astype(float) if isinstance(x, np.ndarray) else float(x)
+
+
+def _sqrt(x):
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _family_table(p: CoronaParams, mu, multiplicity, first: int) -> FamilyTable:
+    """The families of the base eigenvalues ``mu``, each root with the
+    matching ``multiplicity``, over the partition's classes from path
+    position ``first`` on."""
+    # an object array keeps int and Fraction mu exact
+    dtype = float if all(isinstance(v, float) for v in mu) else object
+    mu = np.array(mu, dtype=dtype)
+    classes = range(max(first, _COPY1 if p.n1 else _OLD), _COPY2 + 1 if p.n2 else _COPY2)
+    # per class: w, its corona degree; a, the weight inside it; c, the
+    # weight joining it to the next class.  Only the old vertex's a and c
+    # depend on mu, as arrays over it; every other entry is one number.
     w = (p.r1 + 1, 2 * p.r + p.n1, 2 + p.n2, p.r2 + 1)
     a = (p.r1, p.r * (1 - mu), 0, p.r2)
     # a computed base eigenvalue may overshoot 2 by rounding
-    c = (p.n1, max(p.r * (2 - mu), 0), p.n2)
-    classes = range(max(first, _COPY1 if p.n1 else _OLD), _COPY2 + 1 if p.n2 else _COPY2)
-    return classes, w, a, c
+    c = (p.n1, np.maximum(p.r * (2 - mu), 0), p.n2)
 
-
-def _polynomial(p: CoronaParams, mu, first: int) -> RealPolynomial:
     # det(xW - W + A) by the continuant
-    # P_k = (w_k x - w_k + a_k) P_{k-1} - c_{k-1} P_{k-2}
-    classes, w, a, c = _partition(p, mu, first)
+    # P_k = (w_k x - w_k + a_k) P_{k-1} - c_{k-1} P_{k-2}; each coefficient
+    # is a number or an array over mu, so every row takes the same steps
     prev, cur = [], [1]
     for k in classes:
         nxt = [0] * (len(cur) + 1)
@@ -256,19 +325,25 @@ def _polynomial(p: CoronaParams, mu, first: int) -> RealPolynomial:
         for i, coef in enumerate(prev):
             nxt[i] -= c[k - 1] * coef
         prev, cur = cur, nxt
-    return RealPolynomial(tuple(cur))
+    coefficients = np.empty((len(mu), len(cur)), dtype)
+    for i, coef in enumerate(cur):
+        coefficients[:, i] = coef
 
-
-def _quotient(p: CoronaParams, mu, first: int) -> tuple[tuple[float, ...], ...]:
-    # Q = I - M with M_kk = a_k/w_k and M_k,k+1 = sqrt(c_k/(w_k w_k+1))
-    classes, w, a, c = _partition(p, mu, first)
-    m = [[0.0] * 4 for _ in range(4)]
-    for k in classes:
-        m[k][k] = a[k] / w[k]
-        if k + 1 in classes:
-            m[k][k + 1] = m[k + 1][k] = math.sqrt(c[k] / (w[k] * w[k + 1]))
+    # Q = I - M with M_kk = a_k/w_k and M_k,k+1 = sqrt(c_k/(w_k w_k+1)),
+    # its rows in _QUOTIENT_ORDER
     rows = [k for k in _QUOTIENT_ORDER if k in classes]
-    return tuple(tuple(float(i == j) - float(m[i][j]) for j in rows) for i in rows)
+    q = np.zeros((len(mu), len(rows), len(rows)))
+    for i, k in enumerate(rows):
+        q[:, i, i] = 1.0 - _float(a[k] / w[k])
+        if k + 1 in classes:
+            j = rows.index(k + 1)
+            q[:, i, j] = q[:, j, i] = 0.0 - _sqrt(_float(c[k] / (w[k] * w[k + 1])))
+    return FamilyTable(mu, np.array(multiplicity, dtype=np.int64), coefficients, q)
+
+
+def _one_family(p: CoronaParams, mu, first: int) -> RootFamily:
+    (family,) = _family_table(p, [mu], [1], first).families(("",))
+    return family
 
 
 def family_polynomial(p: CoronaParams, base_eig) -> RealPolynomial:
@@ -283,15 +358,16 @@ def family_polynomial(p: CoronaParams, base_eig) -> RealPolynomial:
     corona degrees.
     ``base_eig`` may be a float, int, or Fraction; the expansion has no
     division, so exact inputs give exact coefficients before conversion.
+    A batch of one row of the family table.
     """
-    return _polynomial(p, base_eig, _COPY1)
+    return _one_family(p, base_eig, _COPY1).poly
 
 
 def excess_polynomial(p: CoronaParams) -> RealPolynomial:
     """The polynomial carrying the m - n edge excess: the partition from the
     new vertex on at base eigenvalue 2, a quadratic, or 2(x - 1) when the
     second copy graph is null."""
-    return _polynomial(p, 2, _NEW)
+    return _one_family(p, 2, _NEW).poly
 
 
 def quotient_matrix(p: CoronaParams, base_eig) -> tuple[tuple[float, ...], ...]:
@@ -302,13 +378,13 @@ def quotient_matrix(p: CoronaParams, base_eig) -> tuple[tuple[float, ...], ...]:
     row of a null copy graph; det(xI - Q) times the product of the class
     degrees is the printed polynomial.
     """
-    return _quotient(p, base_eig, _COPY1)
+    return _one_family(p, base_eig, _COPY1).quotient
 
 
 def excess_quotient(p: CoronaParams) -> tuple[tuple[float, ...], ...]:
     """The {new vertex, second copy} block of Q at base eigenvalue 2, whose
     eigenvalues are the roots of ``excess_polynomial(p)``."""
-    return _quotient(p, 2, _NEW)
+    return _one_family(p, 2, _NEW).quotient
 
 
 # --- assembly ----------------------------------------------------------------
@@ -400,17 +476,10 @@ def closed_form_from_spectra(
     _refuse_fewer_edges(p)
     fixed = _fixed_families(g1_groups, p.r1, p.n, "attach1")
     fixed += _fixed_families(g2_groups, p.r2, p.m, "attach2")
-    roots = [
-        RootFamily(family_polynomial(p, v), count, _label("base", v), quotient_matrix(p, v))
-        for v, count in base_groups
-    ]
-    excess = (
-        RootFamily(excess_polynomial(p), p.m - p.n, "edge excess", excess_quotient(p))
-        if p.m > p.n
-        else None
-    )
-    cfs = ClosedFormSpectrum(tuple(fixed), tuple(roots), excess)
-    return _check_total(cfs, p.total_vertices)
+    roots = _family_table(p, [v for v, _ in base_groups], [count for _, count in base_groups],
+                          _COPY1)
+    excess = _family_table(p, [2], [p.m - p.n], _NEW) if p.m > p.n else None
+    return _check_total(ClosedFormSpectrum(tuple(fixed), roots, excess), p.total_vertices)
 
 
 def closed_form_spectrum(g: Graph, g1: Graph, g2: Graph) -> ClosedFormSpectrum:
@@ -434,23 +503,22 @@ def closed_form_spectrum(g: Graph, g1: Graph, g2: Graph) -> ClosedFormSpectrum:
 def flatten(cfs: ClosedFormSpectrum) -> Spectrum:
     """Expand all families into a sorted eigenvalue multiset.
 
-    Each root family contributes the eigenvalues of its quotient matrix;
-    the quotients are solved in one batch per matrix size.
+    Each root family contributes the eigenvalues of its quotient matrix,
+    each with the family's multiplicity; the quotients of a table are
+    solved in one batch.
     """
-    values: list[float] = []
-    for fam in cfs.fixed_families:
-        values.extend([fam.value] * fam.multiplicity)
-    by_size: dict[int, list[RootFamily]] = {}
-    for fam in cfs.root_families + ((cfs.excess_family,) if cfs.excess_family else ()):
-        if len(fam.quotient) != fam.poly.degree:
+    fixed = cfs.fixed_families
+    parts = [np.repeat(np.array([f.value for f in fixed], dtype=float),
+                       [f.multiplicity for f in fixed])]
+    for tag, table in (("root", cfs.roots), ("edge excess", cfs.excess)):
+        if table is None:
+            continue
+        d = table.degree
+        if table.quotients.shape[1:] != (d, d):
             raise InternalConsistencyError(
-                f"{fam.label}: {len(fam.quotient)}x{len(fam.quotient)} quotient for "
-                f"degree {fam.poly.degree} polynomial {list(fam.poly.coefficients)}"
+                f"{tag} families: {table.quotients.shape[1]}x{table.quotients.shape[2]} "
+                f"quotients for degree {d} polynomials"
             )
-        by_size.setdefault(fam.poly.degree, []).append(fam)
-    for fams in by_size.values():
-        roots = np.linalg.eigvalsh(np.array([fam.quotient for fam in fams]))
-        for fam, row in zip(fams, roots.tolist()):
-            for root in row:
-                values.extend([root] * fam.multiplicity)
-    return Spectrum(tuple(values))
+        roots = np.linalg.eigvalsh(table.quotients)
+        parts.append(np.repeat(roots.ravel(), np.repeat(table.multiplicity, d)))
+    return Spectrum(np.sort(np.concatenate(parts), kind="stable").tolist())

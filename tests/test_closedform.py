@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,11 +17,10 @@ from hypothesis import strategies as st
 from rcorona import (
     ClosedFormSpectrum,
     CoronaParams,
+    FamilyTable,
     FixedFamily,
     HypothesisError,
     InternalConsistencyError,
-    RealPolynomial,
-    RootFamily,
     Spectrum,
     build_graph,
     closed_form_from_spectra,
@@ -430,6 +430,128 @@ class TestFamilyLabels:
             assert value == round(value, 9) and "e-1" not in fam.label, fam.label
 
 
+def _scalar_family(p, mu, first):
+    """The reference for one row of the family table, one number at a time:
+    the continuant's coefficients and the quotient's rows (old vertex, new
+    vertex, first copy, second copy), with the classes first copy, old
+    vertex, new vertex, second copy from path position ``first`` on."""
+    w = (p.r1 + 1, 2 * p.r + p.n1, 2 + p.n2, p.r2 + 1)
+    a = (p.r1, p.r * (1 - mu), 0, p.r2)
+    c = (p.n1, max(p.r * (2 - mu), 0), p.n2)
+    classes = range(max(first, 0 if p.n1 else 1), 4 if p.n2 else 3)
+    prev, cur = [], [1]
+    for k in classes:
+        nxt = [0] * (len(cur) + 1)
+        for i, coef in enumerate(cur):
+            nxt[i] += (a[k] - w[k]) * coef
+            nxt[i + 1] += w[k] * coef
+        for i, coef in enumerate(prev):
+            nxt[i] -= c[k - 1] * coef
+        prev, cur = cur, nxt
+    m = [[0.0] * 4 for _ in range(4)]
+    for k in classes:
+        m[k][k] = a[k] / w[k]
+        if k + 1 in classes:
+            m[k][k + 1] = m[k + 1][k] = math.sqrt(c[k] / (w[k] * w[k + 1]))
+    rows = [k for k in (1, 2, 0, 3) if k in classes]
+    return cur, [[float(i == j) - float(m[i][j]) for j in rows] for i in rows]
+
+
+@st.composite
+def _params(draw):
+    """Corona parameters with m >= n, either copy graph possibly null."""
+    r = draw(st.integers(2, 6))
+    n = draw(st.integers(r + 1, 12).filter(lambda n: n * r % 2 == 0))
+    copies = []
+    for _ in range(2):
+        size = draw(st.integers(0, 5))
+        copies += size, draw(st.integers(0, size - 1)) if size else 0
+    return CoronaParams(n, n * r // 2, r, *copies)
+
+
+def _groups_for(p, mus):
+    """Base groups over the given values whose multiplicities add up to n,
+    and copy groups of zeros."""
+    mus = mus[: p.n]
+    counts = [1] * (len(mus) - 1) + [p.n - len(mus) + 1]
+    copies = [((0.0, size),) if size else () for size in (p.n1, p.n2)]
+    return (tuple(zip(mus, counts)), *copies)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestFamilyTable:
+    """The family table against its batch-of-one rows and the scalar
+    reference."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(p=_params(), mus=st.lists(st.floats(0, 2), min_size=1, max_size=8, unique=True))
+    def test_rows_bit_equal_to_batch_of_one_and_reference(self, p, mus):
+        cfs = closed_form_from_spectra(p, *_groups_for(p, mus))
+        cases = [(cfs.roots, row, mu, 0, family_polynomial(p, mu), quotient_matrix(p, mu))
+                 for row, mu in enumerate(cfs.roots.mu.tolist())]
+        if cfs.excess is not None:
+            cases.append((cfs.excess, 0, 2, 2, excess_polynomial(p), excess_quotient(p)))
+        assert cfs.roots.coefficients.dtype == cfs.roots.quotients.dtype == np.float64
+        for table, row, mu, first, poly, quotient in cases:
+            coeffs, reference_q = _scalar_family(p, mu, first)
+            assert _bits(table.coefficients[row]) == _bits(poly.coefficients) == _bits(coeffs)
+            assert _bits(table.quotients[row]) == _bits(quotient) == _bits(reference_q)
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=_params(), mu=st.fractions(0, 2, max_denominator=60))
+    def test_fraction_mu_gives_exact_coefficients(self, p, mu):
+        cfs = closed_form_from_spectra(p, *_groups_for(p, [mu, 1]))
+        assert cfs.roots.coefficients.dtype == object
+        for table, value, first in ((cfs.roots, mu, 0), (cfs.excess, 2, 2)):
+            if table is None:
+                continue
+            got = table.coefficients[0].tolist()
+            assert all(isinstance(coef, (int, Fraction)) for coef in got)
+            assert got == _scalar_family(p, value, first)[0]
+            # the leading coefficient, the product of the class degrees,
+            # times the exact quotient's characteristic polynomial; rows
+            # index old vertex, new vertex, first copy, second copy
+            rows = [1] + [3] * (p.n2 > 0)
+            if not first:
+                rows = [0] + rows + [2] * (p.n1 > 0)
+            value = Fraction(value)
+            exact = _exact_quotient(p, sympy.Rational(value.numerator, value.denominator), rows)
+            char = exact.charpoly(sympy.Symbol("x")).all_coeffs()[::-1]
+            assert [sympy.Rational(coef) for coef in got] == [got[-1] * coef for coef in char]
+
+    @settings(max_examples=40, deadline=None)
+    @given(g=st.one_of(st.integers(3, 12).map(lambda n: generate("cycle", n)),
+                       _circulant(st.integers(5, 12))),
+           g1=_ATTACHMENTS, g2=_ATTACHMENTS, seed=st.integers(0, 2**16))
+    def test_relabelling_leaves_the_table_unchanged(self, g, g1, g2, seed):
+        assume(is_connected(g))
+        cfs = closed_form_spectrum(g, g1, g2)
+        real, orders = normalized_laplacian, []
+
+        def counted(h):
+            orders.append(h.vertex_count)
+            return real(h)
+
+        with mock.patch("rcorona.closedform.normalized_laplacian", counted):
+            moved = closed_form_spectrum(*(_relabelled(h, seed + i) for i, h in enumerate((g, g1, g2))))
+        if not orders:
+            # every input spectrum came from structure
+            assert moved == cfs
+            return
+        # LAPACK's last bits may follow the labelling
+        for a, b in zip(moved.fixed_families, cfs.fixed_families, strict=True):
+            assert (a.label, a.multiplicity) == (b.label, b.multiplicity)
+            assert abs(a.value - b.value) <= 1e-12
+        for a, b in zip(moved.root_families, cfs.root_families, strict=True):
+            assert (a.label, a.multiplicity) == (b.label, b.multiplicity)
+            assert np.allclose(a.poly.coefficients, b.poly.coefficients, rtol=1e-12, atol=1e-10)
+        assert moved.excess == cfs.excess
+        assert np.allclose(flatten(moved).values, flatten(cfs).values, rtol=0, atol=1e-12)
+
+
 class TestRandomCoronas:
     """Random connected circulant bases with random regular attachments."""
 
@@ -445,20 +567,29 @@ class TestRandomCoronas:
                 assert _poly_residual(fam.poly, float(x)) <= 1e-9, fam.label
 
 
+def _table(coefficients, quotients):
+    """A family table of hand-made float rows, each of multiplicity 1."""
+    g = len(coefficients)
+    return FamilyTable(np.zeros(g), np.ones(g, dtype=np.int64), coefficients, quotients)
+
+
+_NO_ROOTS = _table(np.zeros((0, 1)), np.zeros((0, 0, 0)))
+
+
 class TestFlatten:
     def test_empty(self):
-        s = flatten(ClosedFormSpectrum((), (), None))
+        s = flatten(ClosedFormSpectrum((), _NO_ROOTS, None))
         assert s.values == ()
 
     def test_single_fixed_family(self):
-        s = flatten(ClosedFormSpectrum((FixedFamily(0.25, 3, "x"),), (), None))
+        s = flatten(ClosedFormSpectrum((FixedFamily(0.25, 3, "x"),), _NO_ROOTS, None))
         assert s.values == (0.25, 0.25, 0.25)
 
     def test_missing_real_roots_is_internal_error(self):
         # a 1x1 quotient yields one root where the quadratic is owed two
-        fam = RootFamily(RealPolynomial((1.0, 0.0, 1.0)), 1, "broken", ((1.0,),))
-        with pytest.raises(InternalConsistencyError):
-            flatten(ClosedFormSpectrum((), (fam,), None))
+        broken = _table(np.array([[1.0, 0.0, 1.0]]), np.array([[[1.0]]]))
+        with pytest.raises(InternalConsistencyError, match="1x1 quotients for degree 2"):
+            flatten(ClosedFormSpectrum((), broken, None))
 
     def test_json_shape(self):
         import json
