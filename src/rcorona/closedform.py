@@ -54,11 +54,7 @@ __all__ = [
     "FamilyTable",
     "ClosedFormSpectrum",
     "copy_block_forms",
-    "fixed_family_value",
     "family_polynomial",
-    "excess_polynomial",
-    "quotient_matrix",
-    "excess_quotient",
     "closed_form_from_spectra",
     "closed_form_spectrum",
     "flatten",
@@ -125,17 +121,12 @@ class CoronaParams:
 
 @dataclass(frozen=True)
 class RealPolynomial:
-    """Real polynomial c0 + c1*x + ... + cd*x^d, degree at most 4."""
+    """Real polynomial c0 + c1*x + ... + cd*x^d, degree at most 4, with the
+    coefficients of one ``FamilyTable`` row as the table holds them: floats,
+    or exact ints and Fractions for an exact base eigenvalue.  The leading
+    coefficient is a product of corona degrees, so it is never zero."""
 
-    coefficients: tuple[float, ...]
-
-    def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coefficients)
-        while len(coeffs) > 1 and coeffs[-1] == 0.0:
-            coeffs = coeffs[:-1]
-        if not coeffs:
-            raise ValueError("polynomial needs at least one coefficient")
-        object.__setattr__(self, "coefficients", coeffs)
+    coefficients: tuple
 
     @property
     def degree(self) -> int:
@@ -151,14 +142,14 @@ class FixedFamily:
 
 @dataclass(frozen=True)
 class RootFamily:
-    """The roots of ``poly``, each with ``multiplicity``; they are computed
-    as the eigenvalues of the symmetric ``quotient`` matrix.  A view of one
-    row of a ``FamilyTable``."""
+    """The roots of ``poly``, each with ``multiplicity``: a view of one row
+    of a ``FamilyTable``.  The table is the only store of the families; the
+    views exist for perfbench's tracer, which counts them and reads each
+    ``poly.degree``."""
 
     poly: RealPolynomial
     multiplicity: int
     label: str
-    quotient: tuple[tuple[float, ...], ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,15 +179,6 @@ class FamilyTable:
     def degree(self) -> int:
         return self.coefficients.shape[1] - 1
 
-    def families(self, labels) -> tuple[RootFamily, ...]:
-        """The rows as ``RootFamily`` objects, with the given labels."""
-        rows = zip(self.coefficients.tolist(), self.multiplicity.tolist(), labels,
-                   self.quotients.tolist())
-        return tuple(
-            RootFamily(RealPolynomial(tuple(coeffs)), mult, label, tuple(map(tuple, quotient)))
-            for coeffs, mult, label, quotient in rows
-        )
-
 
 @dataclass(frozen=True)
 class ClosedFormSpectrum:
@@ -207,15 +189,31 @@ class ClosedFormSpectrum:
     roots: FamilyTable
     excess: FamilyTable | None
 
+    # Rows as (coefficients, multiplicity, label), the coefficients as the
+    # table holds them.
+    def _root_rows(self):
+        t = self.roots
+        return zip(t.coefficients.tolist(), t.multiplicity.tolist(),
+                   (_label("base", v) for v in t.mu.tolist()))
+
+    def _excess_row(self):
+        t = self.excess
+        return t.coefficients[0].tolist(), int(t.multiplicity[0]), "edge excess"
+
     @property
     def root_families(self) -> tuple[RootFamily, ...]:
-        """The root families, labelled by their base eigenvalue; built on
-        each call."""
-        return self.roots.families(_label("base", v) for v in self.roots.mu.tolist())
+        """Views of the root rows, labelled by their base eigenvalue; built
+        on each call (see ``RootFamily``)."""
+        return tuple(RootFamily(RealPolynomial(tuple(coeffs)), mult, label)
+                     for coeffs, mult, label in self._root_rows())
 
     @property
     def excess_family(self) -> RootFamily | None:
-        return None if self.excess is None else self.excess.families(("edge excess",))[0]
+        """A view of the excess row (see ``RootFamily``)."""
+        if self.excess is None:
+            return None
+        coeffs, mult, label = self._excess_row()
+        return RootFamily(RealPolynomial(tuple(coeffs)), mult, label)
 
     @property
     def total_multiplicity(self) -> int:
@@ -226,31 +224,24 @@ class ClosedFormSpectrum:
         return total
 
     def to_dict(self) -> dict:
-        def fam(f: RootFamily) -> dict:
-            return {"coeffs": list(f.poly.coefficients), "mult": f.multiplicity, "label": f.label}
+        def fam(coeffs, mult, label) -> dict:
+            return {"coeffs": [float(c) for c in coeffs], "mult": mult, "label": label}
 
-        excess = self.excess_family
+        # exact values and rows print as floats too
         return {
             "fixed": [
-                {"value": f.value, "mult": f.multiplicity, "label": f.label}
+                {"value": float(f.value), "mult": f.multiplicity, "label": f.label}
                 for f in self.fixed_families
             ],
-            "roots": [fam(f) for f in self.root_families],
-            "excess": fam(excess) if excess else None,
+            "roots": [fam(*row) for row in self._root_rows()],
+            "excess": None if self.excess is None else fam(*self._excess_row()),
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
 
 
-# --- scalar building blocks ------------------------------------------------
-
-
-def fixed_family_value(eig: float, degree: int):
-    """Map a copy-graph eigenvalue t to (1 + degree*t)/(degree + 1)."""
-    if degree < 0:
-        raise ValueError("degree must be non-negative")
-    return (1 + degree * eig) / (degree + 1)
+# --- copy blocks -------------------------------------------------------------
 
 
 def copy_block_forms(g1: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -258,8 +249,8 @@ def copy_block_forms(g1: Graph) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the entrywise (Hadamard) product of the normalized Laplacian
     with B = a*J + (1-a)*I for a = r/(r+1), and the equivalent shifted
-    form (I + r*L)/(r+1).  The two must agree entrywise; exposed so tests
-    can verify that identity on regular inputs.
+    form (I + r*L)/(r+1).  The two must agree entrywise; public so that
+    acceptance test A5 can verify that identity on regular inputs.
     """
     prof = degree_profile(g1)
     if prof.regular_degree is None or prof.regular_degree < 1:
@@ -341,11 +332,6 @@ def _family_table(p: CoronaParams, mu, multiplicity, first: int) -> FamilyTable:
     return FamilyTable(mu, np.array(multiplicity, dtype=np.int64), coefficients, q)
 
 
-def _one_family(p: CoronaParams, mu, first: int) -> RootFamily:
-    (family,) = _family_table(p, [mu], [1], first).families(("",))
-    return family
-
-
 def family_polynomial(p: CoronaParams, base_eig) -> RealPolynomial:
     """The printed polynomial whose roots the corona inherits from one base
     eigenvalue: a quartic for the double corona, a cubic for the vertex
@@ -357,34 +343,12 @@ def family_polynomial(p: CoronaParams, base_eig) -> RealPolynomial:
     it; its leading coefficient is the product of the present classes'
     corona degrees.
     ``base_eig`` may be a float, int, or Fraction; the expansion has no
-    division, so exact inputs give exact coefficients before conversion.
-    A batch of one row of the family table.
+    division, so exact inputs give exact coefficients.
+    One row of the family table, public so that acceptance test A2 can
+    check the paper's printed quartics and cubics against it.
     """
-    return _one_family(p, base_eig, _COPY1).poly
-
-
-def excess_polynomial(p: CoronaParams) -> RealPolynomial:
-    """The polynomial carrying the m - n edge excess: the partition from the
-    new vertex on at base eigenvalue 2, a quadratic, or 2(x - 1) when the
-    second copy graph is null."""
-    return _one_family(p, 2, _NEW).poly
-
-
-def quotient_matrix(p: CoronaParams, base_eig) -> tuple[tuple[float, ...], ...]:
-    """The symmetric quotient Q = I - W^(-1/2) A W^(-1/2) whose eigenvalues
-    are the roots of ``family_polynomial(p, base_eig)``.
-
-    Rows are old vertex, new vertex, first copy, second copy, without the
-    row of a null copy graph; det(xI - Q) times the product of the class
-    degrees is the printed polynomial.
-    """
-    return _one_family(p, base_eig, _COPY1).quotient
-
-
-def excess_quotient(p: CoronaParams) -> tuple[tuple[float, ...], ...]:
-    """The {new vertex, second copy} block of Q at base eigenvalue 2, whose
-    eigenvalues are the roots of ``excess_polynomial(p)``."""
-    return _one_family(p, 2, _NEW).quotient
+    (coeffs,) = _family_table(p, [base_eig], [1], _COPY1).coefficients.tolist()
+    return RealPolynomial(tuple(coeffs))
 
 
 # --- assembly ----------------------------------------------------------------
@@ -436,7 +400,7 @@ def _fixed_families(groups, degree: int, per_value_mult: int, tag: str) -> list[
         count -= i == 0
         if count:
             families.append(
-                FixedFamily(fixed_family_value(v, degree), count * per_value_mult, _label(tag, v))
+                FixedFamily((1 + degree * v) / (degree + 1), count * per_value_mult, _label(tag, v))
             )
     return families
 
@@ -478,6 +442,8 @@ def closed_form_from_spectra(
     fixed += _fixed_families(g2_groups, p.r2, p.m, "attach2")
     roots = _family_table(p, [v for v, _ in base_groups], [count for _, count in base_groups],
                           _COPY1)
+    # the m - n edge excess: the partition from the new vertex on at base
+    # eigenvalue 2, a quadratic, or 2(x - 1) when the second copy is null
     excess = _family_table(p, [2], [p.m - p.n], _NEW) if p.m > p.n else None
     return _check_total(ClosedFormSpectrum(tuple(fixed), roots, excess), p.total_vertices)
 

@@ -15,7 +15,7 @@ import json
 from .closedform import CoronaParams
 from .corona import double_corona
 from .errors import HypothesisError
-from .graphs import Graph, adjacency_matrix, degree_profile, generate, to_graph_json
+from .graphs import Graph, _graph_dict, adjacency_matrix, degree_profile, generate
 from .spectra import _MATCH_TOL, Spectrum, compare_spectra, nl_spectrum, numeric_spectrum
 
 __all__ = [
@@ -93,10 +93,6 @@ _KINDS = {
     (True, False): "edge",
     (True, True): "r_graph",
 }
-
-
-def _graph_dict(g: Graph) -> dict:
-    return json.loads(to_graph_json(g))
 
 
 def build_cospectral_pair(

@@ -403,8 +403,13 @@ def parse_graph_json(text: str) -> Graph:
     return build_graph(n, [tuple(e) for e in edges])
 
 
+def _graph_dict(g: Graph) -> dict:
+    """The graph JSON format, as the dict that ``to_graph_json`` dumps."""
+    return {"n": g.vertex_count, "edges": [list(e) for e in g.edges]}
+
+
 def to_graph_json(g: Graph) -> str:
-    return json.dumps({"n": g.vertex_count, "edges": [list(e) for e in g.edges]})
+    return json.dumps(_graph_dict(g))
 
 
 def format_graph(g: Graph, fmt: str) -> str:

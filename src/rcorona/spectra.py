@@ -460,7 +460,7 @@ def numeric_spectrum(mat: np.ndarray) -> Spectrum:
         values = _ql_implicit(d.tolist(), e.tolist())
     else:
         values = _divide_and_conquer(d, e)[0].tolist()
-    return Spectrum(tuple(sorted(values)))
+    return Spectrum(values)
 
 
 def nl_spectrum(g: Graph) -> Spectrum:

@@ -1,5 +1,6 @@
-"""Closed-form spectrum machinery: scalar pieces, polynomial factors,
-quotient matrices, and oracle equivalence against the numeric eigensolver."""
+"""Closed-form spectrum machinery: polynomial factors and quotient matrices,
+read as rows of the family table, and oracle equivalence against the numeric
+eigensolver."""
 
 import dataclasses
 import itertools
@@ -28,21 +29,20 @@ from rcorona import (
     compare_spectra,
     copy_block_forms,
     double_corona,
-    excess_polynomial,
-    excess_quotient,
     family_polynomial,
-    fixed_family_value,
     flatten,
     generate,
     is_connected,
     nl_spectrum,
     normalized_laplacian,
-    quotient_matrix,
     summarize,
 )
 from rcorona.closedform import _spectrum_groups
 
 K3P2P2 = CoronaParams(n=3, m=3, r=2, n1=2, r1=1, n2=2, r2=1)
+# K3P2P2 over K4: m > n, so it has an excess family, which depends only on
+# the second copy graph
+K4P2P2 = CoronaParams(n=4, m=6, r=3, n1=2, r1=1, n2=2, r2=1)
 
 
 def _vertex(p):
@@ -55,6 +55,27 @@ def _edge(p):
 
 def _bare(p):
     return dataclasses.replace(p, n1=0, r1=0, n2=0, r2=0)
+
+
+def _groups_for(p, mus):
+    """Base groups over the given values whose multiplicities add up to n,
+    and copy groups of zeros."""
+    mus = mus[: p.n]
+    counts = [1] * (len(mus) - 1) + [p.n - len(mus) + 1]
+    copies = [((0.0, size),) if size else () for size in (p.n1, p.n2)]
+    return (tuple(zip(mus, counts)), *copies)
+
+
+def _roots(p, mu):
+    """The root row at base eigenvalue mu: (coefficients, quotient)."""
+    table = closed_form_from_spectra(p, *_groups_for(p, [mu])).roots
+    return table.coefficients[0].tolist(), table.quotients[0]
+
+
+def _excess(p):
+    """The excess row of p, which needs m > n: (coefficients, quotient)."""
+    table = closed_form_from_spectra(p, *_groups_for(p, [0.0])).excess
+    return table.coefficients[0].tolist(), table.quotients[0]
 
 
 class TestCopyBlockForms:
@@ -128,27 +149,38 @@ class TestPolynomialFactors:
 
     def test_excess_polynomial_expansions(self):
         # (x-1)(2+n2)(x r2 + x - 1) - n2, expanded by hand
-        assert excess_polynomial(K3P2P2).coefficients == (2.0, -12.0, 8.0)
-        p = CoronaParams(3, 3, 2, 0, 0, 1, 0)
-        assert excess_polynomial(p).coefficients == (2.0, -6.0, 3.0)
+        assert _excess(K4P2P2)[0] == [2.0, -12.0, 8.0]
+        p = CoronaParams(4, 6, 3, 0, 0, 1, 0)
+        assert _excess(p)[0] == [2.0, -6.0, 3.0]
 
     def test_excess_roots_real_in_range(self):
-        for p in (K3P2P2, CoronaParams(4, 6, 3, 0, 0, 5, 2), CoronaParams(6, 9, 3, 0, 0, 3, 0)):
-            roots = np.linalg.eigvalsh(np.array(excess_quotient(p)))
-            assert len(roots) == excess_polynomial(p).degree == 2
+        for p in (K4P2P2, CoronaParams(4, 6, 3, 0, 0, 5, 2), CoronaParams(6, 9, 3, 0, 0, 3, 0)):
+            coeffs, quotient = _excess(p)
+            roots = np.linalg.eigvalsh(quotient)
+            assert len(roots) == len(coeffs) - 1 == 2
             assert all(-1e-12 <= t <= 2 + 1e-12 for t in roots)
+
+
+def _fixed_value(eig, degree):
+    """The first copy's fixed family value for a copy-graph eigenvalue eig,
+    with the copy graph's zero in a group of its own, over C4."""
+    p = CoronaParams(4, 4, 2, degree + 1, degree, 0, 0)
+    copy = ((0.0, 1), (eig, degree))
+    base = ((0.0, 1), (1.0, 2), (2.0, 1))
+    (family,) = closed_form_from_spectra(p, base, copy, ()).fixed_families
+    return family.value
 
 
 class TestFixedFamilyValue:
     def test_golden(self):
-        assert fixed_family_value(2, 1) == pytest.approx(1.5)
+        assert _fixed_value(2, 1) == pytest.approx(1.5)
 
     def test_arithmetic(self):
-        assert fixed_family_value(0, 5) == pytest.approx(1 / 6)
+        assert _fixed_value(0, 5) == pytest.approx(1 / 6)
 
     def test_fixed_point_at_one(self):
         for r in (1, 2, 7):
-            assert fixed_family_value(1, r) == pytest.approx(1.0)
+            assert _fixed_value(1, r) == pytest.approx(1.0)
 
 
 def _eigenvalues(quotient):
@@ -160,22 +192,22 @@ class TestRealRoots:
 
     def test_golden_quartic(self):
         expect = sorted([1 / 6, (3 - math.sqrt(3)) / 4, (3 + math.sqrt(3)) / 4, 3 / 2])
-        assert _eigenvalues(quotient_matrix(K3P2P2, Fraction(3, 2))) == pytest.approx(expect, abs=1e-12)
+        assert _eigenvalues(_roots(K3P2P2, Fraction(3, 2))[1]) == pytest.approx(expect, abs=1e-12)
 
     def test_golden_quartic_mu_zero(self):
         expect = sorted([0, (7 - math.sqrt(13)) / 12, (7 + math.sqrt(13)) / 12, 3 / 2])
-        assert _eigenvalues(quotient_matrix(K3P2P2, 0)) == pytest.approx(expect, abs=1e-12)
+        assert _eigenvalues(_roots(K3P2P2, 0)[1]) == pytest.approx(expect, abs=1e-12)
 
     def test_simple_quadratic(self):
         # 8x^2 - 12x + 2, the golden excess quadratic
         expect = [(3 - math.sqrt(5)) / 4, (3 + math.sqrt(5)) / 4]
-        assert _eigenvalues(excess_quotient(K3P2P2)) == pytest.approx(expect, abs=1e-12)
+        assert _eigenvalues(_excess(K4P2P2)[1]) == pytest.approx(expect, abs=1e-12)
 
     def test_linear(self):
         # the vertex corona's excess factor is 2(x - 1): a 1x1 quotient
         cfs = closed_form_spectrum(generate("complete", 4), generate("path", 2), generate("null"))
-        assert cfs.excess_family.poly.coefficients == (-2.0, 2.0)
-        assert cfs.excess_family.quotient == ((1.0,),)
+        assert cfs.excess.coefficients[0].tolist() == [-2.0, 2.0]
+        assert cfs.excess.quotients[0].tolist() == [[1.0]]
 
     def test_random_battery(self):
         # seeded battery over random regular parameters and base eigenvalues:
@@ -192,8 +224,9 @@ class TestRealRoots:
             r2 = int(rng.integers(0, n2)) if n2 else 0
             p = CoronaParams(n, n * r // 2, r, n1, r1, n2, r2)
             mu = float(rng.uniform(0, 2))
-            expect = np.sort(np.polynomial.polynomial.polyroots(family_polynomial(p, mu).coefficients).real)
-            got = _eigenvalues(quotient_matrix(p, mu))
+            coeffs, quotient = _roots(p, mu)
+            expect = np.sort(np.polynomial.polynomial.polyroots(coeffs).real)
+            got = _eigenvalues(quotient)
             assert len(got) == len(expect)
             if np.min(np.diff(expect)) < 1e-3:
                 continue
@@ -216,13 +249,13 @@ def _exact_quotient(p, mu, rows):
     return sympy.eye(len(rows)) - m.extract(rows, rows)
 
 
-def _assert_char_poly_multiple(poly, exact_q, float_q):
-    """poly is a positive multiple of det(xI - Q), exactly; float_q is the
-    package's Q at the same point."""
+def _assert_char_poly_multiple(row, exact_q):
+    """A table row's ascending coefficients are a positive multiple of
+    det(xI - Q), exactly, and its quotient is Q to 1e-15."""
+    coefficients, float_q = row
     x = sympy.Symbol("x")
     char = exact_q.charpoly(x)
-    # the coefficients are dyadic rationals here, so their floats are exact
-    target = sympy.Poly([sympy.Rational(c) for c in reversed(poly.coefficients)], x)
+    target = sympy.Poly([sympy.Rational(c) for c in reversed(coefficients)], x)
     ratio = target.LC() / char.LC()
     assert ratio > 0
     assert target.all_coeffs() == [ratio * c for c in char.all_coeffs()]
@@ -240,7 +273,8 @@ _EXACT_GRID = [K3P2P2] + [
 
 class TestQuotientExact:
     """Each printed factor is a positive multiple of the characteristic
-    polynomial of its quotient matrix, in exact arithmetic."""
+    polynomial of its quotient matrix, in exact arithmetic.  The grid's bases
+    with m > n carry the excess family for every second copy graph."""
 
     @pytest.mark.parametrize("p", _EXACT_GRID, ids=lambda p: "-".join(map(str, dataclasses.astuple(p))))
     def test_factors(self, p):
@@ -248,11 +282,10 @@ class TestQuotientExact:
         for f in (Fraction(0), Fraction(1, 2), Fraction(3, 2), Fraction(2)):
             mu = sympy.Rational(f.numerator, f.denominator)
             for q, rows in ((p, [0, 1, 2, 3]), (vertex, [0, 1, 2]), (edge, [0, 1, 3]), (bare, [0, 1])):
-                _assert_char_poly_multiple(
-                    family_polynomial(q, f), _exact_quotient(q, mu, rows), quotient_matrix(q, f)
-                )
-        for q, rows in ((p, [1, 3]), (vertex, [1]), (edge, [1, 3]), (bare, [1])):
-            _assert_char_poly_multiple(excess_polynomial(q), _exact_quotient(q, 2, rows), excess_quotient(q))
+                _assert_char_poly_multiple(_roots(q, f), _exact_quotient(q, mu, rows))
+        if p.m > p.n:
+            for q, rows in ((p, [1, 3]), (vertex, [1]), (edge, [1, 3]), (bare, [1])):
+                _assert_char_poly_multiple(_excess(q), _exact_quotient(q, 2, rows))
 
 
 class TestParams:
@@ -357,10 +390,10 @@ class TestSpectrumAssembly:
 
     def test_router(self):
         k3, p2, null = generate("complete", 3), generate("path", 2), generate("null")
-        assert closed_form_spectrum(k3, p2, null).excess_family is None
-        assert closed_form_spectrum(k3, null, p2).root_families[0].poly.degree == 3
-        assert closed_form_spectrum(k3, p2, p2).root_families[0].poly.degree == 4
-        assert closed_form_spectrum(k3, null, null).root_families[0].poly.degree == 2
+        assert closed_form_spectrum(k3, p2, null).excess is None
+        assert closed_form_spectrum(k3, null, p2).roots.degree == 3
+        assert closed_form_spectrum(k3, p2, p2).roots.degree == 4
+        assert closed_form_spectrum(k3, null, null).roots.degree == 2
         _oracle_check(k3, null, null)
 
     def test_disconnected_base_rejected(self):
@@ -385,11 +418,12 @@ _ATTACHMENTS = st.one_of(
 )
 
 
-def _poly_residual(poly, x):
-    """|poly(x)| relative to the coefficient magnitudes weighted by
-    max(1, |x|)^i, a scale that stays away from zero at a root x = 0."""
-    value = math.fsum(c * x**i for i, c in enumerate(poly.coefficients))
-    return abs(value) / math.fsum(abs(c) * max(1.0, abs(x)) ** i for i, c in enumerate(poly.coefficients))
+def _poly_residual(coefficients, x):
+    """|p(x)| for the ascending coefficients of p, relative to the coefficient
+    magnitudes weighted by max(1, |x|)^i, a scale that stays away from zero
+    at a root x = 0."""
+    value = math.fsum(c * x**i for i, c in enumerate(coefficients))
+    return abs(value) / math.fsum(abs(c) * max(1.0, abs(x)) ** i for i, c in enumerate(coefficients))
 
 
 class TestRouteIndependence:
@@ -421,13 +455,13 @@ class TestFamilyLabels:
         ],
     )
     def test_labels_carry_no_solver_noise(self, g, g1, g2):
-        cfs = closed_form_spectrum(generate(*g), generate(*g1), generate(*g2))
+        printed = closed_form_spectrum(generate(*g), generate(*g1), generate(*g2)).to_dict()
         # Petersen's zero comes out of LAPACK as about -3e-16 and rounds to
         # -0.0; C_500's spectrum comes from its structure
-        assert cfs.root_families[0].label == "base eigenvalue 0"
-        for fam in cfs.fixed_families + cfs.root_families:
-            value = float(fam.label.rpartition(" ")[2])
-            assert value == round(value, 9) and "e-1" not in fam.label, fam.label
+        assert printed["roots"][0]["label"] == "base eigenvalue 0"
+        for label in (fam["label"] for fam in printed["fixed"] + printed["roots"]):
+            value = float(label.rpartition(" ")[2])
+            assert value == round(value, 9) and "e-1" not in label, label
 
 
 def _scalar_family(p, mu, first):
@@ -469,36 +503,60 @@ def _params(draw):
     return CoronaParams(n, n * r // 2, r, *copies)
 
 
-def _groups_for(p, mus):
-    """Base groups over the given values whose multiplicities add up to n,
-    and copy groups of zeros."""
-    mus = mus[: p.n]
-    counts = [1] * (len(mus) - 1) + [p.n - len(mus) + 1]
-    copies = [((0.0, size),) if size else () for size in (p.n1, p.n2)]
-    return (tuple(zip(mus, counts)), *copies)
-
-
 def _bits(x):
     return np.asarray(x, dtype=float).tobytes()
 
 
 class TestFamilyTable:
-    """The family table against its batch-of-one rows and the scalar
-    reference."""
+    """The family table against the scalar reference, and the views and
+    JSON built from it."""
 
     @settings(max_examples=100, deadline=None)
     @given(p=_params(), mus=st.lists(st.floats(0, 2), min_size=1, max_size=8, unique=True))
-    def test_rows_bit_equal_to_batch_of_one_and_reference(self, p, mus):
+    def test_rows_bit_equal_to_reference(self, p, mus):
         cfs = closed_form_from_spectra(p, *_groups_for(p, mus))
-        cases = [(cfs.roots, row, mu, 0, family_polynomial(p, mu), quotient_matrix(p, mu))
-                 for row, mu in enumerate(cfs.roots.mu.tolist())]
+        cases = [(cfs.roots, row, mu, 0) for row, mu in enumerate(cfs.roots.mu.tolist())]
         if cfs.excess is not None:
-            cases.append((cfs.excess, 0, 2, 2, excess_polynomial(p), excess_quotient(p)))
+            cases.append((cfs.excess, 0, 2, 2))
         assert cfs.roots.coefficients.dtype == cfs.roots.quotients.dtype == np.float64
-        for table, row, mu, first, poly, quotient in cases:
+        for table, row, mu, first in cases:
             coeffs, reference_q = _scalar_family(p, mu, first)
-            assert _bits(table.coefficients[row]) == _bits(poly.coefficients) == _bits(coeffs)
-            assert _bits(table.quotients[row]) == _bits(quotient) == _bits(reference_q)
+            assert _bits(table.coefficients[row]) == _bits(coeffs)
+            assert _bits(table.quotients[row]) == _bits(reference_q)
+        # one printed polynomial is one row of the table
+        for row, mu in enumerate(cfs.roots.mu.tolist()):
+            assert _bits(family_polynomial(p, mu).coefficients) == _bits(cfs.roots.coefficients[row])
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=_params(), mus=st.lists(st.floats(0, 2), min_size=1, max_size=8, unique=True))
+    def test_views_match_the_table(self, p, mus):
+        # the fields a tracer reads: one view per row, and each degree
+        cfs = closed_form_from_spectra(p, *_groups_for(p, mus))
+        views = cfs.root_families
+        assert len(views) == len(cfs.roots.mu)
+        assert [f.poly.degree for f in views] == [cfs.roots.degree] * len(views)
+        assert [f.multiplicity for f in views] == cfs.roots.multiplicity.tolist()
+        if cfs.excess is None:
+            assert cfs.excess_family is None
+        else:
+            assert cfs.excess_family.poly.degree == cfs.excess.degree
+            assert cfs.excess_family.multiplicity == p.m - p.n
+        printed = cfs.to_dict()
+        assert [f.label for f in views] == [f["label"] for f in printed["roots"]]
+
+    @pytest.mark.parametrize("p, exact", [
+        (K3P2P2, ((0, 1), (Fraction(3, 2), 2))),
+        # K_{4,4}: m > n, so the excess row is printed too
+        (CoronaParams(8, 16, 4, 2, 1, 2, 1), ((0, 1), (1, 6), (2, 1))),
+    ], ids=["K3-Fraction", "K44-int"])
+    def test_exact_mu_prints_as_its_float_twin(self, p, exact):
+        copies = ((0, 1), (2, 1)), ((0, 1), (Fraction(2), 1))
+        cfs = closed_form_from_spectra(p, exact, *copies)
+        assert cfs.roots.coefficients.dtype == object
+        twin = closed_form_from_spectra(p, *(tuple((float(v), c) for v, c in groups)
+                                             for groups in (exact, *copies)))
+        assert twin.roots.coefficients.dtype == np.float64
+        assert cfs.to_json() == twin.to_json()
 
     @settings(max_examples=40, deadline=None)
     @given(p=_params(), mu=st.fractions(0, 2, max_denominator=60))
@@ -545,9 +603,10 @@ class TestFamilyTable:
         for a, b in zip(moved.fixed_families, cfs.fixed_families, strict=True):
             assert (a.label, a.multiplicity) == (b.label, b.multiplicity)
             assert abs(a.value - b.value) <= 1e-12
-        for a, b in zip(moved.root_families, cfs.root_families, strict=True):
-            assert (a.label, a.multiplicity) == (b.label, b.multiplicity)
-            assert np.allclose(a.poly.coefficients, b.poly.coefficients, rtol=1e-12, atol=1e-10)
+        for a, b in zip(moved.to_dict()["roots"], cfs.to_dict()["roots"], strict=True):
+            assert (a["label"], a["mult"]) == (b["label"], b["mult"])
+        assert moved.roots.coefficients.shape == cfs.roots.coefficients.shape
+        assert np.allclose(moved.roots.coefficients, cfs.roots.coefficients, rtol=1e-12, atol=1e-10)
         assert moved.excess == cfs.excess
         assert np.allclose(flatten(moved).values, flatten(cfs).values, rtol=0, atol=1e-12)
 
@@ -562,9 +621,13 @@ class TestRandomCoronas:
         assert g.edge_count >= g.vertex_count
         _oracle_check(g, g1, g2)
         cfs = closed_form_spectrum(g, g1, g2)
-        for fam in cfs.root_families + ((cfs.excess_family,) if cfs.excess_family else ()):
-            for x in np.linalg.eigvalsh(np.array(fam.quotient)):
-                assert _poly_residual(fam.poly, float(x)) <= 1e-9, fam.label
+        for table in (cfs.roots, cfs.excess):
+            if table is None:
+                continue
+            for mu, coeffs, quotient in zip(table.mu.tolist(), table.coefficients.tolist(),
+                                            table.quotients):
+                for x in np.linalg.eigvalsh(quotient):
+                    assert _poly_residual(coeffs, float(x)) <= 1e-9, mu
 
 
 def _table(coefficients, quotients):
@@ -603,8 +666,8 @@ class TestFlatten:
 
     def test_excess_present_when_m_exceeds_n(self):
         cfs = closed_form_spectrum(generate("complete", 4), generate("path", 2), generate("path", 2))
-        assert cfs.excess_family is not None
-        assert cfs.excess_family.multiplicity == 2  # m - n = 6 - 4
+        assert cfs.excess is not None
+        assert cfs.excess.multiplicity.tolist() == [2]  # m - n = 6 - 4
 
 
 def _relabelled(g, seed):
@@ -694,14 +757,16 @@ class TestStructuralSpectra:
             for a, b in zip(cfs.fixed_families, lapack.fixed_families, strict=True):
                 assert (a.label, a.multiplicity) == (b.label, b.multiplicity)
                 assert abs(a.value - b.value) <= 1e-12
-            for a, b in zip(cfs.root_families, lapack.root_families, strict=True):
-                assert (a.label, a.multiplicity) == (b.label, b.multiplicity)
-                assert np.allclose(a.poly.coefficients, b.poly.coefficients, rtol=0, atol=1e-12)
-                # entries beside a zero are square roots of rounding noise
-                # in LAPACK's input, so the quotients are compared by roots
-                assert np.allclose(np.linalg.eigvalsh(a.quotient), np.linalg.eigvalsh(b.quotient),
-                                   rtol=0, atol=1e-12)
-            assert cfs.excess_family == lapack.excess_family
+            for a, b in zip(cfs.to_dict()["roots"], lapack.to_dict()["roots"], strict=True):
+                assert (a["label"], a["mult"]) == (b["label"], b["mult"])
+            a, b = cfs.roots, lapack.roots
+            assert a.quotients.shape == b.quotients.shape
+            assert np.allclose(a.coefficients, b.coefficients, rtol=0, atol=1e-12)
+            # entries beside a zero are square roots of rounding noise in
+            # LAPACK's input, so the quotients are compared by roots
+            assert np.allclose(np.linalg.eigvalsh(a.quotients), np.linalg.eigvalsh(b.quotients),
+                               rtol=0, atol=1e-12)
+            assert cfs.excess == lapack.excess
 
     def test_from_spectra_checks_multiplicities(self):
         p = CoronaParams.from_graphs(generate("cycle", 4), generate("path", 2), generate("null"))
