@@ -153,15 +153,20 @@ def _refuse_beyond_memory(count: float, bytes_each: float, what: str) -> None:
         )
 
 
+def _refuse_dense(n: int) -> None:
+    """The dense pre-flight: raise DenseMemoryError when the dense path of
+    an order-n graph would not fit in physical memory, or in a smaller
+    cgroup or address-space limit."""
+    _refuse_beyond_memory(n * n, _DENSE_PEAK_MATRICES * 8, f"a dense {n}x{n} computation")
+
+
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """Symmetric 0/1 adjacency matrix with zero diagonal (integer dtype).
 
-    Every dense computation starts here, so an order whose dense path would
-    not fit in physical memory, or in a smaller cgroup limit, is refused
-    (DenseMemoryError) before anything is allocated.
+    The dense pre-flight runs before anything is allocated.
     """
     n = g.vertex_count
-    _refuse_beyond_memory(n * n, _DENSE_PEAK_MATRICES * 8, f"a dense {n}x{n} computation")
+    _refuse_dense(n)
     a = np.zeros((n, n), dtype=np.int64)
     for u, v in g.edges:
         a[u, v] = 1

@@ -9,12 +9,18 @@ larger ones are torn in half recursively (Cuppen 1981) down to QL leaves,
 and each merge deflates and solves a secular equation for the rest (Gu &
 Eisenstat 1995; LAPACK's dstedc).  The multiple eigenvalues of a corona
 deflate, so they cost no secular solve.  It uses numpy's matrix products
-but never ``numpy.linalg``, is deterministic for fixed input on a given
-numpy/BLAS build, and fails loudly on non-convergence.  It serves the
-numeric route (the corona's spectrum in ``spectrum --method
-numeric|both``), the cospectral certificates and the spectral invariants;
-the closed form solves its input spectra with LAPACK instead, so a
-cross-check never runs both sides through this solver.
+but never ``numpy.linalg``, and fails loudly on non-convergence.  It is
+deterministic for fixed input on a given numpy/BLAS build, whatever the
+BLAS thread count: the reduction's trailing update runs tile by tile over
+the lower triangle, its matrix-vector and dot products go in blocks, and
+so every BLAS call stays within OpenBLAS's threading thresholds
+(_BLAS_CALL_BOUND multiply-adds, a sum over _INNER_ENTRIES entries); the
+merges make no BLAS call.  The normalized Laplacian is written straight
+from the edge list.  The oracle serves the numeric route (the corona's
+spectrum in ``spectrum --method numeric|both``), the cospectral
+certificates and the spectral invariants; the closed form solves its
+input spectra with LAPACK instead, so a cross-check never runs both sides
+through this solver.
 """
 
 from dataclasses import dataclass
@@ -24,7 +30,7 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError, HypothesisError
-from .graphs import Graph, adjacency_matrix, degree_profile
+from .graphs import Graph, _refuse_dense, adjacency_matrix, degree_profile
 
 __all__ = [
     "Spectrum",
@@ -52,9 +58,19 @@ _SECULAR_MAX_ITER = 30
 _DC_CROSSOVER = 160
 _DC_LEAF = 48
 # Columns per panel of the blocked Householder reduction (16 and 64 run
-# equally fast), and rows per slice of its trailing update.
+# equally fast).
 _PANEL = 32
-_UPDATE_ROWS = 4
+# A BLAS call's last bits depend on the thread count once OpenBLAS splits
+# it over threads.  It does not split a product of m*n*k <= 2**18
+# multiply-adds (its threshold for matrix products), nor the sum of a
+# matrix-vector or dot product over at most 10 000 entries (found by
+# comparing 1 and 2 threads over every product shape of the reduction up to
+# a trailing size of 16 400), so the reduction keeps every call within both.
+_BLAS_CALL_BOUND = 2**18
+_INNER_ENTRIES = 10_000
+# Rows and columns per tile of the trailing update: a tile's product is
+# _TILE * _TILE * 2 _PANEL <= _BLAS_CALL_BOUND (56 ran faster than 32 and 48).
+_TILE = 56
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -100,20 +116,30 @@ class SpectrumComparison:
 
 
 def normalized_laplacian(g: Graph) -> np.ndarray:
-    """I - D^{-1/2} A D^{-1/2}; requires every vertex to have degree >= 1."""
+    """I - D^{-1/2} A D^{-1/2}; requires every vertex to have degree >= 1.
+
+    Built from the edges: the identity, then -1/sqrt(d_u d_v) at (u, v) and
+    (v, u) for each edge uv.  That is the entry of I - A / sqrt(d d^T) bit
+    for bit, so the regular case equals the I - A/r shortcut (the sqrt of a
+    perfect square is exact).
+    """
     # the dense pre-flight comes first: an order too large for memory is
     # refused before the O(n) degree list is built
-    a = adjacency_matrix(g).astype(np.float64)
-    deg = degree_profile(g).degrees
-    if any(d == 0 for d in deg):
-        bad = deg.index(0)
+    n = g.vertex_count
+    _refuse_dense(n)
+    ends = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
+    deg = np.bincount(ends.ravel(), minlength=n)
+    isolated = np.flatnonzero(deg == 0)
+    if isolated.size:
+        bad = int(isolated[0])
         raise HypothesisError(
             f"normalized Laplacian undefined for degree-0 vertex (vertex {bad})"
         )
-    d = np.array(deg, dtype=np.float64)
-    # dividing by sqrt(d_i * d_j) keeps the regular case bit-identical to
-    # the I - A/r shortcut (sqrt of a perfect square is exact)
-    return np.eye(g.vertex_count) - a / np.sqrt(np.outer(d, d))
+    d = deg.astype(np.float64)
+    u, v = ends.T
+    lap = np.eye(n)
+    lap[u, v] = lap[v, u] = -1.0 / np.sqrt(d[u] * d[v])
+    return lap
 
 
 def normalized_laplacian_regular(g: Graph) -> np.ndarray:
@@ -128,6 +154,28 @@ def normalized_laplacian_regular(g: Graph) -> np.ndarray:
     return np.eye(n) - adjacency_matrix(g).astype(np.float64) / float(prof.regular_degree)
 
 
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The matrix-vector product x @ y, in blocks of rows of x and chunks
+    of at most _INNER_ENTRIES of its columns, so that each BLAS call stays
+    within both bounds; the chunks' partial products are added in order."""
+    rows = _BLAS_CALL_BOUND // max(1, min(x.shape[1], _INNER_ENTRIES))
+    if x.shape[0] <= rows and x.shape[1] <= _INNER_ENTRIES:
+        return x @ y
+    out = np.zeros(x.shape[0])
+    for c in range(0, x.shape[1], _INNER_ENTRIES):
+        for r in range(0, x.shape[0], rows):
+            out[r : r + rows] += x[r : r + rows, c : c + _INNER_ENTRIES] @ y[c : c + _INNER_ENTRIES]
+    return out
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """The dot product x . y, summed over chunks of _INNER_ENTRIES entries."""
+    if x.size <= _INNER_ENTRIES:
+        return float(np.dot(x, y))
+    return sum(float(np.dot(x[c : c + _INNER_ENTRIES], y[c : c + _INNER_ENTRIES]))
+               for c in range(0, x.size, _INNER_ENTRIES))
+
+
 def _householder_tridiagonal(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reduce a symmetric matrix of order n >= 2 to tridiagonal form;
     returns (diag, subdiag).
@@ -136,11 +184,18 @@ def _householder_tridiagonal(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     LAPACK's dsytrd/dlatrd).  Column j is annihilated by the reflector
     I - 2vv^T with v a unit vector; its two-sided application is the
     rank-2 update A -= v(2w)^T + (2w)v^T with w = Av - (v^T A v)v.  Within a
-    panel of _PANEL columns those updates are only recorded, as columns of
-    V (vs) and W (ws, holding 2w): each column of A, and each product Av, is
-    read from the un-updated matrix and corrected by the panel's earlier
-    reflectors.  After the panel the trailing matrix takes all of them in
-    one update A -= [V W][W V]^T.
+    panel of _PANEL columns those updates are only recorded: rows 2k and
+    2k + 1 of vw hold v and 2w of the panel's k-th reflector, and wv holds
+    the same rows with each pair swapped.  Each column of A, and each
+    product Av, is read from the un-updated matrix and corrected by the
+    panel's earlier reflectors with one product each.  After the panel the
+    trailing matrix takes all of them in one update A -= vw^T wv, tile by
+    tile over its lower triangle (diagonal tiles whole); each finished
+    block of rows is then mirrored to the upper triangle.
+
+    Every BLAS call stays within _BLAS_CALL_BOUND multiply-adds and sums
+    over at most _INNER_ENTRIES entries, so the result is the same whatever
+    the BLAS thread count.
     """
     a = np.array(mat, dtype=np.float64)
     n = a.shape[0]
@@ -148,38 +203,38 @@ def _householder_tridiagonal(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e = np.zeros(n - 1)
     for p in range(0, n - 2, _PANEL):
         q = min(p + _PANEL, n - 2)
-        # rows of v and w are numbered from p; row r is matrix row p + r
-        vs = np.zeros((n - p, q - p))
-        ws = np.zeros((n - p, q - p))
+        # column c of vw and wv is matrix row p + c
+        vw = np.zeros((2 * (q - p), n - p))
+        wv = np.zeros((2 * (q - p), n - p))
         for i, j in enumerate(range(p, q)):
-            below_v, below_w = vs[i + 1 :, :i], ws[i + 1 :, :i]
-            vj, wj = vs[i, :i], ws[i, :i]
-            d[j] = a[j, j] - 2.0 * float(vj @ wj)
-            x = a[j + 1 :, j] - below_v @ wj - below_w @ vj
-            norm_x = math.sqrt(float(x @ x))
-            if norm_x == 0.0:
+            k = 2 * i
+            d[j] = a[j, j] - float(vw[:k, i] @ wv[:k, i])
+            # row j of the symmetric A is its column j
+            x = a[j, j + 1 :] - _product(vw[:k, i + 1 :].T, wv[:k, i])
+            norm_x, x0 = math.sqrt(_dot(x, x)), float(x[0])
+            # v = x - alpha e_1 with alpha = -sign(x_0) ||x||, so
+            # ||v||^2 = 2 ||x|| (||x|| + |x_0|)
+            vnorm = math.sqrt(2.0 * norm_x * (norm_x + abs(x0)))
+            if vnorm == 0.0:
                 continue
-            alpha = -math.copysign(norm_x, x[0]) if x[0] != 0.0 else -norm_x
+            alpha = -math.copysign(norm_x, x0) if x0 != 0.0 else -norm_x
             e[j] = alpha
             v = x
             v[0] -= alpha
-            vnorm = math.sqrt(float(v @ v))
-            if vnorm == 0.0:
-                continue
             v /= vnorm
-            u = a[j + 1 :, j + 1 :] @ v - below_v @ (below_w.T @ v) - below_w @ (below_v.T @ v)
-            gamma = float(v @ u)
-            vs[i + 1 :, i] = v
-            ws[i + 1 :, i] = 2.0 * (u - gamma * v)
-        left = np.concatenate((vs[q - p :], ws[q - p :]), axis=1)
-        right = np.concatenate((ws[q - p :], vs[q - p :]), axis=1).T
+            u = _product(a[j + 1 :, j + 1 :], v)
+            u -= _product(vw[:k, i + 1 :].T, _product(wv[:k, i + 1 :], v))
+            u -= _dot(v, u) * v
+            u *= 2.0
+            vw[k, i + 1 :] = wv[k + 1, i + 1 :] = v
+            vw[k + 1, i + 1 :] = wv[k, i + 1 :] = u
+        left, right = vw[:, q - p :].T, wv[:, q - p :]
         trailing = a[q:, q:]
-        # A whole product's last bits depend on the BLAS thread count.  Each
-        # slice of _UPDATE_ROWS rows stays under OpenBLAS's multithreading
-        # threshold (m*n*k <= 2**18) for trailing sizes up to 1024, so there
-        # the update is the same whatever the thread count.
-        for r in range(0, n - q, _UPDATE_ROWS):
-            trailing[r : r + _UPDATE_ROWS] -= left[r : r + _UPDATE_ROWS] @ right
+        for r in range(0, n - q, _TILE):
+            rows = slice(r, r + _TILE)
+            for c in range(0, r + 1, _TILE):
+                trailing[rows, c : c + _TILE] -= left[rows] @ right[:, c : c + _TILE]
+            trailing[:r, rows] = trailing[rows, :r].T
     d[n - 2 :] = a[n - 2, n - 2], a[n - 1, n - 1]
     e[n - 2] = a[n - 1, n - 2]
     return d, e
@@ -450,7 +505,10 @@ def numeric_spectrum(mat: np.ndarray) -> Spectrum:
         return Spectrum(())
     if not np.isfinite(mat).all():
         raise ValueError("matrix contains non-finite entries")
-    asym = float(np.max(np.abs(mat - mat.T)))
+    # each block of rows against its mirror, lower triangle only: no n x n
+    # temporary
+    asym = max(float(np.max(np.abs(mat[r : r + _TILE, : r + _TILE] - mat[: r + _TILE, r : r + _TILE].T)))
+               for r in range(0, n, _TILE))
     if asym > _SYMMETRY_TOL:
         raise ValueError(f"matrix is not symmetric (max |M - M^T| = {asym:.3e})")
     if n == 1:

@@ -343,13 +343,17 @@ class TestSpectrum:
         assert capsys.readouterr().out == first
 
     def test_blas_thread_count_invariant(self, tmp_path):
-        # N = 264 spans more than two panels of the blocked reduction
-        graphs = _generate_files(tmp_path, ("C24", "cycle", "24"), ("K4", "complete", "4"),
-                                 ("C5", "cycle", "5"))
-        one, two = _stdout_under_1_and_2_threads(
-            ["spectrum", "--corona", "double", *graphs, "--method", "both"])
-        assert b"verdict: MATCH\n" in one
-        assert one == two
+        # N = 264 spans more than two panels of the blocked reduction; at
+        # N = 1105 its trailing matrix-vector products go in blocks of rows
+        k4, c5 = _generate_files(tmp_path, ("K4", "complete", "4"), ("C5", "cycle", "5"))
+        for spec, order in ((("C24", "cycle", "24"), 264),
+                            (("C65_1_2", "circulant", "65", "1", "2"), 1105)):
+            base, = _generate_files(tmp_path, spec)
+            one, two = _stdout_under_1_and_2_threads(
+                ["spectrum", "--corona", "double", base, k4, c5, "--method", "both"])
+            assert b"verdict: MATCH\n" in one
+            assert one.count(b"\n") == order + 3
+            assert one == two, order
 
     def test_closed_form_blas_thread_count_invariant(self, tmp_path):
         # the 500-vertex base's spectrum comes from its structure, not from

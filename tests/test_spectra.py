@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rcorona import (
     HypothesisError,
@@ -22,8 +22,10 @@ from rcorona import (
 )
 from rcorona import ConvergenceError
 from rcorona.spectra import (
+    _BLAS_CALL_BOUND,
     _DC_CROSSOVER,
     _PANEL,
+    _TILE,
     _divide_and_conquer,
     _householder_tridiagonal,
     _ql_implicit,
@@ -68,6 +70,25 @@ class TestNormalizedLaplacian:
         with pytest.raises(HypothesisError, match="degree-0"):
             normalized_laplacian(build_graph(2, []))
 
+    def test_first_isolated_vertex_named(self):
+        with pytest.raises(HypothesisError, match=r"\(vertex 2\)"):
+            normalized_laplacian(build_graph(5, [(0, 1), (3, 4)]))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(3, 40), st.floats(0.05, 0.9), st.integers(0, 2**31 - 1))
+    def test_edge_build_is_the_dense_formula_bit_for_bit(self, n, density, seed):
+        # a random graph plus a spanning path, so that no degree is 0
+        rng = np.random.default_rng(seed)
+        pairs = [(u, v) for u in range(n) for v in range(u + 2, n) if rng.random() < density]
+        g = build_graph(n, [(u, u + 1) for u in range(n - 1)] + pairs)
+        assume(degree_profile(g).regular_degree is None)
+        a = adjacency_matrix(g).astype(np.float64)
+        d = np.array(degree_profile(g).degrees, dtype=np.float64)
+        reference = np.eye(n) - a / np.sqrt(np.outer(d, d))
+        lap = normalized_laplacian(g)
+        assert np.array_equal(lap, reference)
+        assert np.array_equal(np.signbit(lap), np.signbit(reference))
+
     def test_regular_shortcut_exact(self, regular_catalog):
         for name, g in regular_catalog.items():
             general = normalized_laplacian(g)
@@ -98,6 +119,12 @@ class TestNumericSpectrum:
         with pytest.raises(ValueError, match="symmetric"):
             numeric_spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_asymmetry_found_far_from_the_diagonal(self):
+        m = np.eye(3 * _TILE)
+        m[3, 2 * _TILE + 5] = 1e-9
+        with pytest.raises(ValueError, match=r"max \|M - M\^T\| = 1\.000e-09"):
+            numeric_spectrum(m)
+
     def test_deterministic(self):
         # the second order takes divide and conquer
         for g in (generate("petersen"), generate("circulant", 2 * _DC_CROSSOVER, 1, 3)):
@@ -127,13 +154,34 @@ class TestNumericSpectrum:
         got = numeric_spectrum(m).values
         assert np.allclose(got, np.sort(np.linalg.eigvalsh(m)), atol=1e-10 * n)
 
-    @pytest.mark.parametrize("n", [_PANEL - 1, _PANEL, _PANEL + 1, _PANEL + 2, 2 * _PANEL + 2, 150])
+    @pytest.mark.parametrize("n", [
+        _PANEL - 1, _PANEL, _PANEL + 1, _PANEL + 2, 2 * _PANEL + 2, 150,
+        # the first trailing update is one or two tiles and a row or two
+        # either side of that
+        _PANEL + _TILE - 1, _PANEL + _TILE, _PANEL + _TILE + 1,
+        _PANEL + 2 * _TILE - 1, _PANEL + 2 * _TILE, _PANEL + 2 * _TILE + 1,
+        # the first (n - 1)^2 beyond the BLAS-call bound: the trailing
+        # matrix-vector product goes in blocks of rows
+        math.isqrt(_BLAS_CALL_BOUND) + 2, math.isqrt(_BLAS_CALL_BOUND) + 3,
+    ])
     def test_matches_lapack_across_panel_edges(self, n):
         rng = np.random.default_rng(n)
         m = rng.standard_normal((n, n))
         m = (m + m.T) / 2
         got = numeric_spectrum(m).values
         assert np.allclose(got, np.sort(np.linalg.eigvalsh(m)), atol=1e-10 * n)
+        assert_reduction_invariants(m)
+
+    def test_blocked_products_match_lapack(self, monkeypatch):
+        # bounds small enough that every matrix-vector product goes in
+        # blocks of rows and chunks of columns, and every dot product in chunks
+        monkeypatch.setattr("rcorona.spectra._BLAS_CALL_BOUND", 2**9)
+        monkeypatch.setattr("rcorona.spectra._INNER_ENTRIES", 7)
+        rng = np.random.default_rng(8)
+        m = rng.standard_normal((2 * _PANEL + 9, 2 * _PANEL + 9))
+        m = (m + m.T) / 2
+        got = numeric_spectrum(m).values
+        assert np.allclose(got, np.sort(np.linalg.eigvalsh(m)), atol=1e-10 * len(m))
         assert_reduction_invariants(m)
 
     def test_adversarial_structures(self):
