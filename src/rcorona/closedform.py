@@ -467,7 +467,8 @@ def closed_form_spectrum(g: Graph, g1: Graph, g2: Graph) -> ClosedFormSpectrum:
 
 
 def flatten(cfs: ClosedFormSpectrum) -> Spectrum:
-    """Expand all families into a sorted eigenvalue multiset.
+    """Expand all families into a sorted eigenvalue multiset (``Spectrum``
+    sorts the values).
 
     Each root family contributes the eigenvalues of its quotient matrix,
     each with the family's multiplicity; the quotients of a table are
@@ -487,4 +488,4 @@ def flatten(cfs: ClosedFormSpectrum) -> Spectrum:
             )
         roots = np.linalg.eigvalsh(table.quotients)
         parts.append(np.repeat(roots.ravel(), np.repeat(table.multiplicity, d)))
-    return Spectrum(np.sort(np.concatenate(parts), kind="stable").tolist())
+    return Spectrum(np.concatenate(parts))

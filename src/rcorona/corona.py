@@ -13,17 +13,19 @@ vertex i; copy j of the second to new vertex j.  Copies preserve the
 input's internal vertex order, so the output adjacency matrix read in
 this order has the expected block structure.
 
-The copies are written in one loop over the copy blocks, each a centre
-with its copy graph, and the output is not passed through ``build_graph``
-again: it is canonical and distinct by construction.
+The output's edge array (``Graph.ends``) is written as whole blocks: the
+base edges, the two spokes of every new vertex, and then, for each copy
+kind, one broadcast of the copy's edges and spokes over its copy offsets
+(offset + k * i for copy i of a k-vertex graph).  It is not passed through
+``build_graph`` again: it is canonical and distinct by construction.
 """
 
 from dataclasses import dataclass
-import itertools
-import json
+
+import numpy as np
 
 from .errors import HypothesisError
-from .graphs import Graph, _refuse_beyond_memory, is_connected
+from .graphs import Graph, _json_pairs, _refuse_beyond_memory, is_connected
 
 __all__ = [
     "CoronaLayout",
@@ -32,30 +34,72 @@ __all__ = [
 ]
 
 
-# Peak memory of an assembly per layout entry (one per old and new vertex)
-# or output edge, as growth of ru_maxrss in a fresh process: 121 bytes over
-# double_corona(C_5000, K4, C5) and up to 143 with complete copies (C_200, K60).
-_ASSEMBLY_BYTES_PER_ENTRY = 145
+# Peak memory of a corona per layout entry (one per old and new vertex) or
+# output edge, as growth of ru_maxrss in a fresh process over the whole
+# `corona double ... --out F --emit-layout L` call, the formatter's buffers
+# included: 79 to 87 bytes as an edge list, and 90 to 102.5 as JSON, over
+# C_5000 and C_100000 with {K4, C5} and C_200 with {K60, K1} either way round.
+_ASSEMBLY_BYTES_PER_ENTRY = 105
+
+
+def _copy_ranges(start: int, count: int, size: int) -> np.ndarray:
+    """The (count, 2) half-open ranges of count contiguous size-vertex
+    copies from start on."""
+    first = start + size * np.arange(count)
+    return np.column_stack((first, first + size))
 
 
 @dataclass(frozen=True)
 class CoronaLayout:
-    """Index intervals (half-open) locating each vertex group in the output."""
+    """Where each vertex group lies in the output, as half-open index
+    ranges; the layout is fixed by the base's vertex and edge counts n and
+    m and the copy graphs' orders n1 and n2."""
 
-    old_vertex_range: tuple[int, int]
-    new_vertex_range: tuple[int, int]
-    g1_copy_ranges: tuple[tuple[int, int], ...]
-    g2_copy_ranges: tuple[tuple[int, int], ...]
+    n: int
+    m: int
+    n1: int
+    n2: int
+
+    @property
+    def old_vertex_range(self) -> tuple[int, int]:
+        return (0, self.n)
+
+    @property
+    def new_vertex_range(self) -> tuple[int, int]:
+        return (self.n, self.n + self.m)
+
+    @property
+    def g1_copy_ranges(self) -> np.ndarray:
+        """(n, 2) array: the range of the copy of G1 at old vertex i in row i."""
+        return _copy_ranges(self.n + self.m, self.n, self.n1)
+
+    @property
+    def g2_copy_ranges(self) -> np.ndarray:
+        """(m, 2) array: the range of the copy of G2 at new vertex n + j in row j."""
+        return _copy_ranges(self.n + self.m + self.n * self.n1, self.m, self.n2)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "old": list(self.old_vertex_range),
-                "new": list(self.new_vertex_range),
-                "g1_copies": [list(r) for r in self.g1_copy_ranges],
-                "g2_copies": [list(r) for r in self.g2_copy_ranges],
-            }
+        """{"old": [a, b], "new": [a, b], "g1_copies": [[a, b], ...],
+        "g2_copies": [...]}, spaced as json.dumps spaces it."""
+        (a, b), (c, d) = self.old_vertex_range, self.new_vertex_range
+        return (
+            f'{{"old": [{a}, {b}], "new": [{c}, {d}], '
+            f'"g1_copies": {_json_pairs(self.g1_copy_ranges)}, '
+            f'"g2_copies": {_json_pairs(self.g2_copy_ranges)}}}'
         )
+
+
+def _copy_block(centres: np.ndarray, start: int, copy: Graph) -> np.ndarray:
+    """The edges of one copy of `copy` per centre, the copy for centres[i]
+    at offset start + i * k for a k-vertex copy: first the copy's own edges,
+    then the spokes (centres[i], offset + t), t = 0..k-1."""
+    k, e = copy.vertex_count, copy.edge_count
+    offsets = (start + k * np.arange(len(centres)))[:, None]
+    block = np.empty((len(centres), e + k, 2), dtype=np.int64)
+    block[:, :e] = offsets[:, :, None] + copy.ends
+    block[:, e:, 0] = centres[:, None]
+    block[:, e:, 1] = offsets + np.arange(k)
+    return block.reshape(-1, 2)
 
 
 def _assemble(g: Graph, g1: Graph, g2: Graph) -> tuple[Graph, CoronaLayout]:
@@ -69,31 +113,22 @@ def _assemble(g: Graph, g1: Graph, g2: Graph) -> tuple[Graph, CoronaLayout]:
         f"a corona with {total} vertices and {edge_count} edges",
     )
 
-    edges: list[tuple[int, int]] = list(g.edges)
-    for j, (u, v) in enumerate(g.edges):
-        edges.append((u, n + j))
-        edges.append((v, n + j))
-
-    # one copy block per centre: old vertex i with g1, then new vertex n + j with g2
-    blocks = itertools.chain(((i, g1) for i in range(n)), ((n + j, g2) for j in range(m)))
-    copy_ranges: list[tuple[int, int]] = []
-    offset = n + m
-    for centre, copy in blocks:
-        edges.extend((offset + a, offset + b) for a, b in copy.edges)
-        edges.extend((centre, offset + t) for t in range(copy.vertex_count))
-        copy_ranges.append((offset, offset + copy.vertex_count))
-        offset += copy.vertex_count
-
-    layout = CoronaLayout(
-        old_vertex_range=(0, n),
-        new_vertex_range=(n, n + m),
-        g1_copy_ranges=tuple(copy_ranges[:n]),
-        g2_copy_ranges=tuple(copy_ranges[n:]),
-    )
+    new = np.arange(n, n + m)
+    # base edge j = (u, v) gives the spokes (u, n + j) and (v, n + j), in that order
+    spokes = np.empty((m, 2, 2), dtype=np.int64)
+    spokes[:, :, 0] = g.ends
+    spokes[:, :, 1] = new[:, None]
+    ends = np.concatenate((
+        g.ends,
+        spokes.reshape(-1, 2),
+        # one copy block per centre: old vertex i with g1, then new vertex n + j with g2
+        _copy_block(np.arange(n), n + m, g1),
+        _copy_block(new, n + m + n * n1, g2),
+    ))
     # No second build_graph pass: from validated inputs every edge comes out
     # canonical (each centre lies below every copy offset, and copies keep
-    # a < b) and distinct (the blocks are disjoint).
-    return Graph(total, tuple(edges)), layout
+    # u < v) and distinct (the blocks are disjoint).
+    return Graph(total, ends), CoronaLayout(n, m, n1, n2)
 
 
 def r_graph(g: Graph) -> tuple[Graph, CoronaLayout]:
@@ -119,4 +154,3 @@ def double_corona(
     if not allow_disconnected and not is_connected(g):
         raise HypothesisError("corona base graph must be connected")
     return _assemble(g, g1, g2)
-

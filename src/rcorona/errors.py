@@ -6,7 +6,8 @@ class GraphValidationError(ValueError):
 
 
 class EndpointRangeError(GraphValidationError):
-    """An edge endpoint is outside 0..n-1."""
+    """An edge endpoint is outside 0..n-1, or beyond 2**63 - 1, the largest
+    index a graph's int64 edge array holds."""
 
 
 class SelfLoopError(GraphValidationError):

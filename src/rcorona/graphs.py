@@ -1,14 +1,20 @@
 """Finite simple undirected graphs with a fixed vertex ordering.
 
-Vertices are dense integers 0..n-1 and the edge list order is canonical:
-it is fixed at construction (endpoints normalized to (min, max)) and every
-downstream construction indexes new vertices by it.  The graph with no
-vertices (the null graph) is a legal value.
+Vertices are dense integers 0..n-1.  A graph stores its edges as one
+read-only (m, 2) int64 array, ``Graph.ends``: row k holds the k-th edge
+(u, v) with u < v, and the row order is canonical.  It is fixed at
+construction (endpoints normalized to (min, max), edges in order of first
+occurrence) and every downstream construction indexes new vertices by it.
+Validation, the matrix views and both file formats work on that array
+directly; ``Graph.edges`` is a tuple view of it for callers that want
+Python pairs.  The graph with no vertices (the null graph) is a legal
+value.
 """
 
 import contextlib
 from dataclasses import dataclass
 import functools
+import itertools
 import json
 import math
 import os
@@ -48,17 +54,45 @@ __all__ = [
     "save_graph",
 ]
 
+# the range of an int64 edge array's entries
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Immutable labeled graph: vertex count plus a canonical edge tuple."""
+    """Immutable labeled graph: vertex count plus the canonical edges as a
+    read-only (m, 2) int64 array, u < v in each row.
+
+    The constructor trusts its input; ``build_graph`` validates.  Two graphs
+    are equal when they have the same vertex count and the same edge rows in
+    the same order.
+    """
 
     vertex_count: int
-    edges: tuple[tuple[int, int], ...]
+    ends: np.ndarray
+
+    def __post_init__(self):
+        # a read-only view: the caller's own array keeps its flags
+        ends = np.asarray(self.ends, dtype=np.int64).reshape(-1, 2).view()
+        ends.flags.writeable = False
+        object.__setattr__(self, "ends", ends)
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.vertex_count == other.vertex_count and np.array_equal(self.ends, other.ends)
+
+    def __hash__(self) -> int:
+        return hash((self.vertex_count, self.ends.tobytes()))
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edge rows as a tuple of (u, v) pairs, built on each call."""
+        return tuple(map(tuple, self.ends.tolist()))
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.ends)
 
     @property
     def is_null(self) -> bool:
@@ -76,27 +110,72 @@ class DegreeProfile:
 def build_graph(n: int, edges) -> Graph:
     """Validate and canonicalize an edge list into a Graph.
 
+    ``edges`` is any iterable of (u, v) pairs, or an (m, 2) integer array.
     Endpoints are normalized to (min, max); edge order is the order of
-    first occurrence.  Raises a distinct error for each violation:
-    out-of-range endpoint, self-loop, duplicate edge.
+    first occurrence.  The first offending edge in input order raises,
+    with a distinct error for each violation, checked in this order:
+    out-of-range endpoint, self-loop, duplicate edge.  An endpoint is out
+    of range outside 0..n-1, and also beyond 2**63 - 1, the largest index
+    the edge array stores.
     """
+    if not isinstance(edges, (np.ndarray, list, tuple)):
+        edges = list(edges)
+    try:
+        ends = np.array(edges, dtype=np.int64)
+    except OverflowError:
+        return _validated(n, None, [(int(u), int(v)) for u, v in edges])
+    return _validated(n, ends)
+
+
+def _validated(n: int, ends: np.ndarray | None, pairs: list | None = None) -> Graph:
+    """The Graph of n vertices and the edge array ends, checked as
+    ``build_graph`` documents; ends is None when an endpoint does not fit
+    int64, and pairs then holds the edges as Python ints."""
     if n < 0:
         raise GraphValidationError(f"vertex count must be non-negative, got {n}")
-    canonical: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for u, v in edges:
-        u, v = int(u), int(v)
+    if ends is None:
+        _raise_beyond_int64(n, pairs)
+    if ends.size == 0:
+        ends = ends.reshape(0, 2)
+    if ends.ndim != 2 or ends.shape[1] != 2:
+        raise GraphValidationError("edges must be pairs (u, v)")
+    return Graph(n, _canonical(n, ends))
+
+
+def _canonical(n: int, ends: np.ndarray) -> np.ndarray:
+    """The rows of ends as (min, max) pairs, after raising the first
+    offending edge's error, if any."""
+    canonical = np.sort(ends, axis=1)
+    lo, hi = canonical.T
+    # a stable sort by (lo, hi): the least lo comes first, and each repeat
+    # right after its first occurrence
+    order = np.lexsort((hi, lo))
+    rows = canonical[order]
+    repeat = (rows[1:] == rows[:-1]).all(axis=1)
+    if len(rows) and (rows[0, 0] < 0 or hi.max() >= n or not (lo < hi).all() or repeat.any()):
+        bad = (lo < 0) | (hi >= n) | (lo == hi)
+        bad[order[1:][repeat]] = True
+        k = int(np.argmax(bad))
+        u, v = ends[k].tolist()
         if not (0 <= u < n and 0 <= v < n):
             raise EndpointRangeError(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
         if u == v:
             raise SelfLoopError(f"self-loop at vertex {u}")
-        if u > v:
-            u, v = v, u
-        if (u, v) in seen:
-            raise DuplicateEdgeError(f"duplicate edge ({u},{v})")
-        seen.add((u, v))
-        canonical.append((u, v))
-    return Graph(n, tuple(canonical))
+        raise DuplicateEdgeError(f"duplicate edge ({min(u, v)},{max(u, v)})")
+    return canonical
+
+
+def _raise_beyond_int64(n: int, pairs: list) -> None:
+    """Raise the first error of edges (Python int pairs) of which one has
+    an endpoint that does not fit int64."""
+    k = next(i for i, (u, v) in enumerate(pairs)
+             if not _INT64_MIN <= min(u, v) <= max(u, v) <= _INT64_MAX)
+    # an error of an earlier edge comes first
+    _canonical(n, np.array(pairs[:k], dtype=np.int64).reshape(-1, 2))
+    u, v = pairs[k]
+    if not (0 <= u < n and 0 <= v < n):
+        raise EndpointRangeError(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
+    raise EndpointRangeError(f"edge ({u},{v}) has an endpoint beyond {_INT64_MAX}, the largest vertex index")
 
 
 # Peak memory of the dense path (adjacency, normalized Laplacian, eigensolve)
@@ -168,51 +247,50 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     n = g.vertex_count
     _refuse_dense(n)
     a = np.zeros((n, n), dtype=np.int64)
-    for u, v in g.edges:
-        a[u, v] = 1
-        a[v, u] = 1
+    u, v = g.ends.T
+    a[u, v] = a[v, u] = 1
     return a
 
 
 def degree_profile(g: Graph) -> DegreeProfile:
-    deg = [0] * g.vertex_count
-    for u, v in g.edges:
-        deg[u] += 1
-        deg[v] += 1
-    regular = deg[0] if deg and all(d == deg[0] for d in deg) else None
-    return DegreeProfile(tuple(deg), regular)
+    deg = np.bincount(g.ends.ravel(), minlength=g.vertex_count)
+    regular = int(deg[0]) if deg.size and (deg == deg[0]).all() else None
+    return DegreeProfile(tuple(deg.tolist()), regular)
 
 
 def incidence_matrix(g: Graph) -> np.ndarray:
     """n x m vertex-edge incidence matrix; column order = canonical edge order."""
     m = np.zeros((g.vertex_count, g.edge_count), dtype=np.int64)
-    for j, (u, v) in enumerate(g.edges):
-        m[u, j] = 1
-        m[v, j] = 1
+    u, v = g.ends.T
+    columns = np.arange(g.edge_count)
+    m[u, columns] = m[v, columns] = 1
     return m
 
 
 def is_connected(g: Graph) -> bool:
-    """Breadth-first reachability from vertex 0; undefined for the null graph."""
+    """Whether every vertex is reachable from vertex 0; undefined for the
+    null graph.
+
+    Label propagation with pointer jumping, in the manner of Shiloach and
+    Vishkin.  Every vertex's label names a vertex of its own component, no
+    larger than itself.  Each round hooks the larger label of every edge
+    whose labels differ onto the smaller one, then jumps each label two
+    steps along the labels; the label sum falls every round until every
+    edge joins equal labels.  The graph is then connected exactly if every
+    label is 0.
+    """
     if g.is_null:
         raise HypothesisError("connectivity is undefined for the null graph")
     # a connected graph has at least n - 1 edges; checked before any O(n) work
     if g.edge_count < g.vertex_count - 1:
         return False
-    neighbors: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    for u, v in g.edges:
-        neighbors[u].append(v)
-        neighbors[v].append(u)
-    seen = [False] * g.vertex_count
-    seen[0] = True
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w in neighbors[u]:
-            if not seen[w]:
-                seen[w] = True
-                stack.append(w)
-    return all(seen)
+    label = np.arange(g.vertex_count)
+    while True:
+        lu, lv = label[g.ends].T
+        if (lu == lv).all():
+            return not label.any()
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        label = label[label[label]]
 
 
 # --- generator catalog ---------------------------------------------------
@@ -246,25 +324,27 @@ _ROOK4X4_EDGES = (
 def _complete(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete(n) requires n >= 1")
-    return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return build_graph(n, np.column_stack(np.triu_indices(n, 1)))
 
 
 def _cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle(n) requires n >= 3")
-    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    i = np.arange(n)
+    return build_graph(n, np.column_stack((i, (i + 1) % n)))
 
 
 def _path(n: int) -> Graph:
     if n < 1:
         raise ValueError("path(n) requires n >= 1")
-    return build_graph(n, [(i, i + 1) for i in range(n - 1)])
+    i = np.arange(n - 1)
+    return build_graph(n, np.column_stack((i, i + 1)))
 
 
 def _complete_bipartite(a: int, b: int) -> Graph:
     if a < 1 or b < 1:
         raise ValueError("complete_bipartite(a, b) requires a, b >= 1")
-    return build_graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+    return build_graph(a + b, np.column_stack((np.repeat(np.arange(a), b), a + np.tile(np.arange(b), a))))
 
 
 def _circulant(n: int, *connections: int) -> Graph:
@@ -273,16 +353,14 @@ def _circulant(n: int, *connections: int) -> Graph:
     conn = sorted(int(s) for s in connections)
     if len(set(conn)) != len(conn):
         raise ValueError("circulant connection set contains duplicates")
-    edges = []
+    blocks = []
     for s in conn:
         if not 1 <= s <= n // 2:
             raise ValueError(f"circulant connection {s} outside 1..{n // 2}")
         # s = n/2 on even n pairs each vertex once; smaller s gives n edges
-        if 2 * s == n:
-            edges.extend((i, i + s) for i in range(s))
-        else:
-            edges.extend((i, (i + s) % n) for i in range(n))
-    return build_graph(n, edges)
+        i = np.arange(s if 2 * s == n else n)
+        blocks.append(np.column_stack((i, (i + s) % n)))
+    return build_graph(n, np.concatenate(blocks))
 
 
 def _petersen() -> Graph:
@@ -296,8 +374,12 @@ def _hypercube(d: int) -> Graph:
     if d < 0:
         raise ValueError("hypercube(d) requires d >= 0")
     n = 1 << d
-    edges = [(i, i ^ (1 << b)) for i in range(n) for b in range(d) if i < i ^ (1 << b)]
-    return build_graph(n, edges)
+    # the edges (i, i ^ 2^b) with i < i ^ 2^b, in order of i, then of b
+    i = np.arange(n)[:, None]
+    j = i ^ (1 << np.arange(d))
+    i, j = np.broadcast_arrays(i, j)
+    below = i < j
+    return build_graph(n, np.column_stack((i[below], j[below])))
 
 
 # family: (builder, parameter count, edge count from the parameters); None
@@ -320,11 +402,12 @@ _GENERATORS = {
 
 GENERATOR_FAMILIES = tuple(_GENERATORS)
 
-# Peak memory of a generator per edge: the growth of ru_maxrss over
-# generate() in a fresh process was 282 bytes for complete 2000 and
-# hypercube 17, 314 for cycle and path 2 000 000 and 320 for circulant
-# 300 000 with seven connections; the CLI's output adds nothing to it.
-_GENERATED_BYTES_PER_EDGE = 320
+# Peak memory of a generator per edge, as growth of ru_maxrss in a fresh
+# process over the whole `generate ... --out F` call, the formatter's
+# buffers included: 76 to 95 bytes as an edge list and 84 to 115.6 as JSON,
+# over complete 2000 and 3000, hypercube 17, cycle and path 2 000 000,
+# cycle 4 000 000 and circulant 300 000 with seven connections.
+_GENERATED_BYTES_PER_EDGE = 120
 
 
 def generate(family: str, *params: int) -> Graph:
@@ -357,8 +440,12 @@ def generate(family: str, *params: int) -> Graph:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse the edge-list text format: "n m" then m lines "u v"."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """Parse the edge-list text format: "n m" then m lines "u v".
+
+    Blank lines are skipped.  A malformed line, a token that is not an
+    integer and an invalid edge raise, the first in input order.
+    """
+    lines = list(filter(str.strip, text.splitlines()))
     if not lines:
         raise GraphValidationError("empty edge-list input")
     header = lines[0].split()
@@ -367,19 +454,70 @@ def parse_edge_list(text: str) -> Graph:
     n, m = int(header[0]), int(header[1])
     if len(lines) - 1 != m:
         raise GraphValidationError(f"header declares {m} edges but {len(lines) - 1} lines follow")
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphValidationError(f"edge line must be 'u v', got {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
-    return build_graph(n, edges)
+    if set(map(len, map(str.split, lines))) != {2}:
+        k = next(k for k, ln in enumerate(lines) if len(ln.split()) != 2)
+        # a token of an earlier line that is not an integer comes first
+        for token in " ".join(lines[1:k]).split():
+            int(token)
+        raise GraphValidationError(f"edge line must be 'u v', got {lines[k]!r}")
+    # every line holds two tokens: the text's tokens after the header's
+    # are the edges' endpoints, in order
+    del lines
+    tokens = text.split()
+    del tokens[:2]
+    try:
+        ends = np.array(tokens, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        # a token beyond int64; int raises for a later token that is no integer
+        return _validated(n, None, [(int(u), int(v)) for u, v in zip(tokens[::2], tokens[1::2])])
+    return _validated(n, ends)
+
+
+def _decimal_rows(values: np.ndarray, *separators: bytes) -> bytes:
+    """The rows of a non-negative (m, k) int64 array as text, each row
+    separators[0], its first entry in decimal, separators[1], ..., its
+    last entry, separators[k]; the rows concatenated.
+
+    Every entry gets a slot as wide as the largest, filled with its digits
+    from the right by repeated division; the slot's leading positions are
+    zero bytes, which one ``bytes.translate`` removes.
+    """
+    m, k = values.shape
+    if m == 0:
+        return b""
+    top = int(values.max())
+    width = len(str(top))
+    # the divisions run in the narrowest unsigned type that holds every entry
+    values = values.astype(np.min_scalar_type(top))
+    seps = [np.frombuffer(sep, dtype=np.uint8) for sep in separators]
+    text = np.empty((m, sum(map(len, seps)) + k * width), dtype=np.uint8)
+    at = 0
+    for c, sep in enumerate(seps):
+        text[:, at : at + len(sep)] = sep
+        at += len(sep)
+        if c == k:
+            break
+        q = values[:, c]
+        for p in range(width - 1, -1, -1):
+            # a digit is shown when its place is at most the entry; the
+            # units digit always is
+            shown = np.minimum(q, 1) if p < width - 1 else 1
+            q, digit = np.divmod(q, 10)
+            digit += ord("0")
+            digit *= shown
+            text[:, at + p] = digit
+        at += width
+    return text.tobytes().translate(None, b"\0")
+
+
+def _json_pairs(values: np.ndarray) -> str:
+    """The (m, 2) array as the JSON list of pairs json.dumps writes."""
+    return "[" + _decimal_rows(values, b"[", b", ", b"], ")[:-2].decode("ascii") + "]"
 
 
 def to_edge_list(g: Graph) -> str:
-    lines = [f"{g.vertex_count} {g.edge_count}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
+    body = _decimal_rows(g.ends, b"", b" ", b"\n").decode("ascii")
+    return f"{g.vertex_count} {g.edge_count}\n{body}"
 
 
 def _is_int(x) -> bool:
@@ -401,20 +539,28 @@ def parse_graph_json(text: str) -> Graph:
     n, edges = obj["n"], obj["edges"]
     if not _is_int(n):
         raise GraphValidationError(f'graph JSON "n" must be an integer, got {n!r}')
-    if not isinstance(edges, list) or not all(
-        isinstance(e, list) and len(e) == 2 and all(_is_int(x) for x in e) for e in edges
+    # JSON gives lists, ints, bools and other types: type(x) is int excludes bool
+    if not (
+        isinstance(edges, list)
+        and set(map(type, edges)) <= {list}
+        and set(map(len, edges)) <= {2}
+        and set(map(type, itertools.chain.from_iterable(edges))) <= {int}
     ):
         raise GraphValidationError('graph JSON "edges" must be a list of integer pairs [u, v]')
-    return build_graph(n, [tuple(e) for e in edges])
+    try:
+        ends = np.array(edges, dtype=np.int64)
+    except OverflowError:
+        return _validated(n, None, edges)
+    return _validated(n, ends)
 
 
 def _graph_dict(g: Graph) -> dict:
-    """The graph JSON format, as the dict that ``to_graph_json`` dumps."""
-    return {"n": g.vertex_count, "edges": [list(e) for e in g.edges]}
+    """The graph JSON format as a dict, as ``to_graph_json`` writes it."""
+    return {"n": g.vertex_count, "edges": g.ends.tolist()}
 
 
 def to_graph_json(g: Graph) -> str:
-    return json.dumps(_graph_dict(g))
+    return f'{{"n": {g.vertex_count}, "edges": {_json_pairs(g.ends)}}}'
 
 
 def format_graph(g: Graph, fmt: str) -> str:

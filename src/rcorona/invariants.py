@@ -8,8 +8,10 @@ eigenvalues.  Each serves as the other's cross-check.
 
 import math
 
+import numpy as np
+
 from .errors import HypothesisError
-from .graphs import Graph, degree_profile, is_connected
+from .graphs import Graph, adjacency_matrix, degree_profile, is_connected
 from .spectra import nl_spectrum
 
 __all__ = [
@@ -55,15 +57,10 @@ def spanning_trees_matrix_tree(g: Graph) -> int:
     """
     if g.is_null:
         raise HypothesisError("spanning trees undefined for the null graph")
-    n = g.vertex_count
-    lap = [[0] * n for _ in range(n)]
-    for u, v in g.edges:
-        lap[u][u] += 1
-        lap[v][v] += 1
-        lap[u][v] -= 1
-        lap[v][u] -= 1
-    minor = [row[1:] for row in lap[1:]]
-    return _bareiss_determinant(minor)
+    lap = -adjacency_matrix(g)
+    np.fill_diagonal(lap, np.bincount(g.ends.ravel(), minlength=g.vertex_count))
+    # Python ints from here on: the elimination's growth must not overflow
+    return _bareiss_determinant(lap[1:, 1:].tolist())
 
 
 def spanning_trees_spectral(g: Graph) -> float:

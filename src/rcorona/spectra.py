@@ -81,7 +81,10 @@ class Spectrum:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(sorted(float(v) for v in self.values)))
+        # one stable sort: equal values, -0.0 and 0.0 among them, keep their
+        # input order, as sorted() keeps them
+        values = np.sort(np.asarray(self.values, dtype=float), kind="stable")
+        object.__setattr__(self, "values", tuple(values.tolist()))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -127,8 +130,7 @@ def normalized_laplacian(g: Graph) -> np.ndarray:
     # refused before the O(n) degree list is built
     n = g.vertex_count
     _refuse_dense(n)
-    ends = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
-    deg = np.bincount(ends.ravel(), minlength=n)
+    deg = np.bincount(g.ends.ravel(), minlength=n)
     isolated = np.flatnonzero(deg == 0)
     if isolated.size:
         bad = int(isolated[0])
@@ -136,7 +138,7 @@ def normalized_laplacian(g: Graph) -> np.ndarray:
             f"normalized Laplacian undefined for degree-0 vertex (vertex {bad})"
         )
     d = deg.astype(np.float64)
-    u, v = ends.T
+    u, v = g.ends.T
     lap = np.eye(n)
     lap[u, v] = lap[v, u] = -1.0 / np.sqrt(d[u] * d[v])
     return lap

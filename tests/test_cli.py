@@ -100,8 +100,8 @@ class TestGenerate:
         assert "physical memory" in err and not out.exists()
 
     def test_beyond_address_space_exit_2(self):
-        # about 3 GiB of edges against a 2 GiB RLIMIT_AS: refused, not a MemoryError
-        run = _run_cli(["generate", "cycle", "10000000"], address_space=2 * 2**30, timeout=60)
+        # about 3.4 GiB of edges against a 2 GiB RLIMIT_AS: refused, not a MemoryError
+        run = _run_cli(["generate", "cycle", "30000000"], address_space=2 * 2**30, timeout=60)
         assert run.returncode == 2, run.stderr
         assert b"address-space limit" in run.stderr and b"Traceback" not in run.stderr
         assert run.stdout == b""

@@ -59,6 +59,23 @@ class TestBuildGraph:
         with pytest.raises(DuplicateEdgeError):
             build_graph(3, [(0, 1), (1, 0)])
 
+    def test_ends_is_a_read_only_int64_array(self):
+        g = build_graph(4, [(2, 0), (3, 1)])
+        assert g.ends.dtype == np.int64 and g.ends.shape == (2, 2)
+        assert g.ends.tolist() == [[0, 2], [1, 3]]
+        with pytest.raises(ValueError):
+            g.ends[0, 0] = 1
+
+    def test_equality_and_hash_follow_vertex_count_and_rows(self):
+        g = build_graph(4, [(0, 2), (1, 3)])
+        same = build_graph(4, np.array([[2, 0], [3, 1]]))
+        assert g == same and hash(g) == hash(same)
+        assert g != build_graph(5, [(0, 2), (1, 3)])
+        assert g != build_graph(4, [(1, 3), (0, 2)])
+        assert g != build_graph(4, [(0, 2)])
+        assert g != g.edges
+        assert len({g, same, build_graph(0, [])}) == 2
+
     def test_out_of_range(self):
         with pytest.raises(EndpointRangeError):
             build_graph(2, [(0, 2)])

@@ -378,6 +378,20 @@ class TestSummarize:
         assert summarize(s, 1e-8).total == 10
 
 
+class TestSpectrumOrder:
+    @given(st.lists(st.floats(-3, 3) | st.sampled_from((0.0, -0.0)), max_size=30))
+    def test_unsorted_input_comes_out_sorted(self, values):
+        got = Spectrum(values).values
+        assert all(type(v) is float for v in got)
+        assert list(got) == sorted(values)
+        # a stable sort: -0.0 and 0.0 keep their input order, as sorted() keeps them
+        assert [math.copysign(1, v) for v in got] == [math.copysign(1, v) for v in sorted(values)]
+
+    def test_accepts_arrays_and_ints(self):
+        assert Spectrum(np.array([2.0, 0.5, 1.0])).values == (0.5, 1.0, 2.0)
+        assert Spectrum((3, 1)).values == (1.0, 3.0)
+
+
 class TestSerialization:
     def test_json(self):
         assert Spectrum((0.0, 2.0)).to_json() == "[0.0, 2.0]"
