@@ -273,11 +273,11 @@ def is_connected(g: Graph) -> bool:
 
     Label propagation with pointer jumping, in the manner of Shiloach and
     Vishkin.  Every vertex's label names a vertex of its own component, no
-    larger than itself.  Each round hooks the larger label of every edge
-    whose labels differ onto the smaller one, then jumps each label two
-    steps along the labels; the label sum falls every round until every
-    edge joins equal labels.  The graph is then connected exactly if every
-    label is 0.
+    larger than itself, so vertex 0 keeps label 0.  Each round hooks the
+    larger label of every edge onto the smaller one, then jumps each label
+    two steps along the labels; the label sum falls every round while some
+    edge joins two different labels.  All labels 0 means connected; every
+    edge joining equal labels, with some label not 0, means disconnected.
     """
     if g.is_null:
         raise HypothesisError("connectivity is undefined for the null graph")
@@ -285,12 +285,17 @@ def is_connected(g: Graph) -> bool:
     if g.edge_count < g.vertex_count - 1:
         return False
     label = np.arange(g.vertex_count)
+    # the first round's labels are the vertices, and u < v in every row
+    lo, hi = g.ends.T
     while True:
+        np.minimum.at(label, hi, lo)
+        label = label[label[label]]
+        if not label.any():
+            return True
         lu, lv = label[g.ends].T
         if (lu == lv).all():
-            return not label.any()
-        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
-        label = label[label[label]]
+            return False
+        lo, hi = np.minimum(lu, lv), np.maximum(lu, lv)
 
 
 # --- generator catalog ---------------------------------------------------

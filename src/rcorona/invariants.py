@@ -58,7 +58,7 @@ def spanning_trees_matrix_tree(g: Graph) -> int:
     if g.is_null:
         raise HypothesisError("spanning trees undefined for the null graph")
     lap = -adjacency_matrix(g)
-    np.fill_diagonal(lap, np.bincount(g.ends.ravel(), minlength=g.vertex_count))
+    np.fill_diagonal(lap, degree_profile(g).degrees)
     # Python ints from here on: the elimination's growth must not overflow
     return _bareiss_determinant(lap[1:, 1:].tolist())
 

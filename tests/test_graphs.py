@@ -214,6 +214,41 @@ class TestConnectivity:
         with pytest.raises(HypothesisError):
             is_connected(build_graph(0, []))
 
+    @staticmethod
+    def _reachable_from_0(g):
+        """Breadth-first search over the edge tuples: the scalar reference."""
+        neighbors = [[] for _ in range(g.vertex_count)]
+        for u, v in g.edges:
+            neighbors[u].append(v)
+            neighbors[v].append(u)
+        seen, stack = {0}, [0]
+        while stack:
+            for w in neighbors[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return len(seen) == g.vertex_count
+
+    @given(small_graphs(min_n=1, max_n=14), st.permutations(range(14)))
+    def test_matches_breadth_first_search(self, g, perm):
+        # relabelled, so that vertex 0 is not always the least of its component
+        n = g.vertex_count
+        order = [p for p in perm if p < n]
+        h = build_graph(n, [(order[u], order[v]) for u, v in g.edges])
+        assert is_connected(h) == self._reachable_from_0(h)
+
+    @pytest.mark.parametrize("n", [2, 3, 50, 1000])
+    def test_long_paths_and_split_cycles(self, n):
+        rng = np.random.default_rng(n)
+        p = rng.permutation(2 * n)
+        path = build_graph(2 * n, np.column_stack((p[:-1], p[1:])))
+        assert is_connected(path)
+        if n >= 3:
+            # two relabelled n-cycles, then joined by one edge
+            cycles = np.concatenate([np.column_stack((q, np.roll(q, 1))) for q in (p[:n], p[n:])])
+            assert not is_connected(build_graph(2 * n, cycles))
+            assert is_connected(build_graph(2 * n, np.vstack((cycles, [[p[0], p[n]]]))))
+
 
 def _common_neighbor_counts(g):
     """Exhaustive neighborhood counting for strong-regularity checks."""
