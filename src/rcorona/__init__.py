@@ -35,15 +35,12 @@ from .errors import (
     SelfLoopError,
 )
 from .graphs import (
-    DegreeProfile,
     Graph,
     adjacency_matrix,
     build_graph,
-    degree_profile,
     format_graph,
     generate,
     incidence_matrix,
-    is_connected,
     load_graph,
     parse_edge_list,
     parse_graph_json,
@@ -55,7 +52,6 @@ from .invariants import degree_kirchhoff, spanning_trees_matrix_tree, spanning_t
 from .spectra import (
     Spectrum,
     SpectrumComparison,
-    SpectrumSummary,
     compare_spectra,
     nl_spectrum,
     normalized_laplacian,

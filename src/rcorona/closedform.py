@@ -43,7 +43,7 @@ import math
 import numpy as np
 
 from .errors import HypothesisError, InternalConsistencyError
-from .graphs import Graph, degree_profile, is_connected
+from .graphs import Graph
 from .spectra import Spectrum, normalized_laplacian, summarize
 
 __all__ = [
@@ -101,18 +101,17 @@ class CoronaParams:
         """The parameters of a corona triple, and the one check of the paper's
         hypotheses on it: a nonempty connected base, regular of degree r >= 1,
         and regular or null copy graphs."""
-        if g.is_null or not is_connected(g):
+        if g.is_null or not g.connected:
             raise HypothesisError("closed-form spectrum requires a nonempty connected base graph")
-        prof = degree_profile(g)
-        if prof.regular_degree is None:
+        if g.regular_degree is None:
             raise HypothesisError("base graph must be regular")
         copies = []
         for tag, gi in (("first", g1), ("second", g2)):
-            degree = 0 if gi.is_null else degree_profile(gi).regular_degree
+            degree = 0 if gi.is_null else gi.regular_degree
             if degree is None:
                 raise HypothesisError(f"{tag} attachment graph must be regular")
             copies += gi.vertex_count, degree
-        return cls(g.vertex_count, g.edge_count, prof.regular_degree, *copies)
+        return cls(g.vertex_count, g.edge_count, g.regular_degree, *copies)
 
     @property
     def total_vertices(self) -> int:
@@ -252,10 +251,9 @@ def copy_block_forms(g1: Graph) -> tuple[np.ndarray, np.ndarray]:
     form (I + r*L)/(r+1).  The two must agree entrywise; public so that
     acceptance test A5 can verify that identity on regular inputs.
     """
-    prof = degree_profile(g1)
-    if prof.regular_degree is None or prof.regular_degree < 1:
+    r = g1.regular_degree
+    if r is None or r < 1:
         raise HypothesisError("copy-block forms require a regular graph with degree >= 1")
-    r = prof.regular_degree
     n = g1.vertex_count
     lap = normalized_laplacian(g1)
     alpha = r / (r + 1)
@@ -354,12 +352,9 @@ def family_polynomial(p: CoronaParams, base_eig) -> RealPolynomial:
 # --- assembly ----------------------------------------------------------------
 
 
-def _spectrum_groups(
-    g: Graph, degree: int, connected: bool = False
-) -> tuple[tuple[float, int], ...]:
+def _spectrum_groups(g: Graph, degree: int) -> tuple[tuple[float, int], ...]:
     """The spectrum of g's normalized Laplacian as increasing (value,
-    multiplicity) pairs, for a regular g of the given degree; ``connected``
-    says the caller has already found g connected.
+    multiplicity) pairs, for a regular g of the given degree.
 
     Complete and connected 2-regular graphs, and edgeless ones, get their
     exact spectrum from their structure, whatever their labelling; every
@@ -374,7 +369,7 @@ def _spectrum_groups(
     if degree == n - 1:
         # K_n, K2 included
         return ((0.0, 1), (n / (n - 1), n - 1))
-    if degree == 2 and (connected or is_connected(g)):
+    if degree == 2 and g.connected:
         # C_n: 1 - cos(2 pi k / n), written so that it keeps its precision
         # near 0, twice for each k except 0 and n/2
         return tuple(
@@ -385,7 +380,7 @@ def _spectrum_groups(
     # the least value is the zero every such Laplacian has, kept as a group
     # of its own, so that dropping it from a copy graph's groups leaves the
     # other groups' means as they were
-    return ((values[0], 1),) + summarize(Spectrum(values[1:]), _GROUP_TOL).groups
+    return ((values[0], 1),) + summarize(Spectrum(values[1:]), _GROUP_TOL)
 
 
 def _label(tag: str, v: float) -> str:
@@ -460,7 +455,7 @@ def closed_form_spectrum(g: Graph, g1: Graph, g2: Graph) -> ClosedFormSpectrum:
     _refuse_fewer_edges(p)
     return closed_form_from_spectra(
         p,
-        _spectrum_groups(g, p.r, connected=True),
+        _spectrum_groups(g, p.r),
         _spectrum_groups(g1, p.r1),
         _spectrum_groups(g2, p.r2),
     )

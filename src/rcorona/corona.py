@@ -2,7 +2,9 @@
 
 ``double_corona`` builds every corona kind: a null second (first) copy
 graph gives the R-vertex (R-edge) corona, and both null the bare R-graph
-of a connected base.  ``r_graph`` builds the R-graph of any base,
+of a connected base.  It reads connectivity from ``Graph.connected``,
+which a graph computes once, so the closed form's own check of the same
+base costs nothing more.  ``r_graph`` builds the R-graph of any base,
 including a null or disconnected one.
 
 Output vertex order is always: the base graph's vertices ("old",
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisError
-from .graphs import Graph, _json_pairs, _refuse_beyond_memory, is_connected
+from .graphs import Graph, _json_pairs, _refuse_beyond_memory
 
 __all__ = [
     "CoronaLayout",
@@ -151,6 +153,6 @@ def double_corona(
     """
     if g.is_null:
         raise HypothesisError("corona base graph must be nonempty")
-    if not allow_disconnected and not is_connected(g):
+    if not allow_disconnected and not g.connected:
         raise HypothesisError("corona base graph must be connected")
     return _assemble(g, g1, g2)

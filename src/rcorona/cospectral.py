@@ -17,7 +17,7 @@ import numpy as np
 from .closedform import CoronaParams
 from .corona import double_corona
 from .errors import HypothesisError
-from .graphs import Graph, _graph_dict, adjacency_matrix, degree_profile, generate
+from .graphs import Graph, _graph_dict, adjacency_matrix, generate
 from .spectra import _MATCH_TOL, Spectrum, compare_spectra, nl_spectrum, numeric_spectrum
 
 __all__ = [
@@ -83,7 +83,7 @@ def regular_cospectrality_agrees(g: Graph, h: Graph, tol: float = _MATCH_TOL) ->
     Laplacian cospectrality are equivalent; returns True iff both tests
     deliver the same verdict here."""
     for tag, gi in (("first", g), ("second", h)):
-        if degree_profile(gi).regular_degree is None:
+        if gi.regular_degree is None:
             raise HypothesisError(f"{tag} graph is not regular")
     return adjacency_cospectral(g, h, tol) == nl_cospectral(g, h, tol)
 
@@ -159,8 +159,8 @@ def build_cospectral_pair(
         recipe=recipe,
         verdict="cospectral" if report.matched else "not cospectral",
         non_regular=(
-            degree_profile(corona_a).regular_degree is None,
-            degree_profile(corona_b).regular_degree is None,
+            corona_a.regular_degree is None,
+            corona_b.regular_degree is None,
         ),
         edge_sets_differ=not np.array_equal(_sorted_rows(corona_a.ends), _sorted_rows(corona_b.ends)),
     )

@@ -6,9 +6,10 @@ read-only (m, 2) int64 array, ``Graph.ends``: row k holds the k-th edge
 construction (endpoints normalized to (min, max), edges in order of first
 occurrence) and every downstream construction indexes new vertices by it.
 Validation, the matrix views and both file formats work on that array
-directly; ``Graph.edges`` is a tuple view of it for callers that want
-Python pairs.  The graph with no vertices (the null graph) is a legal
-value.
+directly.  The facts the corona hypotheses read off a graph, its degrees,
+its regular degree and whether it is connected, are properties of the
+Graph, each computed at most once per object.  The graph with no vertices
+(the null graph) is a legal value.
 """
 
 import contextlib
@@ -37,12 +38,9 @@ from .errors import (
 
 __all__ = [
     "Graph",
-    "DegreeProfile",
     "build_graph",
     "adjacency_matrix",
-    "degree_profile",
     "incidence_matrix",
-    "is_connected",
     "generate",
     "GENERATOR_FAMILIES",
     "parse_edge_list",
@@ -86,11 +84,6 @@ class Graph:
         return hash((self.vertex_count, self.ends.tobytes()))
 
     @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """The edge rows as a tuple of (u, v) pairs, built on each call."""
-        return tuple(map(tuple, self.ends.tolist()))
-
-    @property
     def edge_count(self) -> int:
         return len(self.ends)
 
@@ -98,19 +91,58 @@ class Graph:
     def is_null(self) -> bool:
         return self.vertex_count == 0
 
+    @functools.cached_property
+    def degrees(self) -> np.ndarray:
+        """The vertex degrees as a read-only int64 array, in vertex order."""
+        deg = np.bincount(self.ends.ravel(), minlength=self.vertex_count)
+        deg = deg.astype(np.int64, copy=False)
+        deg.flags.writeable = False
+        return deg
 
-@dataclass(frozen=True)
-class DegreeProfile:
-    """Vertex degrees plus the common degree when the graph is regular."""
+    @functools.cached_property
+    def regular_degree(self) -> int | None:
+        """The common degree of a regular graph; None when the degrees
+        differ, and for the null graph."""
+        deg = self.degrees
+        return int(deg[0]) if deg.size and (deg == deg[0]).all() else None
 
-    degrees: tuple[int, ...]
-    regular_degree: int | None
+    @functools.cached_property
+    def connected(self) -> bool:
+        """Whether every vertex is reachable from vertex 0; undefined
+        (HypothesisError) for the null graph.
+
+        Label propagation with pointer jumping, in the manner of Shiloach and
+        Vishkin.  Every vertex's label names a vertex of its own component, no
+        larger than itself, so vertex 0 keeps label 0.  Each round hooks the
+        larger label of every edge onto the smaller one, then jumps each label
+        two steps along the labels; the label sum falls every round while some
+        edge joins two different labels.  All labels 0 means connected; every
+        edge joining equal labels, with some label not 0, means disconnected.
+        """
+        if self.is_null:
+            raise HypothesisError("connectivity is undefined for the null graph")
+        # a connected graph has at least n - 1 edges; checked before any O(n) work
+        if self.edge_count < self.vertex_count - 1:
+            return False
+        label = np.arange(self.vertex_count)
+        # the first round's labels are the vertices, and u < v in every row
+        lo, hi = self.ends.T
+        while True:
+            np.minimum.at(label, hi, lo)
+            label = label[label[label]]
+            if not label.any():
+                return True
+            lu, lv = label[self.ends].T
+            if (lu == lv).all():
+                return False
+            lo, hi = np.minimum(lu, lv), np.maximum(lu, lv)
 
 
 def build_graph(n: int, edges) -> Graph:
     """Validate and canonicalize an edge list into a Graph.
 
-    ``edges`` is any iterable of (u, v) pairs, or an (m, 2) integer array.
+    ``edges`` is any iterable of (u, v) pairs, or an (m, 2) array; an
+    endpoint is an integer, or a string that ``int`` reads as one.
     Endpoints are normalized to (min, max); edge order is the order of
     first occurrence.  The first offending edge in input order raises,
     with a distinct error for each violation, checked in this order:
@@ -123,14 +155,8 @@ def build_graph(n: int, edges) -> Graph:
     try:
         ends = np.array(edges, dtype=np.int64)
     except OverflowError:
-        return _validated(n, None, [(int(u), int(v)) for u, v in edges])
-    return _validated(n, ends)
-
-
-def _validated(n: int, ends: np.ndarray | None, pairs: list | None = None) -> Graph:
-    """The Graph of n vertices and the edge array ends, checked as
-    ``build_graph`` documents; ends is None when an endpoint does not fit
-    int64, and pairs then holds the edges as Python ints."""
+        ends = None
+        pairs = [(int(u), int(v)) for u, v in edges]
     if n < 0:
         raise GraphValidationError(f"vertex count must be non-negative, got {n}")
     if ends is None:
@@ -252,12 +278,6 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return a
 
 
-def degree_profile(g: Graph) -> DegreeProfile:
-    deg = np.bincount(g.ends.ravel(), minlength=g.vertex_count)
-    regular = int(deg[0]) if deg.size and (deg == deg[0]).all() else None
-    return DegreeProfile(tuple(deg.tolist()), regular)
-
-
 def incidence_matrix(g: Graph) -> np.ndarray:
     """n x m vertex-edge incidence matrix; column order = canonical edge order."""
     m = np.zeros((g.vertex_count, g.edge_count), dtype=np.int64)
@@ -265,37 +285,6 @@ def incidence_matrix(g: Graph) -> np.ndarray:
     columns = np.arange(g.edge_count)
     m[u, columns] = m[v, columns] = 1
     return m
-
-
-def is_connected(g: Graph) -> bool:
-    """Whether every vertex is reachable from vertex 0; undefined for the
-    null graph.
-
-    Label propagation with pointer jumping, in the manner of Shiloach and
-    Vishkin.  Every vertex's label names a vertex of its own component, no
-    larger than itself, so vertex 0 keeps label 0.  Each round hooks the
-    larger label of every edge onto the smaller one, then jumps each label
-    two steps along the labels; the label sum falls every round while some
-    edge joins two different labels.  All labels 0 means connected; every
-    edge joining equal labels, with some label not 0, means disconnected.
-    """
-    if g.is_null:
-        raise HypothesisError("connectivity is undefined for the null graph")
-    # a connected graph has at least n - 1 edges; checked before any O(n) work
-    if g.edge_count < g.vertex_count - 1:
-        return False
-    label = np.arange(g.vertex_count)
-    # the first round's labels are the vertices, and u < v in every row
-    lo, hi = g.ends.T
-    while True:
-        np.minimum.at(label, hi, lo)
-        label = label[label[label]]
-        if not label.any():
-            return True
-        lu, lv = label[g.ends].T
-        if (lu == lv).all():
-            return False
-        lo, hi = np.minimum(lu, lv), np.maximum(lu, lv)
 
 
 # --- generator catalog ---------------------------------------------------
@@ -466,16 +455,15 @@ def parse_edge_list(text: str) -> Graph:
             int(token)
         raise GraphValidationError(f"edge line must be 'u v', got {lines[k]!r}")
     # every line holds two tokens: the text's tokens after the header's
-    # are the edges' endpoints, in order
+    # are the edges' endpoints, in order.  They go to build_graph as Python
+    # strings in an object array, so that a token that is no integer is
+    # quoted as int() quotes it; the token list is freed first.
     del lines
     tokens = text.split()
     del tokens[:2]
-    try:
-        ends = np.array(tokens, dtype=np.int64).reshape(-1, 2)
-    except OverflowError:
-        # a token beyond int64; int raises for a later token that is no integer
-        return _validated(n, None, [(int(u), int(v)) for u, v in zip(tokens[::2], tokens[1::2])])
-    return _validated(n, ends)
+    ends = np.array(tokens, dtype=object).reshape(-1, 2)
+    del tokens
+    return build_graph(n, ends)
 
 
 def _decimal_rows(values: np.ndarray, *separators: bytes) -> bytes:
@@ -552,11 +540,7 @@ def parse_graph_json(text: str) -> Graph:
         and set(map(type, itertools.chain.from_iterable(edges))) <= {int}
     ):
         raise GraphValidationError('graph JSON "edges" must be a list of integer pairs [u, v]')
-    try:
-        ends = np.array(edges, dtype=np.int64)
-    except OverflowError:
-        return _validated(n, None, edges)
-    return _validated(n, ends)
+    return build_graph(n, edges)
 
 
 def _graph_dict(g: Graph) -> dict:

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .errors import HypothesisError
-from .graphs import Graph, adjacency_matrix, degree_profile, is_connected
+from .graphs import Graph, adjacency_matrix
 from .spectra import nl_spectrum
 
 __all__ = [
@@ -58,7 +58,7 @@ def spanning_trees_matrix_tree(g: Graph) -> int:
     if g.is_null:
         raise HypothesisError("spanning trees undefined for the null graph")
     lap = -adjacency_matrix(g)
-    np.fill_diagonal(lap, degree_profile(g).degrees)
+    np.fill_diagonal(lap, g.degrees)
     # Python ints from here on: the elimination's growth must not overflow
     return _bareiss_determinant(lap[1:, 1:].tolist())
 
@@ -68,9 +68,9 @@ def spanning_trees_spectral(g: Graph) -> float:
     (prod of degrees / sum of degrees) * prod of nonzero eigenvalues."""
     if g.is_null:
         raise HypothesisError("spanning trees undefined for the null graph")
-    if not is_connected(g):
+    if not g.connected:
         raise HypothesisError("spectral spanning-tree count requires a connected graph")
-    deg = degree_profile(g).degrees
+    deg = g.degrees.tolist()
     if any(d == 0 for d in deg):
         raise HypothesisError("spectral spanning-tree count requires no isolated vertices")
     values = nl_spectrum(g).values
@@ -85,7 +85,7 @@ def degree_kirchhoff(g: Graph) -> float:
     normalized Laplacian eigenvalues."""
     if g.is_null:
         raise HypothesisError("degree-Kirchhoff index undefined for the null graph")
-    if not is_connected(g):
+    if not g.connected:
         raise HypothesisError("degree-Kirchhoff index requires a connected graph")
     if g.vertex_count == 1:
         return 0.0

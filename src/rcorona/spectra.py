@@ -30,11 +30,10 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError, HypothesisError
-from .graphs import Graph, _refuse_dense, adjacency_matrix, degree_profile
+from .graphs import Graph, _refuse_dense, adjacency_matrix
 
 __all__ = [
     "Spectrum",
-    "SpectrumSummary",
     "SpectrumComparison",
     "normalized_laplacian",
     "normalized_laplacian_regular",
@@ -97,17 +96,6 @@ class Spectrum:
 
 
 @dataclass(frozen=True)
-class SpectrumSummary:
-    """(representative value, multiplicity) pairs from tolerance clustering."""
-
-    groups: tuple[tuple[float, int], ...]
-
-    @property
-    def total(self) -> int:
-        return sum(k for _, k in self.groups)
-
-
-@dataclass(frozen=True)
 class SpectrumComparison:
     matched: bool
     max_deviation: float
@@ -130,7 +118,7 @@ def normalized_laplacian(g: Graph) -> np.ndarray:
     # refused before the O(n) degree list is built
     n = g.vertex_count
     _refuse_dense(n)
-    deg = np.bincount(g.ends.ravel(), minlength=n)
+    deg = g.degrees
     isolated = np.flatnonzero(deg == 0)
     if isolated.size:
         bad = int(isolated[0])
@@ -147,13 +135,13 @@ def normalized_laplacian(g: Graph) -> np.ndarray:
 def normalized_laplacian_regular(g: Graph) -> np.ndarray:
     """The regular-graph shortcut I - A/r; kept as a distinct code path so
     its entrywise agreement with the general formula can be tested."""
-    prof = degree_profile(g)
-    if prof.regular_degree is None:
+    r = g.regular_degree
+    if r is None:
         raise HypothesisError("graph is not regular")
-    if prof.regular_degree < 1:
+    if r < 1:
         raise HypothesisError("regular degree must be >= 1")
     n = g.vertex_count
-    return np.eye(n) - adjacency_matrix(g).astype(np.float64) / float(prof.regular_degree)
+    return np.eye(n) - adjacency_matrix(g).astype(np.float64) / float(r)
 
 
 def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -549,8 +537,9 @@ def compare_spectra(a: Spectrum, b: Spectrum, tol: float = _MATCH_TOL) -> Spectr
     )
 
 
-def summarize(s: Spectrum, tol: float = _MATCH_TOL) -> SpectrumSummary:
-    """Greedy left-to-right clustering; representative = cluster mean."""
+def summarize(s: Spectrum, tol: float = _MATCH_TOL) -> tuple[tuple[float, int], ...]:
+    """(representative value, multiplicity) pairs from greedy left-to-right
+    clustering at tol; the representative is the cluster mean."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     groups: list[tuple[float, int]] = []
@@ -562,4 +551,4 @@ def summarize(s: Spectrum, tol: float = _MATCH_TOL) -> SpectrumSummary:
         cluster.append(v)
     if cluster:
         groups.append((math.fsum(cluster) / len(cluster), len(cluster)))
-    return SpectrumSummary(tuple(groups))
+    return tuple(groups)

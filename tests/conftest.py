@@ -27,10 +27,4 @@ def catalog():
 
 @pytest.fixture(scope="session")
 def regular_catalog(catalog):
-    from rcorona import degree_profile
-
-    return {
-        name: g
-        for name, g in catalog.items()
-        if degree_profile(g).regular_degree is not None
-    }
+    return {name: g for name, g in catalog.items() if g.regular_degree is not None}

@@ -26,7 +26,6 @@ from rcorona import (
     compare_spectra,
     copy_block_forms,
     degree_kirchhoff,
-    degree_profile,
     double_corona,
     family_polynomial,
     flatten,
@@ -174,7 +173,7 @@ def test_a05_regular_shortcut_and_hadamard_forms(regular_catalog):
 def test_a06_incidence_identity(regular_catalog):
     with _report("A6 incidence identity M M^T = A + r I, exact integers"):
         for name, g in regular_catalog.items():
-            r = degree_profile(g).regular_degree
+            r = g.regular_degree
             m = incidence_matrix(g)
             a = adjacency_matrix(g)
             assert np.array_equal(m @ m.T, a + r * np.eye(g.vertex_count, dtype=np.int64)), name

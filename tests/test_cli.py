@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import argparse
+import collections
+import functools
 import json
 import os
 from pathlib import Path
@@ -11,7 +13,7 @@ import sys
 import pytest
 
 import rcorona
-from rcorona import ConvergenceError, parse_edge_list, parse_graph_json
+from rcorona import ConvergenceError, Graph, parse_edge_list, parse_graph_json
 from rcorona.cli import build_parser, main
 
 
@@ -441,6 +443,35 @@ class TestInvariants:
 
     def test_missing_file_exit_2(self):
         assert main(["invariants", "/nonexistent/file.el"]) == 2
+
+
+@pytest.mark.parametrize("job", [
+    ["spectrum", "--corona", "double", "SH", "K3", "C4", "--method", "both"],
+    ["cospectral", "SH", "RK", "K3", "K3", "C4", "C4"],
+], ids=["spectrum-both", "cospectral"])
+def test_each_graph_fact_is_computed_once_per_graph(files, tmp_path, capsys, monkeypatch, job):
+    # double_corona and CoronaParams.from_graphs both check the base's
+    # connectivity, and every regularity check reads the degrees
+    computed = collections.Counter()
+    graphs = []  # keeps every counted graph alive, so that no id is reused
+
+    for name in ("connected", "degrees"):
+        compute = Graph.__dict__[name].func
+
+        def counted(g, name=name, compute=compute):
+            computed[name, g.vertex_count, id(g)] += 1
+            graphs.append(g)
+            return compute(g)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(Graph, name)
+        monkeypatch.setattr(Graph, name, prop)
+
+    (c4,) = _generate_files(tmp_path, ("C4", "cycle", "4"))
+    paths = {**files, "C4": c4}
+    assert main([paths.get(arg, arg) for arg in job]) == 0
+    assert {(name, n) for name, n, _ in computed} >= {("connected", 16), ("degrees", 16)}
+    assert max(computed.values()) == 1, computed
 
 
 def _subcommands():

@@ -8,7 +8,6 @@ from rcorona import (
     HypothesisError,
     adjacency_matrix,
     build_graph,
-    degree_profile,
     double_corona,
     generate,
     incidence_matrix,
@@ -23,8 +22,8 @@ class TestRGraph:
         # one apex per edge, adjacent to that edge's endpoints
         g, layout = r_graph(generate("complete", 3))
         assert (g.vertex_count, g.edge_count) == (6, 9)
-        deg = degree_profile(g).degrees
-        assert deg[:3] == (4, 4, 4) and deg[3:] == (2, 2, 2)
+        deg = g.degrees.tolist()
+        assert deg[:3] == [4, 4, 4] and deg[3:] == [2, 2, 2]
         assert layout.old_vertex_range == (0, 3)
         assert layout.new_vertex_range == (3, 6)
 
@@ -42,7 +41,7 @@ class TestRGraph:
         assert rg.vertex_count == g.vertex_count + g.edge_count
         assert rg.edge_count == 3 * g.edge_count
         # the assembly skips build_graph: its edges must already be canonical
-        assert build_graph(rg.vertex_count, rg.edges) == rg
+        assert build_graph(rg.vertex_count, rg.ends) == rg
 
 
 class TestDoubleCorona:
@@ -59,8 +58,8 @@ class TestDoubleCorona:
     def test_c4_k1_null_by_hand(self):
         g, _ = double_corona(generate("cycle", 4), generate("complete", 1), generate("null"))
         assert g.vertex_count == 12
-        deg = degree_profile(g).degrees
-        assert deg[:4] == (5, 5, 5, 5)  # 2*2 in the R-graph plus one pendant
+        deg = g.degrees.tolist()
+        assert deg[:4] == [5, 5, 5, 5]  # 2*2 in the R-graph plus one pendant
 
     def test_disconnected_base_rejected(self):
         two_edges = build_graph(4, [(0, 1), (2, 3)])
@@ -87,7 +86,7 @@ class TestDoubleCorona:
         ranges = (layout.new_vertex_range, *layout.g1_copy_ranges, *layout.g2_copy_ranges)
         assert ranges[-1][1] == corona.vertex_count
         # the assembly skips build_graph: its edges must already be canonical
-        assert build_graph(corona.vertex_count, corona.edges) == corona
+        assert build_graph(corona.vertex_count, corona.ends) == corona
 
     def test_layout_ranges_disjoint_contiguous(self):
         g, layout = double_corona(generate("cycle", 4), generate("path", 2), generate("complete", 3))
@@ -114,7 +113,7 @@ class TestSpecializations:
     def test_edge_corona_c4_k1_new_vertex_degree(self):
         g, layout = double_corona(generate("cycle", 4), generate("null"), generate("complete", 1))
         assert g.vertex_count == 12
-        deg = degree_profile(g).degrees
+        deg = g.degrees
         lo, hi = layout.new_vertex_range
         assert all(deg[i] == 3 for i in range(lo, hi))  # 2 endpoints + 1 pendant
 
@@ -126,12 +125,10 @@ class TestDegreeContract:
     )
     def test_regular_inputs(self, catalog, base, first, second):
         g, g1, g2 = catalog[base], catalog[first], catalog[second]
-        r = degree_profile(g).regular_degree
-        r1 = degree_profile(g1).regular_degree
-        r2 = degree_profile(g2).regular_degree
+        r, r1, r2 = g.regular_degree, g1.regular_degree, g2.regular_degree
         n1, n2 = g1.vertex_count, g2.vertex_count
         corona, layout = double_corona(g, g1, g2)
-        deg = degree_profile(corona).degrees
+        deg = corona.degrees
         for i in range(*layout.old_vertex_range):
             assert deg[i] == 2 * r + n1
         for i in range(*layout.new_vertex_range):

@@ -16,11 +16,9 @@ from rcorona import (
     SelfLoopError,
     adjacency_matrix,
     build_graph,
-    degree_profile,
     format_graph,
     generate,
     incidence_matrix,
-    is_connected,
     parse_edge_list,
     parse_graph_json,
     to_edge_list,
@@ -45,11 +43,11 @@ class TestBuildGraph:
 
     def test_null_graph_is_legal(self):
         g = build_graph(0, [])
-        assert g.is_null and g.edges == ()
+        assert g.is_null and g.ends.shape == (0, 2)
 
     def test_normalizes_and_keeps_first_occurrence_order(self):
         g = build_graph(4, [(2, 0), (3, 1)])
-        assert g.edges == ((0, 2), (1, 3))
+        assert g.ends.tolist() == [[0, 2], [1, 3]]
 
     def test_self_loop(self):
         with pytest.raises(SelfLoopError):
@@ -73,7 +71,7 @@ class TestBuildGraph:
         assert g != build_graph(5, [(0, 2), (1, 3)])
         assert g != build_graph(4, [(1, 3), (0, 2)])
         assert g != build_graph(4, [(0, 2)])
-        assert g != g.edges
+        assert g != g.ends.tolist()
         assert len({g, same, build_graph(0, [])}) == 2
 
     def test_out_of_range(self):
@@ -178,47 +176,63 @@ class TestMatrixViews:
         # M M^T = A + D, in exact integer arithmetic
         m = incidence_matrix(g)
         a = adjacency_matrix(g)
-        d = np.diag(degree_profile(g).degrees).astype(np.int64)
+        d = np.diag(g.degrees)
         assert np.array_equal(m @ m.T, a + d)
 
 
 class TestDegrees:
     def test_k3(self):
-        p = degree_profile(generate("complete", 3))
-        assert p.degrees == (2, 2, 2) and p.regular_degree == 2
+        g = generate("complete", 3)
+        assert g.degrees.tolist() == [2, 2, 2] and g.regular_degree == 2
 
     def test_p2_is_one_regular(self):
-        p = degree_profile(generate("path", 2))
-        assert p.degrees == (1, 1) and p.regular_degree == 1
+        g = generate("path", 2)
+        assert g.degrees.tolist() == [1, 1] and g.regular_degree == 1
 
     def test_star_not_regular(self):
-        p = degree_profile(generate("complete_bipartite", 1, 3))
-        assert sorted(p.degrees) == [1, 1, 1, 3] and p.regular_degree is None
+        g = generate("complete_bipartite", 1, 3)
+        assert sorted(g.degrees.tolist()) == [1, 1, 1, 3] and g.regular_degree is None
 
     @given(small_graphs())
     def test_handshake(self, g):
-        assert sum(degree_profile(g).degrees) == 2 * g.edge_count
+        assert g.degrees.sum() == 2 * g.edge_count
+
+    @given(small_graphs())
+    def test_matches_a_scalar_count(self, g):
+        count = [0] * g.vertex_count
+        for u, v in g.ends.tolist():
+            count[u] += 1
+            count[v] += 1
+        assert g.degrees.dtype == np.int64 and g.degrees.tolist() == count
+        assert g.regular_degree == (count[0] if len(set(count)) == 1 else None)
+        with pytest.raises(ValueError):
+            g.degrees[...] = 0
+
+    def test_null_graph(self):
+        g = build_graph(0, [])
+        assert g.degrees.dtype == np.int64 and g.degrees.shape == (0,)
+        assert g.regular_degree is None
 
 
 class TestConnectivity:
     def test_k3(self):
-        assert is_connected(generate("complete", 3))
+        assert generate("complete", 3).connected
 
     def test_two_disjoint_edges(self):
-        assert not is_connected(build_graph(4, [(0, 1), (2, 3)]))
+        assert not build_graph(4, [(0, 1), (2, 3)]).connected
 
     def test_single_vertex(self):
-        assert is_connected(build_graph(1, []))
+        assert build_graph(1, []).connected
 
     def test_null_graph_undefined(self):
         with pytest.raises(HypothesisError):
-            is_connected(build_graph(0, []))
+            build_graph(0, []).connected
 
     @staticmethod
     def _reachable_from_0(g):
-        """Breadth-first search over the edge tuples: the scalar reference."""
+        """Breadth-first search over the edge pairs: the scalar reference."""
         neighbors = [[] for _ in range(g.vertex_count)]
-        for u, v in g.edges:
+        for u, v in g.ends.tolist():
             neighbors[u].append(v)
             neighbors[v].append(u)
         seen, stack = {0}, [0]
@@ -234,20 +248,20 @@ class TestConnectivity:
         # relabelled, so that vertex 0 is not always the least of its component
         n = g.vertex_count
         order = [p for p in perm if p < n]
-        h = build_graph(n, [(order[u], order[v]) for u, v in g.edges])
-        assert is_connected(h) == self._reachable_from_0(h)
+        h = build_graph(n, [(order[u], order[v]) for u, v in g.ends.tolist()])
+        assert h.connected == self._reachable_from_0(h)
 
     @pytest.mark.parametrize("n", [2, 3, 50, 1000])
     def test_long_paths_and_split_cycles(self, n):
         rng = np.random.default_rng(n)
         p = rng.permutation(2 * n)
         path = build_graph(2 * n, np.column_stack((p[:-1], p[1:])))
-        assert is_connected(path)
+        assert path.connected
         if n >= 3:
             # two relabelled n-cycles, then joined by one edge
             cycles = np.concatenate([np.column_stack((q, np.roll(q, 1))) for q in (p[:n], p[n:])])
-            assert not is_connected(build_graph(2 * n, cycles))
-            assert is_connected(build_graph(2 * n, np.vstack((cycles, [[p[0], p[n]]]))))
+            assert not build_graph(2 * n, cycles).connected
+            assert build_graph(2 * n, np.vstack((cycles, [[p[0], p[n]]]))).connected
 
 
 def _common_neighbor_counts(g):
@@ -268,33 +282,33 @@ class TestGenerators:
     def test_petersen_parameters(self):
         g = generate("petersen")
         assert (g.vertex_count, g.edge_count) == (10, 15)
-        assert degree_profile(g).regular_degree == 3
+        assert g.regular_degree == 3
 
     @pytest.mark.parametrize("name", ["shrikhande", "rook4x4"])
     def test_srg_16_6_2_2(self, name):
         g = generate(name)
         assert (g.vertex_count, g.edge_count) == (16, 48)
-        assert degree_profile(g).regular_degree == 6
+        assert g.regular_degree == 6
         lam, mu = _common_neighbor_counts(g)
         assert lam == {2} and mu == {2}
 
     def test_srg_pair_same_degrees_different_edges(self):
         a, b = generate("shrikhande"), generate("rook4x4")
-        assert degree_profile(a).degrees == degree_profile(b).degrees
-        assert sorted(a.edges) != sorted(b.edges)
+        assert np.array_equal(a.degrees, b.degrees)
+        assert sorted(a.ends.tolist()) != sorted(b.ends.tolist())
 
     def test_hypercube(self):
         g = generate("hypercube", 3)
         assert (g.vertex_count, g.edge_count) == (8, 12)
-        assert degree_profile(g).regular_degree == 3
+        assert g.regular_degree == 3
 
     def test_circulant(self):
         g = generate("circulant", 8, 1, 4)
-        assert degree_profile(g).regular_degree == 3
+        assert g.regular_degree == 3
         assert g.edge_count == 12
 
     def test_circulant_matches_cycle(self):
-        assert generate("circulant", 5, 1).edges == generate("cycle", 5).edges
+        assert generate("circulant", 5, 1) == generate("cycle", 5)
 
     def test_complete_bipartite(self):
         g = generate("complete_bipartite", 3, 3)
@@ -362,7 +376,7 @@ class TestFormats:
 
     def test_order_preserved(self):
         g = build_graph(4, [(3, 2), (0, 1)])
-        assert parse_edge_list(to_edge_list(g)).edges == ((2, 3), (0, 1))
+        assert parse_edge_list(to_edge_list(g)).ends.tolist() == [[2, 3], [0, 1]]
 
     def test_format_graph(self):
         g = generate("path", 3)

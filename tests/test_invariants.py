@@ -12,7 +12,6 @@ from rcorona import (
     adjacency_matrix,
     build_graph,
     degree_kirchhoff,
-    degree_profile,
     double_corona,
     generate,
     spanning_trees_matrix_tree,
@@ -24,7 +23,7 @@ def _resistance_kirchhoff_oracle(g):
     """Sum of d_u d_v R_uv with resistances from grounded-Laplacian solves;
     no normalized Laplacian eigenvalues involved."""
     n = g.vertex_count
-    deg = degree_profile(g).degrees
+    deg = g.degrees
     a = adjacency_matrix(g).astype(float)
     lap = np.diag(deg).astype(float) - a
     inv = np.linalg.solve(lap[1:, 1:], np.eye(n - 1))
@@ -43,7 +42,7 @@ def _relabel(g, seed):
     rng = random.Random(seed)
     perm = list(range(g.vertex_count))
     rng.shuffle(perm)
-    return build_graph(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges])
+    return build_graph(g.vertex_count, [(perm[u], perm[v]) for u, v in g.ends.tolist()])
 
 
 class TestMatrixTree:
