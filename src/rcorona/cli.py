@@ -128,9 +128,9 @@ def _cmd_spectrum(args) -> int:
     if args.json:
         payload: dict = {"vertices": len(spectrum), "method": args.method}
         if numeric is not None:
-            payload["numeric"] = list(numeric.values)
+            payload["numeric"] = numeric.values.tolist()
         if closed is not None:
-            payload["closed_form"] = list(closed.values)
+            payload["closed_form"] = closed.values.tolist()
             payload["families"] = cf.to_dict()
         if report is not None:
             payload["match"] = report.matched
@@ -138,7 +138,7 @@ def _cmd_spectrum(args) -> int:
         sys.stdout.write(json.dumps(payload) + "\n")
     elif report is not None:
         print(f"{'numeric':>24}  {'closed-form':>24}  {'|diff|':>12}")
-        for a, b in zip(numeric.values, closed.values):
+        for a, b in zip(numeric.values.tolist(), closed.values.tolist()):
             print(f"{_fmt(a):>24}  {_fmt(b):>24}  {abs(a - b):>12.3e}")
         print(f"verdict: {'MATCH' if report.matched else 'MISMATCH'}")
         print(f"max deviation: {_fmt(report.max_deviation)} (tol {_fmt(args.tol)})")

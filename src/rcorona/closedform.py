@@ -37,7 +37,6 @@ route, which alone uses that solver, stays an independent check.
 """
 
 from dataclasses import dataclass, fields
-import json
 import math
 
 import numpy as np
@@ -236,9 +235,6 @@ class ClosedFormSpectrum:
             "excess": None if self.excess is None else fam(*self._excess_row()),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
 
 # --- copy blocks -------------------------------------------------------------
 
@@ -376,11 +372,11 @@ def _spectrum_groups(g: Graph, degree: int) -> tuple[tuple[float, int], ...]:
             (2 * math.sin(math.pi * k / n) ** 2, 1 if 2 * k in (0, n) else 2)
             for k in range(n // 2 + 1)
         )
-    values = np.linalg.eigvalsh(normalized_laplacian(g)).tolist()
+    values = np.linalg.eigvalsh(normalized_laplacian(g))
     # the least value is the zero every such Laplacian has, kept as a group
     # of its own, so that dropping it from a copy graph's groups leaves the
     # other groups' means as they were
-    return ((values[0], 1),) + summarize(Spectrum(values[1:]), _GROUP_TOL)
+    return ((float(values[0]), 1),) + summarize(Spectrum(values[1:]), _GROUP_TOL)
 
 
 def _label(tag: str, v: float) -> str:

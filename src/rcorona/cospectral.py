@@ -57,8 +57,8 @@ class CospectralCertificate:
                 "tolerance": self.tolerance,
                 "graph_a": _graph_dict(self.graph_a),
                 "graph_b": _graph_dict(self.graph_b),
-                "spectrum_a": list(self.spectrum_a.values),
-                "spectrum_b": list(self.spectrum_b.values),
+                "spectrum_a": self.spectrum_a.values.tolist(),
+                "spectrum_b": self.spectrum_b.values.tolist(),
                 "non_regular": list(self.non_regular),
                 "edge_sets_differ": self.edge_sets_differ,
                 "recipe": self.recipe,

@@ -73,10 +73,10 @@ def spanning_trees_spectral(g: Graph) -> float:
     deg = g.degrees.tolist()
     if any(d == 0 for d in deg):
         raise HypothesisError("spectral spanning-tree count requires no isolated vertices")
-    values = nl_spectrum(g).values
+    values = nl_spectrum(g).values[1:].tolist()
     # accumulate in log space; corona degree products overflow quickly
     log_total = math.fsum(math.log(d) for d in deg) - math.log(sum(deg))
-    log_total += math.fsum(math.log(v) for v in values[1:])
+    log_total += math.fsum(math.log(v) for v in values)
     return math.exp(log_total)
 
 
@@ -89,5 +89,5 @@ def degree_kirchhoff(g: Graph) -> float:
         raise HypothesisError("degree-Kirchhoff index requires a connected graph")
     if g.vertex_count == 1:
         return 0.0
-    values = nl_spectrum(g).values
-    return 2 * g.edge_count * math.fsum(1.0 / v for v in values[1:])
+    values = nl_spectrum(g).values[1:].tolist()
+    return 2 * g.edge_count * math.fsum(1.0 / v for v in values)

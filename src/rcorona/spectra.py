@@ -24,7 +24,6 @@ through this solver.
 """
 
 from dataclasses import dataclass
-import json
 import math
 
 import numpy as np
@@ -73,26 +72,34 @@ _TILE = 56
 _EPS = float(np.finfo(np.float64).eps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Sorted eigenvalue multiset."""
+    """Sorted eigenvalue multiset: one read-only float64 array, ``values``.
 
-    values: tuple[float, ...]
+    Two spectra are equal when their values are, -0.0 and 0.0 alike; a
+    spectrum is not hashable.
+    """
+
+    values: np.ndarray
 
     def __post_init__(self):
-        # one stable sort: equal values, -0.0 and 0.0 among them, keep their
-        # input order, as sorted() keeps them
-        values = np.sort(np.asarray(self.values, dtype=float), kind="stable")
-        object.__setattr__(self, "values", tuple(values.tolist()))
+        # one stable sort (a copy, so the caller's array keeps its flags):
+        # equal values, -0.0 and 0.0 among them, keep their input order
+        values = np.sort(np.asarray(self.values, dtype=np.float64), kind="stable")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+
+    def __eq__(self, other):
+        if not isinstance(other, Spectrum):
+            return NotImplemented
+        return np.array_equal(self.values, other.values)
 
     def __len__(self) -> int:
         return len(self.values)
 
-    def to_json(self) -> str:
-        return json.dumps(list(self.values))
-
     def to_csv(self) -> str:
-        return "\n".join(f"{v:.17g}" for v in self.values) + ("\n" if self.values else "")
+        values = self.values.tolist()
+        return "%.17g\n" * len(values) % tuple(values)
 
 
 @dataclass(frozen=True)
@@ -502,13 +509,11 @@ def numeric_spectrum(mat: np.ndarray) -> Spectrum:
     if asym > _SYMMETRY_TOL:
         raise ValueError(f"matrix is not symmetric (max |M - M^T| = {asym:.3e})")
     if n == 1:
-        return Spectrum((float(mat[0, 0]),))
+        return Spectrum(mat[0])
     d, e = _householder_tridiagonal(mat)
     if n <= _DC_CROSSOVER:
-        values = _ql_implicit(d.tolist(), e.tolist())
-    else:
-        values = _divide_and_conquer(d, e)[0].tolist()
-    return Spectrum(values)
+        return Spectrum(_ql_implicit(d.tolist(), e.tolist()))
+    return Spectrum(_divide_and_conquer(d, e)[0])
 
 
 def nl_spectrum(g: Graph) -> Spectrum:
@@ -521,34 +526,29 @@ def compare_spectra(a: Spectrum, b: Spectrum, tol: float = _MATCH_TOL) -> Spectr
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if len(a) != len(b):
-        return SpectrumComparison(
-            False, math.inf, -1, f"length mismatch: {len(a)} vs {len(b)}"
-        )
-    if not a.values:
+        return SpectrumComparison(False, math.inf, -1, f"length mismatch: {len(a)} vs {len(b)}")
+    if not len(a):
         return SpectrumComparison(True, 0.0, -1, "both empty")
-    devs = [abs(x - y) for x, y in zip(a.values, b.values)]
-    worst = max(range(len(devs)), key=devs.__getitem__)
-    matched = devs[worst] <= tol
-    return SpectrumComparison(
-        matched,
-        devs[worst],
-        worst,
-        f"max |a[i]-b[i]| = {devs[worst]:.3e} at index {worst}",
-    )
+    # a difference beyond the float range is inf, as in Python arithmetic
+    with np.errstate(over="ignore"):
+        devs = np.abs(a.values - b.values)
+    # the first index of the worst deviation
+    worst = int(np.argmax(devs))
+    dev = float(devs[worst])
+    return SpectrumComparison(dev <= tol, dev, worst, f"max |a[i]-b[i]| = {dev:.3e} at index {worst}")
 
 
 def summarize(s: Spectrum, tol: float = _MATCH_TOL) -> tuple[tuple[float, int], ...]:
-    """(representative value, multiplicity) pairs from greedy left-to-right
-    clustering at tol; the representative is the cluster mean."""
+    """(representative value, multiplicity) pairs from left-to-right
+    clustering at tol: a cluster ends where the gap to the next value
+    exceeds tol; the representative is the cluster mean."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    groups: list[tuple[float, int]] = []
-    cluster: list[float] = []
-    for v in s.values:
-        if cluster and v - cluster[-1] > tol:
-            groups.append((math.fsum(cluster) / len(cluster), len(cluster)))
-            cluster = []
-        cluster.append(v)
-    if cluster:
-        groups.append((math.fsum(cluster) / len(cluster), len(cluster)))
-    return tuple(groups)
+    values = s.values
+    if not values.size:
+        return ()
+    with np.errstate(over="ignore"):
+        cuts = np.flatnonzero(values[1:] - values[:-1] > tol) + 1
+    bounds = [0, *cuts.tolist(), values.size]
+    floats = values.tolist()
+    return tuple((math.fsum(floats[i:j]) / (j - i), j - i) for i, j in zip(bounds, bounds[1:]))

@@ -2,15 +2,17 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rcorona import (
     HypothesisError,
     adjacency_matrix,
     build_graph,
+    compare_spectra,
     double_corona,
     generate,
     incidence_matrix,
+    nl_spectrum,
     r_graph,
 )
 
@@ -116,6 +118,32 @@ class TestSpecializations:
         deg = g.degrees
         lo, hi = layout.new_vertex_range
         assert all(deg[i] == 3 for i in range(lo, hi))  # 2 endpoints + 1 pendant
+
+
+_REGULAR_BASES = st.one_of(
+    st.integers(3, 5).map(lambda k: generate("complete", k)),
+    st.integers(3, 7).map(lambda k: generate("cycle", k)),
+    st.integers(2, 3).map(lambda k: generate("complete_bipartite", k, k)),
+    st.just(generate("petersen")),
+)
+_REGULAR_COPIES = st.one_of(
+    st.just(generate("null")),
+    st.integers(1, 4).map(lambda k: generate("complete", k)),
+    st.integers(3, 5).map(lambda k: generate("cycle", k)),
+    st.integers(2, 3).map(lambda k: build_graph(k, [])),
+)
+
+
+class TestRelabelling:
+    @settings(max_examples=40, deadline=None)
+    @given(_REGULAR_BASES, _REGULAR_COPIES, _REGULAR_COPIES, st.integers(0, 2**32 - 1))
+    def test_oracle_spectrum_is_label_free(self, g, g1, g2, seed):
+        corona, _ = double_corona(g, g1, g2)
+        n = corona.vertex_count
+        perm = np.random.default_rng(seed).permutation(n)
+        moved = build_graph(n, perm[corona.ends])
+        report = compare_spectra(nl_spectrum(corona), nl_spectrum(moved), 1e-12 * n)
+        assert report.matched, report.reason
 
 
 class TestDegreeContract:

@@ -3,6 +3,7 @@
 import itertools
 import json
 
+import numpy as np
 import pytest
 
 from rcorona import (
@@ -165,7 +166,7 @@ class TestBuildPair:
             tol=obj["recipe"]["tolerance"],
         )
         assert rebuilt.verdict == cert.verdict
-        assert rebuilt.spectrum_a.values == cert.spectrum_a.values
+        assert np.array_equal(rebuilt.spectrum_a.values, cert.spectrum_a.values)
 
 
 class TestSeedCatalog:

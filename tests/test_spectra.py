@@ -1,14 +1,16 @@
 """Normalized Laplacians, the eigensolver oracle, comparison, clustering."""
 
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rcorona import (
     HypothesisError,
     Spectrum,
+    SpectrumComparison,
     adjacency_matrix,
     build_graph,
     compare_spectra,
@@ -50,6 +52,94 @@ def wilkinson_plus(n):
     """W+_n: diagonal |i - (n-1)/2|, unit off-diagonal; its largest
     eigenvalues come in pairs that agree to many digits."""
     return np.abs(np.arange(n) - (n - 1) / 2), np.ones(n - 1)
+
+
+# The scalar code that the array versions of to_csv, compare_spectra and
+# summarize replaced, kept as their reference.  Each takes the values as
+# Python floats, sorted.
+
+
+def scalar_csv(values):
+    return "\n".join(f"{v:.17g}" for v in values) + ("\n" if values else "")
+
+
+def scalar_compare(a, b, tol):
+    if len(a) != len(b):
+        return SpectrumComparison(False, math.inf, -1, f"length mismatch: {len(a)} vs {len(b)}")
+    if not a:
+        return SpectrumComparison(True, 0.0, -1, "both empty")
+    devs = [abs(x - y) for x, y in zip(a, b)]
+    worst = max(range(len(devs)), key=devs.__getitem__)
+    return SpectrumComparison(devs[worst] <= tol, devs[worst], worst,
+                              f"max |a[i]-b[i]| = {devs[worst]:.3e} at index {worst}")
+
+
+def scalar_summarize(values, tol):
+    groups, cluster = [], []
+    for v in values:
+        if cluster and v - cluster[-1] > tol:
+            groups.append((math.fsum(cluster) / len(cluster), len(cluster)))
+            cluster = []
+        cluster.append(v)
+    if cluster:
+        groups.append((math.fsum(cluster) / len(cluster), len(cluster)))
+    return tuple(groups)
+
+
+def outcome(fn, *args):
+    """The repr of fn's result, which tells -0.0 from 0.0 and a numpy
+    scalar from a Python one, or the exception it raised."""
+    try:
+        return repr(fn(*args))
+    except ArithmeticError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_tol = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def spectrum_values(draw):
+    """Finite floats, empty and one-value lists included, with repeats
+    from a small pool that holds 0.0 and -0.0."""
+    pool = draw(st.lists(_finite, min_size=1, max_size=3)) + [0.0, -0.0]
+    return draw(st.lists(st.sampled_from(pool) | _finite, max_size=12))
+
+
+@st.composite
+def lattice_values(draw):
+    """Multiples of a power-of-two step, and the step as tol: every gap of
+    one step is exactly tol."""
+    step = 2.0 ** draw(st.integers(-30, 30))
+    return [k * step for k in draw(st.lists(st.integers(-8, 8), max_size=12))], step
+
+
+@st.composite
+def values_and_tol(draw):
+    """Values, and a tol that is often one of their neighbour gaps."""
+    if draw(st.booleans()):
+        return draw(lattice_values())
+    values = draw(spectrum_values())
+    s = sorted(values)
+    gaps = [y - x for x, y in zip(s, s[1:]) if 0.0 < y - x < math.inf]
+    return values, draw(st.sampled_from(gaps) | _tol if gaps else _tol)
+
+
+@st.composite
+def pairs_and_tol(draw):
+    """Two lists of values, the second often the first shifted by offsets
+    from a pool of three, so that the worst deviation ties; and a tol that
+    is often one of the deviations."""
+    a = draw(spectrum_values())
+    if draw(st.booleans()):
+        b = draw(spectrum_values())
+    else:
+        pool = [0.0, -0.0, draw(st.floats(-1.0, 1.0))]
+        b = [x + draw(st.sampled_from(pool)) for x in a]
+        assume(all(math.isfinite(v) for v in b))
+    devs = [abs(x - y) for x, y in zip(sorted(a), sorted(b)) if 0.0 < abs(x - y) < math.inf]
+    return a, b, draw(st.sampled_from(devs) | _tol if devs else _tol)
 
 
 class TestNormalizedLaplacian:
@@ -109,10 +199,10 @@ class TestNumericSpectrum:
         assert np.allclose(s.values, [0, 2], atol=1e-12)
 
     def test_identity(self):
-        assert numeric_spectrum(np.eye(2)).values == (1.0, 1.0)
+        assert np.array_equal(numeric_spectrum(np.eye(2)).values, [1.0, 1.0])
 
     def test_empty(self):
-        assert numeric_spectrum(np.zeros((0, 0))).values == ()
+        assert np.array_equal(numeric_spectrum(np.zeros((0, 0))).values, [])
 
     def test_non_symmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -128,7 +218,7 @@ class TestNumericSpectrum:
         # the second order takes divide and conquer
         for g in (generate("petersen"), generate("circulant", 2 * _DC_CROSSOVER, 1, 3)):
             lap = normalized_laplacian(g)
-            assert numeric_spectrum(lap).values == numeric_spectrum(lap).values
+            assert np.array_equal(numeric_spectrum(lap).values, numeric_spectrum(lap).values)
 
     def test_cycle_closed_form(self):
         # solver self-test: C_n eigenvalues are 1 - cos(2 pi k / n)
@@ -270,16 +360,16 @@ class TestDivideAndConquer:
         m = rng.standard_normal((_DC_CROSSOVER + 1, _DC_CROSSOVER + 1))
         m = (m + m.T) / 2
         d, e = _householder_tridiagonal(m)
-        assert numeric_spectrum(m).values == tuple(sorted(_divide_and_conquer(d, e)[0].tolist()))
+        assert np.array_equal(numeric_spectrum(m).values, sorted(_divide_and_conquer(d, e)[0].tolist()))
         small = m[:_DC_CROSSOVER, :_DC_CROSSOVER]
         d, e = _householder_tridiagonal(small)
-        expect = tuple(sorted(_ql_implicit(d.tolist(), e.tolist())))
+        expect = sorted(_ql_implicit(d.tolist(), e.tolist()))
 
         def forbidden(*args, **kwargs):
             raise AssertionError("an order at the crossover took divide and conquer")
 
         monkeypatch.setattr("rcorona.spectra._divide_and_conquer", forbidden)
-        assert numeric_spectrum(small).values == expect
+        assert np.array_equal(numeric_spectrum(small).values, expect)
 
     def test_adversarial_tridiagonals(self, monkeypatch):
         # small leaves, so that these orders go through several merges
@@ -357,6 +447,19 @@ class TestCompare:
         with pytest.raises(ValueError):
             compare_spectra(Spectrum(()), Spectrum(()), 0.0)
 
+    @settings(max_examples=300)
+    @given(pairs_and_tol())
+    @example(([], [], 1e-8))
+    @example(([0.0], [-0.0], 1e-8))
+    @example(([0.0, 1.0], [1.0, 2.0], 1e-8))
+    @example(([0.0, 1.0], [0.5, 1.5], 0.5))
+    @example(([-1e308], [1e308], 1e-8))
+    def test_matches_the_scalar_reference(self, case):
+        a, b, tol = case
+        got = compare_spectra(Spectrum(a), Spectrum(b), tol)
+        assert repr(got) == repr(scalar_compare(sorted(a), sorted(b), tol))
+        assert type(got.max_deviation) is float and type(got.worst_index) is int
+
 
 class TestSummarize:
     def test_clusters(self):
@@ -376,28 +479,64 @@ class TestSummarize:
         s = nl_spectrum(generate("petersen"))
         assert sum(k for _, k in summarize(s, 1e-8)) == 10
 
+    @settings(max_examples=300)
+    @given(values_and_tol())
+    @example(([], 1e-8))
+    @example(([-0.0], 1e-8))
+    @example(([0.0, -0.0, 0.0], 1e-8))
+    @example(([0.0, 0.5, 1.0, 2.0], 0.5))
+    @example(([1e308, 1e308], 1.0))
+    def test_matches_the_scalar_reference(self, case):
+        values, tol = case
+        got = outcome(summarize, Spectrum(values), tol)
+        assert got == outcome(scalar_summarize, sorted(values), tol)
+
 
 class TestSpectrumOrder:
     @given(st.lists(st.floats(-3, 3) | st.sampled_from((0.0, -0.0)), max_size=30))
     def test_unsorted_input_comes_out_sorted(self, values):
         got = Spectrum(values).values
-        assert all(type(v) is float for v in got)
-        assert list(got) == sorted(values)
+        assert got.dtype == np.float64 and got.shape == (len(values),)
+        assert got.tolist() == sorted(values)
         # a stable sort: -0.0 and 0.0 keep their input order, as sorted() keeps them
-        assert [math.copysign(1, v) for v in got] == [math.copysign(1, v) for v in sorted(values)]
+        assert [math.copysign(1, v) for v in got.tolist()] == [math.copysign(1, v) for v in sorted(values)]
 
     def test_accepts_arrays_and_ints(self):
-        assert Spectrum(np.array([2.0, 0.5, 1.0])).values == (0.5, 1.0, 2.0)
-        assert Spectrum((3, 1)).values == (1.0, 3.0)
+        assert np.array_equal(Spectrum(np.array([2.0, 0.5, 1.0])).values, [0.5, 1.0, 2.0])
+        assert np.array_equal(Spectrum((3, 1)).values, [1.0, 3.0])
+
+    def test_values_are_read_only(self):
+        source = np.array([2.0, 1.0])
+        s = Spectrum(source)
+        with pytest.raises(ValueError, match="read-only"):
+            s.values[0] = 0.0
+        # the caller's array is neither sorted in place nor frozen
+        source[0] = 3.0
+        assert np.array_equal(s.values, [1.0, 2.0])
+
+    def test_equal_by_value_and_unhashable(self):
+        assert Spectrum((0.0, 1.0)) == Spectrum(np.array([1.0, -0.0]))
+        assert Spectrum((0.0, 1.0)) != Spectrum((0.0, 2.0))
+        assert Spectrum((0.0,)) != Spectrum((0.0, 0.0))
+        assert Spectrum(()) != ()
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(Spectrum((1.0,)))
 
 
 class TestSerialization:
     def test_json(self):
-        assert Spectrum((0.0, 2.0)).to_json() == "[0.0, 2.0]"
+        assert json.dumps(Spectrum((0.0, 2.0)).values.tolist()) == "[0.0, 2.0]"
 
     def test_csv_has_17_digits(self):
         text = Spectrum((1 / 3,)).to_csv()
         assert text == "0.33333333333333331\n"
+
+    @given(spectrum_values())
+    @example([])
+    @example([-0.0])
+    @example([5e-324, 1.7976931348623157e308, 0.1, 1e16, 1e-5])
+    def test_csv_matches_the_scalar_reference(self, values):
+        assert Spectrum(values).to_csv() == scalar_csv(sorted(values))
 
     def test_adjacency_spectra_fit_in_spectrum(self):
         # Spectrum also carries adjacency eigenvalues (outside [0, 2])
