@@ -15,7 +15,7 @@ from .closedform import (
     family_polynomial,
     flatten,
 )
-from .corona import CoronaLayout, double_corona, r_graph
+from .corona import CoronaLayout, double_corona
 from .cospectral import (
     CospectralCertificate,
     adjacency_cospectral,

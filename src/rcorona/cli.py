@@ -18,8 +18,10 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .closedform import closed_form_spectrum, flatten
-from .corona import double_corona
+from .corona import _KIND_COPIES, double_corona
 from .cospectral import build_cospectral_pair
 from .errors import ConvergenceError, HypothesisError, InternalConsistencyError
 from .graphs import Graph, build_graph, format_graph, generate, load_graph, save_graph
@@ -27,10 +29,6 @@ from .invariants import degree_kirchhoff, spanning_trees_matrix_tree, spanning_t
 from .spectra import _MATCH_TOL, compare_spectra, nl_spectrum
 
 __all__ = ["main"]
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
 
 
 def _tolerance(text: str) -> float:
@@ -67,13 +65,13 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-# the copy graphs each corona kind reads after its base; a missing one is null
-_CORONA_COPIES = {"double": ("g1", "g2"), "vertex": ("g1",), "edge": ("g2",)}
+# the corona kinds the command line offers: those that take a copy graph
+_CORONA_CHOICES = [kind for kind, copies in _KIND_COPIES.items() if copies]
 
 
 def _corona_inputs(kind: str, files: list[str]) -> tuple[Graph, Graph, Graph]:
     """Load the base and copy graphs of a corona kind."""
-    copies = _CORONA_COPIES[kind]
+    copies = _KIND_COPIES[kind]
     if len(files) != 1 + len(copies):
         raise ValueError(f"corona {kind} takes {1 + len(copies)} graphs: g {' '.join(copies)} "
                          "('null' allowed)")
@@ -109,7 +107,7 @@ def _cmd_spectrum(args) -> int:
         # only the numeric route builds the corona: the closed form reads
         # just the base and copy graphs
         if inputs is not None:
-            graph, _ = double_corona(*inputs, allow_disconnected=args.allow_disconnected)
+            graph, _ = double_corona(*inputs)
         numeric = nl_spectrum(graph)
     if args.method in ("closed-form", "both"):
         if inputs is None:
@@ -138,10 +136,10 @@ def _cmd_spectrum(args) -> int:
         sys.stdout.write(json.dumps(payload) + "\n")
     elif report is not None:
         print(f"{'numeric':>24}  {'closed-form':>24}  {'|diff|':>12}")
-        for a, b in zip(numeric.values.tolist(), closed.values.tolist()):
-            print(f"{_fmt(a):>24}  {_fmt(b):>24}  {abs(a - b):>12.3e}")
+        rows = np.column_stack((numeric.values, closed.values, np.abs(numeric.values - closed.values)))
+        sys.stdout.write("%24.17g  %24.17g  %12.3e\n" * len(rows) % tuple(rows.ravel().tolist()))
         print(f"verdict: {'MATCH' if report.matched else 'MISMATCH'}")
-        print(f"max deviation: {_fmt(report.max_deviation)} (tol {_fmt(args.tol)})")
+        print(f"max deviation: {report.max_deviation:.17g} (tol {args.tol:.17g})")
     else:
         sys.stdout.write(spectrum.to_csv())
     return code
@@ -150,13 +148,14 @@ def _cmd_spectrum(args) -> int:
 def _cmd_cospectral(args) -> int:
     graphs = [_load(p) for p in args.graphs]
     cert = build_cospectral_pair(*graphs, tol=args.tol)
+    text = cert.to_json() if args.out or args.json else None
     if args.out:
-        _write_or_print(cert.to_json(), args.out)
+        _write_or_print(text, args.out)
     if args.json:
-        sys.stdout.write(cert.to_json() + "\n")
+        sys.stdout.write(text + "\n")
     else:
         print(f"verdict: {cert.verdict}")
-        print(f"max deviation: {_fmt(cert.max_deviation)} (tol {_fmt(cert.tolerance)})")
+        print(f"max deviation: {cert.max_deviation:.17g} (tol {cert.tolerance:.17g})")
         print(f"sizes: {cert.graph_a.vertex_count} and {cert.graph_b.vertex_count} vertices")
         print(f"non-regular: {cert.non_regular[0]} and {cert.non_regular[1]}")
     return 0 if cert.cospectral else 1
@@ -194,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("corona", help="construct an R-graph corona")
-    p.add_argument("kind", choices=_CORONA_COPIES)
+    p.add_argument("kind", choices=_CORONA_CHOICES)
     p.add_argument("graphs", nargs="+", help="graph files ('null' for the null graph)")
     p.add_argument("--out")
     p.add_argument("--format", choices=("edgelist", "json"), default="edgelist")
@@ -204,11 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="normalized Laplacian spectrum")
     p.add_argument("graphs", nargs="+", help="graph file, or corona inputs with --corona")
-    p.add_argument("--corona", choices=_CORONA_COPIES)
+    p.add_argument("--corona", choices=_CORONA_CHOICES)
     p.add_argument("--method", choices=("numeric", "closed-form", "both"), default="numeric")
     p.add_argument("--tol", type=_tolerance, default=_MATCH_TOL)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--allow-disconnected", action="store_true")
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("cospectral", help="build and certify a cospectral corona pair")

@@ -1,11 +1,12 @@
-"""R-graph and corona constructions with a fixed vertex-ordering contract.
+"""R-graph corona constructions with a fixed vertex-ordering contract.
 
-``double_corona`` builds every corona kind: a null second (first) copy
-graph gives the R-vertex (R-edge) corona, and both null the bare R-graph
-of a connected base.  It reads connectivity from ``Graph.connected``,
-which a graph computes once, so the closed form's own check of the same
-base costs nothing more.  ``r_graph`` builds the R-graph of any base,
-including a null or disconnected one.
+This module decides what a corona kind is, and builds every kind one way.
+``_KIND_COPIES`` names each kind and the copy graphs it takes; the others
+are null.  The R-vertex (R-edge) corona is the double corona with a null
+second (first) copy graph, and the bare R-graph, kind "r_graph", has both
+null.  ``double_corona`` builds them all; it reads connectivity from
+``Graph.connected``, which a graph computes once, so the closed form's own
+check of the same base costs nothing more.
 
 Output vertex order is always: the base graph's vertices ("old",
 0..n-1), then one new vertex per base edge ("new", n..n+m-1), then n
@@ -31,9 +32,25 @@ from .graphs import Graph, _json_pairs, _refuse_beyond_memory
 
 __all__ = [
     "CoronaLayout",
-    "r_graph",
     "double_corona",
 ]
+
+
+# Each corona kind and the copy graphs it takes after its base, in that
+# order; a copy graph it does not take is null.  The command line offers
+# the kinds that take a copy graph: the bare R-graph is `double G null null`.
+_KIND_COPIES = {
+    "double": ("g1", "g2"),
+    "vertex": ("g1",),
+    "edge": ("g2",),
+    "r_graph": (),
+}
+
+
+def _kind_of(g1: Graph, g2: Graph) -> str:
+    """The kind of the corona with copy graphs g1 and g2."""
+    taken = tuple(name for name, copy in (("g1", g1), ("g2", g2)) if not copy.is_null)
+    return next(kind for kind, copies in _KIND_COPIES.items() if copies == taken)
 
 
 # Peak memory of a corona per layout entry (one per old and new vertex) or
@@ -104,7 +121,21 @@ def _copy_block(centres: np.ndarray, start: int, copy: Graph) -> np.ndarray:
     return block.reshape(-1, 2)
 
 
-def _assemble(g: Graph, g1: Graph, g2: Graph) -> tuple[Graph, CoronaLayout]:
+def double_corona(
+    g: Graph, g1: Graph, g2: Graph, *, allow_disconnected: bool = False
+) -> tuple[Graph, CoronaLayout]:
+    """Corona of the R-graph: each old vertex joined to its own copy of g1,
+    each new vertex to its own copy of g2.  Either copy graph may be null,
+    and both null give the R-graph itself.
+
+    The base graph must be connected and nonempty; pass
+    ``allow_disconnected=True`` to bypass the connectivity check for
+    exploration (closed-form results are then unguaranteed).
+    """
+    if g.is_null:
+        raise HypothesisError("corona base graph must be nonempty")
+    if not allow_disconnected and not g.connected:
+        raise HypothesisError("corona base graph must be connected")
     n, m = g.vertex_count, g.edge_count
     n1, n2 = g1.vertex_count, g2.vertex_count
     total = n + m + n * n1 + m * n2
@@ -131,28 +162,3 @@ def _assemble(g: Graph, g1: Graph, g2: Graph) -> tuple[Graph, CoronaLayout]:
     # canonical (each centre lies below every copy offset, and copies keep
     # u < v) and distinct (the blocks are disjoint).
     return Graph(total, ends), CoronaLayout(n, m, n1, n2)
-
-
-def r_graph(g: Graph) -> tuple[Graph, CoronaLayout]:
-    """Add one vertex per edge, joined to that edge's two endpoints.
-
-    The null graph maps to itself.  Output: n+m vertices, 3m edges.
-    """
-    return _assemble(g, Graph(0, ()), Graph(0, ()))
-
-
-def double_corona(
-    g: Graph, g1: Graph, g2: Graph, *, allow_disconnected: bool = False
-) -> tuple[Graph, CoronaLayout]:
-    """Corona of the R-graph: each old vertex joined to its own copy of g1,
-    each new vertex to its own copy of g2.  Either copy graph may be null.
-
-    The base graph must be connected and nonempty; pass
-    ``allow_disconnected=True`` to bypass the connectivity check for
-    exploration (closed-form results are then unguaranteed).
-    """
-    if g.is_null:
-        raise HypothesisError("corona base graph must be nonempty")
-    if not allow_disconnected and not g.connected:
-        raise HypothesisError("corona base graph must be connected")
-    return _assemble(g, g1, g2)

@@ -4,9 +4,10 @@ non-regular graph pairs.
 The closed-form spectrum of a corona depends only on the parameters that
 ``CoronaParams.from_graphs`` checks and reads off the seed graphs, and on
 their spectra; coronas over seed triples with equal parameters and
-cospectral inputs are therefore cospectral.  That holds for every recipe
-kind, the bare R-graph (both attachments null, kind "r_graph") included.
-This module builds such pairs and certifies them with the numeric eigensolver.
+cospectral inputs are therefore cospectral.  That holds for every corona
+kind, the bare R-graph (both attachments null) included; a certificate's
+recipe names the kind as ``corona._KIND_COPIES`` does.  This module builds
+such pairs and certifies them with the numeric eigensolver.
 """
 
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ import json
 import numpy as np
 
 from .closedform import CoronaParams
-from .corona import double_corona
+from .corona import _kind_of, double_corona
 from .errors import HypothesisError
 from .graphs import Graph, _graph_dict, adjacency_matrix, generate
 from .spectra import _MATCH_TOL, Spectrum, compare_spectra, nl_spectrum, numeric_spectrum
@@ -88,15 +89,6 @@ def regular_cospectrality_agrees(g: Graph, h: Graph, tol: float = _MATCH_TOL) ->
     return adjacency_cospectral(g, h, tol) == nl_cospectral(g, h, tol)
 
 
-# certificate recipe kind, keyed by (g1 is null, g2 is null)
-_KINDS = {
-    (False, False): "double",
-    (False, True): "vertex",
-    (True, False): "edge",
-    (True, True): "r_graph",
-}
-
-
 def _sorted_rows(ends: np.ndarray) -> np.ndarray:
     """The rows of an edge array in lexicographic order: the edge set."""
     return ends[np.lexsort(ends.T[::-1])]
@@ -140,7 +132,7 @@ def build_cospectral_pair(
     sb = nl_spectrum(corona_b)
     report = compare_spectra(sa, sb, tol)
     recipe = {
-        "kind": _KINDS[g1.is_null, g2.is_null],
+        "kind": _kind_of(g1, g2),
         "g": _graph_dict(g),
         "h": _graph_dict(h),
         "g1": _graph_dict(g1),

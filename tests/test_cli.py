@@ -211,6 +211,21 @@ class TestSpectrum:
         assert len(obj["numeric"]) == 18 and len(obj["closed_form"]) == 18
         assert obj["max_deviation"] <= 1e-8
 
+    @pytest.mark.parametrize("base", ["K3", "SH"])
+    def test_both_table_matches_the_per_row_reference(self, files, capsys, base):
+        # the table is one format over three columns; the reference prints
+        # each row as the per-row f-strings did, from the same values
+        argv = ["spectrum", "--corona", "double", files[base], files["P2"], files["K1"],
+                "--method", "both"]
+        assert main([*argv, "--json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert main(argv) == 0
+        rows = [f"{a:>24.17g}  {b:>24.17g}  {abs(a - b):>12.3e}\n"
+                for a, b in zip(obj["numeric"], obj["closed_form"], strict=True)]
+        want = (f"{'numeric':>24}  {'closed-form':>24}  {'|diff|':>12}\n" + "".join(rows)
+                + f"verdict: MATCH\nmax deviation: {obj['max_deviation']:.17g} (tol 1e-08)\n")
+        assert capsys.readouterr().out == want
+
     def test_closed_form_refusal_on_k2_exit_3(self, files, capsys):
         code = main(["spectrum", "--corona", "double", files["K2"], files["P2"], files["P2"],
                      "--method", "closed-form"])
@@ -236,7 +251,7 @@ class TestSpectrum:
         assert main(["spectrum", str(bad)]) == 2
         assert "graph JSON" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-5", "0"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-5", "0", "abc"])
     def test_bad_tolerance_exit_2(self, files, capsys, tol):
         corona = ["--corona", "double", files["K3"], files["P2"], files["P2"]]
         for argv in (
@@ -317,9 +332,7 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("argv", [
         ["corona", "double", "{huge}", "null", "null", "--allow-disconnected"],
-        ["spectrum", "--corona", "double", "{huge}", "null", "null", "--method", "both",
-         "--allow-disconnected"],
-    ], ids=["corona", "both"])
+    ], ids=["corona"])
     def test_huge_header_allow_disconnected_exit_2(self, files, tmp_path, argv):
         # without the connectivity check the assembly itself must refuse the
         # 10^15 layout entries before its per-vertex loops
@@ -332,6 +345,17 @@ class TestSpectrum:
         deep.write_text('{"n": ' + "[" * 200_000)
         assert main(["spectrum", str(deep)]) == 2
         assert "graph JSON is nested too deeply" in capsys.readouterr().err
+
+    def test_two_graphs_without_corona_exit_2(self, files, capsys):
+        assert main(["spectrum", files["K3"], files["P2"]]) == 2
+        assert "spectrum takes one graph file unless --corona is given" in capsys.readouterr().err
+
+    def test_allow_disconnected_is_not_a_spectrum_flag(self, capsys):
+        # `corona --allow-disconnected --out F` then `spectrum F` is the route
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "G.el", "--allow-disconnected"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --allow-disconnected" in capsys.readouterr().err
 
     def test_closed_form_without_corona_exit_3(self, files, capsys):
         assert main(["spectrum", files["K3"], "--method", "closed-form"]) == 3
@@ -395,6 +419,13 @@ class TestCospectral:
         assert obj["verdict"] == "cospectral"
         assert obj["graph_a"]["n"] == 128
         assert obj["non_regular"] == [True, True]
+
+    def test_json_stdout_is_the_out_file(self, files, tmp_path, capsys):
+        cert = tmp_path / "cert.json"
+        code = main(["cospectral", files["SH"], files["RK"], "null", "null", "null", "null",
+                     "--out", str(cert), "--json"])
+        assert code == 0
+        assert capsys.readouterr().out.encode() == cert.read_bytes()
 
     def test_identical_inputs_cospectral(self, files, capsys):
         code = main(["cospectral", files["K3"], files["K3"],

@@ -13,16 +13,21 @@ from rcorona import (
     generate,
     incidence_matrix,
     nl_spectrum,
-    r_graph,
 )
+from rcorona.corona import _KIND_COPIES, _kind_of
 
 from test_graphs import small_graphs
 
 
+NULL = generate("null")
+
+
 class TestRGraph:
+    """The bare R-graph: the double corona with both copy graphs null."""
+
     def test_k3_by_hand(self):
         # one apex per edge, adjacent to that edge's endpoints
-        g, layout = r_graph(generate("complete", 3))
+        g, layout = double_corona(generate("complete", 3), NULL, NULL)
         assert (g.vertex_count, g.edge_count) == (6, 9)
         deg = g.degrees.tolist()
         assert deg[:3] == [4, 4, 4] and deg[3:] == [2, 2, 2]
@@ -30,20 +35,28 @@ class TestRGraph:
         assert layout.new_vertex_range == (3, 6)
 
     def test_p2_becomes_triangle(self):
-        g, _ = r_graph(generate("path", 2))
+        g, _ = double_corona(generate("path", 2), NULL, NULL)
         assert g == generate("complete", 3)
 
-    def test_null(self):
-        g, _ = r_graph(build_graph(0, []))
-        assert g.is_null
-
-    @given(small_graphs())
+    @given(small_graphs(min_n=1))
     def test_counts(self, g):
-        rg, _ = r_graph(g)
+        rg, _ = double_corona(g, NULL, NULL, allow_disconnected=True)
         assert rg.vertex_count == g.vertex_count + g.edge_count
         assert rg.edge_count == 3 * g.edge_count
         # the assembly skips build_graph: its edges must already be canonical
         assert build_graph(rg.vertex_count, rg.ends) == rg
+
+
+class TestKinds:
+    def test_each_kind_takes_its_copies(self):
+        k3, p2 = generate("complete", 3), generate("path", 2)
+        for kind, copies in _KIND_COPIES.items():
+            g1, g2 = (p2 if name in copies else NULL for name in ("g1", "g2"))
+            assert _kind_of(g1, g2) == kind
+            corona, layout = double_corona(k3, g1, g2)
+            assert (layout.n1, layout.n2) == (g1.vertex_count, g2.vertex_count)
+            # K3: 3 old and 3 new vertices, and 3 copies of P2 per copy graph taken
+            assert corona.vertex_count == 6 + 6 * len(copies)
 
 
 class TestDoubleCorona:
@@ -51,11 +64,6 @@ class TestDoubleCorona:
         p2 = generate("path", 2)
         g, _ = double_corona(generate("complete", 3), p2, p2)
         assert g.vertex_count == 18
-
-    def test_both_null_equals_r_graph(self):
-        k3 = generate("complete", 3)
-        null = generate("null")
-        assert double_corona(k3, null, null)[0] == r_graph(k3)[0]
 
     def test_c4_k1_null_by_hand(self):
         g, _ = double_corona(generate("cycle", 4), generate("complete", 1), generate("null"))

@@ -168,6 +168,12 @@ class TestBuildPair:
         assert rebuilt.verdict == cert.verdict
         assert np.array_equal(rebuilt.spectrum_a.values, cert.spectrum_a.values)
 
+    def test_recipe_kind_names_the_attachments_taken(self, seeds):
+        k1, null = generate("complete", 1), generate("null")
+        kinds = ("double", "vertex", "edge", "r_graph")
+        for (g1, g2), kind in zip(itertools.product((k1, null), repeat=2), kinds):
+            assert build_cospectral_pair(*seeds, g1, g1, g2, g2).recipe["kind"] == kind
+
 
 class TestSeedCatalog:
     def test_ships_verified_pairs(self):
