@@ -38,6 +38,7 @@ from rcorona import (
     summarize,
 )
 from rcorona.closedform import _spectrum_groups
+from rcorona.spectra import _MATCH_TOL
 
 K3P2P2 = CoronaParams(n=3, m=3, r=2, n1=2, r1=1, n2=2, r2=1)
 # K3P2P2 over K4: m > n, so it has an excess family, which depends only on
@@ -310,6 +311,17 @@ class TestParams:
     def test_zero_degree_base_rejected(self):
         with pytest.raises(HypothesisError):
             CoronaParams(3, 0, 0, 0, 0, 0, 0)
+
+    @pytest.mark.parametrize("fields, message", [
+        ((0, 0, 1, 0, 0, 0, 0), "n >= 1"),
+        ((3, 3, 2, -1, 0, 0, 0), "first attachment graph has negative parameters"),
+        ((3, 3, 2, 0, 0, 2, -1), "second attachment graph has negative parameters"),
+        ((3, 3, 2, 2, 2, 0, 0), "first attachment graph degree 2 exceeds 1"),
+        ((3, 3, 2, 0, 0, 3, 3), "second attachment graph degree 3 exceeds 2"),
+    ], ids=["n0", "n1-negative", "r2-negative", "r1-too-large", "r2-too-large"])
+    def test_direct_construction_refusals(self, fields, message):
+        with pytest.raises(HypothesisError, match=message):
+            CoronaParams(*fields)
 
     def test_total(self):
         assert K3P2P2.total_vertices == 18
@@ -770,3 +782,37 @@ class TestStructuralSpectra:
         p = CoronaParams.from_graphs(generate("cycle", 4), generate("path", 2), generate("null"))
         with pytest.raises(ValueError, match="do not add up to 4"):
             closed_form_from_spectra(p, ((0.0, 1), (1.0, 2)), ((0.0, 1), (2.0, 1)), ())
+
+
+def _pairing_model(rng, n, r):
+    """A connected simple r-regular graph on n vertices from the pairing
+    (configuration) model: pair the n*r vertex points uniformly at random,
+    and draw again while the pairing has a loop or a repeated edge, or its
+    graph is disconnected."""
+    while True:
+        points = [v for v in range(n) for _ in range(r)]
+        rng.shuffle(points)
+        edges = {(min(u, v), max(u, v)) for u, v in zip(points[::2], points[1::2])}
+        if len(edges) == n * r // 2 and all(u != v for u, v in edges):
+            g = build_graph(n, sorted(edges))
+            if g.connected:
+                return g
+
+
+@st.composite
+def _pairing_bases(draw):
+    r = draw(st.sampled_from((3, 4)))
+    # n >= r + 2 leaves out K_(r+1), whose spectrum comes from structure
+    n = draw(st.integers(r + 2, 12).filter(lambda k: k * r % 2 == 0))
+    return _pairing_model(random.Random(draw(st.integers(0, 2**32 - 1))), n, r)
+
+
+class TestPairingModelBases:
+    """Random regular bases that are not drawn as circulants, so their
+    spectra go to LAPACK, with the A03 sweep's copy graphs."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_pairing_bases(), st.sampled_from(_GRID_COPIES), st.sampled_from(_GRID_COPIES))
+    def test_closed_form_against_oracle(self, g, c1, c2):
+        assert g.regular_degree in (3, 4) and g.vertex_count <= 12
+        _oracle_check(g, generate(*c1), generate(*c2), tol=_MATCH_TOL)

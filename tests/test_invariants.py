@@ -6,6 +6,7 @@ import random
 
 import numpy as np
 import pytest
+import sympy
 
 from rcorona import (
     HypothesisError,
@@ -17,6 +18,7 @@ from rcorona import (
     spanning_trees_matrix_tree,
     spanning_trees_spectral,
 )
+from rcorona.invariants import _bareiss_determinant
 
 
 def _resistance_kirchhoff_oracle(g):
@@ -67,9 +69,36 @@ class TestMatrixTree:
     def test_disconnected_returns_zero(self):
         assert spanning_trees_matrix_tree(build_graph(4, [(0, 1), (2, 3)])) == 0
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_disconnected_in_shuffled_order_returns_zero(self, seed):
+        # two random components, relabelled: the elimination meets a zero
+        # pivot over a zero column, as a semidefinite Laplacian minor's
+        # zero pivots always are, and stops
+        rng = random.Random(seed)
+        sizes = rng.randint(1, 5), rng.randint(1, 5)
+        edges, start = [], 0
+        for k in sizes:
+            edges += [(start + u, start + v) for u in range(k) for v in range(u + 1, k)
+                      if rng.random() < 0.6]
+            start += k
+        g = _relabel(build_graph(start, edges), seed)
+        assert spanning_trees_matrix_tree(g) == 0
+
     def test_null_rejected(self):
         with pytest.raises(HypothesisError):
             spanning_trees_matrix_tree(generate("null"))
+
+
+class TestBareissDeterminant:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_sympy_with_zero_leading_entries(self, seed):
+        # sparse rows with a zero corner: the elimination swaps rows, with
+        # a sign flip, or stops at a zero column
+        rng = random.Random(seed)
+        n = rng.randint(1, 6)
+        rows = [[rng.choice((0, 0, 0, rng.randint(-4, 4))) for _ in range(n)] for _ in range(n)]
+        rows[0][0] = 0
+        assert _bareiss_determinant(rows) == sympy.Matrix(rows).det()
 
 
 class TestSpectralTreeCount:
@@ -101,6 +130,14 @@ class TestSpectralTreeCount:
         with pytest.raises(HypothesisError):
             spanning_trees_spectral(build_graph(4, [(0, 1), (2, 3)]))
 
+    def test_k1_rejected(self):
+        with pytest.raises(HypothesisError, match="no isolated vertices"):
+            spanning_trees_spectral(generate("complete", 1))
+
+    def test_null_rejected(self):
+        with pytest.raises(HypothesisError, match="null graph"):
+            spanning_trees_spectral(generate("null"))
+
 
 class TestDegreeKirchhoff:
     def test_k3_value_and_oracle(self):
@@ -122,6 +159,9 @@ class TestDegreeKirchhoff:
     def test_disconnected_rejected(self):
         with pytest.raises(HypothesisError):
             degree_kirchhoff(build_graph(4, [(0, 1), (2, 3)]))
+
+    def test_k1_is_zero(self):
+        assert degree_kirchhoff(generate("complete", 1)) == 0.0
 
 
 class TestLabelInvariance:

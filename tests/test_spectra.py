@@ -417,6 +417,13 @@ class TestDivideAndConquer:
         ref = np.linalg.eigvalsh(np.diag(d) + 2.0 * np.outer(z, z))
         assert np.allclose(roots, ref, atol=1e-14)
 
+    @pytest.mark.parametrize("d, z, rho", [(0.5, 0.8, 2.0), (-1.25, -0.3, 0.5), (0.0, 1e-3, 1.0)])
+    def test_secular_root_of_one_pole(self, d, z, rho):
+        roots, delta = _secular_roots(np.array([d]), np.array([z]), rho, 1)
+        ref = np.linalg.eigvalsh(np.diag([d]) + rho * np.outer([z], [z]))
+        assert np.allclose(roots, ref, rtol=0, atol=1e-15)
+        assert delta.shape == (1, 1) and np.allclose(delta, d - roots, rtol=0, atol=1e-15)
+
     def test_secular_cap_raises(self, monkeypatch):
         monkeypatch.setattr("rcorona.spectra._SECULAR_MAX_ITER", 0)
         rng = np.random.default_rng(5)
