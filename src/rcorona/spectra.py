@@ -25,6 +25,7 @@ through this solver.
 
 from dataclasses import dataclass
 import math
+import operator
 
 import numpy as np
 
@@ -98,8 +99,16 @@ class Spectrum:
         return len(self.values)
 
     def to_csv(self) -> str:
-        values = self.values.tolist()
-        return "%.17g\n" * len(values) % tuple(values)
+        # The values are sorted, so equal ones are neighbours: format the
+        # first of each run of equal bits once (-0.0 and 0.0 are separate
+        # runs, each with its own text) and repeat its line by the run length.
+        bits = self.values.view(np.int64)
+        first = np.ones(len(bits), dtype=bool)
+        first[1:] = bits[1:] != bits[:-1]
+        starts = np.flatnonzero(first)
+        lengths = np.diff(starts, append=len(bits)).tolist()
+        lines = "%.17g\n" * len(starts) % tuple(self.values[starts].tolist())
+        return "".join(map(operator.mul, lines.splitlines(keepends=True), lengths))
 
 
 @dataclass(frozen=True)

@@ -108,6 +108,19 @@ def spectrum_values(draw):
 
 
 @st.composite
+def long_runs(draw):
+    """Values in long runs: (value, count) pairs with counts up to 300,
+    subnormals among the values, and a run of zeros in which 0.0 and -0.0
+    are shuffled together."""
+    value = _finite | st.floats(-2.0**-1022, 2.0**-1022) | st.sampled_from((5e-324, -5e-324))
+    pairs = draw(st.lists(st.tuples(value, st.integers(1, 300)), max_size=6))
+    zeros = [0.0] * draw(st.integers(0, 300)) + [-0.0] * draw(st.integers(0, 300))
+    values = [v for v, count in pairs for _ in range(count)] + zeros
+    draw(st.randoms(use_true_random=False)).shuffle(values)
+    return values
+
+
+@st.composite
 def lattice_values(draw):
     """Multiples of a power-of-two step, and the step as tol: every gap of
     one step is exactly tol."""
@@ -543,6 +556,14 @@ class TestSerialization:
     @example([-0.0])
     @example([5e-324, 1.7976931348623157e308, 0.1, 1e16, 1e-5])
     def test_csv_matches_the_scalar_reference(self, values):
+        assert Spectrum(values).to_csv() == scalar_csv(sorted(values))
+
+    @given(long_runs())
+    @example([0.0, -0.0] * 150 + [5e-324] * 200 + [-5e-324] * 100 + [1 / 3] * 300)
+    @settings(max_examples=60)
+    def test_csv_of_long_runs_matches_the_scalar_reference(self, values):
+        # to_csv formats each run of equal bits once, so a run of zeros
+        # that mixes the signs must print each zero with its own sign
         assert Spectrum(values).to_csv() == scalar_csv(sorted(values))
 
     def test_adjacency_spectra_fit_in_spectrum(self):
