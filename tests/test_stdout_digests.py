@@ -10,6 +10,10 @@ digests hold for the LAPACK build that recorded them; the data file keeps a
 fingerprint of that build's rounding, and on a build that rounds differently
 the comparison is skipped rather than read as a change in the program.
 
+The plain stdout of C_100000 ⊗ {K4, C5}, 1.1 million lines in long runs of
+equal values, is pinned here as a constant, ``SCALE_DIGEST``, under the same
+fingerprint; the recording command below does not rewrite it.
+
 To record the digests again, at a tree whose output is trusted:
 
     PYTHONPATH=src python tests/test_stdout_digests.py
@@ -41,6 +45,8 @@ _GRAPHS = {**_GRID_BASES, **_GRID_COPIES, "C500": ("cycle", 500), "C5": ("cycle"
 CASES = [*itertools.product(_GRID_BASES, _GRID_COPIES, _GRID_COPIES),
          ("C500", "K4", "C5"), ("circ40_1_3", "K4", "C5")]
 MODES = {"plain": [], "json": ["--json"]}
+SCALE_GRAPHS = {"C100000": ("cycle", 100_000), "K4": ("complete", 4), "C5": ("cycle", 5)}
+SCALE_DIGEST = "e677adb399d888ae56bff20bcca856bcaecfa58a07d3065b1c13ff1e3c742f64"
 
 
 def lapack_fingerprint() -> str:
@@ -56,9 +62,18 @@ def lapack_fingerprint() -> str:
     return h.hexdigest()
 
 
-def _write_graphs(directory: Path) -> dict[str, str]:
+def _pinned() -> dict:
+    """The data file; the test is skipped on a LAPACK that rounds
+    differently from the one that recorded it."""
+    pinned = json.loads(DATA.read_text(encoding="utf-8"))
+    if lapack_fingerprint() != pinned["lapack_fingerprint"]:
+        pytest.skip("this LAPACK rounds differently from the one that recorded the digests")
+    return pinned
+
+
+def _write_graphs(directory: Path, graphs=_GRAPHS) -> dict[str, str]:
     paths = {}
-    for name, spec in _GRAPHS.items():
+    for name, spec in graphs.items():
         if spec is None:
             paths[name] = "null"
             continue
@@ -88,13 +103,18 @@ def digests(directory: Path) -> dict[str, str]:
 
 
 def test_closed_form_stdout_matches_pinned_digests(tmp_path):
-    pinned = json.loads(DATA.read_text(encoding="utf-8"))
-    if lapack_fingerprint() != pinned["lapack_fingerprint"]:
-        pytest.skip("this LAPACK rounds differently from the one that recorded the digests")
+    pinned = _pinned()
     found = digests(tmp_path)
     assert len(found) == len(pinned["digests"]) == 2 * len(CASES)
     changed = sorted(key for key, digest in found.items() if pinned["digests"].get(key) != digest)
     assert not changed, f"{len(changed)} outputs changed, first {changed[:5]}"
+
+
+def test_closed_form_stdout_at_scale_matches_pinned_digest(tmp_path):
+    _pinned()
+    paths = _write_graphs(tmp_path, SCALE_GRAPHS)
+    argv = ["spectrum", "--corona", "double", *paths.values(), "--method", "closed-form"]
+    assert hashlib.sha256(_stdout(argv)).hexdigest() == SCALE_DIGEST
 
 
 if __name__ == "__main__":
