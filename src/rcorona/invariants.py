@@ -25,6 +25,9 @@ def _bareiss_determinant(rows: list[list[int]]) -> int:
     """Exact determinant of an integer matrix by fraction-free elimination.
 
     Python integers are unbounded, so intermediate growth cannot overflow.
+    The row swap at a zero pivot serves general integer matrices:
+    ``spanning_trees_matrix_tree`` never reaches it, because a zero pivot of
+    a positive semidefinite Laplacian minor has a zero column below it.
     """
     n = len(rows)
     if n == 0:
