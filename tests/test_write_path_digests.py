@@ -6,8 +6,9 @@ graphs, ``null`` included, so all four corona kinds), through the
 ``double`` command and through the ``vertex`` and ``edge`` commands, and on
 C_500 ⊗ {K4, C5}.  Each run's stdout is digested in the edge-list and the
 ``--format json`` form, together with the file that ``--emit-layout``
-writes; C_500 also writes both forms through ``--out``.  ``generate`` is run
-for every catalog family, in both forms.  The output is integers only, so
+writes; C_500 also writes both forms through ``--out``.  C_100000 ⊗ {K4, C5}
+writes both forms through ``--out`` only, so that labels of 7 digits are
+pinned too.  ``generate`` is run for every catalog family, in both forms.  The output is integers only, so
 the digests do not depend on the BLAS or LAPACK build.
 
 To record the digests again, at a tree whose output is trusted:
@@ -33,7 +34,7 @@ _GRID_BASES = {"K3": ("complete", 3), "K4": ("complete", 4), "C4": ("cycle", 4),
                "K33": ("complete_bipartite", 3, 3)}
 _GRID_COPIES = {"null": None, "K1": ("complete", 1), "P2": ("path", 2), "K3": ("complete", 3),
                 "C4": ("cycle", 4)}
-_GRAPHS = {**_GRID_BASES, **_GRID_COPIES, "C500": ("cycle", 500)}
+_GRAPHS = {**_GRID_BASES, **_GRID_COPIES, "C500": ("cycle", 500), "C100000": ("cycle", 100000)}
 
 # (command, graph names): the grid through every corona command, then C_500
 CORONA_CASES = [
@@ -41,6 +42,11 @@ CORONA_CASES = [
     *(("vertex", case) for case in itertools.product(_GRID_BASES, _GRID_COPIES)),
     *(("edge", case) for case in itertools.product(_GRID_BASES, _GRID_COPIES)),
     ("double", ("C500", "K4", "C5")),
+]
+# (command, graph names) also written through --out, each with its layout
+OUT_CASES = [
+    ("double", ("C500", "K4", "C5")),
+    ("double", ("C100000", "K4", "C5")),
 ]
 # one parameter set per catalog family, two for circulant (s = n/2 pairs
 # each vertex once)
@@ -86,11 +92,14 @@ def digests(directory: Path) -> dict[str, str]:
         for fmt in FORMATS:
             found[f"{key} {fmt}"] = _sha(_run([*argv, "--format", fmt, "--emit-layout", str(layout)]))
             found[f"{key} layout"] = _sha(layout.read_bytes())
-        if names[0] == "C500":
-            for fmt in FORMATS:
-                out = directory / f"corona.{fmt}"
-                _run([*argv, "--format", fmt, "--out", str(out)])
-                found[f"{key} {fmt} --out"] = _sha(out.read_bytes())
+    for command, names in OUT_CASES:
+        key = " ".join(("corona", command, *names))
+        argv = ["corona", command, *(paths[name] for name in names)]
+        for fmt in FORMATS:
+            out = directory / f"corona.{fmt}"
+            _run([*argv, "--format", fmt, "--out", str(out), "--emit-layout", str(layout)])
+            found[f"{key} {fmt} --out"] = _sha(out.read_bytes())
+            found[f"{key} layout"] = _sha(layout.read_bytes())
     for spec in GENERATE_CASES:
         key = " ".join(("generate", *map(str, spec)))
         for fmt in FORMATS:
