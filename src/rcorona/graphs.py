@@ -12,6 +12,7 @@ Graph, each computed at most once per object.  The graph with no vertices
 (the null graph) is a legal value.
 """
 
+from collections.abc import Iterator
 import contextlib
 from dataclasses import dataclass
 import functools
@@ -466,51 +467,85 @@ def parse_edge_list(text: str) -> Graph:
     return build_graph(n, ends)
 
 
-def _decimal_rows(values: np.ndarray, *separators: bytes) -> bytes:
+# rows per chunk of _decimal_rows: a chunk's temporaries (the gather index,
+# the gathered cells and their bytes) stay at a few hundred kilobytes, in a
+# core's cache, however large the graph, and no buffer but the text grows
+_CHUNK_ROWS = 1 << 13
+
+
+def _decimal_rows(values: np.ndarray, *separators: bytes) -> Iterator[bytes]:
     """The rows of a non-negative (m, k) int64 array as text, each row
     separators[0], its first entry in decimal, separators[1], ..., its
-    last entry, separators[k]; the rows concatenated.
+    last entry, separators[k]; the rows in order, in chunks of bytes.
 
-    Every entry gets a slot as wide as the largest, filled with its digits
-    from the right by repeated division; the slot's leading positions are
-    zero bytes, which one ``bytes.translate`` removes.
+    Each key is formatted once, into a table of cells.  Column c's cell is
+    separators[0] (zero bytes in columns after the first), the key's digits
+    right-aligned, separators[c + 1] and zero bytes up to a power-of-two
+    slot.  The keys are the labels 0..top where there are fewer of them
+    than entries, and a chunk's rows are then one gather of the table by
+    value; otherwise the keys are the entries themselves and the table is
+    the rows.  So the table is never larger than the data.  One
+    ``bytes.translate`` per chunk removes the zero bytes.
     """
     m, k = values.shape
     if m == 0:
-        return b""
+        return
     top = int(values.max())
     width = len(str(top))
-    # the divisions run in the narrowest unsigned type that holds every entry
-    values = values.astype(np.min_scalar_type(top))
-    seps = [np.frombuffer(sep, dtype=np.uint8) for sep in separators]
-    text = np.empty((m, sum(map(len, seps)) + k * width), dtype=np.uint8)
-    at = 0
-    for c, sep in enumerate(seps):
-        text[:, at : at + len(sep)] = sep
-        at += len(sep)
-        if c == k:
-            break
-        q = values[:, c]
-        for p in range(width - 1, -1, -1):
-            # a digit is shown when its place is at most the entry; the
-            # units digit always is
-            shown = np.minimum(q, 1) if p < width - 1 else 1
-            q, digit = np.divmod(q, 10)
-            digit += ord("0")
-            digit *= shown
-            text[:, at + p] = digit
-        at += width
-    return text.tobytes().translate(None, b"\0")
+    lead, trails = separators[0], separators[1:]
+    keys = np.arange(top + 1)[:, None] if top < values.size else values
+    slot = 1 << (len(lead) + width + max(map(len, trails)) - 1).bit_length()
+    cells = np.zeros((len(keys), k, slot), dtype=np.uint8)
+    cells[:, 0, : len(lead)] = np.frombuffer(lead, dtype=np.uint8)
+    at = len(lead) + width
+    for c, trail in enumerate(trails):
+        cells[:, c, at : at + len(trail)] = np.frombuffer(trail, dtype=np.uint8)
+    # the digits from the right by repeated division, in the narrowest
+    # unsigned type that holds every key; a (labels, 1) key fills every column
+    digits = cells[:, :, len(lead) : at]
+    q = keys.astype(np.min_scalar_type(top))
+    for p in range(width - 1, -1, -1):
+        # a digit is shown when its place is at most the key; the units
+        # digit always is, and a place not shown stays a zero byte
+        shown = np.minimum(q, 1) if p < width - 1 else 1
+        q, digit = np.divmod(q, 10)
+        digit += ord("0")
+        digit *= shown
+        digits[..., p] = digit
+    # cell (key, c) at key * k + c
+    table = cells.view(f"V{slot}").ravel()
+    for start in range(0, m, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, m)
+        if keys is values:
+            rows = table[start * k : stop * k]
+        else:
+            index = values[start:stop] * k
+            for c in range(1, k):
+                index[:, c] += c
+            rows = table.take(index)
+        yield rows.tobytes().translate(None, b"\0")
+
+
+def _json_pair_chunks(values: np.ndarray) -> Iterator[bytes]:
+    """The (m, 2) array as the JSON list of pairs json.dumps writes, in
+    chunks of bytes."""
+    rows = _decimal_rows(values, b"[", b", ", b"], ")
+    # every pair but the last is followed by ", "
+    last = next(rows, b", ")
+    yield b"["
+    for chunk in rows:
+        yield last
+        last = chunk
+    yield last[:-2] + b"]"
 
 
 def _json_pairs(values: np.ndarray) -> str:
     """The (m, 2) array as the JSON list of pairs json.dumps writes."""
-    return "[" + _decimal_rows(values, b"[", b", ", b"], ")[:-2].decode("ascii") + "]"
+    return b"".join(_json_pair_chunks(values)).decode("ascii")
 
 
 def to_edge_list(g: Graph) -> str:
-    body = _decimal_rows(g.ends, b"", b" ", b"\n").decode("ascii")
-    return f"{g.vertex_count} {g.edge_count}\n{body}"
+    return format_graph(g, "edgelist")
 
 
 def _is_int(x) -> bool:
@@ -549,16 +584,24 @@ def _graph_dict(g: Graph) -> dict:
 
 
 def to_graph_json(g: Graph) -> str:
-    return f'{{"n": {g.vertex_count}, "edges": {_json_pairs(g.ends)}}}'
+    # the file format ends in a newline; the JSON text does not
+    return format_graph(g, "json")[:-1]
+
+
+def _graph_bytes(g: Graph, fmt: str) -> Iterator[bytes]:
+    """The file bytes of g in one format, "edgelist" or "json", as chunks
+    to write in order; an unknown format raises here, before any is made."""
+    n, m = g.vertex_count, g.edge_count
+    if fmt == "edgelist":
+        return itertools.chain((f"{n} {m}\n".encode(),), _decimal_rows(g.ends, b"", b" ", b"\n"))
+    if fmt == "json":
+        return itertools.chain((f'{{"n": {n}, "edges": '.encode(),), _json_pair_chunks(g.ends), (b"}\n",))
+    raise ValueError(f"unknown format {fmt!r}")
 
 
 def format_graph(g: Graph, fmt: str) -> str:
     """The text of g in one file format: "edgelist" or "json"."""
-    if fmt == "edgelist":
-        return to_edge_list(g)
-    if fmt == "json":
-        return to_graph_json(g) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
+    return b"".join(_graph_bytes(g, fmt)).decode("ascii")
 
 
 def load_graph(path: str) -> Graph:
@@ -571,6 +614,6 @@ def load_graph(path: str) -> Graph:
 
 
 def save_graph(g: Graph, path: str, fmt: str = "edgelist") -> None:
-    payload = format_graph(g, fmt)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(payload)
+    chunks = _graph_bytes(g, fmt)
+    with open(path, "wb") as fh:
+        fh.writelines(chunks)
