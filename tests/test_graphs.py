@@ -1,11 +1,14 @@
 """Graph construction, validation, generators, matrix views, and formats."""
 
 import itertools
+import json
 import resource
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import rcorona.graphs
 from rcorona import (
@@ -21,9 +24,12 @@ from rcorona import (
     incidence_matrix,
     parse_edge_list,
     parse_graph_json,
+    save_graph,
     to_edge_list,
     to_graph_json,
 )
+from rcorona.corona import CoronaLayout
+from rcorona.graphs import _graph_dict
 
 
 @st.composite
@@ -384,3 +390,87 @@ class TestFormats:
         assert format_graph(g, "json") == '{"n": 3, "edges": [[0, 1], [1, 2]]}\n'
         with pytest.raises(ValueError, match="unknown format"):
             format_graph(g, "graphml")
+
+
+# labels where the decimal width grows: 9/10, 99/100, ..., 9999999/10000000
+_STRADDLING = sorted({10**p + d for p in range(1, 8) for d in (-2, -1, 0, 1)})
+# rows per chunk of the writer: one row, a few, and the default
+_CHUNK_ROWS = st.sampled_from([1, 2, 3, rcorona.graphs._CHUNK_ROWS])
+
+
+@st.composite
+def straddling_graphs(draw):
+    """Graphs whose labels straddle powers of ten, on either side of the
+    writer's key choice: dense, every label 0..n-1 on a random spanning path
+    plus chords (fewer labels than entries, so the labels are the keys), or
+    sparse, a few edges between labels near powers of ten and near n - 1
+    (the entries are the keys)."""
+    if draw(st.booleans()):
+        n = draw(st.sampled_from([x for x in _STRADDLING if x <= 1001]))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        order = rng.permutation(n)
+        chords = rng.integers(0, n, size=(draw(st.integers(0, n)), 2))
+        edges = {tuple(sorted(e)) for e in chords.tolist() if e[0] != e[1]}
+        edges |= {tuple(sorted(e)) for e in zip(order[:-1].tolist(), order[1:].tolist())}
+        return build_graph(n, rng.permutation(sorted(edges)))
+    n = draw(st.sampled_from(_STRADDLING)) + draw(st.integers(0, 2))
+    labels = st.sampled_from([x for x in (0, 1, 2, *_STRADDLING, n - 2, n - 1) if x < n])
+    pairs = st.tuples(labels, labels).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(pairs, max_size=12, unique_by=lambda e: frozenset(e)))
+    return build_graph(n, edges)
+
+
+def reference_edge_list(g) -> str:
+    return f"{g.vertex_count} {g.edge_count}\n" + "".join(f"{u} {v}\n" for u, v in g.ends.tolist())
+
+
+class TestWritersAgainstScalarReference:
+    """The array writers against json.dumps and one f-string per edge."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(straddling_graphs(), _CHUNK_ROWS)
+    @example(build_graph(0, []), 1)
+    @example(build_graph(5, []), 1)
+    @example(build_graph(2, [(0, 1)]), 1)
+    @example(build_graph(11, [(9, 10)]), 1)
+    @example(build_graph(10**7 + 1, [(10**7 - 1, 10**7)]), 1)
+    # sparse, with edges near the top: the entries are the keys
+    @example(build_graph(10**6, [(999_998, 999_999), (0, 999_999), (99_999, 100_000)]), 2)
+    # dense: the labels 0..99 are the keys
+    @example(generate("cycle", 100), 7)
+    def test_graph_writers(self, tmp_path_factory, g, chunk_rows):
+        edge_list, graph_json = reference_edge_list(g), json.dumps(_graph_dict(g))
+        path = tmp_path_factory.mktemp("save") / "graph"
+        with mock.patch.object(rcorona.graphs, "_CHUNK_ROWS", chunk_rows):
+            assert to_edge_list(g) == edge_list
+            assert to_graph_json(g) == graph_json
+            assert format_graph(g, "edgelist") == edge_list
+            assert format_graph(g, "json") == graph_json + "\n"
+            save_graph(g, str(path), "edgelist")
+            assert path.read_bytes() == edge_list.encode()
+            save_graph(g, str(path), "json")
+            assert path.read_bytes() == (graph_json + "\n").encode()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 120), st.integers(0, 130), st.integers(0, 12), st.integers(0, 12), _CHUNK_ROWS)
+    @example(10, 9, 9_999, 1, 1)  # copy ranges straddle 99999/100000, 10 rows
+    @example(1, 0, 0, 0, 1)
+    def test_layout_json(self, n, m, n1, n2, chunk_rows):
+        layout = CoronaLayout(n, m, n1, n2)
+        ranges = {"old": list(layout.old_vertex_range), "new": list(layout.new_vertex_range),
+                  "g1_copies": layout.g1_copy_ranges.tolist(), "g2_copies": layout.g2_copy_ranges.tolist()}
+        with mock.patch.object(rcorona.graphs, "_CHUNK_ROWS", chunk_rows):
+            assert layout.to_json() == json.dumps(ranges)
+
+    @pytest.mark.parametrize("writer", [to_edge_list, to_graph_json])
+    def test_sparse_labels_get_no_table_over_them(self, writer):
+        # a table over the labels 0..top would take gigabytes here
+        g = build_graph(10**9, [(0, 10**9 - 1)])
+        tracemalloc.start()
+        try:
+            text = writer(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text in ("1000000000 1\n0 999999999\n", '{"n": 1000000000, "edges": [[0, 999999999]]}')
+        assert peak < 2**20
