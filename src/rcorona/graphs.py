@@ -398,10 +398,12 @@ _GENERATORS = {
 GENERATOR_FAMILIES = tuple(_GENERATORS)
 
 # Peak memory of a generator per edge, as growth of ru_maxrss in a fresh
-# process over the whole `generate ... --out F` call, the formatter's
-# buffers included: 76 to 95 bytes as an edge list and 84 to 115.6 as JSON,
+# process over the whole `generate ... --out F` call, the writer's buffers
+# included: 75.6 to 94.8 bytes as an edge list and 75.6 to 94.7 as JSON,
 # over complete 2000 and 3000, hypercube 17, cycle and path 2 000 000,
-# cycle 4 000 000 and circulant 300 000 with seven connections.
+# cycle 4 000 000 and circulant 300 000 with seven connections.  The writer
+# holds one chunk of text at a time, so build_graph's validation sets the
+# peak.
 _GENERATED_BYTES_PER_EDGE = 120
 
 
@@ -478,14 +480,15 @@ def _decimal_rows(values: np.ndarray, *separators: bytes) -> Iterator[bytes]:
     separators[0], its first entry in decimal, separators[1], ..., its
     last entry, separators[k]; the rows in order, in chunks of bytes.
 
-    Each key is formatted once, into a table of cells.  Column c's cell is
-    separators[0] (zero bytes in columns after the first), the key's digits
-    right-aligned, separators[c + 1] and zero bytes up to a power-of-two
-    slot.  The keys are the labels 0..top where there are fewer of them
-    than entries, and a chunk's rows are then one gather of the table by
-    value; otherwise the keys are the entries themselves and the table is
-    the rows.  So the table is never larger than the data.  One
-    ``bytes.translate`` per chunk removes the zero bytes.
+    The keys are the labels 0..top where there are fewer of them than
+    entries, and otherwise the entries themselves, so the table of keys is
+    never larger than the data.  Each key is formatted once, into one cell
+    per column: separators[0] (zero bytes in columns after the first), the
+    key's digits right-aligned, separators[c + 1] for column c, and zero
+    bytes up to a power-of-two slot, which numpy gathers fastest.  Over the
+    labels, a chunk's rows are one gather of the table by value; over the
+    entries, the table is the rows.  One ``bytes.translate`` per chunk
+    removes the zero bytes.
     """
     m, k = values.shape
     if m == 0:
