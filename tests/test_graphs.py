@@ -395,7 +395,7 @@ class TestFormats:
 # labels where the decimal width grows: 9/10, 99/100, ..., 9999999/10000000
 _STRADDLING = sorted({10**p + d for p in range(1, 8) for d in (-2, -1, 0, 1)})
 # rows per chunk of the writer: one row, a few, and the default
-_CHUNK_ROWS = st.sampled_from([1, 2, 3, rcorona.graphs._CHUNK_ROWS])
+chunk_sizes = st.sampled_from([1, 2, 3, rcorona.graphs._CHUNK_ROWS])
 
 
 @st.composite
@@ -428,7 +428,7 @@ class TestWritersAgainstScalarReference:
     """The array writers against json.dumps and one f-string per edge."""
 
     @settings(max_examples=200, deadline=None)
-    @given(straddling_graphs(), _CHUNK_ROWS)
+    @given(straddling_graphs(), chunk_sizes)
     @example(build_graph(0, []), 1)
     @example(build_graph(5, []), 1)
     @example(build_graph(2, [(0, 1)]), 1)
@@ -452,7 +452,7 @@ class TestWritersAgainstScalarReference:
             assert path.read_bytes() == (graph_json + "\n").encode()
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(1, 120), st.integers(0, 130), st.integers(0, 12), st.integers(0, 12), _CHUNK_ROWS)
+    @given(st.integers(1, 120), st.integers(0, 130), st.integers(0, 12), st.integers(0, 12), chunk_sizes)
     @example(10, 9, 9_999, 1, 1)  # copy ranges straddle 99999/100000, 10 rows
     @example(1, 0, 0, 0, 1)
     def test_layout_json(self, n, m, n1, n2, chunk_rows):

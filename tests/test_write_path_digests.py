@@ -8,8 +8,9 @@ C_500 ⊗ {K4, C5}.  Each run's stdout is digested in the edge-list and the
 ``--format json`` form, together with the file that ``--emit-layout``
 writes; C_500 also writes both forms through ``--out``.  C_100000 ⊗ {K4, C5}
 writes both forms through ``--out`` only, so that labels of 7 digits are
-pinned too.  ``generate`` is run for every catalog family, in both forms.  The output is integers only, so
-the digests do not depend on the BLAS or LAPACK build.
+pinned too.  ``generate`` is run for every catalog family, in both forms.
+The output is integers only, so the digests do not depend on the BLAS or
+LAPACK build.
 
 To record the digests again, at a tree whose output is trusted:
 
