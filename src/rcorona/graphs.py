@@ -518,7 +518,7 @@ def _decimal_rows(values: np.ndarray, *separators: bytes) -> Iterator[bytes]:
     # cell (key, c) at key * k + c
     table = cells.view(f"V{slot}").ravel()
     for start in range(0, m, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, m)
+        stop = start + _CHUNK_ROWS
         if keys is values:
             rows = table[start * k : stop * k]
         else:
