@@ -25,7 +25,7 @@ from .corona import _KIND_COPIES, double_corona
 from .cospectral import build_cospectral_pair
 from .errors import ConvergenceError, HypothesisError, InternalConsistencyError
 from .graphs import Graph, build_graph, format_graph, generate, load_graph, save_graph
-from .invariants import degree_kirchhoff, spanning_trees_matrix_tree, spanning_trees_spectral
+from .invariants import _spectral_invariants, spanning_trees_matrix_tree
 from .spectra import _MATCH_TOL, compare_spectra, nl_spectrum
 
 __all__ = ["main"]
@@ -163,11 +163,14 @@ def _cmd_cospectral(args) -> int:
 
 def _cmd_invariants(args) -> int:
     g = _load(args.graph)
+    trees = spanning_trees_matrix_tree(g)
+    # spanning_trees_spectral(g) and degree_kirchhoff(g), from one eigensolve
+    trees_spectral, kirchhoff = _spectral_invariants(g)
     payload = json.dumps(
         {
-            "spanning_trees": spanning_trees_matrix_tree(g),
-            "spanning_trees_spectral": spanning_trees_spectral(g),
-            "degree_kirchhoff": degree_kirchhoff(g),
+            "spanning_trees": trees,
+            "spanning_trees_spectral": trees_spectral,
+            "degree_kirchhoff": kirchhoff,
         }
     )
     _write_or_print(payload, args.out)

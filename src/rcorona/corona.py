@@ -56,10 +56,11 @@ def _kind_of(g1: Graph, g2: Graph) -> str:
 # Peak memory of a corona per layout entry (one per old and new vertex) or
 # output edge, as growth of ru_maxrss in a fresh process over the whole
 # `corona double ... --out F --emit-layout L` call, the writer's buffers
-# included: 35.3 to 45.3 bytes as an edge list, and 35.6 to 60.0 as JSON, over
-# C_5000 and C_100000 with {K4, C5} and C_200 with {K60, K1} either way round.
-# The writer holds one chunk of text at a time.
-_ASSEMBLY_BYTES_PER_ENTRY = 105
+# included: 34.3 to 43.1 bytes as an edge list, and 34.3 to 48.8 as JSON, over
+# C_5000 and C_100000 with {K4, C5} and C_200 with {K60, K1} either way round;
+# the estimate is the largest with a quarter more.  The writer holds one
+# chunk of text at a time.
+_ASSEMBLY_BYTES_PER_ENTRY = 61
 
 
 def _copy_ranges(start: int, count: int, size: int) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 from .closedform import CoronaParams
 from .corona import _kind_of, double_corona
 from .errors import HypothesisError
-from .graphs import Graph, _graph_dict, adjacency_matrix, generate
+from .graphs import Graph, _graph_dict, _row_order, adjacency_matrix, generate
 from .spectra import _MATCH_TOL, Spectrum, compare_spectra, nl_spectrum, numeric_spectrum
 
 __all__ = [
@@ -89,11 +89,6 @@ def regular_cospectrality_agrees(g: Graph, h: Graph, tol: float = _MATCH_TOL) ->
     return adjacency_cospectral(g, h, tol) == nl_cospectral(g, h, tol)
 
 
-def _sorted_rows(ends: np.ndarray) -> np.ndarray:
-    """The rows of an edge array in lexicographic order: the edge set."""
-    return ends[np.lexsort(ends.T[::-1])]
-
-
 def build_cospectral_pair(
     g: Graph,
     h: Graph,
@@ -131,6 +126,8 @@ def build_cospectral_pair(
     sa = nl_spectrum(corona_a)
     sb = nl_spectrum(corona_b)
     report = compare_spectra(sa, sb, tol)
+    # each corona's edge set: its rows in lexicographic order
+    edge_sets = [c.ends[_row_order(*c.ends.T, c.vertex_count)] for c in (corona_a, corona_b)]
     recipe = {
         "kind": _kind_of(g1, g2),
         "g": _graph_dict(g),
@@ -154,7 +151,7 @@ def build_cospectral_pair(
             corona_a.regular_degree is None,
             corona_b.regular_degree is None,
         ),
-        edge_sets_differ=not np.array_equal(_sorted_rows(corona_a.ends), _sorted_rows(corona_b.ends)),
+        edge_sets_differ=not np.array_equal(*edge_sets),
     )
 
 

@@ -169,27 +169,56 @@ def build_graph(n: int, edges) -> Graph:
     return Graph(n, _canonical(n, ends))
 
 
+# the largest n for which the key lo * n + hi of every pair 0 <= lo, hi < n
+# fits int64: 3 037 000 499
+_KEY_MAX_N = math.isqrt(_INT64_MAX)
+
+
+def _row_order(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+    """The stable order of the rows (lo[i], hi[i]) by lo, then by hi, for
+    entries in 0..n-1.
+
+    Up to _KEY_MAX_N vertices it is one argsort of the int64 key
+    lo * n + hi, which cannot overflow for such entries and is distinct for
+    distinct rows of them; above that, a lexsort.  Whatever the entries,
+    equal rows share a key and keep their input order."""
+    if n <= _KEY_MAX_N:
+        return np.argsort(lo * n + hi, kind="stable")
+    return np.lexsort((hi, lo))
+
+
 def _canonical(n: int, ends: np.ndarray) -> np.ndarray:
     """The rows of ends as (min, max) pairs, after raising the first
     offending edge's error, if any."""
-    canonical = np.sort(ends, axis=1)
+    canonical = np.empty_like(ends)
     lo, hi = canonical.T
-    # a stable sort by (lo, hi): the least lo comes first, and each repeat
-    # right after its first occurrence
-    order = np.lexsort((hi, lo))
+    np.minimum(*ends.T, out=lo)
+    np.maximum(*ends.T, out=hi)
+    if not len(ends):
+        return canonical
+    if lo.min() >= 0 and hi.max() < n and (lo < hi).all() and n <= _KEY_MAX_N:
+        # the rows are distinct when their keys are, and any sort puts
+        # equal keys side by side
+        keys = np.sort(lo * n + hi)
+        if not (keys[1:] == keys[:-1]).any():
+            return canonical
+    # each row equal to the one before it in the stable order repeats an
+    # earlier edge.  A row with an endpoint out of range may share its key
+    # with others and sit between two equal rows, but then it is bad itself
+    # and comes before the second of them
+    order = _row_order(lo, hi, n)
     rows = canonical[order]
-    repeat = (rows[1:] == rows[:-1]).all(axis=1)
-    if len(rows) and (rows[0, 0] < 0 or hi.max() >= n or not (lo < hi).all() or repeat.any()):
-        bad = (lo < 0) | (hi >= n) | (lo == hi)
-        bad[order[1:][repeat]] = True
-        k = int(np.argmax(bad))
-        u, v = ends[k].tolist()
-        if not (0 <= u < n and 0 <= v < n):
-            raise EndpointRangeError(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
-        if u == v:
-            raise SelfLoopError(f"self-loop at vertex {u}")
-        raise DuplicateEdgeError(f"duplicate edge ({min(u, v)},{max(u, v)})")
-    return canonical
+    bad = (lo < 0) | (hi >= n) | (lo == hi)
+    bad[order[1:][(rows[1:] == rows[:-1]).all(axis=1)]] = True
+    if not bad.any():
+        return canonical
+    k = int(np.argmax(bad))
+    u, v = ends[k].tolist()
+    if not (0 <= u < n and 0 <= v < n):
+        raise EndpointRangeError(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
+    if u == v:
+        raise SelfLoopError(f"self-loop at vertex {u}")
+    raise DuplicateEdgeError(f"duplicate edge ({min(u, v)},{max(u, v)})")
 
 
 def _raise_beyond_int64(n: int, pairs: list) -> None:
@@ -399,12 +428,12 @@ GENERATOR_FAMILIES = tuple(_GENERATORS)
 
 # Peak memory of a generator per edge, as growth of ru_maxrss in a fresh
 # process over the whole `generate ... --out F` call, the writer's buffers
-# included: 75.6 to 94.8 bytes as an edge list and 75.6 to 94.7 as JSON,
+# included: 64.6 to 84.0 bytes as an edge list and 64.6 to 83.9 as JSON,
 # over complete 2000 and 3000, hypercube 17, cycle and path 2 000 000,
-# cycle 4 000 000 and circulant 300 000 with seven connections.  The writer
-# holds one chunk of text at a time, so build_graph's validation sets the
-# peak.
-_GENERATED_BYTES_PER_EDGE = 120
+# cycle 4 000 000 and circulant 300 000 with seven connections; the
+# estimate is the largest with a quarter more.  The writer holds one chunk
+# of text at a time, so build_graph's validation sets the peak.
+_GENERATED_BYTES_PER_EDGE = 105
 
 
 def generate(family: str, *params: int) -> Graph:
@@ -469,10 +498,36 @@ def parse_edge_list(text: str) -> Graph:
     return build_graph(n, ends)
 
 
-# rows per chunk of _decimal_rows: a chunk's temporaries (the gather index,
-# the gathered cells and their bytes) stay at a few hundred kilobytes, in a
-# core's cache, however large the graph, and no buffer but the text grows
+# rows per chunk of _decimal_rows: a chunk's temporaries (the gathered cells
+# and their bytes) stay at a few hundred kilobytes, in a core's cache,
+# however large the graph, and no buffer but the text grows
 _CHUNK_ROWS = 1 << 13
+
+_ASCII_DIGITS = np.frombuffer(b"0123456789", dtype=np.uint8)
+
+
+def _label_digits(digits: np.ndarray) -> None:
+    """Write the labels 0..count-1 into digits, a (count, width) uint8
+    array, in decimal, right-aligned, with zero bytes left of each label's
+    leading digit.
+
+    No division: the digit at place p runs through 0-9, each held for 10**p
+    labels, so each place is a few broadcast writes over blocks of 10**p
+    labels; the labels below 10**p, p > 0, have no digit there."""
+    count, width = digits.shape
+    for p in range(width):
+        hold = 10**p
+        place = digits[:, width - 1 - p]
+        whole = count - count % hold
+        # block b of hold labels shows digit b % 10, the labels after the
+        # last whole block the digit after it
+        blocks = place[:whole].reshape(-1, hold)
+        cycles = len(blocks) - len(blocks) % 10
+        blocks[:cycles].reshape(-1, 10, hold)[...] = _ASCII_DIGITS[:, None]
+        blocks[cycles:] = _ASCII_DIGITS[: len(blocks) - cycles, None]
+        place[whole:] = _ASCII_DIGITS[len(blocks) % 10]
+        if p:
+            place[:hold] = 0
 
 
 def _decimal_rows(values: np.ndarray, *separators: bytes) -> Iterator[bytes]:
@@ -480,15 +535,15 @@ def _decimal_rows(values: np.ndarray, *separators: bytes) -> Iterator[bytes]:
     separators[0], its first entry in decimal, separators[1], ..., its
     last entry, separators[k]; the rows in order, in chunks of bytes.
 
-    The keys are the labels 0..top where there are fewer of them than
-    entries, and otherwise the entries themselves, so the table of keys is
-    never larger than the data.  Each key is formatted once, into one cell
-    per column: separators[0] (zero bytes in columns after the first), the
-    key's digits right-aligned, separators[c + 1] for column c, and zero
-    bytes up to a power-of-two slot, which numpy gathers fastest.  Over the
-    labels, a chunk's rows are one gather of the table by value; over the
-    entries, the table is the rows.  One ``bytes.translate`` per chunk
-    removes the zero bytes.
+    Each value is formatted into a cell: separators[0] in column 0 only,
+    the digits right-aligned, the column's own trailing separator, and zero
+    bytes up to a power-of-two slot, which numpy gathers fastest.  Where
+    there are fewer labels 0..top than entries, each column has one table
+    of cells over the labels, its digits written by ``_label_digits``, and
+    a chunk's rows are one gather per column; otherwise the table is the
+    rows, one cell per entry by repeated division, so no table is larger
+    than the data.  One ``bytes.translate`` per chunk removes the zero
+    bytes.
     """
     m, k = values.shape
     if m == 0:
@@ -496,37 +551,51 @@ def _decimal_rows(values: np.ndarray, *separators: bytes) -> Iterator[bytes]:
     top = int(values.max())
     width = len(str(top))
     lead, trails = separators[0], separators[1:]
-    keys = np.arange(top + 1)[:, None] if top < values.size else values
     slot = 1 << (len(lead) + width + max(map(len, trails)) - 1).bit_length()
-    cells = np.zeros((len(keys), k, slot), dtype=np.uint8)
-    cells[:, 0, : len(lead)] = np.frombuffer(lead, dtype=np.uint8)
     at = len(lead) + width
-    for c, trail in enumerate(trails):
-        cells[:, c, at : at + len(trail)] = np.frombuffer(trail, dtype=np.uint8)
+    if top < values.size:
+        # column c's table holds label x's cell at x
+        tables = np.zeros((k, top + 1, slot), dtype=np.uint8)
+        _label_digits(tables[0, :, len(lead) : at])
+        tables[1:] = tables[0]
+        _separate(tables.transpose(1, 0, 2), lead, trails, at)
+        tables = tables.view(f"V{slot}")[..., 0]
+        rows = np.empty((min(m, _CHUNK_ROWS), k), dtype=tables.dtype)
+        for start in range(0, m, _CHUNK_ROWS):
+            chunk = values[start : start + _CHUNK_ROWS]
+            out = rows[: len(chunk)]
+            # every value is a label of the table: "clip" clips nothing, and
+            # unlike "raise" it takes straight into out, without a buffer
+            for c in range(k):
+                tables[c].take(chunk[:, c], out=out[:, c], mode="clip")
+            yield out.tobytes().translate(None, b"\0")
+        return
+    cells = np.zeros((m, k, slot), dtype=np.uint8)
     # the digits from the right by repeated division, in the narrowest
-    # unsigned type that holds every key; a (labels, 1) key fills every column
+    # unsigned type that holds every entry
     digits = cells[:, :, len(lead) : at]
-    q = keys.astype(np.min_scalar_type(top))
+    q = values.astype(np.min_scalar_type(top))
     for p in range(width - 1, -1, -1):
-        # a digit is shown when its place is at most the key; the units
+        # a digit is shown when its place is at most the entry; the units
         # digit always is, and a place not shown stays a zero byte
         shown = np.minimum(q, 1) if p < width - 1 else 1
         q, digit = np.divmod(q, 10)
         digit += ord("0")
         digit *= shown
         digits[..., p] = digit
-    # cell (key, c) at key * k + c
-    table = cells.view(f"V{slot}").ravel()
+    _separate(cells, lead, trails, at)
+    rows = cells.view(f"V{slot}")[..., 0]
     for start in range(0, m, _CHUNK_ROWS):
-        stop = start + _CHUNK_ROWS
-        if keys is values:
-            rows = table[start * k : stop * k]
-        else:
-            index = values[start:stop] * k
-            for c in range(1, k):
-                index[:, c] += c
-            rows = table.take(index)
-        yield rows.tobytes().translate(None, b"\0")
+        yield rows[start : start + _CHUNK_ROWS].tobytes().translate(None, b"\0")
+
+
+def _separate(cells: np.ndarray, lead: bytes, trails: tuple[bytes, ...], at: int) -> None:
+    """Write the separators into (count, k, slot) cells whose digits end
+    before byte at: lead at the start of column 0, trails[c] from at on in
+    column c."""
+    cells[:, 0, : len(lead)] = np.frombuffer(lead, dtype=np.uint8)
+    for c, trail in enumerate(trails):
+        cells[:, c, at : at + len(trail)] = np.frombuffer(trail, dtype=np.uint8)
 
 
 def _json_pair_chunks(values: np.ndarray) -> Iterator[bytes]:

@@ -66,9 +66,11 @@ def spanning_trees_matrix_tree(g: Graph) -> int:
     return _bareiss_determinant(lap[1:, 1:].tolist())
 
 
-def spanning_trees_spectral(g: Graph) -> float:
-    """Spanning-tree count from normalized Laplacian eigenvalues:
-    (prod of degrees / sum of degrees) * prod of nonzero eigenvalues."""
+def _spectral_invariants(g: Graph) -> tuple[float, float]:
+    """The spectral spanning-tree count and the degree-Kirchhoff index of
+    g, from one run of the numeric oracle, after the checks of
+    ``spanning_trees_spectral``; they imply those of ``degree_kirchhoff``
+    and rule out its one-vertex case."""
     if g.is_null:
         raise HypothesisError("spanning trees undefined for the null graph")
     if not g.connected:
@@ -80,7 +82,13 @@ def spanning_trees_spectral(g: Graph) -> float:
     # accumulate in log space; corona degree products overflow quickly
     log_total = math.fsum(math.log(d) for d in deg) - math.log(sum(deg))
     log_total += math.fsum(math.log(v) for v in values)
-    return math.exp(log_total)
+    return math.exp(log_total), 2 * g.edge_count * math.fsum(1.0 / v for v in values)
+
+
+def spanning_trees_spectral(g: Graph) -> float:
+    """Spanning-tree count from normalized Laplacian eigenvalues:
+    (prod of degrees / sum of degrees) * prod of nonzero eigenvalues."""
+    return _spectral_invariants(g)[0]
 
 
 def degree_kirchhoff(g: Graph) -> float:
@@ -92,5 +100,4 @@ def degree_kirchhoff(g: Graph) -> float:
         raise HypothesisError("degree-Kirchhoff index requires a connected graph")
     if g.vertex_count == 1:
         return 0.0
-    values = nl_spectrum(g).values[1:].tolist()
-    return 2 * g.edge_count * math.fsum(1.0 / v for v in values)
+    return _spectral_invariants(g)[1]

@@ -102,7 +102,7 @@ class TestGenerate:
         assert "physical memory" in err and not out.exists()
 
     def test_beyond_address_space_exit_2(self):
-        # about 3.4 GiB of edges against a 2 GiB RLIMIT_AS: refused, not a MemoryError
+        # about 2.9 GiB of edges against a 2 GiB RLIMIT_AS: refused, not a MemoryError
         run = _run_cli(["generate", "cycle", "30000000"], address_space=2 * 2**30, timeout=60)
         assert run.returncode == 2, run.stderr
         assert b"address-space limit" in run.stderr and b"Traceback" not in run.stderr
@@ -474,6 +474,23 @@ class TestInvariants:
 
     def test_missing_file_exit_2(self):
         assert main(["invariants", "/nonexistent/file.el"]) == 2
+
+    def test_one_oracle_run_per_job(self, files, capsys, monkeypatch):
+        # the spectral tree count and the Kirchhoff index share one spectrum
+        calls = []
+        solve = rcorona.spectra.numeric_spectrum
+
+        def counted(matrix):
+            calls.append(len(matrix))
+            return solve(matrix)
+
+        monkeypatch.setattr("rcorona.spectra.numeric_spectrum", counted)
+        assert main(["invariants", files["SH"]]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert calls == [16]
+        g = rcorona.generate("shrikhande")
+        assert obj["spanning_trees_spectral"] == rcorona.spanning_trees_spectral(g)
+        assert obj["degree_kirchhoff"] == rcorona.degree_kirchhoff(g)
 
 
 @pytest.mark.parametrize("job", [

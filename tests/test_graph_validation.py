@@ -16,7 +16,7 @@ import io
 import json
 import string
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -33,6 +33,7 @@ from rcorona import (
     parse_graph_json,
 )
 from rcorona.cli import main
+from rcorona.graphs import _KEY_MAX_N
 
 INT64_MAX = 2**63 - 1
 
@@ -196,8 +197,45 @@ def graph_json_texts(draw):
 # --- differential tests --------------------------------------------------------
 
 
+# the largest vertex count whose edges are ordered by one int64 key
+KEY_MAX_N = 3_037_000_499
+
+
+def test_key_bound():
+    assert _KEY_MAX_N == KEY_MAX_N
+    assert KEY_MAX_N**2 <= INT64_MAX < (KEY_MAX_N + 1) ** 2
+
+
+def _on_both_sides_of_the_key_bound(test):
+    """@examples at n just below and just above KEY_MAX_N: valid edges near
+    the top, a duplicate, a self-loop and an endpoint out of range."""
+    for n in (KEY_MAX_N - 1, KEY_MAX_N, KEY_MAX_N + 1, KEY_MAX_N + 2):
+        top = n - 1
+        for edges in ([(top, top - 1), (0, top), (top - 2, 1)],
+                      [(top - 1, top), (0, top), (top, top - 1)],
+                      [(0, top), (top - 1, top - 1), (top, 0)],
+                      [(top, 0), (1, n), (0, top)],
+                      [(top, 1), (top, -1), (1, top)]):
+            test = example(n, edges)(test)
+    return test
+
+
 @settings(max_examples=300, deadline=None)
 @given(orders, edge_lists)
+# keys lo * n + hi that collide: (1, 2) and (0, 7) at n = 5, either way round
+@example(5, [(1, 2), (0, 7)])
+@example(5, [(0, 7), (1, 2)])
+@example(5, [(2, 1), (7, 0), (1, 2)])
+# negative endpoints: (-1, 7) has the key of (0, 2) at n = 5
+@example(5, [(0, 2), (-1, 7)])
+@example(5, [(-1, 7), (0, 2)])
+@example(5, [(-2, -1), (-1, -2)])
+@example(3, [(1, -2), (0, 1), (1, 0)])
+# a duplicate with an out-of-range edge, of the same key, between its copies
+@example(5, [(1, 2), (0, 7), (1, 2)])
+@example(5, [(1, 2), (0, 7), (2, 1), (0, 7)])
+@example(5, [(0, 2), (-1, 7), (2, 0)])
+@_on_both_sides_of_the_key_bound
 def test_build_graph_matches_reference(n, edges):
     assert outcome(build_graph, n, edges) == outcome(reference_build, n, edges)
 

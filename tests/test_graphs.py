@@ -420,6 +420,15 @@ def straddling_graphs(draw):
     return build_graph(n, edges)
 
 
+def _label_table_examples(test):
+    """@examples for the table over the labels 0..top, top at and beside
+    powers of ten, with one row per chunk and with the default chunk."""
+    for top in (9, 10, 99, 100, 999, 1_000, 9_999, 10_000):
+        for chunk_rows in (1, rcorona.graphs._CHUNK_ROWS):
+            test = example(generate("cycle", top + 1), chunk_rows)(test)
+    return test
+
+
 def reference_edge_list(g) -> str:
     return f"{g.vertex_count} {g.edge_count}\n" + "".join(f"{u} {v}\n" for u, v in g.ends.tolist())
 
@@ -438,6 +447,10 @@ class TestWritersAgainstScalarReference:
     @example(build_graph(10**6, [(999_998, 999_999), (0, 999_999), (99_999, 100_000)]), 2)
     # dense: the labels 0..99 are the keys
     @example(generate("cycle", 100), 7)
+    # one-digit labels in the first column only, up to three digits in the second
+    @example(generate("complete_bipartite", 10, 990), 1)
+    @example(generate("complete_bipartite", 10, 990), rcorona.graphs._CHUNK_ROWS)
+    @_label_table_examples
     def test_graph_writers(self, tmp_path_factory, g, chunk_rows):
         edge_list, graph_json = reference_edge_list(g), json.dumps(_graph_dict(g))
         path = tmp_path_factory.mktemp("save") / "graph"
