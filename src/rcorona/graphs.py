@@ -191,15 +191,16 @@ def _canonical(n: int, ends: np.ndarray) -> np.ndarray:
     """The rows of ends as (min, max) pairs, after raising the first
     offending edge's error, if any."""
     canonical = np.empty_like(ends)
-    lo, hi = canonical.T
-    np.minimum(*ends.T, out=lo)
-    np.maximum(*ends.T, out=hi)
+    u, v, lo, hi = ends[:, 0], ends[:, 1], canonical[:, 0], canonical[:, 1]
+    np.minimum(u, v, out=lo)
+    np.maximum(u, v, out=hi)
     if not len(ends):
         return canonical
     if lo.min() >= 0 and hi.max() < n and (lo < hi).all() and n <= _KEY_MAX_N:
         # the rows are distinct when their keys are, and any sort puts
         # equal keys side by side
-        keys = np.sort(lo * n + hi)
+        keys = lo * n + hi
+        keys.sort()
         if not (keys[1:] == keys[:-1]).any():
             return canonical
     # each row equal to the one before it in the stable order repeats an
@@ -519,8 +520,8 @@ def _label_digits(digits: np.ndarray) -> None:
         hold = 10**p
         place = digits[:, width - 1 - p]
         whole = count - count % hold
-        # block b of hold labels shows digit b % 10, the labels after the
-        # last whole block the digit after it
+        # block b of hold labels shows digit b % 10, and the labels after
+        # the last whole block show the next block's digit
         blocks = place[:whole].reshape(-1, hold)
         cycles = len(blocks) - len(blocks) % 10
         blocks[:cycles].reshape(-1, 10, hold)[...] = _ASCII_DIGITS[:, None]
