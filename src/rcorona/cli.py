@@ -165,7 +165,8 @@ def _cmd_invariants(args) -> int:
     g = _load(args.graph)
     trees = spanning_trees_matrix_tree(g)
     # spanning_trees_spectral(g) and degree_kirchhoff(g), from one eigensolve
-    trees_spectral, kirchhoff = _spectral_invariants(g)
+    log_trees, kirchhoff = _spectral_invariants(g)
+    trees_spectral = math.exp(log_trees)
     payload = json.dumps(
         {
             "spanning_trees": trees,

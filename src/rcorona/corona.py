@@ -55,12 +55,14 @@ def _kind_of(g1: Graph, g2: Graph) -> str:
 
 # Peak memory of a corona per layout entry (one per old and new vertex) or
 # output edge, as growth of ru_maxrss in a fresh process over the whole
-# `corona double ... --out F --emit-layout L` call, the writer's buffers
-# included: 34.3 to 43.1 bytes as an edge list, and 34.3 to 48.8 as JSON, over
-# C_5000 and C_100000 with {K4, C5} and C_200 with {K60, K1} either way round;
-# the estimate is the largest with a quarter more.  The writer holds one
-# chunk of text at a time.
-_ASSEMBLY_BYTES_PER_ENTRY = 61
+# `corona double ... --emit-layout L` call, the writer's buffers included,
+# over C_5000 and C_100000 with {K4, C5} and C_200 with {K60, K1} either way
+# round.  With --out F, where the writer holds one chunk of text at a time:
+# 34.3 to 42.8 bytes as an edge list and 34.3 to 49.4 as JSON.  To stdout,
+# where the whole text is joined, decoded and encoded again: 40.1 to 48.0
+# bytes as an edge list and 48.6 to 58.0 as JSON.  The estimate is the
+# largest with a quarter more.
+_ASSEMBLY_BYTES_PER_ENTRY = 73
 
 
 def _copy_ranges(start: int, count: int, size: int) -> np.ndarray:

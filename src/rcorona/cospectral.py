@@ -127,7 +127,7 @@ def build_cospectral_pair(
     sb = nl_spectrum(corona_b)
     report = compare_spectra(sa, sb, tol)
     # each corona's edge set: its rows in lexicographic order
-    edge_sets = [c.ends[_row_order(*c.ends.T, c.vertex_count)] for c in (corona_a, corona_b)]
+    edge_sets = [c.ends[_row_order(*c.ends.T)] for c in (corona_a, corona_b)]
     recipe = {
         "kind": _kind_of(g1, g2),
         "g": _graph_dict(g),

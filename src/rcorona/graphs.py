@@ -174,16 +174,8 @@ def build_graph(n: int, edges) -> Graph:
 _KEY_MAX_N = math.isqrt(_INT64_MAX)
 
 
-def _row_order(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
-    """The stable order of the rows (lo[i], hi[i]) by lo, then by hi, for
-    entries in 0..n-1.
-
-    Up to _KEY_MAX_N vertices it is one argsort of the int64 key
-    lo * n + hi, which cannot overflow for such entries and is distinct for
-    distinct rows of them; above that, a lexsort.  Whatever the entries,
-    equal rows share a key and keep their input order."""
-    if n <= _KEY_MAX_N:
-        return np.argsort(lo * n + hi, kind="stable")
+def _row_order(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The stable order of the rows (lo[i], hi[i]) by lo, then by hi."""
     return np.lexsort((hi, lo))
 
 
@@ -204,10 +196,8 @@ def _canonical(n: int, ends: np.ndarray) -> np.ndarray:
         if not (keys[1:] == keys[:-1]).any():
             return canonical
     # each row equal to the one before it in the stable order repeats an
-    # earlier edge.  A row with an endpoint out of range may share its key
-    # with others and sit between two equal rows, but then it is bad itself
-    # and comes before the second of them
-    order = _row_order(lo, hi, n)
+    # earlier edge
+    order = _row_order(lo, hi)
     rows = canonical[order]
     bad = (lo < 0) | (hi >= n) | (lo == hi)
     bad[order[1:][(rows[1:] == rows[:-1]).all(axis=1)]] = True
@@ -428,13 +418,13 @@ _GENERATORS = {
 GENERATOR_FAMILIES = tuple(_GENERATORS)
 
 # Peak memory of a generator per edge, as growth of ru_maxrss in a fresh
-# process over the whole `generate ... --out F` call, the writer's buffers
-# included: 64.6 to 84.0 bytes as an edge list and 64.6 to 83.9 as JSON,
-# over complete 2000 and 3000, hypercube 17, cycle and path 2 000 000,
-# cycle 4 000 000 and circulant 300 000 with seven connections; the
-# estimate is the largest with a quarter more.  The writer holds one chunk
-# of text at a time, so build_graph's validation sets the peak.
-_GENERATED_BYTES_PER_EDGE = 105
+# process over the whole `generate ...` call, the writer's buffers
+# included: 57.2 to 77.1 bytes, as an edge list or as JSON, with --out F or
+# to stdout, over complete 2000 and 3000, hypercube 17, cycle and path
+# 2 000 000, cycle 4 000 000 and circulant 300 000 with seven connections;
+# the estimate is the largest with a quarter more.  build_graph's
+# validation sets the peak, ahead of the text even where it is held whole.
+_GENERATED_BYTES_PER_EDGE = 97
 
 
 def generate(family: str, *params: int) -> Graph:

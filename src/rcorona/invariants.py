@@ -67,10 +67,11 @@ def spanning_trees_matrix_tree(g: Graph) -> int:
 
 
 def _spectral_invariants(g: Graph) -> tuple[float, float]:
-    """The spectral spanning-tree count and the degree-Kirchhoff index of
-    g, from one run of the numeric oracle, after the checks of
+    """The log of the spectral spanning-tree count and the degree-Kirchhoff
+    index of g, from one run of the numeric oracle, after the checks of
     ``spanning_trees_spectral``; they imply those of ``degree_kirchhoff``
-    and rule out its one-vertex case."""
+    and rule out its one-vertex case.  The count itself is left in log
+    space: it passes the largest float long before the index does."""
     if g.is_null:
         raise HypothesisError("spanning trees undefined for the null graph")
     if not g.connected:
@@ -82,13 +83,13 @@ def _spectral_invariants(g: Graph) -> tuple[float, float]:
     # accumulate in log space; corona degree products overflow quickly
     log_total = math.fsum(math.log(d) for d in deg) - math.log(sum(deg))
     log_total += math.fsum(math.log(v) for v in values)
-    return math.exp(log_total), 2 * g.edge_count * math.fsum(1.0 / v for v in values)
+    return log_total, 2 * g.edge_count * math.fsum(1.0 / v for v in values)
 
 
 def spanning_trees_spectral(g: Graph) -> float:
     """Spanning-tree count from normalized Laplacian eigenvalues:
     (prod of degrees / sum of degrees) * prod of nonzero eigenvalues."""
-    return _spectral_invariants(g)[0]
+    return math.exp(_spectral_invariants(g)[0])
 
 
 def degree_kirchhoff(g: Graph) -> float:

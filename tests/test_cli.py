@@ -102,7 +102,7 @@ class TestGenerate:
         assert "physical memory" in err and not out.exists()
 
     def test_beyond_address_space_exit_2(self):
-        # about 2.9 GiB of edges against a 2 GiB RLIMIT_AS: refused, not a MemoryError
+        # about 2.7 GiB of edges against a 2 GiB RLIMIT_AS: refused, not a MemoryError
         run = _run_cli(["generate", "cycle", "30000000"], address_space=2 * 2**30, timeout=60)
         assert run.returncode == 2, run.stderr
         assert b"address-space limit" in run.stderr and b"Traceback" not in run.stderr

@@ -197,7 +197,7 @@ def graph_json_texts(draw):
 # --- differential tests --------------------------------------------------------
 
 
-# the largest vertex count whose edges are ordered by one int64 key
+# the largest vertex count whose repeated edges are found by one int64 key
 KEY_MAX_N = 3_037_000_499
 
 

@@ -156,6 +156,15 @@ class TestDegreeKirchhoff:
         g = catalog[name]
         assert degree_kirchhoff(g) == pytest.approx(_resistance_kirchhoff_oracle(g), rel=1e-7)
 
+    def test_tree_count_beyond_float_range(self):
+        # K_200 has 200**198 ~ 1e455 spanning trees, more than any float holds;
+        # its index is (n - 1)**3, from n - 1 eigenvalues n / (n - 1)
+        g = generate("complete", 200)
+        with pytest.raises(OverflowError):
+            spanning_trees_spectral(g)
+        assert degree_kirchhoff(g) == pytest.approx(199**3, rel=1e-10)
+        assert degree_kirchhoff(g) == pytest.approx(_resistance_kirchhoff_oracle(g), rel=1e-9)
+
     def test_disconnected_rejected(self):
         with pytest.raises(HypothesisError):
             degree_kirchhoff(build_graph(4, [(0, 1), (2, 3)]))

@@ -3,7 +3,9 @@ is built, against the peak of the whole CLI call that writes it.
 
 Each command runs in a fresh process, and its peak is the growth of
 ru_maxrss over a process that only imports the package, so the writer's
-buffers count as well as the graph.  A change to the writer or to
+buffers count as well as the graph.  Each is run writing to a file with
+--out and writing to stdout, where the whole text is joined, decoded and
+encoded again.  A change to the writer or to
 validation that takes more memory per entry than the estimate fails here,
 instead of letting an input that the estimate admits run out of memory.
 """
@@ -21,11 +23,12 @@ from rcorona.corona import _ASSEMBLY_BYTES_PER_ENTRY
 from rcorona.graphs import _GENERATED_BYTES_PER_EDGE
 
 # prints the CLI's exit code, 0 with no arguments, and the process's peak
+# as the last line of stderr: stdout may carry the graph
 _CHILD = """
 import resource, sys
 from rcorona.cli import main
 code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
 """
 # ru_maxrss is in kilobytes on Linux and in bytes on macOS
 _MAXRSS_BYTES = 1 if sys.platform == "darwin" else 1024
@@ -36,10 +39,10 @@ def _peak(argv):
     runs it on argv, if any."""
     src = str(Path(rcorona.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    run = subprocess.run([sys.executable, "-c", _CHILD, *argv], env=env, capture_output=True,
-                         text=True, timeout=300)
+    run = subprocess.run([sys.executable, "-c", _CHILD, *argv], env=env, stdout=subprocess.DEVNULL,
+                         stderr=subprocess.PIPE, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    code, peak = map(int, run.stdout.split())
+    code, peak = map(int, run.stderr.splitlines()[-1].split())
     assert code == 0, run.stderr
     return peak * _MAXRSS_BYTES
 
@@ -49,13 +52,19 @@ def import_peak():
     return _peak([])
 
 
+def _sink(tmp_path, to_file):
+    """The CLI's output options: to a file, or none, to stdout."""
+    return ["--out", str(tmp_path / "out")] if to_file else []
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
 @pytest.mark.parametrize("fmt", ["edgelist", "json"])
-def test_corona_write_within_its_estimate(tmp_path, import_peak, fmt):
+def test_corona_write_within_its_estimate(tmp_path, import_peak, fmt, to_file):
     files = []
     for name, *params in (("c100000", "cycle", "100000"), ("k4", "complete", "4"), ("c5", "cycle", "5")):
         files.append(str(tmp_path / f"{name}.el"))
         assert main(["generate", *params, "--out", files[-1]]) == 0
-    growth = _peak(["corona", "double", *files, "--format", fmt, "--out", str(tmp_path / "corona"),
+    growth = _peak(["corona", "double", *files, "--format", fmt, *_sink(tmp_path, to_file),
                     "--emit-layout", str(tmp_path / "layout.json")]) - import_peak
     # C_100000 with {K4, C5}: the old and new vertices, 3 edges per base
     # edge, and each copy's edges and spokes
@@ -64,7 +73,9 @@ def test_corona_write_within_its_estimate(tmp_path, import_peak, fmt):
     assert growth <= _ASSEMBLY_BYTES_PER_ENTRY * entries, f"{growth / entries:.1f} bytes per entry"
 
 
-def test_generated_graph_within_its_estimate(tmp_path, import_peak):
-    growth = _peak(["generate", "cycle", "2000000", "--out", str(tmp_path / "cycle")]) - import_peak
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+@pytest.mark.parametrize("fmt", ["edgelist", "json"])
+def test_generated_graph_within_its_estimate(tmp_path, import_peak, fmt, to_file):
+    growth = _peak(["generate", "cycle", "2000000", "--format", fmt, *_sink(tmp_path, to_file)]) - import_peak
     edges = 2_000_000
     assert growth <= _GENERATED_BYTES_PER_EDGE * edges, f"{growth / edges:.1f} bytes per edge"
