@@ -42,7 +42,7 @@ import math
 import numpy as np
 
 from .errors import HypothesisError, InternalConsistencyError
-from .graphs import Graph
+from .graphs import Graph, _refuse_beyond_memory
 from .spectra import Spectrum, normalized_laplacian, summarize
 
 __all__ = [
@@ -64,6 +64,14 @@ _GROUP_TOL = 1e-9
 # noise below the grouping tolerance (a zero eigenvalue computed as -4e-16)
 # never reaches a label.
 _LABEL_DECIMALS = -round(math.log10(_GROUP_TOL))
+# Peak memory of a closed-form spectrum per eigenvalue, as growth of
+# ru_maxrss in a fresh process over the whole `spectrum --corona double ...
+# --method closed-form` call, printing included, over C_100000 with
+# {K4, C5}, {K4, null} and {null, null}, C_10000 with {K300, K300} and
+# C_1000000 with {K4, C5} and {null, null}: 48 to 132 bytes printed plainly
+# and 90 to 336 with --json, whose family table is as long as the values
+# for the R-graph.  The estimate is the largest with a quarter more.
+_CLOSED_FORM_BYTES_PER_VALUE = 420
 
 
 @dataclass(frozen=True)
@@ -463,8 +471,11 @@ def flatten(cfs: ClosedFormSpectrum) -> Spectrum:
 
     Each root family contributes the eigenvalues of its quotient matrix,
     each with the family's multiplicity; the quotients of a table are
-    solved in one batch.
+    solved in one batch.  A spectrum whose values, and their printing, would
+    not fit in memory is refused first (DenseMemoryError).
     """
+    total = cfs.total_multiplicity
+    _refuse_beyond_memory(total, _CLOSED_FORM_BYTES_PER_VALUE, f"a closed-form spectrum of {total} values")
     fixed = cfs.fixed_families
     parts = [np.repeat(np.array([f.value for f in fixed], dtype=float),
                        [f.multiplicity for f in fixed])]

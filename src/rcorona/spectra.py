@@ -1,22 +1,24 @@
 """Normalized Laplacian matrices, a dense symmetric eigensolver, and
 tolerance-aware spectrum comparison.
 
-The eigensolver is the package's independent numeric oracle: a blocked
-Householder reduction to tridiagonal form (Golub & Van Loan, *Matrix
-Computations*, §8.3), then divide and conquer over QL leaves on the
-tridiagonal.  Orders up to _DC_CROSSOVER go to implicit-shift QL directly;
-larger ones are torn in half recursively (Cuppen 1981) down to QL leaves,
-and each merge deflates and solves a secular equation for the rest (Gu &
-Eisenstat 1995; LAPACK's dstedc).  The multiple eigenvalues of a corona
-deflate, so they cost no secular solve.  It uses numpy's matrix products
-but never ``numpy.linalg``, and fails loudly on non-convergence.  It is
-deterministic for fixed input on a given numpy/BLAS build, whatever the
-BLAS thread count: the reduction's trailing update runs tile by tile over
-the lower triangle, its matrix-vector and dot products go in blocks, and
-so every BLAS call stays within OpenBLAS's threading thresholds
-(_BLAS_CALL_BOUND multiply-adds, a sum over _INNER_ENTRIES entries); the
-merges make no BLAS call.  The normalized Laplacian is written straight
-from the edge list.  The oracle serves the numeric route (the corona's
+The eigensolver is the package's independent numeric oracle: a Householder
+reduction to tridiagonal form (Golub & Van Loan, *Matrix Computations*,
+§8.3), blocked in panels while the trailing matrix is large and unblocked
+for its last columns, as LAPACK's dsytrd hands them to dsytd2, then divide
+and conquer over QL leaves on the tridiagonal.  Orders up to _DC_CROSSOVER
+go to implicit-shift QL directly; larger ones are torn in half recursively
+(Cuppen 1981) down to QL leaves, and each merge deflates and solves a
+secular equation for the rest (Gu & Eisenstat 1995; LAPACK's dstedc).  The
+multiple eigenvalues of a corona deflate, so they cost no secular solve.
+It uses numpy's matrix products but never ``numpy.linalg``, and fails
+loudly on non-convergence.  It is deterministic for fixed input on a given
+numpy/BLAS build, whatever the BLAS thread count: the panels' trailing
+update runs tile by tile over the lower triangle, their matrix-vector and
+dot products go in blocks, the unblocked loop's matrix has at most
+_UNBLOCKED + _PANEL rows, and so every BLAS call stays within OpenBLAS's
+threading thresholds (_BLAS_CALL_BOUND multiply-adds, a sum over
+_INNER_ENTRIES entries); the merges make no BLAS call.  The normalized
+Laplacian is written straight from the edge list.  The oracle serves the numeric route (the corona's
 spectrum in ``spectrum --method numeric|both``), the cospectral
 certificates and the spectral invariants; the closed form solves its
 input spectra with LAPACK instead, so a cross-check never runs both sides
@@ -59,6 +61,15 @@ _DC_LEAF = 48
 # Columns per panel of the blocked Householder reduction (16 and 64 run
 # equally fast).
 _PANEL = 32
+# The reduction runs a panel only while the trailing matrix after it has
+# more than _UNBLOCKED rows, and reduces the columns left one at a time: a
+# panel pays about 25 us of numpy calls per column for its corrections,
+# which only a large trailing update repays.  In a sweep of 64, 96, 128 and
+# 160 (medians of 16 runs), 96 was fastest at orders 208 and 304 (5.2 and
+# 10.4 ms, against up to 6.4 and 11.7) and within 4% of the fastest at 160
+# and 612; at 125 and 128, which 96 and above reduce unblocked, all four
+# read 2.6 to 2.8 ms.
+_UNBLOCKED = 96
 # A BLAS call's last bits depend on the thread count once OpenBLAS splits
 # it over threads.  It does not split a product of m*n*k <= 2**18
 # multiply-adds (its threshold for matrix products), nor the sum of a
@@ -186,18 +197,28 @@ def _householder_tridiagonal(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reduce a symmetric matrix of order n >= 2 to tridiagonal form;
     returns (diag, subdiag).
 
-    Blocked reduction (Golub & Van Loan, *Matrix Computations*, §8.3;
-    LAPACK's dsytrd/dlatrd).  Column j is annihilated by the reflector
-    I - 2vv^T with v a unit vector; its two-sided application is the
-    rank-2 update A -= v(2w)^T + (2w)v^T with w = Av - (v^T A v)v.  Within a
-    panel of _PANEL columns those updates are only recorded: rows 2k and
-    2k + 1 of vw hold v and 2w of the panel's k-th reflector, and wv holds
-    the same rows with each pair swapped.  Each column of A, and each
-    product Av, is read from the un-updated matrix and corrected by the
-    panel's earlier reflectors with one product each.  After the panel the
-    trailing matrix takes all of them in one update A -= vw^T wv, tile by
-    tile over its lower triangle (diagonal tiles whole); each finished
-    block of rows is then mirrored to the upper triangle.
+    Blocked, then unblocked (Golub & Van Loan, *Matrix Computations*, §8.3;
+    LAPACK's dsytrd, which runs dlatrd panels while the trailing matrix is
+    larger than its crossover and finishes with dsytd2).  Column j is
+    annihilated by the reflector I - 2vv^T with v a unit vector; its
+    two-sided application is the rank-2 update A -= v(2w)^T + (2w)v^T with
+    w = Av - (v^T A v)v.
+
+    A panel of _PANEL columns runs only while the trailing matrix after it
+    has more than _UNBLOCKED rows.  Within a panel the updates are only
+    recorded: rows 2k and 2k + 1 of vw hold v and 2w of the panel's k-th
+    reflector, and wv holds the same rows with each pair swapped.  Each
+    column of A, and each product Av, is read from the un-updated matrix and
+    corrected by the panel's earlier reflectors with one product each.
+    After the panel the trailing matrix takes all of them in one update
+    A -= vw^T wv, tile by tile over its lower triangle (diagonal tiles
+    whole); each finished block of rows is then mirrored to the upper
+    triangle.  The columns left, at most _UNBLOCKED + _PANEL, are reduced
+    one at a time as in dsytd2: one product Av and one rank-2 update of the
+    whole trailing matrix, B^T B' with B the rows v and 2w and B' the same
+    rows swapped, with no corrections to make.  So orders up to
+    _UNBLOCKED + _PANEL, every corona of the acceptance sweep among them,
+    run no panel.
 
     Every BLAS call stays within _BLAS_CALL_BOUND multiply-adds and sums
     over at most _INNER_ENTRIES entries, so the result is the same whatever
@@ -207,17 +228,27 @@ def _householder_tridiagonal(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = a.shape[0]
     d = np.zeros(n)
     e = np.zeros(n - 1)
-    for p in range(0, n - 2, _PANEL):
-        q = min(p + _PANEL, n - 2)
+    panels = range(0, n - _UNBLOCKED - _PANEL, _PANEL)
+    for p in panels:
+        q = p + _PANEL
         # column c of vw and wv is matrix row p + c
-        vw = np.zeros((2 * (q - p), n - p))
-        wv = np.zeros((2 * (q - p), n - p))
+        vw = np.zeros((2 * _PANEL, n - p))
+        wv = np.zeros((2 * _PANEL, n - p))
+        # where the panel's largest product, the trailing matrix by v, is
+        # within the bound, every product is one BLAS call: make it directly
+        small = (n - p) ** 2 <= _BLAS_CALL_BOUND
+        product, dot = (operator.matmul, np.ndarray.dot) if small else (_product, _dot)
         for i, j in enumerate(range(p, q)):
             k = 2 * i
-            d[j] = a[j, j] - float(vw[:k, i] @ wv[:k, i])
-            # row j of the symmetric A is its column j
-            x = a[j, j + 1 :] - _product(vw[:k, i + 1 :].T, wv[:k, i])
-            norm_x, x0 = math.sqrt(_dot(x, x)), float(x[0])
+            # row j of the symmetric A is its column j, and is not read
+            # again; the panel's first column has no corrections
+            if k:
+                d[j] = a[j, j] - float(vw[:k, i] @ wv[:k, i])
+                x = a[j, j + 1 :] - product(vw[:k, i + 1 :].T, wv[:k, i])
+            else:
+                d[j] = a[j, j]
+                x = a[j, j + 1 :]
+            norm_x, x0 = math.sqrt(dot(x, x)), float(x[0])
             # v = x - alpha e_1 with alpha = -sign(x_0) ||x||, so
             # ||v||^2 = 2 ||x|| (||x|| + |x_0|)
             vnorm = math.sqrt(2.0 * norm_x * (norm_x + abs(x0)))
@@ -228,21 +259,49 @@ def _householder_tridiagonal(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             v = x
             v[0] -= alpha
             v /= vnorm
-            u = _product(a[j + 1 :, j + 1 :], v)
-            u -= _product(vw[:k, i + 1 :].T, _product(wv[:k, i + 1 :], v))
-            u -= _dot(v, u) * v
+            u = product(a[j + 1 :, j + 1 :], v)
+            if k:
+                u -= product(vw[:k, i + 1 :].T, product(wv[:k, i + 1 :], v))
+            u -= dot(v, u) * v
             u *= 2.0
             vw[k, i + 1 :] = wv[k + 1, i + 1 :] = v
             vw[k + 1, i + 1 :] = wv[k, i + 1 :] = u
-        left, right = vw[:, q - p :].T, wv[:, q - p :]
+        left, right = vw[:, _PANEL:].T, wv[:, _PANEL:]
         trailing = a[q:, q:]
         for r in range(0, n - q, _TILE):
             rows = slice(r, r + _TILE)
             for c in range(0, r + 1, _TILE):
                 trailing[rows, c : c + _TILE] -= left[rows] @ right[:, c : c + _TILE]
             trailing[:r, rows] = trailing[rows, :r].T
-    d[n - 2 :] = a[n - 2, n - 2], a[n - 1, n - 1]
-    e[n - 2] = a[n - 1, n - 2]
+    # The columns left, on a contiguous copy t of the trailing matrix: each
+    # rank-2 update is a product of whole rows of vw, v and 2w from column
+    # i + 1 on, subtracted from whole rows of t (numpy subtracts a contiguous
+    # block several times faster than a strided square).  What it leaves
+    # left of column i + 1, from the earlier reflectors, is never read.
+    start = len(panels) * _PANEL
+    t = a[start:, start:].copy()
+    m = n - start
+    vw = np.zeros((2, m))
+    v_row, w_row = vw
+    for i in range(m - 2):
+        j = start + i
+        d[j] = t[i, i]
+        x = t[i, i + 1 :]
+        norm_x, x0 = math.sqrt(x.dot(x)), float(x[0])
+        vnorm = math.sqrt(2.0 * norm_x * (norm_x + abs(x0)))
+        if vnorm == 0.0:
+            continue
+        alpha = -math.copysign(norm_x, x0) if x0 != 0.0 else -norm_x
+        e[j] = alpha
+        v, w = v_row[i + 1 :], w_row[i + 1 :]
+        np.divide(x, vnorm, out=v)
+        v[0] = (x0 - alpha) / vnorm
+        np.matmul(t[i + 1 :, i + 1 :], v, out=w)
+        w -= v.dot(w) * v
+        w *= 2.0
+        t[i + 1 :] -= vw.T[i + 1 :] @ vw[::-1]
+    d[n - 2 :] = t[m - 2, m - 2], t[m - 1, m - 1]
+    e[n - 2] = t[m - 1, m - 2]
     return d, e
 
 

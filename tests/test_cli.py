@@ -340,6 +340,19 @@ class TestSpectrum:
         assert run.returncode == 2, run.stderr
         assert b"1000000000000000 vertices" in run.stderr and b"Traceback" not in run.stderr
 
+    def test_closed_form_beyond_address_space_exit_2(self, tmp_path):
+        # C_100000 with K300 twice has 60.2 million eigenvalues, far beyond a
+        # 2 GiB RLIMIT_AS: refused before they are expanded, not a
+        # MemoryError while printing them
+        base, k300 = _generate_files(tmp_path, ("C100000", "cycle", "100000"),
+                                     ("K300", "complete", "300"))
+        run = _run_cli(["spectrum", "--corona", "double", base, k300, k300, "--method", "closed-form"],
+                       address_space=2 * 2**30, timeout=120)
+        assert run.returncode == 2, run.stderr
+        assert b"closed-form spectrum of 60200000 values" in run.stderr
+        assert b"address-space limit" in run.stderr and b"Traceback" not in run.stderr
+        assert run.stdout == b""
+
     def test_deeply_nested_json_exit_2(self, tmp_path, capsys):
         deep = tmp_path / "deep.json"
         deep.write_text('{"n": ' + "[" * 200_000)
@@ -369,14 +382,17 @@ class TestSpectrum:
         assert capsys.readouterr().out == first
 
     def test_blas_thread_count_invariant(self, tmp_path):
-        # N = 264 spans more than two panels of the blocked reduction; at
-        # N = 1105 its trailing matrix-vector products go in blocks of rows
-        k4, c5 = _generate_files(tmp_path, ("K4", "complete", "4"), ("C5", "cycle", "5"))
-        for spec, order in ((("C24", "cycle", "24"), 264),
-                            (("C65_1_2", "circulant", "65", "1", "2"), 1105)):
-            base, = _generate_files(tmp_path, spec)
+        # Petersen with {C4, C4} (N = 125, the largest corona of the
+        # acceptance sweep) runs only the unblocked reduction; N = 264 runs
+        # blocked panels, then unblocked columns; at N = 1105 the panels'
+        # trailing matrix-vector products go in blocks of rows
+        petersen, c24, c65, k4, c5, c4 = _generate_files(
+            tmp_path, ("petersen", "petersen"), ("C24", "cycle", "24"),
+            ("C65_1_2", "circulant", "65", "1", "2"), ("K4", "complete", "4"), ("C5", "cycle", "5"),
+            ("C4", "cycle", "4"))
+        for graphs, order in (((petersen, c4, c4), 125), ((c24, k4, c5), 264), ((c65, k4, c5), 1105)):
             one, two = _stdout_under_1_and_2_threads(
-                ["spectrum", "--corona", "double", base, k4, c5, "--method", "both"])
+                ["spectrum", "--corona", "double", *graphs, "--method", "both"])
             assert b"verdict: MATCH\n" in one
             assert one.count(b"\n") == order + 3
             assert one == two, order

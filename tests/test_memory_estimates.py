@@ -1,5 +1,6 @@
-"""The memory estimates that refuse a corona or a generated graph before it
-is built, against the peak of the whole CLI call that writes it.
+"""The memory estimates that refuse a corona, a generated graph or a
+closed-form spectrum before it is built, against the peak of the whole CLI
+call that writes it.
 
 Each command runs in a fresh process, and its peak is the growth of
 ru_maxrss over a process that only imports the package, so the writer's
@@ -19,6 +20,7 @@ import pytest
 
 import rcorona
 from rcorona.cli import main
+from rcorona.closedform import _CLOSED_FORM_BYTES_PER_VALUE
 from rcorona.corona import _ASSEMBLY_BYTES_PER_ENTRY
 from rcorona.graphs import _GENERATED_BYTES_PER_EDGE
 
@@ -79,3 +81,19 @@ def test_generated_graph_within_its_estimate(tmp_path, import_peak, fmt, to_file
     growth = _peak(["generate", "cycle", "2000000", "--format", fmt, *_sink(tmp_path, to_file)]) - import_peak
     edges = 2_000_000
     assert growth <= _GENERATED_BYTES_PER_EDGE * edges, f"{growth / edges:.1f} bytes per edge"
+
+
+@pytest.mark.parametrize("json_flag", [False, True], ids=["plain", "json"])
+@pytest.mark.parametrize("copies, values", [
+    # C_100000: its old and new vertices, and a copy at each
+    (("K4", "C5"), 200_000 + 100_000 * 4 + 100_000 * 5),
+    (("null", "null"), 200_000),
+], ids=["k4-c5", "r-graph"])
+def test_closed_form_spectrum_within_its_estimate(tmp_path, import_peak, copies, values, json_flag):
+    files = {"null": "null"}
+    for name, *params in (("C100000", "cycle", "100000"), ("K4", "complete", "4"), ("C5", "cycle", "5")):
+        files[name] = str(tmp_path / f"{name}.el")
+        assert main(["generate", *params, "--out", files[name]]) == 0
+    growth = _peak(["spectrum", "--corona", "double", files["C100000"], *map(files.get, copies),
+                    "--method", "closed-form", *(["--json"] if json_flag else [])]) - import_peak
+    assert growth <= _CLOSED_FORM_BYTES_PER_VALUE * values, f"{growth / values:.1f} bytes per value"

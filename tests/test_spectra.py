@@ -25,8 +25,10 @@ from rcorona import ConvergenceError
 from rcorona.spectra import (
     _BLAS_CALL_BOUND,
     _DC_CROSSOVER,
+    _INNER_ENTRIES,
     _PANEL,
     _TILE,
+    _UNBLOCKED,
     _divide_and_conquer,
     _householder_tridiagonal,
     _ql_implicit,
@@ -258,10 +260,14 @@ class TestNumericSpectrum:
 
     @pytest.mark.parametrize("n", [
         _PANEL - 1, _PANEL, _PANEL + 1, _PANEL + 2, 2 * _PANEL + 2, 150,
-        # the first trailing update is one or two tiles and a row or two
-        # either side of that
         _PANEL + _TILE - 1, _PANEL + _TILE, _PANEL + _TILE + 1,
+        # the last order that runs only the unblocked loop, and the first
+        # two that run a panel before it
+        _UNBLOCKED + _PANEL - 1, _UNBLOCKED + _PANEL, _UNBLOCKED + _PANEL + 1,
+        # the first trailing update is two or three tiles and a row either
+        # side of that
         _PANEL + 2 * _TILE - 1, _PANEL + 2 * _TILE, _PANEL + 2 * _TILE + 1,
+        _PANEL + 3 * _TILE - 1, _PANEL + 3 * _TILE, _PANEL + 3 * _TILE + 1,
         # the first (n - 1)^2 beyond the BLAS-call bound: the trailing
         # matrix-vector product goes in blocks of rows
         math.isqrt(_BLAS_CALL_BOUND) + 2, math.isqrt(_BLAS_CALL_BOUND) + 3,
@@ -275,16 +281,40 @@ class TestNumericSpectrum:
         assert_reduction_invariants(m)
 
     def test_blocked_products_match_lapack(self, monkeypatch):
-        # bounds small enough that every matrix-vector product goes in
-        # blocks of rows and chunks of columns, and every dot product in chunks
+        # bounds small enough that every matrix-vector product of the panels
+        # goes in blocks of rows and chunks of columns, and every dot
+        # product in chunks; two panels run before the unblocked loop
         monkeypatch.setattr("rcorona.spectra._BLAS_CALL_BOUND", 2**9)
         monkeypatch.setattr("rcorona.spectra._INNER_ENTRIES", 7)
+        monkeypatch.setattr("rcorona.spectra._UNBLOCKED", 8)
         rng = np.random.default_rng(8)
         m = rng.standard_normal((2 * _PANEL + 9, 2 * _PANEL + 9))
         m = (m + m.T) / 2
         got = numeric_spectrum(m).values
         assert np.allclose(got, np.sort(np.linalg.eigvalsh(m)), atol=1e-10 * len(m))
         assert_reduction_invariants(m)
+
+    def test_panels_only_above_the_crossover(self, monkeypatch):
+        # with no room under the BLAS-call bound every panel product goes
+        # through _product, one by the trailing matrix per panel column
+        squares = []
+        monkeypatch.setattr("rcorona.spectra._BLAS_CALL_BOUND", 0)
+        monkeypatch.setattr("rcorona.spectra._product",
+                            lambda x, y: squares.append(x.shape[0] == x.shape[1]) or x @ y)
+        rng = np.random.default_rng(4)
+        for n, panels in ((_UNBLOCKED + _PANEL, 0), (_UNBLOCKED + _PANEL + 1, 1),
+                          (_UNBLOCKED + 2 * _PANEL, 1), (_UNBLOCKED + 2 * _PANEL + 1, 2)):
+            m = rng.standard_normal((n, n))
+            squares.clear()
+            _householder_tridiagonal((m + m.T) / 2)
+            assert sum(squares) == panels * _PANEL, n
+
+    def test_unblocked_loop_within_the_blas_bounds(self):
+        # its matrix has at most _UNBLOCKED + _PANEL rows: its product by v
+        # and its rank-2 update, at most m x 2 x m, are single calls within
+        # both bounds
+        m = _UNBLOCKED + _PANEL
+        assert 2 * m * m <= _BLAS_CALL_BOUND and m <= _INNER_ENTRIES
 
     def test_adversarial_structures(self):
         rng = np.random.default_rng(99)
@@ -302,9 +332,12 @@ class TestNumericSpectrum:
             "rank one": np.outer(v, v),
             "repeated blocks": np.kron(np.eye(8), block),
             "zero": np.zeros((12, 12)),
-            # zero columns in the middle of later panels
+            # zero columns in the middle of the unblocked loop and, above
+            # _UNBLOCKED + 2 _PANEL, of the panels before it
             "repeated blocks, three panels": np.kron(np.eye(14), block),
             "diagonal, three panels": np.diag(rng.standard_normal(2 * _PANEL + 6)),
+            "repeated blocks, two panels first": np.kron(np.eye(34), block),
+            "diagonal, two panels first": np.diag(rng.standard_normal(_UNBLOCKED + 2 * _PANEL + 6)),
             "disconnected 2C40": normalized_laplacian(
                 build_graph(80, [(i + o, (i + 1) % 40 + o) for o in (0, 40) for i in range(40)])
             ),
