@@ -472,13 +472,11 @@ def flatten(cfs: ClosedFormSpectrum) -> Spectrum:
     Each root family contributes the eigenvalues of its quotient matrix,
     each with the family's multiplicity; the quotients of a table are
     solved in one batch.  A spectrum whose values, and their printing, would
-    not fit in memory is refused first (DenseMemoryError).
+    not fit in memory is refused (DenseMemoryError) before they are expanded.
     """
-    total = cfs.total_multiplicity
-    _refuse_beyond_memory(total, _CLOSED_FORM_BYTES_PER_VALUE, f"a closed-form spectrum of {total} values")
     fixed = cfs.fixed_families
-    parts = [np.repeat(np.array([f.value for f in fixed], dtype=float),
-                       [f.multiplicity for f in fixed])]
+    values = [np.array([f.value for f in fixed], dtype=float)]
+    counts = [np.array([f.multiplicity for f in fixed], dtype=np.int64)]
     for tag, table in (("root", cfs.roots), ("edge excess", cfs.excess)):
         if table is None:
             continue
@@ -488,6 +486,9 @@ def flatten(cfs: ClosedFormSpectrum) -> Spectrum:
                 f"{tag} families: {table.quotients.shape[1]}x{table.quotients.shape[2]} "
                 f"quotients for degree {d} polynomials"
             )
-        roots = np.linalg.eigvalsh(table.quotients)
-        parts.append(np.repeat(roots.ravel(), np.repeat(table.multiplicity, d)))
-    return Spectrum(np.concatenate(parts))
+        values.append(np.linalg.eigvalsh(table.quotients).ravel())
+        counts.append(np.repeat(table.multiplicity, d))
+    counts = np.concatenate(counts)
+    total = int(counts.sum())
+    _refuse_beyond_memory(total, _CLOSED_FORM_BYTES_PER_VALUE, f"a closed-form spectrum of {total} values")
+    return Spectrum(np.repeat(np.concatenate(values), counts))
