@@ -3,8 +3,8 @@ cospectral certification as reproducible batch runs.
 
 Exit codes: 0 success / spectra match / verdict cospectral; 1 mismatch or
 negative verdict; 2 usage error (bad flags, parameters, or input files, or
-a graph whose dense computation, corona assembly or generation would not
-fit in memory);
+a graph whose dense computation, corona assembly or generation, or a
+closed-form spectrum whose printing, would not fit in memory);
 3 violated mathematical hypothesis (disconnected base, non-regular input,
 the m<n closed-form regime, ...); 4 internal error (an eigensolve that did
 not converge, or closed-form families inconsistent with the corona).  All
@@ -24,11 +24,26 @@ from .closedform import closed_form_spectrum, flatten
 from .corona import _KIND_COPIES, double_corona
 from .cospectral import build_cospectral_pair
 from .errors import ConvergenceError, HypothesisError, InternalConsistencyError
-from .graphs import Graph, build_graph, format_graph, generate, load_graph, save_graph
+from .graphs import Graph, _refuse_beyond_memory, build_graph, format_graph, generate, load_graph, save_graph
 from .invariants import _spectral_invariants, spanning_trees_matrix_tree
 from .spectra import _MATCH_TOL, compare_spectra, nl_spectrum
 
 __all__ = ["main"]
+
+# Peak memory of `spectrum --corona ... --method closed-form`, as growth of
+# ru_maxrss in a fresh process over the whole call, printing included.  Over
+# C_100000 with {K4, C5}, {K4, null} and {null, null}, C_10000 with
+# {K300, K300} and C_1000000 with {K4, C5} and {null, null}, plain stdout
+# took 0 to 107 bytes per eigenvalue (132 in an earlier run), the most for
+# C_1000000's R-graph, whose base graph is loaded and solved for only two
+# values per vertex.  --json adds the values' text and the family table,
+# one row per base eigenvalue: at most 884 bytes per row over the plain
+# run (C_1000000's R-graph, 500001 rows for 2 million values, its values'
+# text charged to the rows too), and where the values dominate it stays
+# under 88 bytes per value all told.  Each estimate is the largest with a
+# quarter more.
+_CLOSED_FORM_BYTES_PER_VALUE = 165
+_FAMILY_ROW_BYTES = 1100
 
 
 def _tolerance(text: str) -> float:
@@ -53,6 +68,15 @@ def _write_or_print(text: str, out: str | None) -> None:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
+
+
+def _closed_form_print_bytes(cf, as_json: bool) -> int:
+    """The estimated peak memory of printing the closed-form spectrum cf,
+    with its family table when as_json."""
+    need = cf.total_multiplicity * _CLOSED_FORM_BYTES_PER_VALUE
+    if as_json:
+        need += (len(cf.fixed_families) + len(cf.roots.mu) + (cf.excess is not None)) * _FAMILY_ROW_BYTES
+    return need
 
 
 def _cmd_generate(args) -> int:
@@ -115,6 +139,10 @@ def _cmd_spectrum(args) -> int:
                 "closed-form spectra exist only for coronas; pass --corona"
             )
         cf = closed_form_spectrum(*inputs)
+        # refused before its values are expanded, instead of a MemoryError
+        # while printing them
+        _refuse_beyond_memory(_closed_form_print_bytes(cf, args.json), 1,
+                              f"a closed-form spectrum of {cf.total_multiplicity} values")
         closed = flatten(cf)
 
     # either spectrum has one value per vertex

@@ -42,7 +42,7 @@ import math
 import numpy as np
 
 from .errors import HypothesisError, InternalConsistencyError
-from .graphs import Graph, _refuse_beyond_memory
+from .graphs import Graph
 from .spectra import Spectrum, normalized_laplacian, summarize
 
 __all__ = [
@@ -64,14 +64,6 @@ _GROUP_TOL = 1e-9
 # noise below the grouping tolerance (a zero eigenvalue computed as -4e-16)
 # never reaches a label.
 _LABEL_DECIMALS = -round(math.log10(_GROUP_TOL))
-# Peak memory of a closed-form spectrum per eigenvalue, as growth of
-# ru_maxrss in a fresh process over the whole `spectrum --corona double ...
-# --method closed-form` call, printing included, over C_100000 with
-# {K4, C5}, {K4, null} and {null, null}, C_10000 with {K300, K300} and
-# C_1000000 with {K4, C5} and {null, null}: 48 to 132 bytes printed plainly
-# and 90 to 336 with --json, whose family table is as long as the values
-# for the R-graph.  The estimate is the largest with a quarter more.
-_CLOSED_FORM_BYTES_PER_VALUE = 420
 
 
 @dataclass(frozen=True)
@@ -471,12 +463,11 @@ def flatten(cfs: ClosedFormSpectrum) -> Spectrum:
 
     Each root family contributes the eigenvalues of its quotient matrix,
     each with the family's multiplicity; the quotients of a table are
-    solved in one batch.  A spectrum whose values, and their printing, would
-    not fit in memory is refused (DenseMemoryError) before they are expanded.
+    solved in one batch.
     """
     fixed = cfs.fixed_families
-    values = [np.array([f.value for f in fixed], dtype=float)]
-    counts = [np.array([f.multiplicity for f in fixed], dtype=np.int64)]
+    parts = [np.repeat(np.array([f.value for f in fixed], dtype=float),
+                       [f.multiplicity for f in fixed])]
     for tag, table in (("root", cfs.roots), ("edge excess", cfs.excess)):
         if table is None:
             continue
@@ -486,9 +477,6 @@ def flatten(cfs: ClosedFormSpectrum) -> Spectrum:
                 f"{tag} families: {table.quotients.shape[1]}x{table.quotients.shape[2]} "
                 f"quotients for degree {d} polynomials"
             )
-        values.append(np.linalg.eigvalsh(table.quotients).ravel())
-        counts.append(np.repeat(table.multiplicity, d))
-    counts = np.concatenate(counts)
-    total = int(counts.sum())
-    _refuse_beyond_memory(total, _CLOSED_FORM_BYTES_PER_VALUE, f"a closed-form spectrum of {total} values")
-    return Spectrum(np.repeat(np.concatenate(values), counts))
+        roots = np.linalg.eigvalsh(table.quotients)
+        parts.append(np.repeat(roots.ravel(), np.repeat(table.multiplicity, d)))
+    return Spectrum(np.concatenate(parts))

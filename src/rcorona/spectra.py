@@ -234,21 +234,17 @@ def _householder_tridiagonal(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # column c of vw and wv is matrix row p + c
         vw = np.zeros((2 * _PANEL, n - p))
         wv = np.zeros((2 * _PANEL, n - p))
-        # where the panel's largest product, the trailing matrix by v, is
-        # within the bound, every product is one BLAS call: make it directly
-        small = (n - p) ** 2 <= _BLAS_CALL_BOUND
-        product, dot = (operator.matmul, np.ndarray.dot) if small else (_product, _dot)
         for i, j in enumerate(range(p, q)):
             k = 2 * i
             # row j of the symmetric A is its column j, and is not read
             # again; the panel's first column has no corrections
             if k:
                 d[j] = a[j, j] - float(vw[:k, i] @ wv[:k, i])
-                x = a[j, j + 1 :] - product(vw[:k, i + 1 :].T, wv[:k, i])
+                x = a[j, j + 1 :] - _product(vw[:k, i + 1 :].T, wv[:k, i])
             else:
                 d[j] = a[j, j]
                 x = a[j, j + 1 :]
-            norm_x, x0 = math.sqrt(dot(x, x)), float(x[0])
+            norm_x, x0 = math.sqrt(_dot(x, x)), float(x[0])
             # v = x - alpha e_1 with alpha = -sign(x_0) ||x||, so
             # ||v||^2 = 2 ||x|| (||x|| + |x_0|)
             vnorm = math.sqrt(2.0 * norm_x * (norm_x + abs(x0)))
@@ -259,10 +255,10 @@ def _householder_tridiagonal(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             v = x
             v[0] -= alpha
             v /= vnorm
-            u = product(a[j + 1 :, j + 1 :], v)
+            u = _product(a[j + 1 :, j + 1 :], v)
             if k:
-                u -= product(vw[:k, i + 1 :].T, product(wv[:k, i + 1 :], v))
-            u -= dot(v, u) * v
+                u -= _product(vw[:k, i + 1 :].T, _product(wv[:k, i + 1 :], v))
+            u -= _dot(v, u) * v
             u *= 2.0
             vw[k, i + 1 :] = wv[k + 1, i + 1 :] = v
             vw[k + 1, i + 1 :] = wv[k, i + 1 :] = u

@@ -10,11 +10,13 @@ import resource
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import rcorona
 from rcorona import ConvergenceError, Graph, parse_edge_list, parse_graph_json
 from rcorona.cli import build_parser, main
+from rcorona.spectra import Spectrum
 
 
 def _run_cli(argv, threads="1", address_space=None, timeout=120):
@@ -352,6 +354,34 @@ class TestSpectrum:
         assert b"closed-form spectrum of 60200000 values" in run.stderr
         assert b"address-space limit" in run.stderr and b"Traceback" not in run.stderr
         assert run.stdout == b""
+
+    @pytest.mark.parametrize("copies, json_flag, memory, code", [
+        # 6 GiB: the 30.2 million plain values of C_100000 with K300 and
+        # null (about 4.6 GiB) fit, the 60.2 million with K300 twice do not
+        (("K300", "null"), False, 6 * 2**30, 0),
+        (("K300", "K300"), False, 6 * 2**30, 2),
+        # 50 MB: the R-graph's 200000 values fit, with --json its family
+        # table of 50001 rows does not
+        (("null", "null"), False, 50 * 10**6, 0),
+        (("null", "null"), True, 50 * 10**6, 2),
+    ], ids=["k300-null", "k300-k300", "r-graph", "r-graph-json"])
+    def test_closed_form_refused_by_its_printed_form(self, tmp_path, capsys, monkeypatch,
+                                                     copies, json_flag, memory, code):
+        base, k300 = _generate_files(tmp_path, ("C100000", "cycle", "100000"),
+                                     ("K300", "complete", "300"))
+        files = {"K300": k300, "null": "null"}
+        monkeypatch.setattr("rcorona.graphs._physical_memory", lambda: memory)
+        # an admitted spectrum is not expanded: one value stands for it
+        admitted = []
+        monkeypatch.setattr("rcorona.cli.flatten",
+                            lambda cf: admitted.append(cf.total_multiplicity) or Spectrum(np.zeros(1)))
+        argv = ["spectrum", "--corona", "double", base, *map(files.get, copies), "--method", "closed-form"]
+        assert main(argv + (["--json"] if json_flag else [])) == code
+        err = capsys.readouterr().err
+        if code:
+            assert admitted == [] and "closed-form spectrum of" in err and "physical memory" in err
+        else:
+            assert len(admitted) == 1 and err == ""
 
     def test_deeply_nested_json_exit_2(self, tmp_path, capsys):
         deep = tmp_path / "deep.json"

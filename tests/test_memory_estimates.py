@@ -19,10 +19,10 @@ import sys
 import pytest
 
 import rcorona
-from rcorona.cli import main
-from rcorona.closedform import _CLOSED_FORM_BYTES_PER_VALUE
+from rcorona.cli import _closed_form_print_bytes, main
+from rcorona.closedform import closed_form_spectrum
 from rcorona.corona import _ASSEMBLY_BYTES_PER_ENTRY
-from rcorona.graphs import _GENERATED_BYTES_PER_EDGE
+from rcorona.graphs import _GENERATED_BYTES_PER_EDGE, build_graph, load_graph
 
 # prints the CLI's exit code, 0 with no arguments, and the process's peak
 # as the last line of stderr: stdout may carry the graph
@@ -84,16 +84,20 @@ def test_generated_graph_within_its_estimate(tmp_path, import_peak, fmt, to_file
 
 
 @pytest.mark.parametrize("json_flag", [False, True], ids=["plain", "json"])
-@pytest.mark.parametrize("copies, values", [
-    # C_100000: its old and new vertices, and a copy at each
-    (("K4", "C5"), 200_000 + 100_000 * 4 + 100_000 * 5),
-    (("null", "null"), 200_000),
+@pytest.mark.parametrize("base, copies", [
+    # C_100000's 1.1 million values; C_1000000's R-graph, whose family
+    # table has a row for every two values
+    ("C100000", ("K4", "C5")),
+    ("C1000000", ("null", "null")),
 ], ids=["k4-c5", "r-graph"])
-def test_closed_form_spectrum_within_its_estimate(tmp_path, import_peak, copies, values, json_flag):
+def test_closed_form_spectrum_within_its_estimate(tmp_path, import_peak, base, copies, json_flag):
     files = {"null": "null"}
-    for name, *params in (("C100000", "cycle", "100000"), ("K4", "complete", "4"), ("C5", "cycle", "5")):
+    for name, *params in ((base, "cycle", base[1:]), ("K4", "complete", "4"), ("C5", "cycle", "5")):
         files[name] = str(tmp_path / f"{name}.el")
         assert main(["generate", *params, "--out", files[name]]) == 0
-    growth = _peak(["spectrum", "--corona", "double", files["C100000"], *map(files.get, copies),
+    growth = _peak(["spectrum", "--corona", "double", files[base], *map(files.get, copies),
                     "--method", "closed-form", *(["--json"] if json_flag else [])]) - import_peak
-    assert growth <= _CLOSED_FORM_BYTES_PER_VALUE * values, f"{growth / values:.1f} bytes per value"
+    cf = closed_form_spectrum(*(build_graph(0, []) if f == "null" else load_graph(f)
+                                for f in (files[base], *map(files.get, copies))))
+    need = _closed_form_print_bytes(cf, json_flag)
+    assert growth <= need, f"{growth} bytes against an estimate of {need}"

@@ -295,10 +295,8 @@ class TestNumericSpectrum:
         assert_reduction_invariants(m)
 
     def test_panels_only_above_the_crossover(self, monkeypatch):
-        # with no room under the BLAS-call bound every panel product goes
-        # through _product, one by the trailing matrix per panel column
+        # each panel column makes one _product by the square trailing matrix
         squares = []
-        monkeypatch.setattr("rcorona.spectra._BLAS_CALL_BOUND", 0)
         monkeypatch.setattr("rcorona.spectra._product",
                             lambda x, y: squares.append(x.shape[0] == x.shape[1]) or x @ y)
         rng = np.random.default_rng(4)
@@ -334,8 +332,8 @@ class TestNumericSpectrum:
             "zero": np.zeros((12, 12)),
             # zero columns in the middle of the unblocked loop and, above
             # _UNBLOCKED + 2 _PANEL, of the panels before it
-            "repeated blocks, three panels": np.kron(np.eye(14), block),
-            "diagonal, three panels": np.diag(rng.standard_normal(2 * _PANEL + 6)),
+            "repeated blocks, unblocked": np.kron(np.eye(14), block),
+            "diagonal, unblocked": np.diag(rng.standard_normal(2 * _PANEL + 6)),
             "repeated blocks, two panels first": np.kron(np.eye(34), block),
             "diagonal, two panels first": np.diag(rng.standard_normal(_UNBLOCKED + 2 * _PANEL + 6)),
             "disconnected 2C40": normalized_laplacian(
