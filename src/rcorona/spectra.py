@@ -6,10 +6,13 @@ reduction to tridiagonal form (Golub & Van Loan, *Matrix Computations*,
 §8.3), blocked in panels while the trailing matrix is large and unblocked
 for its last columns, as LAPACK's dsytrd hands them to dsytd2, then divide
 and conquer over QL leaves on the tridiagonal.  Orders up to _DC_CROSSOVER
-go to implicit-shift QL directly; larger ones are torn in half recursively
-(Cuppen 1981) down to QL leaves, and each merge deflates and solves a
-secular equation for the rest (Gu & Eisenstat 1995; LAPACK's dstedc).  The
-multiple eigenvalues of a corona deflate, so they cost no secular solve.
+go to root-free QL directly (LAPACK's dsterf), which finds eigenvalues
+only; larger ones are torn in half recursively (Cuppen 1981) down to
+implicit-shift QL leaves, which also carry the eigenvector matrix's first
+and last rows, and each merge deflates and solves a secular equation for
+the rest (Gu & Eisenstat 1995; LAPACK's dstedc).  The multiple eigenvalues
+of a corona deflate, so they cost no secular solve.  Both QL loops split
+the tridiagonal where a coupling is at most eps ||T||.
 It uses numpy's matrix products but never ``numpy.linalg``, and fails
 loudly on non-convergence.  It is deterministic for fixed input on a given
 numpy/BLAS build, whatever the BLAS thread count: the panels' trailing
@@ -52,11 +55,16 @@ _SYMMETRY_TOL = 1e-12
 _QL_MAX_ITER = 100
 # per secular root, as LAPACK's dlaed4 (MAXIT)
 _SECULAR_MAX_ITER = 30
-# Orders above _DC_CROSSOVER take divide and conquer: in a sweep of orders
-# 96 to 288 it was slower than QL up to 144 and faster from 160, on random,
-# circulant and relabelled circulant matrices.  Leaves have at most _DC_LEAF
-# rows (48 and 64 ran equally fast; 32 was slower).
-_DC_CROSSOVER = 160
+# Orders above _DC_CROSSOVER take divide and conquer.  Against root-free QL
+# (medians of 7 to 9 runs of the tridiagonal stage alone), it was slower at
+# every order up to 256 on random, circulant and relabelled circulant
+# matrices and on 110 relabelled corona Laplacians of orders 150 to 340
+# (at 208, the {null, K3} certificate corona: 3.6 ms for QL, 4.9 ms for
+# divide and conquer); from 264 on, divide and conquer won some coronas,
+# and the {K3, C4} certificate corona at 304 (8.0 ms against 9.2 ms).
+# Leaves have at most _DC_LEAF rows (48 and 64 ran equally fast; 32 was
+# slower).
+_DC_CROSSOVER = 256
 _DC_LEAF = 48
 # Columns per panel of the blocked Householder reduction (16 and 64 run
 # equally fast).
@@ -301,27 +309,87 @@ def _householder_tridiagonal(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d, e
 
 
-def _ql_implicit(d: list[float], e: list[float], rows=None) -> list[float]:
-    """Eigenvalues of a symmetric tridiagonal matrix by implicit-shift QL.
+def _split_tolerance(d: list[float], e: list[float]) -> float:
+    """eps ||T|| for the symmetric tridiagonal (d, e), with ||T|| bounded by
+    max|d| + 2 max|e|.  Both QL loops set a coupling of at most this size to
+    zero (EISPACK tql1's normwise test), which moves no eigenvalue by more
+    than it, against the reduction's own O(n eps ||A||) error."""
+    return _EPS * (max(map(abs, d), default=0.0) + 2.0 * max(map(abs, e), default=0.0))
 
-    d: diagonal (length n), e: subdiagonal (length n-1).  rows, if given,
-    is the pair (first, last) of rows of the identity, updated in place to
-    the first and last rows of the eigenvector matrix (columns in the order
-    of the returned eigenvalues).  Raises ConvergenceError if any
+
+def _ql_values(d: list[float], e: list[float]) -> list[float]:
+    """Eigenvalues of a symmetric tridiagonal matrix by root-free QL.
+
+    d: diagonal (length n), e: subdiagonal (length n-1).  The Pal-Walker-
+    Kahan iteration (LAPACK's dsterf; Parlett, *The Symmetric Eigenvalue
+    Problem*, ch. 8) carries the squared couplings, so a rotation takes no
+    square root, and the scan for a split compares each squared coupling
+    with the squared _split_tolerance.  Raises ConvergenceError if any
     eigenvalue needs more than the iteration cap.
+    """
+    d = list(d)
+    tol2 = _split_tolerance(d, e) ** 2
+    # a zero after the last coupling ends every scan
+    e2 = [x * x for x in e] + [0.0]
+    for l in range(len(d)):
+        iterations = 0
+        while True:
+            m = l
+            while e2[m] > tol2:
+                m += 1
+            if m == l:
+                break
+            iterations += 1
+            if iterations > _QL_MAX_ITER:
+                raise ConvergenceError(
+                    f"tridiagonal QL failed to converge for eigenvalue {l} "
+                    f"after {_QL_MAX_ITER} iterations"
+                )
+            # the shift of _ql_implicit, from the leading 2x2 block
+            rte = math.sqrt(e2[l])
+            sigma = (d[l + 1] - d[l]) / (2.0 * rte)
+            sigma = d[l] - rte / (sigma + math.copysign(math.hypot(sigma, 1.0), sigma))
+            gamma = d[m] - sigma
+            p = gamma * gamma
+            c, s = 1.0, 0.0
+            # e2[i] > tol2 >= 0 for i < m, so r > 0; the first step zeroes
+            # e2[m], the split
+            for i in range(m - 1, l - 1, -1):
+                b = e2[i]
+                r = p + b
+                e2[i + 1] = s * r
+                old_c, c, s = c, p / r, b / r
+                g, a = gamma, d[i]
+                gamma = c * (a - sigma) - s * g
+                d[i + 1] = g + (a - gamma)
+                p = gamma * gamma / c if c else old_c * b
+            e2[l] = s * p
+            d[l] = sigma + gamma
+    return d
+
+
+def _ql_implicit(d: list[float], e: list[float]) -> tuple[list[float], list[float], list[float]]:
+    """Eigenvalues of a symmetric tridiagonal matrix by implicit-shift QL,
+    with the first and last rows of its eigenvector matrix.
+
+    d: diagonal (length n), e: subdiagonal (length n-1).  Returns (values,
+    first row, last row), the rows' entries in the order of the values.  It
+    splits where |e_m| is at most _split_tolerance, as _ql_values does.
+    Raises ConvergenceError if any eigenvalue needs more than the iteration
+    cap.
     """
     n = len(d)
     d = list(d)
+    tol = _split_tolerance(d, e)
+    # a zero after the last coupling ends every scan
     e = list(e) + [0.0]
-    first, last = rows or (None, None)
+    first = [1.0] + [0.0] * (n - 1)
+    last = [0.0] * (n - 1) + [1.0]
     for l in range(n):
         iterations = 0
         while True:
             m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= _EPS * dd:
-                    break
+            while abs(e[m]) > tol:
                 m += 1
             if m == l:
                 break
@@ -352,18 +420,17 @@ def _ql_implicit(d: list[float], e: list[float], rows=None) -> list[float]:
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - b
-                if rows:
-                    f = first[i + 1]
-                    first[i + 1] = s * first[i] + c * f
-                    first[i] = c * first[i] - s * f
-                    f = last[i + 1]
-                    last[i + 1] = s * last[i] + c * f
-                    last[i] = c * last[i] - s * f
+                f = first[i + 1]
+                first[i + 1] = s * first[i] + c * f
+                first[i] = c * first[i] - s * f
+                f = last[i + 1]
+                last[i + 1] = s * last[i] + c * f
+                last[i] = c * last[i] - s * f
             else:
                 d[l] -= p
                 e[l] = g
                 e[m] = 0.0
-    return d
+    return d, first, last
 
 
 def _inside_root(a, b, c, t, lo, hi, fallback):
@@ -540,9 +607,7 @@ def _divide_and_conquer(d: np.ndarray, e: np.ndarray):
     most _DC_LEAF rows."""
     n = d.size
     if n <= _DC_LEAF:
-        rows = ([1.0] + [0.0] * (n - 1), [0.0] * (n - 1) + [1.0])
-        values = _ql_implicit(d.tolist(), e.tolist(), rows)
-        return np.array(values), np.array(rows[0]), np.array(rows[1])
+        return tuple(map(np.array, _ql_implicit(d.tolist(), e.tolist())))
     h = n // 2
     beta = float(e[h - 1])
     d1, d2 = d[:h].copy(), d[h:].copy()
@@ -555,8 +620,12 @@ def numeric_spectrum(mat: np.ndarray) -> Spectrum:
     """All eigenvalues of a symmetric matrix, sorted non-decreasing.
 
     Symmetry is checked to 1e-12 entrywise; a 0x0 input yields the empty
-    spectrum.  The tridiagonal stage is QL up to order _DC_CROSSOVER and
-    divide and conquer above it.
+    spectrum.  A matrix whose largest entry lies outside [2^-256, 2^256] is
+    first scaled by a power of two to bring it into [0.5, 1), so that no
+    squared norm of the reduction or squared coupling of QL overflows or
+    underflows, and its eigenvalues are scaled back.  The tridiagonal stage
+    is root-free QL up to order _DC_CROSSOVER and divide and conquer above
+    it.
     """
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -564,7 +633,10 @@ def numeric_spectrum(mat: np.ndarray) -> Spectrum:
     n = mat.shape[0]
     if n == 0:
         return Spectrum(())
-    if not np.isfinite(mat).all():
+    # min and max propagate NaN, so they find any non-finite entry with no
+    # n x n temporary
+    low, high = float(mat.min()), float(mat.max())
+    if not (math.isfinite(low) and math.isfinite(high)):
         raise ValueError("matrix contains non-finite entries")
     # each block of rows against its mirror, lower triangle only: no n x n
     # temporary
@@ -574,10 +646,18 @@ def numeric_spectrum(mat: np.ndarray) -> Spectrum:
         raise ValueError(f"matrix is not symmetric (max |M - M^T| = {asym:.3e})")
     if n == 1:
         return Spectrum(mat[0])
+    # powers of two scale exactly; a zero matrix needs none
+    scale = 0
+    top = max(-low, high)
+    if top and not 2.0**-256 <= top <= 2.0**256:
+        scale = -math.frexp(top)[1]
+        mat = np.ldexp(mat, scale)
     d, e = _householder_tridiagonal(mat)
     if n <= _DC_CROSSOVER:
-        return Spectrum(_ql_implicit(d.tolist(), e.tolist()))
-    return Spectrum(_divide_and_conquer(d, e)[0])
+        values = _ql_values(d.tolist(), e.tolist())
+    else:
+        values = _divide_and_conquer(d, e)[0]
+    return Spectrum(np.ldexp(values, -scale))
 
 
 def nl_spectrum(g: Graph) -> Spectrum:

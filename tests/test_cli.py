@@ -450,8 +450,19 @@ class TestSpectrum:
         main(["spectrum", files["P2"], "--method", "numeric"])
         out = capsys.readouterr().out
         assert "2.2204460492503131e-16" in out or "0\n" in out  # tiny zero noise printed fully
+        # C5's eigenvalues 1 - cos(2 pi k / 5) are irrational, so some need
+        # all 17 digits
+        c5 = str(files["dir"] / "C5.el")
+        assert main(["generate", "cycle", "5", "--out", c5]) == 0
+        main(["spectrum", c5, "--method", "numeric"])
+        out = capsys.readouterr().out
         assert any(len(tok.replace("-", "").replace(".", "").replace("e", "")) >= 17
                    for tok in out.split())
+
+    def test_ql_iteration_cap_exit_4(self, files, capsys, monkeypatch):
+        monkeypatch.setattr("rcorona.spectra._QL_MAX_ITER", 0)
+        assert main(["spectrum", files["K3"]]) == 4
+        assert capsys.readouterr().err.startswith("internal error: tridiagonal QL failed to converge")
 
 
 class TestCospectral:

@@ -451,6 +451,7 @@ class TestRouteIndependence:
         with monkeypatch.context() as patch:
             patch.setattr("rcorona.spectra._householder_tridiagonal", forbidden)
             patch.setattr("rcorona.spectra._ql_implicit", forbidden)
+            patch.setattr("rcorona.spectra._ql_values", forbidden)
             patch.setattr("rcorona.spectra._cuppen_merge", forbidden)
             closed = flatten(closed_form_spectrum(g, g1, g2))
         corona, _ = double_corona(g, g1, g2)

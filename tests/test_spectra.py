@@ -32,7 +32,9 @@ from rcorona.spectra import (
     _divide_and_conquer,
     _householder_tridiagonal,
     _ql_implicit,
+    _ql_values,
     _secular_roots,
+    _split_tolerance,
 )
 
 
@@ -363,8 +365,22 @@ class TestNumericSpectrum:
         assert np.max(np.abs(got - np.sort(np.linalg.eigvalsh(t)))) < 1e-12
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="finite"):
-            numeric_spectrum(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        for entry in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                numeric_spectrum(np.array([[entry, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("scale", [2.0**600, 2.0**-600, 1e200, 1e-200])
+    @pytest.mark.parametrize("n", [20, _DC_CROSSOVER + 1])
+    def test_extreme_scales(self, n, scale):
+        # squared norms and couplings of these would overflow or underflow
+        # unscaled; an overflow warning fails the test, as every warning does
+        # in this suite
+        rng = np.random.default_rng(n)
+        m = rng.standard_normal((n, n))
+        m = (m + m.T) / 2 * scale
+        got = numeric_spectrum(m).values
+        ref = np.linalg.eigvalsh(m)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_trace_and_range_invariants(self, catalog):
         for name, g in catalog.items():
@@ -387,11 +403,63 @@ class TestNumericSpectrum:
             assert s.values[1] > 1e-9, name
 
 
+class TestRootFreeQL:
+    """_ql_values against LAPACK on tridiagonals that stress its splits."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(22)
+        d, e = rng.standard_normal(30), rng.standard_normal(29)
+        zeros = e.copy()
+        zeros[[0, 7, 8, 20, 28]] = 0.0
+        # couplings a hair above and below the split tolerance (too small
+        # to change it)
+        near = e.copy()
+        near[[4, 15]] = 0.0
+        tol = _split_tolerance(d.tolist(), near.tolist())
+        near[4], near[15] = tol * (1 + 1e-6), tol * (1 - 1e-6)
+        graded = np.logspace(0, -12, 25)
+        # sixteen copies of W21+, coupled by 1e-8
+        glued_e = np.ones(16 * 21 - 1)
+        glued_e[20::21] = 1e-8
+        return {
+            "exact zero couplings": (d, zeros),
+            "couplings at the split tolerance": (d, near),
+            "graded diagonal": (graded, np.sqrt(graded[:-1] * graded[1:])),
+            "glued Wilkinson": (np.tile(wilkinson_plus(21)[0], 16), glued_e),
+            "zero matrix": (np.zeros(12), np.zeros(11)),
+            "order 2": (np.array([0.5, -1.25]), np.array([0.75])),
+        }
+
+    def test_matches_lapack(self):
+        for name, (d, e) in self.cases().items():
+            got = np.sort(_ql_values(d.tolist(), e.tolist()))
+            ref = np.linalg.eigvalsh(tridiagonal(d, e))
+            norm = float(np.max(np.abs(d)) + 2 * np.max(np.abs(e)))
+            assert np.max(np.abs(got - ref)) <= 1e-14 * norm, name
+
+    def test_iteration_cap_raises_in_both_loops(self, monkeypatch):
+        monkeypatch.setattr("rcorona.spectra._QL_MAX_ITER", 0)
+        d, e = wilkinson_plus(21)
+        for ql in (_ql_values, _ql_implicit):
+            with pytest.raises(ConvergenceError, match="tridiagonal QL failed to converge"):
+                ql(d.tolist(), e.tolist())
+        # and through numeric_spectrum on both sides of the crossover
+        rng = np.random.default_rng(6)
+        m = rng.standard_normal((_DC_CROSSOVER + 1, _DC_CROSSOVER + 1))
+        m = (m + m.T) / 2
+        for k in (_DC_CROSSOVER, _DC_CROSSOVER + 1):
+            with pytest.raises(ConvergenceError, match="tridiagonal QL failed to converge"):
+                numeric_spectrum(m[:k, :k])
+
+
 class TestDivideAndConquer:
     """Orders above _DC_CROSSOVER take divide and conquer; the rest QL."""
 
-    @pytest.mark.parametrize("n", [_DC_CROSSOVER - 1, _DC_CROSSOVER, _DC_CROSSOVER + 1,
-                                   2 * _DC_CROSSOVER + 1])
+    # 159 to 161 and 321 straddled the earlier crossover at 160: root-free
+    # QL at middle orders, divide and conquer at an odd one
+    @pytest.mark.parametrize("n", [159, 160, 161, 321, _DC_CROSSOVER - 1, _DC_CROSSOVER,
+                                   _DC_CROSSOVER + 1, 2 * _DC_CROSSOVER + 1])
     def test_matches_lapack_across_the_crossover(self, n):
         rng = np.random.default_rng(n)
         m = rng.standard_normal((n, n))
@@ -407,7 +475,7 @@ class TestDivideAndConquer:
         assert np.array_equal(numeric_spectrum(m).values, sorted(_divide_and_conquer(d, e)[0].tolist()))
         small = m[:_DC_CROSSOVER, :_DC_CROSSOVER]
         d, e = _householder_tridiagonal(small)
-        expect = sorted(_ql_implicit(d.tolist(), e.tolist()))
+        expect = sorted(_ql_values(d.tolist(), e.tolist()))
 
         def forbidden(*args, **kwargs):
             raise AssertionError("an order at the crossover took divide and conquer")
