@@ -22,7 +22,6 @@ from .cospectral import (
     build_cospectral_pair,
     nl_cospectral,
     regular_cospectrality_agrees,
-    verified_seed_pairs,
 )
 from .errors import (
     ConvergenceError,
@@ -45,8 +44,6 @@ from .graphs import (
     parse_edge_list,
     parse_graph_json,
     save_graph,
-    to_edge_list,
-    to_graph_json,
 )
 from .invariants import degree_kirchhoff, spanning_trees_matrix_tree, spanning_trees_spectral
 from .spectra import (

@@ -194,7 +194,10 @@ def _cmd_invariants(args) -> int:
     trees = spanning_trees_matrix_tree(g)
     # spanning_trees_spectral(g) and degree_kirchhoff(g), from one eigensolve
     log_trees, kirchhoff = _spectral_invariants(g)
-    trees_spectral = math.exp(log_trees)
+    try:
+        trees_spectral = math.exp(log_trees)
+    except OverflowError:  # beyond the largest float: printed as null
+        trees_spectral = None
     payload = json.dumps(
         {
             "spanning_trees": trees,

@@ -18,7 +18,7 @@ import numpy as np
 from .closedform import CoronaParams
 from .corona import _kind_of, double_corona
 from .errors import HypothesisError
-from .graphs import Graph, _graph_dict, _row_order, adjacency_matrix, generate
+from .graphs import Graph, _graph_dict, _row_order, adjacency_matrix
 from .spectra import _MATCH_TOL, Spectrum, compare_spectra, nl_spectrum, numeric_spectrum
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "nl_cospectral",
     "regular_cospectrality_agrees",
     "build_cospectral_pair",
-    "verified_seed_pairs",
 ]
 
 
@@ -153,21 +152,3 @@ def build_cospectral_pair(
         ),
         edge_sets_differ=not np.array_equal(*edge_sets),
     )
-
-
-def verified_seed_pairs(tol: float = _MATCH_TOL) -> list[tuple[Graph, Graph, str]]:
-    """The shipped cospectral seed catalog, re-verified by the solver.
-
-    Every returned pair has been confirmed adjacency-cospectral at tol;
-    a catalog entry failing its own verification raises.
-    """
-    catalog = [("shrikhande", "rook4x4")]
-    out = []
-    for name_a, name_b in catalog:
-        a, b = generate(name_a), generate(name_b)
-        if not adjacency_cospectral(a, b, tol):
-            raise HypothesisError(
-                f"seed catalog entry ({name_a}, {name_b}) failed cospectrality verification"
-            )
-        out.append((a, b, f"{name_a}/{name_b}"))
-    return out

@@ -45,9 +45,7 @@ __all__ = [
     "generate",
     "GENERATOR_FAMILIES",
     "parse_edge_list",
-    "to_edge_list",
     "parse_graph_json",
-    "to_graph_json",
     "format_graph",
     "load_graph",
     "save_graph",
@@ -310,31 +308,6 @@ def incidence_matrix(g: Graph) -> np.ndarray:
 
 # --- generator catalog ---------------------------------------------------
 
-# The two strongly regular (16,6,2,2) graphs are shipped as explicit edge
-# lists.  Construction provenance: Z4 x Z4 with differences
-# {±(1,0), ±(0,1), ±(1,1)} for the first; same row / same column on a 4x4
-# grid for the second.  Both are re-verified in the test suite (regularity,
-# neighborhood counts, cospectrality).
-_SHRIKHANDE_EDGES = (
-    (0, 1), (0, 3), (0, 4), (0, 5), (0, 12), (0, 15), (1, 2), (1, 5),
-    (1, 6), (1, 12), (1, 13), (2, 3), (2, 6), (2, 7), (2, 13), (2, 14),
-    (3, 4), (3, 7), (3, 14), (3, 15), (4, 5), (4, 7), (4, 8), (4, 9),
-    (5, 6), (5, 9), (5, 10), (6, 7), (6, 10), (6, 11), (7, 8), (7, 11),
-    (8, 9), (8, 11), (8, 12), (8, 13), (9, 10), (9, 13), (9, 14),
-    (10, 11), (10, 14), (10, 15), (11, 12), (11, 15), (12, 13), (12, 15),
-    (13, 14), (14, 15),
-)
-
-_ROOK4X4_EDGES = (
-    (0, 1), (0, 2), (0, 3), (0, 4), (0, 8), (0, 12), (1, 2), (1, 3),
-    (1, 5), (1, 9), (1, 13), (2, 3), (2, 6), (2, 10), (2, 14), (3, 7),
-    (3, 11), (3, 15), (4, 5), (4, 6), (4, 7), (4, 8), (4, 12), (5, 6),
-    (5, 7), (5, 9), (5, 13), (6, 7), (6, 10), (6, 14), (7, 11), (7, 15),
-    (8, 9), (8, 10), (8, 11), (8, 12), (9, 10), (9, 11), (9, 13),
-    (10, 11), (10, 14), (11, 15), (12, 13), (12, 14), (12, 15), (13, 14),
-    (13, 15), (14, 15),
-)
-
 
 def _complete(n: int) -> Graph:
     if n < 1:
@@ -397,6 +370,15 @@ def _hypercube(d: int) -> Graph:
     return build_graph(n, np.column_stack((i[below], j[below])))
 
 
+def _z4_squared(joined) -> Graph:
+    """The Cayley graph of Z4 x Z4, cell (a, b) as vertex 4a + b, that joins
+    two cells where joined holds for their difference (da, db) mod 4, as it
+    must for its negative too; its edges in lexicographic order."""
+    pairs = itertools.combinations(itertools.product(range(4), repeat=2), 2)
+    edges = [(4 * a + b, 4 * c + d) for (a, b), (c, d) in pairs if joined((c - a) % 4, (d - b) % 4)]
+    return build_graph(16, edges)
+
+
 # family: (builder, parameter count, edge count from the parameters); None
 # as the count means n followed by at least one connection.  The edge
 # counts are exact (circulant: an upper bound) and 0 for a size the builder
@@ -410,8 +392,15 @@ _GENERATORS = {
     "petersen": (_petersen, 0, lambda: 15),
     # a float, so that a huge d overflows instead of building 2**d
     "hypercube": (_hypercube, 1, lambda d: d * 2.0 ** (d - 1) if d > 0 else 0),
-    "shrikhande": (lambda: build_graph(16, _SHRIKHANDE_EDGES), 0, lambda: len(_SHRIKHANDE_EDGES)),
-    "rook4x4": (lambda: build_graph(16, _ROOK4X4_EDGES), 0, lambda: len(_ROOK4X4_EDGES)),
+    # the two strongly regular (16, 6, 2, 2) graphs (Brouwer & Haemers,
+    # Spectra of Graphs): Z4 x Z4 on {±(1,0), ±(0,1), ±(1,1)}, -1 being 3,
+    # and the 4 x 4 grid's cells joined when they share a row or a column
+    "shrikhande": (
+        lambda: _z4_squared(lambda da, db: (da, db) in {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}),
+        0,
+        lambda: 48,
+    ),
+    "rook4x4": (lambda: _z4_squared(lambda da, db: da == 0 or db == 0), 0, lambda: 48),
     "null": (lambda: build_graph(0, []), 0, lambda: 0),
 }
 
@@ -607,10 +596,6 @@ def _json_pairs(values: np.ndarray) -> str:
     return b"".join(_json_pair_chunks(values)).decode("ascii")
 
 
-def to_edge_list(g: Graph) -> str:
-    return format_graph(g, "edgelist")
-
-
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -642,13 +627,8 @@ def parse_graph_json(text: str) -> Graph:
 
 
 def _graph_dict(g: Graph) -> dict:
-    """The graph JSON format as a dict, as ``to_graph_json`` writes it."""
+    """The graph JSON format as a dict, as ``format_graph`` writes it."""
     return {"n": g.vertex_count, "edges": g.ends.tolist()}
-
-
-def to_graph_json(g: Graph) -> str:
-    # the file format ends in a newline; the JSON text does not
-    return format_graph(g, "json")[:-1]
 
 
 def _graph_bytes(g: Graph, fmt: str) -> Iterator[bytes]:

@@ -524,6 +524,20 @@ class TestInvariants:
         main(["invariants", str(p)])
         assert json.loads(capsys.readouterr().out)["spanning_trees"] == 2000
 
+    def test_tree_count_beyond_float_range_prints_null(self, tmp_path, capsys):
+        # K_150 has 150**148 spanning trees, more than the largest float
+        p = tmp_path / "k150.el"
+        main(["generate", "complete", "150", "--out", str(p)])
+        assert main(["invariants", str(p)]) == 0
+
+        def no_constants(token):
+            raise AssertionError(f"{token} is not JSON")
+
+        obj = json.loads(capsys.readouterr().out, parse_constant=no_constants)
+        assert obj["spanning_trees"] == 150**148
+        assert obj["spanning_trees_spectral"] is None
+        assert obj["degree_kirchhoff"] == pytest.approx(149**3, rel=1e-9)
+
     def test_disconnected_exit_3(self, tmp_path):
         bad = tmp_path / "bad.el"
         bad.write_text("4 2\n0 1\n2 3\n")

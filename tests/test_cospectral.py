@@ -17,7 +17,6 @@ from rcorona import (
     generate,
     nl_cospectral,
     regular_cospectrality_agrees,
-    verified_seed_pairs,
 )
 
 
@@ -173,12 +172,3 @@ class TestBuildPair:
         kinds = ("double", "vertex", "edge", "r_graph")
         for (g1, g2), kind in zip(itertools.product((k1, null), repeat=2), kinds):
             assert build_cospectral_pair(*seeds, g1, g1, g2, g2).recipe["kind"] == kind
-
-
-class TestSeedCatalog:
-    def test_ships_verified_pairs(self):
-        pairs = verified_seed_pairs()
-        assert len(pairs) >= 1
-        for a, b, name in pairs:
-            assert adjacency_cospectral(a, b), name
-            assert sorted(a.ends.tolist()) != sorted(b.ends.tolist()), name
