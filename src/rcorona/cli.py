@@ -9,7 +9,8 @@ closed-form spectrum whose printing, would not fit in memory);
 the m<n closed-form regime, ...); 4 internal error (an eigensolve that did
 not converge, or closed-form families inconsistent with the corona).  All
 numeric output uses 17 significant digits; pass --json where available for
-the machine-readable form.
+the machine-readable form.  Each command refuses (exit 2 or 3) before it
+assembles a corona or solves a matrix.
 """
 
 import argparse
@@ -20,11 +21,12 @@ import sys
 
 import numpy as np
 
-from .closedform import closed_form_spectrum, flatten
-from .corona import _KIND_COPIES, double_corona
+from .closedform import CoronaParams, _refuse_fewer_edges, closed_form_spectrum, flatten
+from .corona import _KIND_COPIES, CoronaLayout, double_corona
 from .cospectral import build_cospectral_pair
 from .errors import ConvergenceError, HypothesisError, InternalConsistencyError
-from .graphs import Graph, _refuse_beyond_memory, build_graph, format_graph, generate, load_graph, save_graph
+from .graphs import (Graph, _refuse_beyond_memory, _refuse_dense, build_graph, format_graph, generate,
+                     load_graph, save_graph)
 from .invariants import _spectral_invariants, spanning_trees_matrix_tree
 from .spectra import _MATCH_TOL, compare_spectra, nl_spectrum
 
@@ -65,9 +67,16 @@ def _load(path: str) -> Graph:
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text + "\n")
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text + "\n")
+
+
+def _write_graph(g: Graph, out: str | None, fmt: str) -> None:
+    if out:
+        save_graph(g, out, fmt)
+    else:
+        sys.stdout.write(format_graph(g, fmt))
 
 
 def _closed_form_print_bytes(cf, as_json: bool) -> int:
@@ -80,12 +89,7 @@ def _closed_form_print_bytes(cf, as_json: bool) -> int:
 
 
 def _cmd_generate(args) -> int:
-    params = [int(p) for p in args.params]
-    g = generate(args.family, *params)
-    if args.out:
-        save_graph(g, args.out, args.format)
-    else:
-        sys.stdout.write(format_graph(g, args.format))
+    _write_graph(generate(args.family, *map(int, args.params)), args.out, args.format)
     return 0
 
 
@@ -108,10 +112,7 @@ def _cmd_corona(args) -> int:
         *_corona_inputs(args.kind, args.graphs),
         allow_disconnected=args.allow_disconnected,
     )
-    if args.out:
-        save_graph(corona, args.out, args.format)
-    else:
-        sys.stdout.write(format_graph(corona, args.format))
+    _write_graph(corona, args.out, args.format)
     if args.emit_layout:
         _write_or_print(layout.to_json(), args.emit_layout)
     print(f"vertices={corona.vertex_count} edges={corona.edge_count}", file=sys.stderr)
@@ -119,32 +120,28 @@ def _cmd_corona(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    wants_numeric, wants_closed = args.method != "closed-form", args.method != "numeric"
+    # refusals first: the route (before any file is read), the hypotheses, the dense pre-flight
     if args.corona:
         inputs = _corona_inputs(args.corona, args.graphs)
+        if wants_closed:
+            _refuse_fewer_edges(CoronaParams.from_graphs(*inputs))
+        if wants_numeric:
+            _refuse_dense(CoronaLayout.of(*inputs).vertex_count)
     elif len(args.graphs) != 1:
         raise ValueError("spectrum takes one graph file unless --corona is given")
-    else:
-        graph, inputs = _load(args.graphs[0]), None
+    elif wants_closed:
+        raise HypothesisError("closed-form spectra exist only for coronas; pass --corona")
 
     numeric = closed = None
-    if args.method in ("numeric", "both"):
-        # only the numeric route builds the corona: the closed form reads
-        # just the base and copy graphs
-        if inputs is not None:
-            graph, _ = double_corona(*inputs)
-        numeric = nl_spectrum(graph)
-    if args.method in ("closed-form", "both"):
-        if inputs is None:
-            raise HypothesisError(
-                "closed-form spectra exist only for coronas; pass --corona"
-            )
+    if wants_closed:
+        # solved, and its printing refused rather than failing mid-print, before the corona is built
         cf = closed_form_spectrum(*inputs)
-        # refused before its values are expanded, instead of a MemoryError
-        # while printing them
         _refuse_beyond_memory(_closed_form_print_bytes(cf, args.json), 1,
                               f"a closed-form spectrum of {cf.total_multiplicity} values")
         closed = flatten(cf)
-
+    if wants_numeric:
+        numeric = nl_spectrum(double_corona(*inputs)[0] if args.corona else _load(args.graphs[0]))
     # either spectrum has one value per vertex
     spectrum = numeric if numeric is not None else closed
     report = compare_spectra(closed, numeric, args.tol) if args.method == "both" else None
@@ -191,9 +188,9 @@ def _cmd_cospectral(args) -> int:
 
 def _cmd_invariants(args) -> int:
     g = _load(args.graph)
-    trees = spanning_trees_matrix_tree(g)
-    # spanning_trees_spectral(g) and degree_kirchhoff(g), from one eigensolve
+    # spanning_trees_spectral(g) and degree_kirchhoff(g), checked and solved first
     log_trees, kirchhoff = _spectral_invariants(g)
+    trees = spanning_trees_matrix_tree(g)
     try:
         trees_spectral = math.exp(log_trees)
     except OverflowError:  # beyond the largest float: printed as null

@@ -41,6 +41,7 @@ import math
 
 import numpy as np
 
+from .corona import CoronaLayout
 from .errors import HypothesisError, InternalConsistencyError
 from .graphs import Graph
 from .spectra import Spectrum, normalized_laplacian, summarize
@@ -114,7 +115,7 @@ class CoronaParams:
 
     @property
     def total_vertices(self) -> int:
-        return self.n + self.m + self.n * self.n1 + self.m * self.n2
+        return CoronaLayout(self.n, self.m, self.n1, self.n2).vertex_count
 
 
 @dataclass(frozen=True)

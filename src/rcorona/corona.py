@@ -83,6 +83,19 @@ class CoronaLayout:
     n1: int
     n2: int
 
+    @classmethod
+    def of(cls, g: Graph, g1: Graph, g2: Graph, *, allow_disconnected: bool = False) -> "CoronaLayout":
+        """The layout of the corona of g with g1 and g2, after double_corona's base checks."""
+        if g.is_null:
+            raise HypothesisError("corona base graph must be nonempty")
+        if not allow_disconnected and not g.connected:
+            raise HypothesisError("corona base graph must be connected")
+        return cls(g.vertex_count, g.edge_count, g1.vertex_count, g2.vertex_count)
+
+    @property
+    def vertex_count(self) -> int:
+        return self.n + self.m + self.n * self.n1 + self.m * self.n2
+
     @property
     def old_vertex_range(self) -> tuple[int, int]:
         return (0, self.n)
@@ -136,18 +149,13 @@ def double_corona(
     ``allow_disconnected=True`` to bypass the connectivity check for
     exploration (closed-form results are then unguaranteed).
     """
-    if g.is_null:
-        raise HypothesisError("corona base graph must be nonempty")
-    if not allow_disconnected and not g.connected:
-        raise HypothesisError("corona base graph must be connected")
-    n, m = g.vertex_count, g.edge_count
-    n1, n2 = g1.vertex_count, g2.vertex_count
-    total = n + m + n * n1 + m * n2
+    layout = CoronaLayout.of(g, g1, g2, allow_disconnected=allow_disconnected)
+    n, m, n1, n2 = layout.n, layout.m, layout.n1, layout.n2
     edge_count = 3 * m + n * (g1.edge_count + n1) + m * (g2.edge_count + n2)
     _refuse_beyond_memory(
         n + m + edge_count,
         _ASSEMBLY_BYTES_PER_ENTRY,
-        f"a corona with {total} vertices and {edge_count} edges",
+        f"a corona with {layout.vertex_count} vertices and {edge_count} edges",
     )
 
     new = np.arange(n, n + m)
@@ -165,4 +173,4 @@ def double_corona(
     # No second build_graph pass: from validated inputs every edge comes out
     # canonical (each centre lies below every copy offset, and copies keep
     # u < v) and distinct (the blocks are disjoint).
-    return Graph(total, ends), CoronaLayout(n, m, n1, n2)
+    return Graph(layout.vertex_count, ends), layout

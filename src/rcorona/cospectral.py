@@ -18,7 +18,7 @@ import numpy as np
 from .closedform import CoronaParams
 from .corona import _kind_of, double_corona
 from .errors import HypothesisError
-from .graphs import Graph, _graph_dict, _row_order, adjacency_matrix
+from .graphs import Graph, _graph_dict, _refuse_dense, _row_order, adjacency_matrix
 from .spectra import _MATCH_TOL, Spectrum, compare_spectra, nl_spectrum, numeric_spectrum
 
 __all__ = [
@@ -110,6 +110,7 @@ def build_cospectral_pair(
     if pa != pb:
         raise HypothesisError(f"seed triples do not fit the cospectral construction: their sizes, "
                               f"degrees or null attachments differ ({pa} vs {pb})")
+    _refuse_dense(pa.total_vertices)  # the coronas' dense solve, before any seed is solved
     for tag, ga, gb in (("seeds g, h", g, h), ("attachments g1, h1", g1, h1),
                         ("attachments g2, h2", g2, h2)):
         if not ga.is_null and not adjacency_cospectral(ga, gb, tol):

@@ -318,8 +318,7 @@ def _complete(n: int) -> Graph:
 def _cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle(n) requires n >= 3")
-    i = np.arange(n)
-    return build_graph(n, np.column_stack((i, (i + 1) % n)))
+    return _circulant(n, 1)
 
 
 def _path(n: int) -> Graph:

@@ -22,35 +22,27 @@ __all__ = [
 
 
 def _bareiss_determinant(rows: list[list[int]]) -> int:
-    """Exact determinant of an integer matrix by fraction-free elimination.
+    """Exact determinant of a positive semidefinite integer matrix, such as
+    a Laplacian minor, by fraction-free elimination without pivoting.
 
     Python integers are unbounded, so intermediate growth cannot overflow.
-    The row swap at a zero pivot serves general integer matrices:
-    ``spanning_trees_matrix_tree`` never reaches it, because a zero pivot of
-    a positive semidefinite Laplacian minor has a zero column below it.
+    A zero pivot of a semidefinite matrix has a zero column below it, so
+    the determinant is 0 (Bareiss, Math. Comp. 22, 1968).
     """
     n = len(rows)
     if n == 0:
         return 1
     m = [row[:] for row in rows]
-    sign = 1
     prev = 1
     for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
         pivot = m[k][k]
+        if pivot == 0:
+            return 0
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
         prev = pivot
-    return sign * m[n - 1][n - 1]
+    return m[n - 1][n - 1]
 
 
 def spanning_trees_matrix_tree(g: Graph) -> int:

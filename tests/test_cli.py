@@ -53,6 +53,15 @@ def _generate_files(tmp_path, *specs):
     return paths
 
 
+def _forbidden(what):
+    """A stand-in for a callee that must not run: calling it fails the test
+    (pytest.fail raises past the CLI's exit-code handlers)."""
+    def call(*args, **kwargs):
+        pytest.fail(f"{what} ran")
+
+    return call
+
+
 @pytest.fixture()
 def files(tmp_path):
     def write(name, args):
@@ -403,6 +412,53 @@ class TestSpectrum:
     def test_closed_form_without_corona_exit_3(self, files, capsys):
         assert main(["spectrum", files["K3"], "--method", "closed-form"]) == 3
 
+    @pytest.mark.parametrize("method", ["both", "closed-form"])
+    def test_closed_form_without_corona_refused_before_reading(self, files, capsys, monkeypatch,
+                                                               method):
+        monkeypatch.setattr("rcorona.cli._load", _forbidden("reading the graph file"))
+        monkeypatch.setattr("rcorona.cli.nl_spectrum", _forbidden("the oracle"))
+        assert main(["spectrum", files["K3"], "--method", method]) == 3
+        assert "pass --corona" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["both", "closed-form"])
+    def test_closed_form_without_corona_missing_file_exit_3(self, capsys, method):
+        # the route is refused before the file is read
+        assert main(["spectrum", "/nonexistent/file.el", "--method", method]) == 3
+        assert "pass --corona" in capsys.readouterr().err
+
+    def test_both_refuses_a_non_regular_base_before_building(self, files, tmp_path, capsys,
+                                                              monkeypatch):
+        (p4,) = _generate_files(tmp_path, ("P4", "path", "4"))
+        monkeypatch.setattr("rcorona.cli.double_corona", _forbidden("the corona's assembly"))
+        monkeypatch.setattr("rcorona.cli.nl_spectrum", _forbidden("the oracle"))
+        argv = ["spectrum", "--corona", "double", p4, files["K3"], "null", "--method", "both"]
+        assert main(argv) == 3
+        assert "base graph must be regular" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["0 0\n", "4 2\n0 1\n2 3\n"], ids=["null", "disconnected"])
+    def test_both_reports_the_closed_form_hypothesis(self, files, tmp_path, capsys, text):
+        base = tmp_path / "base.el"
+        base.write_text(text)
+        argv = ["spectrum", "--corona", "double", str(base), files["P2"], files["P2"], "--method", "both"]
+        assert main(argv) == 3
+        assert "closed-form spectrum requires a nonempty connected base graph" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["numeric", "both"])
+    def test_dense_work_refused_before_assembly(self, files, tmp_path, capsys, monkeypatch, method):
+        # C5 with K4 and C5 copies: 125 layout entries and output edges to
+        # assemble, a dense 55x55 path to solve; the memory fits the first
+        # only.  With both methods the closed form's hypotheses pass, and
+        # its solve waits for the pre-flight too
+        c5, k4 = _generate_files(tmp_path, ("C5", "cycle", "5"), ("K4", "complete", "4"))
+        memory = 50_000
+        assert rcorona.corona._ASSEMBLY_BYTES_PER_ENTRY * 125 < memory
+        assert memory < rcorona.graphs._DENSE_PEAK_MATRICES * 8 * 55**2
+        monkeypatch.setattr("rcorona.graphs._physical_memory", lambda: memory)
+        monkeypatch.setattr("rcorona.cli.double_corona", _forbidden("the corona's assembly"))
+        monkeypatch.setattr("rcorona.cli.closed_form_spectrum", _forbidden("the closed form's solve"))
+        assert main(["spectrum", "--corona", "double", c5, k4, c5, "--method", method]) == 2
+        assert "dense 55x55 computation" in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, files, capsys):
         argv = ["spectrum", "--corona", "double", files["K3"], files["P2"], files["P2"],
                 "--method", "both", "--json"]
@@ -509,6 +565,19 @@ class TestCospectral:
                      files["K1"], files["K1"], "null", "null", "--tol", "1e-300"])
         assert code == 3
 
+    @pytest.mark.parametrize("tol", ["1e-8", "1e-300"], ids=["cospectral-seeds", "seeds-refused"])
+    def test_dense_work_refused_before_any_seed_is_solved(self, files, capsys, monkeypatch, tol):
+        # 100 kB fits a seed's dense 16x16 path but not a corona's 80x80
+        # one, and the refusal comes first, even for seeds that would fail
+        # their own check at an unreachable tolerance
+        monkeypatch.setattr("rcorona.graphs._physical_memory", lambda: 100_000)
+        monkeypatch.setattr("rcorona.cospectral.numeric_spectrum", _forbidden("a seed's eigensolve"))
+        monkeypatch.setattr("rcorona.spectra.numeric_spectrum", _forbidden("the oracle"))
+        code = main(["cospectral", files["SH"], files["RK"],
+                     files["K1"], files["K1"], "null", "null", "--tol", tol])
+        assert code == 2
+        assert "dense 80x80 computation" in capsys.readouterr().err
+
 
 class TestInvariants:
     def test_k3(self, files, capsys):
@@ -542,6 +611,13 @@ class TestInvariants:
         bad = tmp_path / "bad.el"
         bad.write_text("4 2\n0 1\n2 3\n")
         assert main(["invariants", str(bad)]) == 3
+
+    def test_disconnected_refused_before_the_exact_count(self, tmp_path, capsys, monkeypatch):
+        two_triangles = tmp_path / "2K3.el"
+        two_triangles.write_text("6 6\n0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n")
+        monkeypatch.setattr("rcorona.cli.spanning_trees_matrix_tree", _forbidden("the exact count"))
+        assert main(["invariants", str(two_triangles)]) == 3
+        assert "connected" in capsys.readouterr().err
 
     def test_missing_file_exit_2(self):
         assert main(["invariants", "/nonexistent/file.el"]) == 2

@@ -92,12 +92,17 @@ class TestMatrixTree:
 class TestBareissDeterminant:
     @pytest.mark.parametrize("seed", range(60))
     def test_matches_sympy_with_zero_leading_entries(self, seed):
-        # sparse rows with a zero corner: the elimination swaps rows, with
-        # a sign flip, or stops at a zero column
+        # the matrices its one caller passes: Laplacian minors, here of
+        # sparse random graphs, connected and not; a singular minor meets a
+        # zero leading entry of its trailing block, with a zero column
+        # below it, and the elimination stops there without pivoting
         rng = random.Random(seed)
-        n = rng.randint(1, 6)
-        rows = [[rng.choice((0, 0, 0, rng.randint(-4, 4))) for _ in range(n)] for _ in range(n)]
-        rows[0][0] = 0
+        n = rng.randint(1, 8)
+        p = rng.uniform(0.2, 0.7)
+        g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        lap = -adjacency_matrix(g)
+        np.fill_diagonal(lap, g.degrees)
+        rows = lap[1:, 1:].tolist()
         assert _bareiss_determinant(rows) == sympy.Matrix(rows).det()
 
 
