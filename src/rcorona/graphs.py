@@ -298,10 +298,16 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
 
 
 def incidence_matrix(g: Graph) -> np.ndarray:
-    """n x m vertex-edge incidence matrix; column order = canonical edge order."""
-    m = np.zeros((g.vertex_count, g.edge_count), dtype=np.int64)
+    """n x m vertex-edge incidence matrix; column order = canonical edge order.
+
+    A matrix too large for memory is refused (DenseMemoryError) before it
+    is allocated.
+    """
+    n, e = g.vertex_count, g.edge_count
+    _refuse_beyond_memory(n * e, 8, f"a {n}x{e} incidence matrix")
+    m = np.zeros((n, e), dtype=np.int64)
     u, v = g.ends.T
-    columns = np.arange(g.edge_count)
+    columns = np.arange(e)
     m[u, columns] = m[v, columns] = 1
     return m
 

@@ -51,6 +51,8 @@ __all__ = [
 # Agreement of two spectra, value by value: the 1e-8 to which the closed
 # form and the numeric oracle must agree, and the CLI's default --tol.
 _MATCH_TOL = 1e-8
+# The CLI's Laplacians are symmetric bit for bit, so this bounds only the
+# matrices that library callers pass to numeric_spectrum.
 _SYMMETRY_TOL = 1e-12
 _QL_MAX_ITER = 100
 # per secular root, as LAPACK's dlaed4 (MAXIT)
@@ -244,14 +246,10 @@ def _householder_tridiagonal(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         wv = np.zeros((2 * _PANEL, n - p))
         for i, j in enumerate(range(p, q)):
             k = 2 * i
-            # row j of the symmetric A is its column j, and is not read
-            # again; the panel's first column has no corrections
-            if k:
-                d[j] = a[j, j] - float(vw[:k, i] @ wv[:k, i])
-                x = a[j, j + 1 :] - _product(vw[:k, i + 1 :].T, wv[:k, i])
-            else:
-                d[j] = a[j, j]
-                x = a[j, j + 1 :]
+            # row j of the symmetric A is its column j; at k = 0 every
+            # correction sums over no reflectors and is an exact 0.0
+            d[j] = a[j, j] - float(vw[:k, i] @ wv[:k, i])
+            x = a[j, j + 1 :] - _product(vw[:k, i + 1 :].T, wv[:k, i])
             norm_x, x0 = math.sqrt(_dot(x, x)), float(x[0])
             # v = x - alpha e_1 with alpha = -sign(x_0) ||x||, so
             # ||v||^2 = 2 ||x|| (||x|| + |x_0|)
@@ -264,8 +262,7 @@ def _householder_tridiagonal(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             v[0] -= alpha
             v /= vnorm
             u = _product(a[j + 1 :, j + 1 :], v)
-            if k:
-                u -= _product(vw[:k, i + 1 :].T, _product(wv[:k, i + 1 :], v))
+            u -= _product(vw[:k, i + 1 :].T, _product(wv[:k, i + 1 :], v))
             u -= _dot(v, u) * v
             u *= 2.0
             vw[k, i + 1 :] = wv[k + 1, i + 1 :] = v
@@ -552,9 +549,10 @@ def _cuppen_merge(left, right, beta: float):
     one's last row and sign(beta) times half two's first row.  Entries
     with a negligible rho z_i, and one of each pair of near-equal poles
     after a Givens rotation, deflate (LAPACK's dlaed2); the rest solve the
-    secular equation.  Returns the merged (values, first row, last row).
-    Its sums and products are elementwise or einsum (no BLAS call), so they
-    do not depend on the BLAS thread count.
+    secular equation.  Returns the merged (values, first row, last row),
+    unsorted: the parent merge and Spectrum sort stably.  Its sums and
+    products are elementwise or einsum (no BLAS call), so they do not
+    depend on the BLAS thread count.
     """
     (d1, f1, l1), (d2, f2, l2) = left, right
     n1, n2 = d1.size, d2.size
@@ -565,6 +563,8 @@ def _cuppen_merge(left, right, beta: float):
     last = np.concatenate((np.zeros(n1), l2))
     perm = np.argsort(d, kind="stable")
     d, z, first, last = d[perm], z[perm], first[perm], last[perm]
+    # LAPACK dlaed2's 8 eps max(max|d|, max|z|), on T scaled to unit norm;
+    # T is unscaled here, so rho, in T's units, stands in for |z| <= 1
     tol = 8.0 * _EPS * max(float(np.max(np.abs(d))), rho)
     live = rho * np.abs(z) > tol
     kept, rotated = [], []
@@ -596,15 +596,13 @@ def _cuppen_merge(left, right, beta: float):
         norms = np.sqrt(np.einsum("ij,ij->j", vecs, vecs))
         parts.append((roots, np.einsum("i,ij->j", kf, vecs) / norms,
                       np.einsum("i,ij->j", kl, vecs) / norms))
-    d, first, last = (np.concatenate(column) for column in zip(*parts))
-    perm = np.argsort(d, kind="stable")
-    return d[perm], first[perm], last[perm]
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def _divide_and_conquer(d: np.ndarray, e: np.ndarray):
     """(values, first row, last row) of the eigensystem of the symmetric
-    tridiagonal (d, e), by Cuppen's divide and conquer over QL leaves of at
-    most _DC_LEAF rows."""
+    tridiagonal (d, e), in no particular order, by Cuppen's divide and
+    conquer over QL leaves of at most _DC_LEAF rows."""
     n = d.size
     if n <= _DC_LEAF:
         return tuple(map(np.array, _ql_implicit(d.tolist(), e.tolist())))

@@ -15,6 +15,7 @@ from rcorona import (
     DenseMemoryError,
     DuplicateEdgeError,
     EndpointRangeError,
+    GraphValidationError,
     HypothesisError,
     SelfLoopError,
     adjacency_cospectral,
@@ -82,6 +83,14 @@ class TestBuildGraph:
     def test_out_of_range(self):
         with pytest.raises(EndpointRangeError):
             build_graph(2, [(0, 2)])
+
+    def test_accepts_a_generator_of_pairs(self):
+        pairs = ((u, v) for u, v in [(2, 0), (3, 1)])
+        assert build_graph(4, pairs) == build_graph(4, [(2, 0), (3, 1)])
+
+    def test_rejects_edges_that_are_not_pairs(self):
+        with pytest.raises(GraphValidationError, match=r"edges must be pairs \(u, v\)"):
+            build_graph(3, [(0, 1, 2)])
 
 
 class TestMatrixViews:
@@ -157,6 +166,13 @@ class TestMatrixViews:
         with pytest.raises(DenseMemoryError, match="40x40"):
             adjacency_matrix(generate("cycle", 40))
         assert adjacency_matrix(generate("cycle", 39)).shape == (39, 39)
+
+    def test_incidence_memory_refusal_names_the_shape(self, monkeypatch):
+        # one int64 entry per vertex and edge: C_40 needs 8 * 40 * 40 bytes
+        monkeypatch.setattr("rcorona.graphs._physical_memory", lambda: 8 * 40 * 40 - 1)
+        with pytest.raises(DenseMemoryError, match="40x40 incidence matrix"):
+            incidence_matrix(generate("cycle", 40))
+        assert incidence_matrix(generate("cycle", 39)).shape == (39, 39)
 
     def test_incidence_k3_columns(self):
         m = incidence_matrix(generate("complete", 3))
@@ -345,6 +361,8 @@ class TestGenerators:
         ("moebius", (5,), "unknown family 'moebius'; known: complete, cycle, path, "
                           "complete_bipartite, circulant, petersen, hypercube, shrikhande, "
                           "rook4x4, null"),
+        ("circulant", (10, 1, 1), "circulant connection set contains duplicates"),
+        ("circulant", (10, 6), "circulant connection 6 outside 1..5"),
     ])
     def test_parameter_error_texts(self, family, params, text):
         with pytest.raises(ValueError) as exc:

@@ -177,6 +177,10 @@ class TestDegreeKirchhoff:
     def test_k1_is_zero(self):
         assert degree_kirchhoff(generate("complete", 1)) == 0.0
 
+    def test_null_rejected(self):
+        with pytest.raises(HypothesisError, match="null graph"):
+            degree_kirchhoff(generate("null"))
+
 
 class TestLabelInvariance:
     @pytest.mark.parametrize("name", ["C5", "petersen", "K33"])

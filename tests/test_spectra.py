@@ -205,6 +205,10 @@ class TestNormalizedLaplacian:
         with pytest.raises(HypothesisError):
             normalized_laplacian_regular(generate("complete_bipartite", 1, 2))
 
+    def test_regular_shortcut_rejects_edgeless(self):
+        with pytest.raises(HypothesisError, match="regular degree must be >= 1"):
+            normalized_laplacian_regular(build_graph(3, []))
+
 
 class TestNumericSpectrum:
     def test_k3_values(self):
@@ -220,6 +224,10 @@ class TestNumericSpectrum:
 
     def test_empty(self):
         assert np.array_equal(numeric_spectrum(np.zeros((0, 0))).values, [])
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match=r"square matrix, got shape \(2, 3\)"):
+            numeric_spectrum(np.zeros((2, 3)))
 
     def test_non_symmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -590,6 +598,10 @@ class TestSummarize:
 
     def test_empty(self):
         assert summarize(Spectrum(()), 1e-8) == ()
+
+    def test_bad_tolerance(self):
+        with pytest.raises(ValueError, match="positive"):
+            summarize(Spectrum((0.0,)), 0.0)
 
     def test_singletons(self):
         assert summarize(Spectrum((0.0, 1.0, 2.0)), 1e-9) == ((0.0, 1), (1.0, 1), (2.0, 1))
