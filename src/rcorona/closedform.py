@@ -31,9 +31,11 @@ from structure where that is exact and independent of the labelling: a
 complete graph K_n has 0 once and n/(n - 1) n - 1 times, a connected
 2-regular graph is C_n with 1 - cos(2 pi k/n), and an edgeless copy graph
 needs only zeros.  Every other input spectrum, and every quotient block, goes
-to LAPACK (``numpy.linalg.eigvalsh``).  The corona itself is never solved
-here, and nothing here calls the package's own eigensolver, so the numeric
-route, which alone uses that solver, stays an independent check.
+to LAPACK (``numpy.linalg.eigvalsh``); a connected bipartite graph's largest
+value, whose exact value is 2, is raised to 2 where LAPACK falls short of
+it.  The corona itself is never solved here, and nothing here calls the
+package's own eigensolver, so the numeric route, which alone uses that
+solver, stays an independent check.
 """
 
 from dataclasses import dataclass, fields
@@ -374,6 +376,13 @@ def _spectrum_groups(g: Graph, degree: int) -> tuple[tuple[float, int], ...]:
             for k in range(n // 2 + 1)
         )
     values = np.linalg.eigvalsh(normalized_laplacian(g))
+    # A connected graph has the eigenvalue 2 exactly when it is bipartite
+    # (Chung, Spectral Graph Theory, Lemma 1.7), and LAPACK may return it a
+    # few ulps short.  At 2 the quotient's old-new entry sqrt(r(2 - mu)) is
+    # 0; at 2 - 3e-15 it is about 1e-8, and splits the roots that the two
+    # blocks it joins share.  Raised only: above 2, the table's clamp gives 0.
+    if values[-1] < 2 and g.connected and g.bipartite:
+        values[-1] = 2.0
     # the least value is the zero every such Laplacian has, kept as a group
     # of its own, so that dropping it from a copy graph's groups leaves the
     # other groups' means as they were

@@ -6,10 +6,10 @@ read-only (m, 2) int64 array, ``Graph.ends``: row k holds the k-th edge
 construction (endpoints normalized to (min, max), edges in order of first
 occurrence) and every downstream construction indexes new vertices by it.
 Validation, the matrix views and both file formats work on that array
-directly.  The facts the corona hypotheses read off a graph, its degrees,
-its regular degree and whether it is connected, are properties of the
-Graph, each computed at most once per object.  The graph with no vertices
-(the null graph) is a legal value.
+directly.  The facts the corona hypotheses and the closed form read off a
+graph, its degrees, its regular degree and whether it is connected or
+bipartite, are properties of the Graph, each computed at most once per
+object.  The graph with no vertices (the null graph) is a legal value.
 """
 
 from collections.abc import Iterator
@@ -108,33 +108,56 @@ class Graph:
     @functools.cached_property
     def connected(self) -> bool:
         """Whether every vertex is reachable from vertex 0; undefined
-        (HypothesisError) for the null graph.
-
-        Label propagation with pointer jumping, in the manner of Shiloach and
-        Vishkin.  Every vertex's label names a vertex of its own component, no
-        larger than itself, so vertex 0 keeps label 0.  Each round hooks the
-        larger label of every edge onto the smaller one, then jumps each label
-        two steps along the labels; the label sum falls every round while some
-        edge joins two different labels.  All labels 0 means connected; every
-        edge joining equal labels, with some label not 0, means disconnected.
-        """
+        (HypothesisError) for the null graph."""
         if self.is_null:
             raise HypothesisError("connectivity is undefined for the null graph")
         # a connected graph has at least n - 1 edges; checked before any O(n) work
         if self.edge_count < self.vertex_count - 1:
             return False
-        label = np.arange(self.vertex_count)
-        # the first round's labels are the vertices, and u < v in every row
-        lo, hi = self.ends.T
-        while True:
-            np.minimum.at(label, hi, lo)
-            label = label[label[label]]
-            if not label.any():
-                return True
-            lu, lv = label[self.ends].T
-            if (lu == lv).all():
-                return False
-            lo, hi = np.minimum(lu, lv), np.maximum(lu, lv)
+        return not _component_labels(self.vertex_count, self.ends).any()
+
+    @functools.cached_property
+    def bipartite(self) -> bool:
+        """Whether the vertices split into two classes that no edge joins
+        within; true for the null graph.
+
+        The bipartite double cover has the vertices v and v + n and, for each
+        edge (u, v), the edges (u, v + n) and (v, u + n).  A walk in it from v
+        to v + n is an odd closed walk through v in the graph, so the graph is
+        bipartite exactly when no component of the cover holds both v and
+        v + n.
+        """
+        n, (u, v) = self.vertex_count, self.ends.T
+        cover = np.concatenate((np.column_stack((u, v + n)), np.column_stack((v, u + n))))
+        label = _component_labels(2 * n, cover)
+        return not (label[:n] == label[n:]).any()
+
+
+def _component_labels(n: int, ends: np.ndarray) -> np.ndarray:
+    """One label per vertex of the graph on 0..n-1 with the edge rows ends,
+    u < v in each: a vertex of its component, the same for every vertex of
+    the component, and 0 on the component of vertex 0.
+
+    Label propagation with pointer jumping, in the manner of Shiloach and
+    Vishkin.  Every vertex's label names a vertex of its own component, no
+    larger than itself, so vertex 0 keeps label 0.  Each round hooks the
+    larger label of every edge onto the smaller one, then jumps each label two
+    steps along the labels; the label sum falls every round while some edge
+    joins two different labels.  The labels are final when they are all 0, or
+    when every edge joins equal labels.
+    """
+    label = np.arange(n)
+    # the first round's labels are the vertices, and u < v in every row
+    lo, hi = ends.T
+    while True:
+        np.minimum.at(label, hi, lo)
+        label = label[label[label]]
+        if not label.any():
+            return label
+        lu, lv = label[ends].T
+        if (lu == lv).all():
+            return label
+        lo, hi = np.minimum(lu, lv), np.maximum(lu, lv)
 
 
 def build_graph(n: int, edges) -> Graph:
@@ -152,7 +175,7 @@ def build_graph(n: int, edges) -> Graph:
     if not isinstance(edges, (np.ndarray, list, tuple)):
         edges = list(edges)
     try:
-        ends = np.array(edges, dtype=np.int64)
+        ends = np.asarray(edges, dtype=np.int64)
     except OverflowError:
         ends = None
         pairs = [(int(u), int(v)) for u, v in edges]
@@ -450,12 +473,47 @@ def generate(family: str, *params: int) -> Graph:
 # --- file formats ---------------------------------------------------------
 
 
+def _plain_values(text: str) -> np.ndarray | None:
+    """The tokens of text as one int64 array, header first, where text has
+    the form ``save_graph`` writes: lines of two ASCII digit runs joined by
+    one space, one LF after each line but perhaps the last, a header whose
+    edge count is the number of lines after it, and no token at or beyond
+    INT64_MAX; None for any other text.
+
+    Deleting the digits must leave " \\n" once per line, its last LF
+    perhaps missing; then one numpy call reads every token."""
+    if not text.isascii():
+        return None
+    raw = text.encode("ascii")
+    shape = raw.translate(None, b"0123456789")
+    lines = (len(shape) + 1) // 2
+    if not lines or shape != (b" \n" * lines)[: len(shape)]:
+        return None
+    values = np.fromstring(raw, dtype=np.int64, sep=" ")
+    # an empty token reads as no value, and numpy clamps a token beyond
+    # int64 to INT64_MAX
+    if len(values) != 2 * lines or values[1] != lines - 1 or values.max() >= _INT64_MAX:
+        return None
+    return values
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list text format: "n m" then m lines "u v".
 
     Blank lines are skipped.  A malformed line, a token that is not an
-    integer and an invalid edge raise, the first in input order.
+    integer and an invalid edge raise, the first in input order.  Text in
+    the form ``save_graph`` writes is read in one pass over its bytes; any
+    other text by a tokenizer that gives the same graph or error.
     """
+    values = _plain_values(text)
+    if values is None:
+        return _tokenized_edge_list(text)
+    return build_graph(int(values[0]), values[2:].reshape(-1, 2))
+
+
+def _tokenized_edge_list(text: str) -> Graph:
+    """``parse_edge_list`` for any text: every form that ``str.split`` and
+    ``int`` read."""
     lines = list(filter(str.strip, text.splitlines()))
     if not lines:
         raise GraphValidationError("empty edge-list input")

@@ -817,3 +817,65 @@ class TestPairingModelBases:
     def test_closed_form_against_oracle(self, g, c1, c2):
         assert g.regular_degree in (3, 4) and g.vertex_count <= 12
         _oracle_check(g, generate(*c1), generate(*c2), tol=_MATCH_TOL)
+
+
+# ROADMAP item 1's parameter sets where the quotient's two blocks at mu = 2
+# share an eigenvalue, so that any coupling between them splits a double root
+_DEGENERATE_COPIES = {6: (("complete", 6), ("circulant", 4, 2)), 3: (("cycle", 12), ("circulant", 4, 2))}
+
+
+@st.composite
+def _bipartite_bases(draw):
+    """Connected bipartite regular bases whose spectra go to LAPACK:
+    K_{a,a}, the 3-cube, and even circulants with odd jumps."""
+    kind = draw(st.sampled_from(("complete_bipartite", "hypercube", "circulant")))
+    if kind == "complete_bipartite":
+        a = draw(st.integers(3, 6))
+        return generate(kind, a, a)
+    if kind == "hypercube":
+        return generate(kind, 3)
+    half = draw(st.integers(3, 8))
+    jumps = draw(st.sets(st.sampled_from(range(1, half + 1, 2)), min_size=2, max_size=3))
+    return generate(kind, 2 * half, *jumps)
+
+
+class TestBipartiteBases:
+    """A connected bipartite base has the base eigenvalue 2 exactly, and the
+    closed form must use it exactly: LAPACK's 2 - 3e-15 would couple the
+    quotient's blocks by about 1e-8."""
+
+    def test_k66_with_k6_and_2k2(self):
+        g, g1, g2 = generate("complete_bipartite", 6, 6), generate("complete", 6), generate("circulant", 4, 2)
+        corona, _ = double_corona(g, g1, g2)
+        assert corona.vertex_count == 264
+        report = compare_spectra(flatten(closed_form_spectrum(g, g1, g2)), nl_spectrum(corona), 1e-12)
+        assert report.matched, report.reason
+
+    @pytest.mark.parametrize("family, params, degree, largest, raised", [
+        ("complete_bipartite", (4, 4), 4, 2 - 3.3e-15, True),
+        ("complete_bipartite", (4, 4), 4, 2 + 4.4e-16, False),
+        # not bipartite, or not connected (4K2, whose 2 is fourfold)
+        ("petersen", (), 3, 2 - 3.3e-15, False),
+        ("circulant", (8, 4), 1, 2 - 3.3e-15, False),
+    ])
+    def test_largest_value_raised_never_lowered(self, monkeypatch, family, params, degree, largest,
+                                                raised):
+        g = generate(family, *params)
+        values = np.linalg.eigvalsh(normalized_laplacian(g))
+        values[-1] = largest
+        monkeypatch.setattr("numpy.linalg.eigvalsh", lambda a: values.copy())
+        value, _ = _spectrum_groups(g, degree)[-1]
+        assert value == 2.0 if raised else value != 2.0 and (value < 2) == (largest < 2)
+
+    @settings(max_examples=25, deadline=None)
+    @given(_bipartite_bases(), st.sampled_from(_GRID_COPIES), st.sampled_from(_GRID_COPIES),
+           st.booleans())
+    def test_closed_form_against_oracle(self, g, c1, c2, degenerate):
+        r = g.regular_degree
+        assert g.connected and g.bipartite and 3 <= r < g.vertex_count - 1
+        if degenerate and r in _DEGENERATE_COPIES:
+            c1, c2 = _DEGENERATE_COPIES[r]
+        g1, g2 = generate(*c1), generate(*c2)
+        report = compare_spectra(flatten(closed_form_spectrum(g, g1, g2)),
+                                 nl_spectrum(double_corona(g, g1, g2)[0]), 1e-12)
+        assert report.matched, report.reason

@@ -28,6 +28,8 @@ from rcorona import (
     HypothesisError,
     SelfLoopError,
     build_graph,
+    format_graph,
+    generate,
     load_graph,
     parse_edge_list,
     parse_graph_json,
@@ -248,10 +250,60 @@ def test_build_graph_from_an_array_matches_reference(n, edges):
     assert outcome(build_graph, n, ends) == outcome(reference_build, n, edges)
 
 
+# texts at the edges of the form save_graph writes, which is read in one
+# pass over its bytes: each is read that way, or by the tokenizer
+_NINES = "9" * 19
+PLAIN_EDGES = (
+    "3 2\n0 1\n1 2",  # no final LF
+    "3 0", "3 0\n",  # a header alone
+    "3 1\n0 1\n\n",  # a trailing blank line
+    "3 1\n0 \n", "3 1\n 0\n",  # an empty token
+    "3 1\n0  1\n",  # a double space
+    f"{INT64_MAX} 1\n0 1\n", f"{INT64_MAX - 1} 1\n0 {INT64_MAX - 2}\n", f"{INT64_MAX - 1} 0\n",
+    f"3 1\n0 {INT64_MAX}\n", f"3 1\n0 {INT64_MAX - 1}\n", f"{_NINES} 1\n0 1\n", f"3 1\n{_NINES} 1\n",
+    f"{_NINES}9 1\n0 1\n",
+    "003 01\n000 02\n",  # leading zeros
+    "3 2\n0 1\n", "3 0\n0 1\n",  # a header count off by one
+    "3 1\r\n0 1\r\n", "3 1\r0 1\r",  # other line ends
+    "",
+)
+
+
+def _with_plain_examples(test):
+    for text in PLAIN_EDGES:
+        test = example(text=text)(test)
+    return test
+
+
 @settings(max_examples=400, deadline=None)
-@given(edge_list_texts())
+@given(text=edge_list_texts())
+@_with_plain_examples
 def test_parse_edge_list_matches_reference(text):
     assert outcome(parse_edge_list, text) == outcome(reference_parse_edge_list, text)
+
+
+def test_a_large_plain_text_matches_reference():
+    # the 100 000 edges of circulant(50 000; 1, 2), shuffled, about half of
+    # them written the other way round
+    rng = np.random.default_rng(5)
+    ends = generate("circulant", 50_000, 1, 2).ends[rng.permutation(100_000)]
+    flip = rng.random(len(ends)) < 0.5
+    ends[flip] = ends[flip, ::-1]
+    text = "50000 100000\n" + "".join(f"{u} {v}\n" for u, v in ends.tolist())
+    got = outcome(parse_edge_list, text)
+    assert got[0] == "graph" and got == outcome(reference_parse_edge_list, text)
+
+
+def test_plain_text_never_reaches_the_tokenizer(monkeypatch):
+    def forbidden(text):
+        raise AssertionError("a plain text went to the tokenizer")
+
+    g = generate("petersen")
+    monkeypatch.setattr("rcorona.graphs._tokenized_edge_list", forbidden)
+    assert parse_edge_list(format_graph(g, "edgelist")) == g
+    assert parse_edge_list(format_graph(g, "edgelist").rstrip("\n")) == g
+    with pytest.raises(AssertionError, match="tokenizer"):
+        parse_edge_list("10 0\r\n")
 
 
 @settings(max_examples=300, deadline=None)
@@ -261,7 +313,8 @@ def test_parse_graph_json_matches_reference(text):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(edge_list_texts(), graph_json_texts()))
+@given(text=st.one_of(edge_list_texts(), graph_json_texts()))
+@_with_plain_examples
 def test_load_graph_matches_reference(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("load") / "graph.txt"
     path.write_text(text, encoding="utf-8", newline="")
@@ -281,6 +334,25 @@ def test_load_graph_matches_reference(tmp_path_factory, text):
     ("3 2\n1 1\n0 99999999999999999999\n", ("error", SelfLoopError, "self-loop at vertex 1")),
     ("3 1\n0 -99999999999999999999\n",
      ("error", EndpointRangeError, "edge (0,-99999999999999999999) has an endpoint outside 0..2")),
+    # at the edges of the form save_graph writes
+    ("3 2\n0 1\n1 2", ("graph", 3, ((0, 1), (1, 2)))),
+    ("3 0", ("graph", 3, ())),
+    ("3 0\n", ("graph", 3, ())),
+    ("3 1\n0 1\n\n", ("graph", 3, ((0, 1),))),
+    ("3 1\n0 \n", ("error", GraphValidationError, "edge line must be 'u v', got '0 '")),
+    ("3 1\n0  1\n", ("graph", 3, ((0, 1),))),
+    (f"{INT64_MAX} 1\n0 {INT64_MAX - 1}\n", ("graph", INT64_MAX, ((0, INT64_MAX - 1),))),
+    (f"{INT64_MAX - 1} 1\n0 {INT64_MAX - 2}\n", ("graph", INT64_MAX - 1, ((0, INT64_MAX - 2),))),
+    (f"3 1\n0 {INT64_MAX}\n",
+     ("error", EndpointRangeError, f"edge (0,{INT64_MAX}) has an endpoint outside 0..2")),
+    (f"3 1\n0 {INT64_MAX - 1}\n",
+     ("error", EndpointRangeError, f"edge (0,{INT64_MAX - 1}) has an endpoint outside 0..2")),
+    (f"{_NINES} 1\n0 1\n", ("graph", int(_NINES), ((0, 1),))),
+    (f"3 1\n{_NINES} 1\n", ("error", EndpointRangeError, f"edge ({_NINES},1) has an endpoint outside 0..2")),
+    ("003 01\n000 02\n", ("graph", 3, ((0, 2),))),
+    ("3 2\n0 1\n", ("error", GraphValidationError, "header declares 2 edges but 1 lines follow")),
+    ("3 0\n0 1\n", ("error", GraphValidationError, "header declares 0 edges but 1 lines follow")),
+    ("", ("error", GraphValidationError, "empty edge-list input")),
 ])
 def test_first_offending_edge_wins(text, expected):
     assert outcome(parse_edge_list, text) == outcome(reference_parse_edge_list, text) == expected

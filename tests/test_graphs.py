@@ -285,6 +285,63 @@ class TestConnectivity:
             assert build_graph(2 * n, np.vstack((cycles, [[p[0], p[n]]]))).connected
 
 
+class TestBipartite:
+    @pytest.mark.parametrize("family, params, expected", [
+        ("complete_bipartite", (3, 5), True),
+        ("hypercube", (4,), True),
+        ("circulant", (14, 1, 3, 7), True),
+        ("cycle", (6,), True),
+        ("cycle", (7,), False),
+        ("circulant", (12, 1, 2), False),
+        ("petersen", (), False),
+        ("complete", (1,), True),
+        ("complete", (3,), False),
+        ("null", (), True),
+    ])
+    def test_catalog(self, family, params, expected):
+        assert generate(family, *params).bipartite is expected
+
+    @staticmethod
+    def _two_colourable(g):
+        """Breadth-first 2-colouring from each uncoloured vertex: the scalar
+        reference."""
+        neighbors = [[] for _ in range(g.vertex_count)]
+        for u, v in g.ends.tolist():
+            neighbors[u].append(v)
+            neighbors[v].append(u)
+        colour = {}
+        for s in range(g.vertex_count):
+            if s in colour:
+                continue
+            colour[s], stack = 0, [s]
+            while stack:
+                u = stack.pop()
+                for w in neighbors[u]:
+                    if w not in colour:
+                        colour[w] = 1 - colour[u]
+                        stack.append(w)
+                    elif colour[w] == colour[u]:
+                        return False
+        return True
+
+    @given(small_graphs(max_n=12))
+    def test_matches_two_colouring(self, g):
+        assert g.bipartite == self._two_colourable(g)
+
+    @pytest.mark.parametrize("n", [3, 50, 1001])
+    def test_long_relabelled_cycles(self, n):
+        p = np.random.default_rng(n).permutation(2 * n)
+        # two relabelled n-cycles, bipartite when n is even
+        cycles = np.concatenate([np.column_stack((q, np.roll(q, 1))) for q in (p[:n], p[n:])])
+        assert build_graph(2 * n, cycles).bipartite is (n % 2 == 0)
+        # a relabelled 2n-cycle with one chord: of odd span it closes only
+        # even cycles, of even span an odd one
+        ring = np.column_stack((p, np.roll(p, 1)))
+        for span in (3, 4):
+            chorded = build_graph(2 * n, np.vstack((ring, [[p[0], p[span]]])))
+            assert chorded.bipartite is (span % 2 == 1)
+
+
 def _common_neighbor_counts(g):
     """Exhaustive neighborhood counting for strong-regularity checks."""
     a = adjacency_matrix(g)
