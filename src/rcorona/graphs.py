@@ -247,8 +247,19 @@ def _raise_beyond_int64(n: int, pairs: list) -> None:
 
 
 # Peak memory of the dense path (adjacency, normalized Laplacian, eigensolve)
-# in N x N float64 matrices: 4.11 at N = 612 and 4.04 at N = 1105, for the
-# numeric oracle and for LAPACK alike (growth of ru_maxrss over the call).
+# in N x N float64 matrices: the growth of the peak resident memory over the
+# resident memory before the call, from a built graph, at N = 612, 1105 and
+# 2040 on circulant coronas with {K4, C5}.  The oracle (nl_spectrum, whose
+# first panel reads the sparse Laplacian's nonzeros) grew by 2.59, 2.50 and
+# 2.42; on K_n, which takes its dense route, by 2.13, 1.79 and 1.60.
+# LAPACK's eigvalsh of the Laplacian, as the closed form solves a base, grew
+# by 2.39, 2.10 and 2.04, and the oracle on the adjacency matrix
+# (adjacency_cospectral) by 2.73, 2.56 and 2.45.  A whole `spectrum --method
+# numeric` process grew by 2.46 at N = 1105 and, with the file's n(n - 1)/2
+# edges read as well, by 3.38 on K_1000.  Divide and conquer's merges hold
+# k x k arrays for the k eigenvalues that do not deflate: a corona's
+# repeated eigenvalues deflate, but a Laplacian with few repeated ones
+# costs more than this constant (8.5 on a random graph of order 1105).
 _DENSE_PEAK_MATRICES = 4.1
 # this process's cgroup v2 memory limit as a container sees it ("max": none)
 _CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"
@@ -473,18 +484,15 @@ def generate(family: str, *params: int) -> Graph:
 # --- file formats ---------------------------------------------------------
 
 
-def _plain_values(text: str) -> np.ndarray | None:
-    """The tokens of text as one int64 array, header first, where text has
+def _plain_values(raw: bytes) -> np.ndarray | None:
+    """The tokens of raw as one int64 array, header first, where raw has
     the form ``save_graph`` writes: lines of two ASCII digit runs joined by
     one space, one LF after each line but perhaps the last, a header whose
     edge count is the number of lines after it, and no token at or beyond
-    INT64_MAX; None for any other text.
+    INT64_MAX; None for any other bytes.
 
     Deleting the digits must leave " \\n" once per line, its last LF
     perhaps missing; then one numpy call reads every token."""
-    if not text.isascii():
-        return None
-    raw = text.encode("ascii")
     shape = raw.translate(None, b"0123456789")
     lines = (len(shape) + 1) // 2
     if not lines or shape != (b" \n" * lines)[: len(shape)]:
@@ -497,6 +505,11 @@ def _plain_values(text: str) -> np.ndarray | None:
     return values
 
 
+def _plain_graph(values: np.ndarray) -> Graph:
+    """The graph of _plain_values' tokens."""
+    return build_graph(int(values[0]), values[2:].reshape(-1, 2))
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list text format: "n m" then m lines "u v".
 
@@ -505,10 +518,10 @@ def parse_edge_list(text: str) -> Graph:
     the form ``save_graph`` writes is read in one pass over its bytes; any
     other text by a tokenizer that gives the same graph or error.
     """
-    values = _plain_values(text)
+    values = _plain_values(text.encode("ascii")) if text.isascii() else None
     if values is None:
         return _tokenized_edge_list(text)
-    return build_graph(int(values[0]), values[2:].reshape(-1, 2))
+    return _plain_graph(values)
 
 
 def _tokenized_edge_list(text: str) -> Graph:
@@ -711,12 +724,26 @@ def format_graph(g: Graph, fmt: str) -> str:
 
 
 def load_graph(path: str) -> Graph:
-    """Read a graph file, sniffing JSON vs edge-list by the leading brace."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """Read a graph file, sniffing JSON vs edge-list by the leading brace.
+
+    The file is read as bytes.  Bytes in the form ``save_graph`` writes go
+    to ``build_graph`` as one int64 array, with the bytes freed first; any
+    other file is decoded as UTF-8 text with universal newlines, as text
+    mode reads it, for the JSON reader or the edge-list tokenizer."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    # text mode's newlines, on the bytes: no UTF-8 character holds a CR or
+    # LF byte (a search for CR is much faster than a replace that finds none)
+    values = _plain_values(raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in raw else raw)
+    if values is not None:
+        del raw
+        return _plain_graph(values)
+    text = raw.decode("utf-8")
+    del raw
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
     if text.lstrip().startswith("{"):
         return parse_graph_json(text)
-    return parse_edge_list(text)
+    return _tokenized_edge_list(text)
 
 
 def save_graph(g: Graph, path: str, fmt: str = "edgelist") -> None:

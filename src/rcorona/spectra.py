@@ -5,7 +5,11 @@ The eigensolver is the package's independent numeric oracle: a Householder
 reduction to tridiagonal form (Golub & Van Loan, *Matrix Computations*,
 §8.3), blocked in panels while the trailing matrix is large and unblocked
 for its last columns, as LAPACK's dsytrd hands them to dsytd2, then divide
-and conquer over QL leaves on the tridiagonal.  Orders up to _DC_CROSSOVER
+and conquer over QL leaves on the tridiagonal.  A sparse input (at most
+_SPARSE_DENSITY n^2 nonzeros) starts with a wider panel whose products take
+the input's nonzero list in place of the trailing square, which is still
+the input while that panel runs; its finiteness and symmetry checks run
+over the same list.  Orders up to _DC_CROSSOVER
 go to root-free QL directly (LAPACK's dsterf), which finds eigenvalues
 only; larger ones are torn in half recursively (Cuppen 1981) down to
 implicit-shift QL leaves, which also carry the eigenvector matrix's first
@@ -20,7 +24,8 @@ update runs tile by tile over the lower triangle, their matrix-vector and
 dot products go in blocks, the unblocked loop's matrix has at most
 _UNBLOCKED + _PANEL rows, and so every BLAS call stays within OpenBLAS's
 threading thresholds (_BLAS_CALL_BOUND multiply-adds, a sum over
-_INNER_ENTRIES entries); the merges make no BLAS call.  The normalized
+_INNER_ENTRIES entries); the sums over the nonzero list and the merges
+make no BLAS call.  The normalized
 Laplacian is written straight from the edge list.  The oracle serves the numeric route (the corona's
 spectrum in ``spectrum --method numeric|both``), the cospectral
 certificates and the spectral invariants; the closed form solves its
@@ -91,6 +96,14 @@ _INNER_ENTRIES = 10_000
 # Rows and columns per tile of the trailing update: a tile's product is
 # _TILE * _TILE * 2 _PANEL <= _BLAS_CALL_BOUND (56 ran faster than 32 and 48).
 _TILE = 56
+# A matrix with at most _SPARSE_DENSITY n^2 nonzeros takes the sparse first
+# panel (see _householder_tridiagonal).  On random sparse symmetric
+# matrices (medians of 5 to 15 runs of the reduction, one BLAS thread) the
+# sparse route broke even at about 2.5% nonzeros at order 300, 3% at 400,
+# 3.5% at 1020 and 5.5% at 612; at 1 to 2% it was 3 to 17% faster at orders
+# 400 to 1020 (one run at 2.2% and order 612 read 4% slower), and at 7 to
+# 10% it was 10 to 15% slower.
+_SPARSE_DENSITY = 0.02
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -203,9 +216,83 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
                for c in range(0, x.size, _INNER_ENTRIES))
 
 
-def _householder_tridiagonal(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _panel(a: np.ndarray, p: int, width: int, d: np.ndarray, e: np.ndarray, times):
+    """Reduce columns p to p + width - 1 of the symmetric a as one panel,
+    writing their diagonal and coupling into d and e; returns (vw, wv).
+
+    Row j of a is read un-updated and corrected by the panel's earlier
+    reflectors; so is each product times(j, v) of the trailing square
+    a[j + 1:, j + 1:] by v.  Rows 2k and 2k + 1 of vw hold v and 2w of the
+    panel's k-th reflector, and wv holds the same rows with each pair
+    swapped; column c of both is row p + c of a.
+    """
+    vw = np.zeros((2 * width, a.shape[0] - p))
+    wv = np.zeros((2 * width, a.shape[0] - p))
+    for i, j in enumerate(range(p, p + width)):
+        k = 2 * i
+        # row j of the symmetric A is its column j; at k = 0 every
+        # correction sums over no reflectors and is an exact 0.0
+        d[j] = a[j, j] - float(vw[:k, i] @ wv[:k, i])
+        x = a[j, j + 1 :] - _product(vw[:k, i + 1 :].T, wv[:k, i])
+        norm_x, x0 = math.sqrt(_dot(x, x)), float(x[0])
+        # v = x - alpha e_1 with alpha = -sign(x_0) ||x||, so
+        # ||v||^2 = 2 ||x|| (||x|| + |x_0|)
+        vnorm = math.sqrt(2.0 * norm_x * (norm_x + abs(x0)))
+        if vnorm == 0.0:
+            continue
+        alpha = -math.copysign(norm_x, x0) if x0 != 0.0 else -norm_x
+        e[j] = alpha
+        v = x
+        v[0] -= alpha
+        v /= vnorm
+        u = times(j, v)
+        u -= _product(vw[:k, i + 1 :].T, _product(wv[:k, i + 1 :], v))
+        u -= _dot(v, u) * v
+        u *= 2.0
+        vw[k, i + 1 :] = wv[k + 1, i + 1 :] = v
+        vw[k + 1, i + 1 :] = wv[k, i + 1 :] = u
+    return vw, wv
+
+
+def _update(t: np.ndarray, vw: np.ndarray, wv: np.ndarray, tile: int) -> None:
+    """t -= vw^T wv for a square t, tile by tile over its lower triangle
+    (diagonal tiles whole); each finished block of rows is then mirrored to
+    the upper triangle."""
+    left = vw.T
+    for r in range(0, len(t), tile):
+        rows = slice(r, r + tile)
+        for c in range(0, r + 1, tile):
+            t[rows, c : c + tile] -= left[rows] @ wv[:, c : c + tile]
+        t[:r, rows] = t[rows, :r].T
+
+
+def _first_width(n: int) -> int:
+    """Columns of the sparse route's first panel at order n: the multiple
+    of _PANEL nearest n / 6, at least one _PANEL.
+
+    On relabelled circulant coronas with {K4, C5} (medians of 9 to 25 runs
+    of the reduction, one BLAS thread), widths of 32/64/96/128/160/192 took
+    49.6/47.6/43.3/43.4/45.3/48.1 ms at order 612 (dense route 55.8);
+    64/96/128/160/192/224 took 213/199/193/195/201/203 ms at 1020 (dense
+    233); 192/256/352/448 took 1.61/1.58/1.55/1.61 s at 2040 (dense 1.80).
+    At 204 and 340 every width ran within noise of the dense route."""
+    return _PANEL * max(1, round(n / (6 * _PANEL)))
+
+
+def _sparse_nonzeros(mat: np.ndarray) -> np.ndarray | None:
+    """The flat indices of the nonzero entries of the square mat, in row
+    order, where there are at most _SPARSE_DENSITY n^2 of them; else None.
+    NaN is nonzero."""
+    nonzero = mat.ravel() != 0
+    if np.count_nonzero(nonzero) > _SPARSE_DENSITY * nonzero.size:
+        return None
+    return np.flatnonzero(nonzero)
+
+
+def _householder_tridiagonal(mat: np.ndarray, nonzeros: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Reduce a symmetric matrix of order n >= 2 to tridiagonal form;
-    returns (diag, subdiag).
+    returns (diag, subdiag).  nonzeros, from _sparse_nonzeros(mat), lists
+    the nonzero entries of a sparse mat; None takes the dense route.
 
     Blocked, then unblocked (Golub & Van Loan, *Matrix Computations*, §8.3;
     LAPACK's dsytrd, which runs dlatrd panels while the trailing matrix is
@@ -216,84 +303,77 @@ def _householder_tridiagonal(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     A panel of _PANEL columns runs only while the trailing matrix after it
     has more than _UNBLOCKED rows.  Within a panel the updates are only
-    recorded: rows 2k and 2k + 1 of vw hold v and 2w of the panel's k-th
-    reflector, and wv holds the same rows with each pair swapped.  Each
-    column of A, and each product Av, is read from the un-updated matrix and
-    corrected by the panel's earlier reflectors with one product each.
-    After the panel the trailing matrix takes all of them in one update
-    A -= vw^T wv, tile by tile over its lower triangle (diagonal tiles
-    whole); each finished block of rows is then mirrored to the upper
-    triangle.  The columns left, at most _UNBLOCKED + _PANEL, are reduced
-    one at a time as in dsytd2: one product Av and one rank-2 update of the
-    whole trailing matrix, B^T B' with B the rows v and 2w and B' the same
-    rows swapped, with no corrections to make.  So orders up to
-    _UNBLOCKED + _PANEL, every corona of the acceptance sweep among them,
-    run no panel.
+    recorded (_panel): each column of A, and each product Av, is read from
+    the un-updated matrix and corrected by the panel's earlier reflectors
+    with one product each.  After the panel the trailing matrix takes all
+    of them in one update (_update).  The columns left, at most
+    _UNBLOCKED + _PANEL, are reduced one at a time as in dsytd2: one
+    product Av and one rank-2 update of the whole trailing matrix, B^T B'
+    with B the rows v and 2w and B' the same rows swapped, with no
+    corrections to make.  So orders up to _UNBLOCKED + _PANEL, every corona
+    of the acceptance sweep among them, run no panel.
+
+    A sparse matrix that runs a panel takes a wider first one, of
+    _first_width(n) columns, on the caller's matrix itself: during it A is
+    still the input, so each product Av is one sum over the nonzero list
+    (np.bincount, in a fixed order and with no BLAS call) instead of a read
+    of the whole trailing square, which is what the dense route's panels
+    spend most of their time on.  Only the trailing block after it is
+    copied and updated; the later panels and the unblocked finish run as
+    on the dense route.
 
     Every BLAS call stays within _BLAS_CALL_BOUND multiply-adds and sums
     over at most _INNER_ENTRIES entries, so the result is the same whatever
     the BLAS thread count.
     """
-    a = np.array(mat, dtype=np.float64)
-    n = a.shape[0]
+    mat = np.asarray(mat, dtype=np.float64)
+    n = mat.shape[0]
     d = np.zeros(n)
     e = np.zeros(n - 1)
-    panels = range(0, n - _UNBLOCKED - _PANEL, _PANEL)
+    start = 0
+    if nonzeros is not None and n > _UNBLOCKED + _PANEL:
+        start = _first_width(n)
+        rows, cols = np.divmod(nonzeros, n)
+        values = mat.ravel()[nonzeros]
+
+        def times(j, v):
+            padded = np.zeros(n)
+            padded[j + 1 :] = v
+            return np.bincount(rows, weights=values * padded[cols], minlength=n)[j + 1 :]
+
+        vw, wv = _panel(mat, 0, start, d, e, times)
+        a = mat[start:, start:].copy()
+        # a tile's product is tile * tile * 2 start multiply-adds
+        _update(a, vw[:, start:], wv[:, start:], min(_TILE, math.isqrt(_BLAS_CALL_BOUND // (2 * start))))
+    else:
+        a = np.array(mat)
+    # a is the trailing matrix from row start on, and d and e its part
+    d_rest, e_rest = d[start:], e[start:]
+    panels = range(0, n - start - _UNBLOCKED - _PANEL, _PANEL)
     for p in panels:
         q = p + _PANEL
-        # column c of vw and wv is matrix row p + c
-        vw = np.zeros((2 * _PANEL, n - p))
-        wv = np.zeros((2 * _PANEL, n - p))
-        for i, j in enumerate(range(p, q)):
-            k = 2 * i
-            # row j of the symmetric A is its column j; at k = 0 every
-            # correction sums over no reflectors and is an exact 0.0
-            d[j] = a[j, j] - float(vw[:k, i] @ wv[:k, i])
-            x = a[j, j + 1 :] - _product(vw[:k, i + 1 :].T, wv[:k, i])
-            norm_x, x0 = math.sqrt(_dot(x, x)), float(x[0])
-            # v = x - alpha e_1 with alpha = -sign(x_0) ||x||, so
-            # ||v||^2 = 2 ||x|| (||x|| + |x_0|)
-            vnorm = math.sqrt(2.0 * norm_x * (norm_x + abs(x0)))
-            if vnorm == 0.0:
-                continue
-            alpha = -math.copysign(norm_x, x0) if x0 != 0.0 else -norm_x
-            e[j] = alpha
-            v = x
-            v[0] -= alpha
-            v /= vnorm
-            u = _product(a[j + 1 :, j + 1 :], v)
-            u -= _product(vw[:k, i + 1 :].T, _product(wv[:k, i + 1 :], v))
-            u -= _dot(v, u) * v
-            u *= 2.0
-            vw[k, i + 1 :] = wv[k + 1, i + 1 :] = v
-            vw[k + 1, i + 1 :] = wv[k, i + 1 :] = u
-        left, right = vw[:, _PANEL:].T, wv[:, _PANEL:]
-        trailing = a[q:, q:]
-        for r in range(0, n - q, _TILE):
-            rows = slice(r, r + _TILE)
-            for c in range(0, r + 1, _TILE):
-                trailing[rows, c : c + _TILE] -= left[rows] @ right[:, c : c + _TILE]
-            trailing[:r, rows] = trailing[rows, :r].T
+        vw, wv = _panel(a, p, _PANEL, d_rest, e_rest, lambda j, v: _product(a[j + 1 :, j + 1 :], v))
+        _update(a[q:, q:], vw[:, _PANEL:], wv[:, _PANEL:], _TILE)
     # The columns left, on a contiguous copy t of the trailing matrix: each
     # rank-2 update is a product of whole rows of vw, v and 2w from column
     # i + 1 on, subtracted from whole rows of t (numpy subtracts a contiguous
     # block several times faster than a strided square).  What it leaves
     # left of column i + 1, from the earlier reflectors, is never read.
-    start = len(panels) * _PANEL
-    t = a[start:, start:].copy()
-    m = n - start
+    p = len(panels) * _PANEL
+    t = a[p:, p:].copy()
+    d_rest, e_rest = d_rest[p:], e_rest[p:]
+    m = len(t)
     vw = np.zeros((2, m))
     v_row, w_row = vw
     for i in range(m - 2):
-        j = start + i
-        d[j] = t[i, i]
+        d_rest[i] = t[i, i]
         x = t[i, i + 1 :]
         norm_x, x0 = math.sqrt(x.dot(x)), float(x[0])
         vnorm = math.sqrt(2.0 * norm_x * (norm_x + abs(x0)))
         if vnorm == 0.0:
             continue
         alpha = -math.copysign(norm_x, x0) if x0 != 0.0 else -norm_x
-        e[j] = alpha
+        e_rest[i] = alpha
         v, w = v_row[i + 1 :], w_row[i + 1 :]
         np.divide(x, vnorm, out=v)
         v[0] = (x0 - alpha) / vnorm
@@ -617,8 +697,9 @@ def _divide_and_conquer(d: np.ndarray, e: np.ndarray):
 def numeric_spectrum(mat: np.ndarray) -> Spectrum:
     """All eigenvalues of a symmetric matrix, sorted non-decreasing.
 
-    Symmetry is checked to 1e-12 entrywise; a 0x0 input yields the empty
-    spectrum.  A matrix whose largest entry lies outside [2^-256, 2^256] is
+    Symmetry is checked to 1e-12 entrywise, over the nonzero list for a
+    sparse matrix (an unequal pair has a nonzero side); a 0x0 input yields
+    the empty spectrum.  A matrix whose largest entry lies outside [2^-256, 2^256] is
     first scaled by a power of two to bring it into [0.5, 1), so that no
     squared norm of the reduction or squared coupling of QL overflows or
     underflows, and its eigenvalues are scaled back.  The tridiagonal stage
@@ -631,26 +712,39 @@ def numeric_spectrum(mat: np.ndarray) -> Spectrum:
     n = mat.shape[0]
     if n == 0:
         return Spectrum(())
-    # min and max propagate NaN, so they find any non-finite entry with no
-    # n x n temporary
-    low, high = float(mat.min()), float(mat.max())
-    if not (math.isfinite(low) and math.isfinite(high)):
+    nonzeros = _sparse_nonzeros(mat)
+    if nonzeros is None:
+        # min and max propagate NaN, so they find any non-finite entry with
+        # no n x n temporary
+        low, high = float(mat.min()), float(mat.max())
+        finite = math.isfinite(low) and math.isfinite(high)
+        top = max(-low, high)
+    else:
+        # NaN is nonzero, and an unequal pair has a nonzero side, so the
+        # nonzero list finds both defects
+        entries = mat.ravel()[nonzeros]
+        finite = bool(np.isfinite(entries).all())
+        top = float(np.max(np.abs(entries), initial=0.0))
+    if not finite:
         raise ValueError("matrix contains non-finite entries")
-    # each block of rows against its mirror, lower triangle only: no n x n
-    # temporary
-    asym = max(float(np.max(np.abs(mat[r : r + _TILE, : r + _TILE] - mat[: r + _TILE, r : r + _TILE].T)))
-               for r in range(0, n, _TILE))
+    if nonzeros is None:
+        # each block of rows against its mirror, lower triangle only: no
+        # n x n temporary
+        asym = max(float(np.max(np.abs(mat[r : r + _TILE, : r + _TILE] - mat[: r + _TILE, r : r + _TILE].T)))
+                   for r in range(0, n, _TILE))
+    else:
+        rows, cols = np.divmod(nonzeros, n)
+        asym = float(np.max(np.abs(entries - mat.ravel()[cols * n + rows]), initial=0.0))
     if asym > _SYMMETRY_TOL:
         raise ValueError(f"matrix is not symmetric (max |M - M^T| = {asym:.3e})")
     if n == 1:
         return Spectrum(mat[0])
     # powers of two scale exactly; a zero matrix needs none
     scale = 0
-    top = max(-low, high)
     if top and not 2.0**-256 <= top <= 2.0**256:
         scale = -math.frexp(top)[1]
         mat = np.ldexp(mat, scale)
-    d, e = _householder_tridiagonal(mat)
+    d, e = _householder_tridiagonal(mat, nonzeros)
     if n <= _DC_CROSSOVER:
         values = _ql_values(d.tolist(), e.tolist())
     else:

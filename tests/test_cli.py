@@ -287,9 +287,9 @@ class TestSpectrum:
         reduce = rcorona.spectra._householder_tridiagonal
         orders = []
 
-        def recording(mat):
+        def recording(mat, *nonzeros):
             orders.append(len(mat))
-            return reduce(mat)
+            return reduce(mat, *nonzeros)
 
         monkeypatch.setattr("rcorona.spectra._householder_tridiagonal", recording)
         argv = ["spectrum", "--corona", "double", files["SH"], files["K3"], files["P2"], "--method", "both"]
@@ -470,18 +470,25 @@ class TestSpectrum:
     def test_blas_thread_count_invariant(self, tmp_path):
         # Petersen with {C4, C4} (N = 125, the largest corona of the
         # acceptance sweep) runs only the unblocked reduction; N = 264 runs
-        # blocked panels, then unblocked columns; at N = 1105 the panels'
-        # trailing matrix-vector products go in blocks of rows
-        petersen, c24, c65, k4, c5, c4 = _generate_files(
+        # blocked panels, then unblocked columns; the sparse coronas of
+        # N = 612 (dense_verify's) and 1105 start with the first panel over
+        # the nonzero list, and at N = 1105 the panels' trailing
+        # matrix-vector products go in blocks of rows; K300's Laplacian lies
+        # above the density gate and takes the dense route
+        petersen, c24, c36, c65, k4, c5, c4, k300 = _generate_files(
             tmp_path, ("petersen", "petersen"), ("C24", "cycle", "24"),
-            ("C65_1_2", "circulant", "65", "1", "2"), ("K4", "complete", "4"), ("C5", "cycle", "5"),
-            ("C4", "cycle", "4"))
-        for graphs, order in (((petersen, c4, c4), 125), ((c24, k4, c5), 264), ((c65, k4, c5), 1105)):
+            ("C36_2_5", "circulant", "36", "2", "5"), ("C65_1_2", "circulant", "65", "1", "2"),
+            ("K4", "complete", "4"), ("C5", "cycle", "5"), ("C4", "cycle", "4"), ("K300", "complete", "300"))
+        for graphs, order in (((petersen, c4, c4), 125), ((c24, k4, c5), 264), ((c36, k4, c5), 612),
+                              ((c65, k4, c5), 1105)):
             one, two = _stdout_under_1_and_2_threads(
                 ["spectrum", "--corona", "double", *graphs, "--method", "both"])
             assert b"verdict: MATCH\n" in one
             assert one.count(b"\n") == order + 3
             assert one == two, order
+        one, two = _stdout_under_1_and_2_threads(["spectrum", k300, "--method", "numeric"])
+        assert one.count(b"\n") == 300
+        assert one == two
 
     def test_closed_form_blas_thread_count_invariant(self, tmp_path):
         # the 500-vertex base's spectrum comes from its structure, not from

@@ -306,6 +306,31 @@ def test_plain_text_never_reaches_the_tokenizer(monkeypatch):
         parse_edge_list("10 0\r\n")
 
 
+def test_plain_file_never_reaches_the_tokenizer(tmp_path, monkeypatch):
+    # load_graph reads the bytes, with text mode's newlines
+    def forbidden(text):
+        raise AssertionError("a plain file went to the tokenizer")
+
+    g = generate("petersen")
+    monkeypatch.setattr("rcorona.graphs._tokenized_edge_list", forbidden)
+    path = tmp_path / "g.el"
+    for newline in ("\n", "\r\n", "\r"):
+        path.write_bytes(format_graph(g, "edgelist").replace("\n", newline).encode())
+        assert load_graph(str(path)) == g
+
+
+@pytest.mark.parametrize("data", [b"3 1\n0\xc3 1\n", b"3 1\r\n0 1\r\n" * 3000 + b"\xff"],
+                         ids=["near", "far-after-crlf"])
+def test_load_graph_decode_error_as_text_mode(tmp_path, data):
+    path = tmp_path / "g.el"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as text_mode:
+        path.read_text(encoding="utf-8")
+    with pytest.raises(UnicodeDecodeError) as loaded:
+        load_graph(str(path))
+    assert str(loaded.value) == str(text_mode.value)
+
+
 @settings(max_examples=300, deadline=None)
 @given(graph_json_texts())
 def test_parse_graph_json_matches_reference(text):

@@ -14,6 +14,7 @@ from rcorona import (
     adjacency_matrix,
     build_graph,
     compare_spectra,
+    double_corona,
     generate,
     nl_spectrum,
     normalized_laplacian,
@@ -27,25 +28,45 @@ from rcorona.spectra import (
     _DC_CROSSOVER,
     _INNER_ENTRIES,
     _PANEL,
+    _SPARSE_DENSITY,
     _TILE,
     _UNBLOCKED,
     _divide_and_conquer,
+    _first_width,
     _householder_tridiagonal,
     _ql_implicit,
     _ql_values,
     _secular_roots,
+    _sparse_nonzeros,
     _split_tolerance,
 )
 
 
-def assert_reduction_invariants(m):
+def assert_reduction_invariants(m, nonzeros=None):
     """The reduction is an orthogonal similarity: it keeps the trace and the
     Frobenius norm, to 1e-12 relative to ||m||_F."""
-    d, e = _householder_tridiagonal(m)
+    d, e = _householder_tridiagonal(m, nonzeros)
     fro = math.sqrt(float(np.sum(m * m)))
     assert abs(math.fsum(d) - np.trace(m)) <= 1e-12 * fro
     fro2 = math.fsum(d * d) + 2 * math.fsum(e * e)
     assert abs(fro2 - fro * fro) <= 1e-12 * fro * fro
+
+
+def corona_laplacian(base, *connections):
+    """The normalized Laplacian of circulant(base; connections) with {K4, C5},
+    under a fixed relabelling: a sparse input of order 17 base."""
+    g = generate("circulant", base, *connections)
+    lap = normalized_laplacian(double_corona(g, generate("complete", 4), generate("cycle", 5))[0])
+    order = np.random.default_rng(base).permutation(len(lap))
+    return lap[np.ix_(order, order)]
+
+
+def sparse_symmetric(n, fraction, seed):
+    """A random symmetric matrix of order n whose off-diagonal entries are
+    nonzero with probability about fraction, with a nonzero diagonal."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.standard_normal((n, n)) * (rng.random((n, n)) < fraction), 1)
+    return upper + upper.T + np.diag(rng.standard_normal(n))
 
 
 def tridiagonal(d, e):
@@ -316,6 +337,90 @@ class TestNumericSpectrum:
             squares.clear()
             _householder_tridiagonal((m + m.T) / 2)
             assert sum(squares) == panels * _PANEL, n
+
+    @pytest.mark.parametrize("base, connections", [(20, (1, 3)), (36, (2, 5)), (60, (1, 3))],
+                             ids=["N340", "N612", "N1020"])
+    def test_sparse_coronas_match_lapack(self, base, connections):
+        lap = corona_laplacian(base, *connections)
+        nonzeros = _sparse_nonzeros(lap)
+        assert nonzeros is not None
+        got = numeric_spectrum(lap).values
+        assert np.max(np.abs(got - np.linalg.eigvalsh(lap))) <= 1e-14
+        assert_reduction_invariants(lap, nonzeros)
+
+    @pytest.mark.parametrize("fraction, sparse", [(_SPARSE_DENSITY / 2, True), (2 * _SPARSE_DENSITY, False)],
+                             ids=["below-the-gate", "above-the-gate"])
+    def test_either_side_of_the_density_gate(self, monkeypatch, fraction, sparse):
+        # only the sparse route sums over the nonzero list
+        m = sparse_symmetric(300, fraction, 3)
+        sums = []
+        bincount = np.bincount
+        monkeypatch.setattr(np, "bincount", lambda *args, **kwargs: sums.append(1) or bincount(*args, **kwargs))
+        got = numeric_spectrum(m).values
+        assert bool(sums) == sparse
+        ref = np.linalg.eigvalsh(m)
+        assert np.max(np.abs(got - ref)) <= 2e-14 * np.max(np.abs(ref))
+
+    def test_sparse_first_panel_skips_a_reduced_column(self):
+        # a direct sum whose first block is a path's Laplacian: column 2 of
+        # the first panel has nothing left to annihilate, and the columns
+        # after it must still be reduced right
+        path = normalized_laplacian(generate("path", 3))
+        corona = corona_laplacian(20, 1, 3)
+        m = np.zeros((len(path) + len(corona),) * 2)
+        m[:3, :3], m[3:, 3:] = path, corona
+        nonzeros = _sparse_nonzeros(m)
+        assert nonzeros is not None and _first_width(len(m)) > 3
+        assert _householder_tridiagonal(m, nonzeros)[1][2] == 0.0
+        assert np.max(np.abs(numeric_spectrum(m).values - np.linalg.eigvalsh(m))) <= 1e-14
+        assert_reduction_invariants(m, nonzeros)
+
+    def test_sparse_first_panel_reads_no_square(self, monkeypatch):
+        # the first panel makes one sum over the nonzero list per column and
+        # no product by the trailing square; every later panel column makes
+        # one such product, as on the dense route
+        lap = corona_laplacian(36, 2, 5)
+        events = []
+        monkeypatch.setattr("rcorona.spectra._product",
+                            lambda x, y: events.append("square" if x.shape[0] == x.shape[1] else "") or x @ y)
+        bincount = np.bincount
+        monkeypatch.setattr(np, "bincount", lambda *args, **kwargs: events.append("sum") or bincount(*args, **kwargs))
+        n, width = len(lap), _first_width(len(lap))
+        assert width == 3 * _PANEL
+        _householder_tridiagonal(lap, _sparse_nonzeros(lap))
+        events = [x for x in events if x]
+        assert events[:width] == ["sum"] * width
+        later = len(range(0, n - width - _UNBLOCKED - _PANEL, _PANEL))
+        assert events[width:] == ["square"] * later * _PANEL
+
+    def test_sparse_input_checks(self):
+        # the nonzero list finds a non-finite entry, and an unequal pair
+        # whether one side or both are nonzero, with the dense checks' text
+        m = np.eye(3 * _TILE)
+        assert _sparse_nonzeros(m) is not None
+        for entry in (np.nan, np.inf, -np.inf):
+            bad = m.copy()
+            bad[7, 2 * _TILE] = bad[2 * _TILE, 7] = entry
+            with pytest.raises(ValueError, match="finite"):
+                numeric_spectrum(bad)
+        bad = m.copy()
+        bad[2 * _TILE + 5, 3] = 2e-9
+        with pytest.raises(ValueError, match=r"max \|M - M\^T\| = 2\.000e-09"):
+            numeric_spectrum(bad)
+        bad[3, 2 * _TILE + 5] = 0.5
+        bad[2 * _TILE + 5, 3] = 0.5 + 2**-20
+        with pytest.raises(ValueError, match=r"max \|M - M\^T\| = 9\.537e-07"):
+            numeric_spectrum(bad)
+        bad[2 * _TILE + 5, 3] = 0.5 + 2**-50
+        numeric_spectrum(bad)
+
+    @pytest.mark.parametrize("scale", [2.0**600, 2.0**-600])
+    def test_sparse_extreme_scales(self, scale):
+        m = sparse_symmetric(_UNBLOCKED + 2 * _PANEL, _SPARSE_DENSITY / 4, 9)
+        assert _sparse_nonzeros(m) is not None
+        got = numeric_spectrum(m * scale).values
+        ref = np.linalg.eigvalsh(m) * scale
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_unblocked_loop_within_the_blas_bounds(self):
         # its matrix has at most _UNBLOCKED + _PANEL rows: its product by v
