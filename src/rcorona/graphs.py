@@ -256,10 +256,11 @@ def _raise_beyond_int64(n: int, pairs: list) -> None:
 # by 2.39, 2.10 and 2.04, and the oracle on the adjacency matrix
 # (adjacency_cospectral) by 2.73, 2.56 and 2.45.  A whole `spectrum --method
 # numeric` process grew by 2.46 at N = 1105 and, with the file's n(n - 1)/2
-# edges read as well, by 3.38 on K_1000.  Divide and conquer's merges hold
-# k x k arrays for the k eigenvalues that do not deflate: a corona's
-# repeated eigenvalues deflate, but a Laplacian with few repeated ones
-# costs more than this constant (8.5 on a random graph of order 1105).
+# edges read as well, by 3.38 on K_1000.  Divide and conquer's merges take
+# the k eigenvalues that do not deflate in blocks of roots, k x 64 to
+# k x 127 arrays, so a Laplacian with few repeated ones stays within the
+# reduction's peak: 2.46 on a random connected graph of order 1105 with
+# 3315 edges (8.5 while the merges held k x k arrays).
 _DENSE_PEAK_MATRICES = 4.1
 # this process's cgroup v2 memory limit as a container sees it ("max": none)
 _CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"

@@ -5,18 +5,24 @@ The eigensolver is the package's independent numeric oracle: a Householder
 reduction to tridiagonal form (Golub & Van Loan, *Matrix Computations*,
 §8.3), blocked in panels while the trailing matrix is large and unblocked
 for its last columns, as LAPACK's dsytrd hands them to dsytd2, then divide
-and conquer over QL leaves on the tridiagonal.  A sparse input (at most
-_SPARSE_DENSITY n^2 nonzeros) starts with a wider panel whose products take
-the input's nonzero list in place of the trailing square, which is still
-the input while that panel runs; its finiteness and symmetry checks run
-over the same list.  Orders up to _DC_CROSSOVER
-go to root-free QL directly (LAPACK's dsterf), which finds eigenvalues
-only; larger ones are torn in half recursively (Cuppen 1981) down to
-implicit-shift QL leaves, which also carry the eigenvector matrix's first
-and last rows, and each merge deflates and solves a secular equation for
-the rest (Gu & Eisenstat 1995; LAPACK's dstedc).  The multiple eigenvalues
-of a corona deflate, so they cost no secular solve.  Both QL loops split
-the tridiagonal where a coupling is at most eps ||T||.
+and conquer over QL leaves on the tridiagonal.  A panel keeps its
+reflectors' v and 2w rows in one array, and each correction pairs the rows
+by a gather of their entries.  A sparse input (at most _SPARSE_DENSITY n^2
+nonzeros) starts with a wider panel whose products take the input's
+nonzero list in place of the trailing square, which is still the input
+while that panel runs; its finiteness and symmetry checks run over the
+same list.  Orders up to _DC_CROSSOVER go to root-free QL directly
+(LAPACK's dsterf), which finds eigenvalues only; larger ones are torn in
+half recursively (Cuppen 1981) down to implicit-shift QL leaves, which
+also carry the eigenvector matrix's first and last rows, and each merge
+deflates and solves a secular equation for the rest (Gu & Eisenstat 1995;
+LAPACK's dstedc).  The multiple eigenvalues of a corona deflate, so they
+cost no secular solve, and most of a corona's merges keep a handful of
+poles: a set of at most _SECULAR_SMALL is solved in Python floats, without
+numpy's fixed cost per call; a larger one on numpy arrays, one block of
+roots at a time, so that a merge holds k x block arrays instead of k x k.
+Both take every sum in the same order and give the same bits.  Both QL
+loops split the tridiagonal where a coupling is at most eps ||T||.
 It uses numpy's matrix products but never ``numpy.linalg``, and fails
 loudly on non-convergence.  It is deterministic for fixed input on a given
 numpy/BLAS build, whatever the BLAS thread count: the panels' trailing
@@ -25,12 +31,11 @@ dot products go in blocks, the unblocked loop's matrix has at most
 _UNBLOCKED + _PANEL rows, and so every BLAS call stays within OpenBLAS's
 threading thresholds (_BLAS_CALL_BOUND multiply-adds, a sum over
 _INNER_ENTRIES entries); the sums over the nonzero list and the merges
-make no BLAS call.  The normalized
-Laplacian is written straight from the edge list.  The oracle serves the numeric route (the corona's
-spectrum in ``spectrum --method numeric|both``), the cospectral
-certificates and the spectral invariants; the closed form solves its
-input spectra with LAPACK instead, so a cross-check never runs both sides
-through this solver.
+make no BLAS call.  The normalized Laplacian is written straight from the
+edge list.  The oracle serves the numeric route (the corona's spectrum in
+``spectrum --method numeric|both``), the cospectral certificates and the
+spectral invariants; the closed form solves its input spectra with LAPACK
+instead, so a cross-check never runs both sides through this solver.
 """
 
 from dataclasses import dataclass
@@ -62,6 +67,27 @@ _SYMMETRY_TOL = 1e-12
 _QL_MAX_ITER = 100
 # per secular root, as LAPACK's dlaed4 (MAXIT)
 _SECULAR_MAX_ITER = 30
+# A merge's secular set of at most _SECULAR_SMALL poles is solved in Python
+# floats, a larger one on numpy arrays (see _secular_roots).  Per set (best
+# of 5 runs, one BLAS thread), on 108 sets recorded from coronas of orders
+# 204 to 1020, the certificate coronas and two random inputs, floats took
+# 8/21/44/143/286/417/684 us at k = 2/3/5/13/20/26/37 against
+# 77/228/238/304/591/473/1013 us on arrays, and 1106 against 645 us at
+# k = 40; on random sets (medians of 30) floats were faster at every k from
+# 2 to 24 (524 against 842 us at 24) and even at 32 (887 against 927 us).
+# Divide and conquer on three N = 612 coronas took 21.2 ms with every set on
+# arrays and 18.2 to 19.7 ms at every threshold from 5 to 32; their sets
+# have 2 to 5 poles or more than 46.
+_SECULAR_SMALL = 24
+# A larger set's roots go in blocks of _SECULAR_BLOCK to 2 _SECULAR_BLOCK - 1
+# (see _blocks), so that its arrays are k x block, not k x k.  On random
+# symmetric matrices, whose merges deflate almost nothing, the peak traced
+# memory of divide and conquer was 1.09, 0.54 and 0.29 N x N matrices at
+# N = 612, 1105 and 2040 (2.12, 1.13 and 0.58 with blocks of 128; 8.26,
+# 7.71 and 7.38 with none), and its time 89, 229 and 651 ms (80, 224 and
+# 640 with 128; 32 was 4 to 44% slower).  Every set of a corona of order
+# 612 (at most 77 poles) takes one block.
+_SECULAR_BLOCK = 64
 # Orders above _DC_CROSSOVER take divide and conquer.  Against root-free QL
 # (medians of 7 to 9 runs of the tridiagonal stage alone), it was slower at
 # every order up to 256 on random, circulant and relabelled circulant
@@ -69,8 +95,16 @@ _SECULAR_MAX_ITER = 30
 # (at 208, the {null, K3} certificate corona: 3.6 ms for QL, 4.9 ms for
 # divide and conquer); from 264 on, divide and conquer won some coronas,
 # and the {K3, C4} certificate corona at 304 (8.0 ms against 9.2 ms).
+# Re-measured once small secular sets ran in floats (medians of 9): the
+# certificate coronas at 208 tie (QL 3.55 and 3.10 ms, divide and conquer
+# 3.44 and 3.27), {K4, C5} coronas at 204 favour divide and conquer (4.78
+# against 5.23), but {K3, C4} at 168 and 224 and {P2, null} at 150 to 300
+# still favour QL (at 300, 7.55 against 11.07), so the crossover stays.
 # Leaves have at most _DC_LEAF rows (48 and 64 ran equally fast; 32 was
-# slower).
+# slower).  Re-measured on the same coronas above 256: 24 and 32 were
+# slower on every family (at 340, 11.1 ms against 9.4), and 64 won the
+# certificate and {K3, C4} coronas by up to 6% but lost {P2, null} at 300
+# and one of three N = 612 coronas, so the leaf stays.
 _DC_CROSSOVER = 256
 _DC_LEAF = 48
 # Columns per panel of the blocked Householder reduction (16 and 64 run
@@ -218,22 +252,24 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
 
 def _panel(a: np.ndarray, p: int, width: int, d: np.ndarray, e: np.ndarray, times):
     """Reduce columns p to p + width - 1 of the symmetric a as one panel,
-    writing their diagonal and coupling into d and e; returns (vw, wv).
+    writing their diagonal and coupling into d and e; returns vw.
 
     Row j of a is read un-updated and corrected by the panel's earlier
     reflectors; so is each product times(j, v) of the trailing square
     a[j + 1:, j + 1:] by v.  Rows 2k and 2k + 1 of vw hold v and 2w of the
-    panel's k-th reflector, and wv holds the same rows with each pair
-    swapped; column c of both is row p + c of a.
+    panel's k-th reflector, and column c is row p + c of a.  A correction
+    pairs each row with its partner (v with 2w), so it takes the k entries
+    of a column, or of a product by vw's rows, in the swapped order.
     """
     vw = np.zeros((2 * width, a.shape[0] - p))
-    wv = np.zeros((2 * width, a.shape[0] - p))
+    swap = np.arange(2 * width) ^ 1
     for i, j in enumerate(range(p, p + width)):
         k = 2 * i
-        # row j of the symmetric A is its column j; at k = 0 every
-        # correction sums over no reflectors and is an exact 0.0
-        d[j] = a[j, j] - float(vw[:k, i] @ wv[:k, i])
-        x = a[j, j + 1 :] - _product(vw[:k, i + 1 :].T, wv[:k, i])
+        # row j of the symmetric A is its column j, from the diagonal on,
+        # corrected in one product; at k = 0 every correction sums over no
+        # reflectors and is an exact 0.0
+        row = a[j, j:] - _product(vw[:k, i:].T, vw[:k, i][swap[:k]])
+        d[j], x = row[0], row[1:]
         norm_x, x0 = math.sqrt(_dot(x, x)), float(x[0])
         # v = x - alpha e_1 with alpha = -sign(x_0) ||x||, so
         # ||v||^2 = 2 ||x|| (||x|| + |x_0|)
@@ -242,23 +278,23 @@ def _panel(a: np.ndarray, p: int, width: int, d: np.ndarray, e: np.ndarray, time
             continue
         alpha = -math.copysign(norm_x, x0) if x0 != 0.0 else -norm_x
         e[j] = alpha
-        v = x
-        v[0] -= alpha
-        v /= vnorm
+        v = vw[k, i + 1 :]
+        np.divide(x, vnorm, out=v)
+        v[0] = (x0 - alpha) / vnorm
         u = times(j, v)
-        u -= _product(vw[:k, i + 1 :].T, _product(wv[:k, i + 1 :], v))
+        u -= _product(vw[:k, i + 1 :].T, _product(vw[:k, i + 1 :], v)[swap[:k]])
         u -= _dot(v, u) * v
-        u *= 2.0
-        vw[k, i + 1 :] = wv[k + 1, i + 1 :] = v
-        vw[k + 1, i + 1 :] = wv[k, i + 1 :] = u
-    return vw, wv
+        np.multiply(u, 2.0, out=vw[k + 1, i + 1 :])
+    return vw
 
 
-def _update(t: np.ndarray, vw: np.ndarray, wv: np.ndarray, tile: int) -> None:
-    """t -= vw^T wv for a square t, tile by tile over its lower triangle
+def _update(t: np.ndarray, vw: np.ndarray, tile: int) -> None:
+    """t -= vw^T vw' for a square t, where vw' is vw with each pair of rows
+    swapped (one gather per panel), tile by tile over its lower triangle
     (diagonal tiles whole); each finished block of rows is then mirrored to
     the upper triangle."""
     left = vw.T
+    wv = vw[np.arange(len(vw)) ^ 1]
     for r in range(0, len(t), tile):
         rows = slice(r, r + tile)
         for c in range(0, r + 1, tile):
@@ -341,10 +377,10 @@ def _householder_tridiagonal(mat: np.ndarray, nonzeros: np.ndarray | None = None
             padded[j + 1 :] = v
             return np.bincount(rows, weights=values * padded[cols], minlength=n)[j + 1 :]
 
-        vw, wv = _panel(mat, 0, start, d, e, times)
+        vw = _panel(mat, 0, start, d, e, times)
         a = mat[start:, start:].copy()
         # a tile's product is tile * tile * 2 start multiply-adds
-        _update(a, vw[:, start:], wv[:, start:], min(_TILE, math.isqrt(_BLAS_CALL_BOUND // (2 * start))))
+        _update(a, vw[:, start:], min(_TILE, math.isqrt(_BLAS_CALL_BOUND // (2 * start))))
     else:
         a = np.array(mat)
     # a is the trailing matrix from row start on, and d and e its part
@@ -352,8 +388,8 @@ def _householder_tridiagonal(mat: np.ndarray, nonzeros: np.ndarray | None = None
     panels = range(0, n - start - _UNBLOCKED - _PANEL, _PANEL)
     for p in panels:
         q = p + _PANEL
-        vw, wv = _panel(a, p, _PANEL, d_rest, e_rest, lambda j, v: _product(a[j + 1 :, j + 1 :], v))
-        _update(a[q:, q:], vw[:, _PANEL:], wv[:, _PANEL:], _TILE)
+        vw = _panel(a, p, _PANEL, d_rest, e_rest, lambda j, v: _product(a[j + 1 :, j + 1 :], v))
+        _update(a[q:, q:], vw[:, _PANEL:], _TILE)
     # The columns left, on a contiguous copy t of the trailing matrix: each
     # rank-2 update is a product of whole rows of vw, v and 2w from column
     # i + 1 on, subtracted from whole rows of t (numpy subtracts a contiguous
@@ -524,65 +560,124 @@ def _inside_root(a, b, c, t, lo, hi, fallback):
     return fallback
 
 
+def _inside_root_float(a, b, c, t, lo, hi, fallback):
+    """_inside_root for one root, in Python floats.  A zero divisor gives an
+    infinite or NaN candidate there, which no finite bracket holds."""
+    disc = b * b - 4.0 * a * c
+    if not disc >= 0.0:
+        return fallback
+    q = 0.5 * (b + math.copysign(math.sqrt(disc), b))
+    for num, den in ((q, a), (c, q)):
+        if den != 0.0:
+            x = num / den
+            y = t + x
+            if lo <= y <= hi and y != 0.0:
+                fallback = x
+    return fallback
+
+
 def _secular_roots(d: np.ndarray, z: np.ndarray, rho: float, order: int):
     """Roots of 1/rho + sum_i z_i^2 / (d_i - x) for strictly increasing
-    poles d, nonzero z and rho > 0; returns (roots, delta) with
-    delta[i, j] = d_i - root_j.
+    poles d, nonzero z and rho > 0; returns (origin, tau), root j being
+    d[origin[j]] + tau[j].
 
     Root j lies between d_j and d_(j+1) (the last one between d_k and
     d_k + rho |z|^2).  It is found as an offset tau from the nearer pole,
     so a root close to a pole keeps its relative accuracy (LAPACK's
-    dlaed4).  The first guess keeps the interval's two poles exact and the
-    rest as a constant, evaluated at the interval's midpoint.  Each step
-    then solves the middle-way model of R.-C. Li (LAWN 89), which matches
-    the value and slope of the poles below and above the root separately,
-    or, where f falls slowly, a model that keeps the origin's pole exact;
-    a model root outside the bracket falls back to bisection.  All roots
-    iterate together, in k x k arrays.
+    dlaed4), and d_i - root_j is taken as (d_i - d_origin) - tau.  The first
+    guess keeps the interval's two poles exact and the rest as a constant,
+    evaluated at the interval's midpoint.  Each step then solves the
+    middle-way model of R.-C. Li (LAWN 89), which matches the value and
+    slope of the poles below and above the root separately, or, where f
+    falls slowly, a model that keeps the origin's pole exact; a model root
+    outside the bracket falls back to bisection.
+
+    Each root iterates on its own, and each sum over the poles runs from
+    0.0 and from the first pole to the last, so a root's bits do not depend
+    on which roots share its arrays.  A set of at most _SECULAR_SMALL
+    poles, the usual case once a corona's multiple eigenvalues deflate,
+    runs the iteration in Python floats (_secular_floats), where numpy's
+    fixed cost per call would outweigh arrays of a few entries; a larger
+    set runs it on numpy arrays (_secular_columns), one block of roots
+    (_blocks) at a time, so that it holds k x block arrays, not k x k.
+    Both give the same bits.
     """
     k = d.size
     z2 = z * z
+    width = np.append(d[1:] - d[:-1], rho * float(z2.sum()))
     if k == 1:
-        return d + rho * z2, -rho * z2[:, None]
-    j = np.arange(k)
+        return np.zeros(1, dtype=np.int64), width
+    if k <= _SECULAR_SMALL:
+        origin, tau = _secular_floats(d.tolist(), z2.tolist(), width.tolist(), rho, order)
+        return np.array(origin), np.array(tau)
+    parts = [_secular_columns(d, z2, width, rho, order, np.arange(b.start, b.stop)) for b in _blocks(k)]
+    return tuple(map(np.concatenate, zip(*parts)))
+
+
+def _blocks(k: int) -> list[slice]:
+    """The roots 0..k-1 in max(1, k // _SECULAR_BLOCK) blocks of
+    consecutive roots, of _SECULAR_BLOCK to 2 _SECULAR_BLOCK - 1 each, or
+    all k in one: so for k >= 2 (and _SECULAR_BLOCK >= 2) every block has
+    at least two roots, whose columns numpy sums in order (see
+    _secular_columns)."""
+    count = max(1, k // _SECULAR_BLOCK)
+    return [slice(k * b // count, k * (b + 1) // count) for b in range(count)]
+
+
+def _secular_converge_error(order: int) -> ConvergenceError:
+    return ConvergenceError(
+        f"secular equation of a divide-and-conquer merge of order {order} "
+        f"failed to converge after {_SECULAR_MAX_ITER} iterations"
+    )
+
+
+def _secular_columns(d, z2, width, rho, order, j):
+    """_secular_roots's iteration for the roots j (at least two consecutive
+    indices) of a set of k >= 2 poles, all of them together in k x len(j)
+    arrays.  numpy sums each column of a C-ordered k x m array, m >= 2,
+    first to last from 0.0, one row after another."""
+    k = d.size
     # the root's model poles, lower and lower + 1 (for the last root the
     # two largest poles, as in dlaed4)
     lower = np.minimum(j, k - 2)
     upper = lower + 1
-    below = (j[:, None] <= lower).astype(np.float64)
-    above = 1.0 - below
-    width = np.append(d[1:] - d[:-1], rho * float(z2.sum()))
-    half = 0.5 * width
-    gaps = d[:, None] - d[None, :]
-    terms = z2[:, None] / (gaps - half)
+    rows = np.arange(k)[:, None]
+    columns = np.arange(j.size)
+    half = 0.5 * width[j]
+    terms = z2[:, None] / ((d[:, None] - d[j]) - half)
     f_mid = 1.0 / rho + terms.sum(axis=0)
     left_half = f_mid >= 0.0
     from_lower = left_half | (j == k - 1)
     origin = np.where(from_lower, j, j + 1)
-    base = np.where(from_lower, 0.0, width)
-    shift = gaps[:, origin]
+    base = np.where(from_lower, 0.0, width[j])
+    shift = d[:, None] - d[origin]
     lo = np.where(left_half, 0.0, half) - base
-    hi = np.where(left_half, half, width) - base
+    hi = np.where(left_half, half, width[j]) - base
     # first guess: c + z_p^2 / (dp - tau) + z_q^2 / (dq - tau) = 0
-    const = f_mid - terms[lower, j] - terms[upper, j]
+    const = f_mid - terms[lower, columns] - terms[upper, columns]
     zp, zq = z2[lower], z2[upper]
-    dp, dq = shift[lower, j], shift[upper, j]
+    dp, dq = shift[lower, columns], shift[upper, columns]
     tau = _inside_root(const, const * (dp + dq) + zp + zq, const * dp * dq + zp * dq + zq * dp,
                        0.0, lo, hi, 0.5 * (lo + hi))
     # per root: the last value of f, and whether the model keeps the
     # origin's pole exact instead (dlaed4 switches so when f falls slowly)
-    last_f = np.zeros(k)
-    fixed = np.zeros(k, dtype=bool)
-    active = j
+    last_f = np.zeros(j.size)
+    fixed = np.zeros(j.size, dtype=bool)
+    active = columns
     for _ in range(_SECULAR_MAX_ITER):
         t = tau[active]
         delta = shift[:, active] - t
         terms = z2[:, None] / delta
         slopes = terms / delta
-        psi = np.einsum("ij,ij->j", terms, below[:, active])
-        phi = np.einsum("ij,ij->j", terms, above[:, active])
-        dpsi = np.einsum("ij,ij->j", slopes, below[:, active])
-        dphi = np.einsum("ij,ij->j", slopes, above[:, active])
+        below = (rows <= lower[active]).astype(np.float64)
+        above = 1.0 - below
+        sums = (terms, below), (terms, above), (slopes, below), (slopes, above)
+        if active.size == 1:
+            # numpy sums a lone column as one contiguous run, in its own
+            # vectorized order; as the first of two equal columns it is
+            # summed first to last
+            sums = [(np.repeat(x, 2, axis=1), np.repeat(y, 2, axis=1)) for x, y in sums]
+        psi, phi, dpsi, dphi = (np.einsum("ij,ij->j", x, y)[: active.size] for x, y in sums)
         f = 1.0 / rho + psi + phi
         # the rounding error of f, as bounded in dlaed4
         moving = np.abs(f) > _EPS * (8.0 * (np.abs(psi) + np.abs(phi)) + 2.0 / rho
@@ -597,8 +692,8 @@ def _secular_roots(d: np.ndarray, z: np.ndarray, rho: float, order: int):
         prev = last_f[active]
         fixed[active] ^= (f * prev > 0.0) & (np.abs(f) > 0.1 * np.abs(prev))
         last_f[active] = f
-        columns = np.arange(active.size)
-        dl, du = delta[lower[active], columns], delta[upper[active], columns]
+        at = np.arange(active.size)
+        dl, du = delta[lower[active], at], delta[upper[active], at]
         # the model c + s / (dl - eta) + S / (du - eta) = 0, with weights
         # s = dl^2 dpsi, S = du^2 dphi (middle way) or, fixed, the origin
         # pole's own z^2 and the rest of the slope on the other pole
@@ -612,43 +707,116 @@ def _secular_roots(d: np.ndarray, z: np.ndarray, rho: float, order: int):
         tau[active] = t + _inside_root(c, (dl + du) * f - dl * du * (dpsi + dphi), dl * du * f,
                                        t, l, h, 0.5 * (l + h) - t)
     if active.size:
-        raise ConvergenceError(
-            f"secular equation of a divide-and-conquer merge of order {order} "
-            f"failed to converge after {_SECULAR_MAX_ITER} iterations"
-        )
-    return d[origin] + tau, shift - tau
+        raise _secular_converge_error(order)
+    return origin, tau
+
+
+def _secular_floats(d, z2, width, rho, order):
+    """_secular_roots's iteration for all k >= 2 roots, in Python floats:
+    lists d, z2 (the weights z^2) and width (each root's interval); returns
+    the lists (origin, tau).  Every operation is _secular_columns's, one
+    root at a time and in the same order, each sum from 0.0 and from the
+    first pole to the last."""
+    k = len(d)
+    inv_rho, two_rho = 1.0 / rho, 2.0 / rho
+    origin, tau = [], []
+    for j in range(k):
+        half = 0.5 * width[j]
+        dj = d[j]
+        terms = [w / ((di - dj) - half) for di, w in zip(d, z2)]
+        f_mid = 0.0
+        for y in terms:
+            f_mid += y
+        f_mid = inv_rho + f_mid
+        left_half = f_mid >= 0.0
+        from_lower = left_half or j == k - 1
+        o = j if from_lower else j + 1
+        base = 0.0 if from_lower else width[j]
+        do = d[o]
+        column = [di - do for di in d]
+        lo = (0.0 if left_half else half) - base
+        hi = (half if left_half else width[j]) - base
+        p = min(j, k - 2)
+        const = f_mid - terms[p] - terms[p + 1]
+        zp, zq, dp, dq = z2[p], z2[p + 1], column[p], column[p + 1]
+        t = _inside_root_float(const, const * (dp + dq) + zp + zq, const * dp * dq + zp * dq + zq * dp,
+                               0.0, lo, hi, 0.5 * (lo + hi))
+        below = list(zip(column[: p + 1], z2[: p + 1]))
+        above = list(zip(column[p + 1 :], z2[p + 1 :]))
+        last_f, fixed = 0.0, False
+        for _ in range(_SECULAR_MAX_ITER):
+            psi = dpsi = 0.0
+            for s, w in below:
+                x = s - t
+                y = w / x
+                psi += y
+                dpsi += y / x
+            phi = dphi = 0.0
+            for s, w in above:
+                x = s - t
+                y = w / x
+                phi += y
+                dphi += y / x
+            f = inv_rho + psi + phi
+            if not abs(f) > _EPS * (8.0 * (abs(psi) + abs(phi)) + two_rho + abs(t) * (dpsi + dphi)):
+                break
+            if f < 0.0:
+                lo = t
+            if f > 0.0:
+                hi = t
+            if f * last_f > 0.0 and abs(f) > 0.1 * abs(last_f):
+                fixed = not fixed
+            last_f = f
+            dl, du = column[p] - t, column[p + 1] - t
+            if fixed:
+                do, dx = (dl, du) if o == p else (du, dl)
+                c = f - dx * (dpsi + dphi) - z2[o] * (do - dx) / (do * do)
+            else:
+                c = f - dl * dpsi - du * dphi
+            t = t + _inside_root_float(c, (dl + du) * f - dl * du * (dpsi + dphi), dl * du * f,
+                                       t, lo, hi, 0.5 * (lo + hi) - t)
+        else:
+            raise _secular_converge_error(order)
+        origin.append(o)
+        tau.append(t)
+    return origin, tau
 
 
 def _cuppen_merge(left, right, beta: float):
     """Merge the eigensystems of the two halves of a torn tridiagonal.
 
-    left and right are (values, first row, last row) of the halves'
-    eigenvector matrices, after the tear took |beta| off the last diagonal
-    entry of the first half and the first of the second; the whole is
-    Q (D + rho z z^T) Q^T with rho = 2|beta| and z the unit vector of half
-    one's last row and sign(beta) times half two's first row.  Entries
-    with a negligible rho z_i, and one of each pair of near-equal poles
-    after a Givens rotation, deflate (LAPACK's dlaed2); the rest solve the
-    secular equation.  Returns the merged (values, first row, last row),
-    unsorted: the parent merge and Spectrum sort stably.  Its sums and
-    products are elementwise or einsum (no BLAS call), so they do not
-    depend on the BLAS thread count.
+    left and right are the halves' eigensystems as 3 x n arrays (values,
+    first row and last row of the eigenvector matrix), after the tear took
+    |beta| off the last diagonal entry of the first half and the first of
+    the second; the whole is Q (D + rho z z^T) Q^T with rho = 2|beta| and z
+    the unit vector of half one's last row and sign(beta) times half two's
+    first row.  Entries with a negligible rho z_i, and one of each pair of
+    near-equal poles after a Givens rotation, deflate (LAPACK's dlaed2);
+    the rest solve the secular equation (_secular_roots).  The Loewner
+    products and the eigenvectors' first and last rows then take the
+    differences d_i - root_j one block of roots at a time (_blocks): a
+    secular set of k poles holds a few k x block arrays, of 64 to 127
+    roots, and a set of at most 127 poles, every one of a corona of order
+    612 among them, takes one block.  Returns the merged eigensystem in the
+    same form, unsorted: the parent merge and Spectrum sort stably.  Its
+    sums and products are elementwise or einsum (no BLAS call), so they do
+    not depend on the BLAS thread count.
     """
-    (d1, f1, l1), (d2, f2, l2) = left, right
-    n1, n2 = d1.size, d2.size
+    n1 = left.shape[1]
     rho = 2.0 * abs(beta)
-    d = np.concatenate((d1, d2))
-    z = np.concatenate((l1, math.copysign(1.0, beta) * f2)) / math.sqrt(2.0)
-    first = np.concatenate((f1, np.zeros(n2)))
-    last = np.concatenate((np.zeros(n1), l2))
-    perm = np.argsort(d, kind="stable")
-    d, z, first, last = d[perm], z[perm], first[perm], last[perm]
+    # the rows d, first and last of the merged system, and z
+    merged = np.concatenate((left, right), axis=1)
+    z = np.concatenate((merged[2, :n1], math.copysign(1.0, beta) * merged[1, n1:])) / math.sqrt(2.0)
+    merged[1, n1:] = merged[2, :n1] = 0.0
+    perm = np.argsort(merged[0], kind="stable")
+    merged, z = merged[:, perm], z[perm]
+    d = merged[0]
     # LAPACK dlaed2's 8 eps max(max|d|, max|z|), on T scaled to unit norm;
     # T is unscaled here, so rho, in T's units, stands in for |z| <= 1
     tol = 8.0 * _EPS * max(float(np.max(np.abs(d))), rho)
     live = rho * np.abs(z) > tol
     kept, rotated = [], []
-    survivors = zip(d[live].tolist(), z[live].tolist(), first[live].tolist(), last[live].tolist())
+    survivors = zip(d[live].tolist(), z[live].tolist(), *merged[1:, live].tolist())
     prev = next(survivors, None)
     for cur in survivors:
         (pd, pz, pf, pl), (nd, nz, nf, nl) = prev, cur
@@ -663,29 +831,52 @@ def _cuppen_merge(left, right, beta: float):
             prev = cur
     if prev is not None:
         kept.append(prev)
-    parts = [(d[~live], first[~live], last[~live]), np.array(rotated).reshape(-1, 3).T]
+    parts = [merged[:, ~live], np.array(rotated).reshape(-1, 3).T]
     if kept:
-        kd, kz, kf, kl = np.array(kept).T
-        roots, delta = _secular_roots(kd, kz, rho, n1 + n2)
+        table = np.array(kept).T
+        kd, kz, rows = table[0], table[1], table[2:]
+        k = kd.size
+        origin, tau = _secular_roots(kd, kz, rho, merged.shape[1])
+        blocks = _blocks(k)
+        index = np.arange(k)
+
+        def differences(cols):
+            # d_i - root_j, as the secular solver takes it
+            return (kd[:, None] - kd[origin[cols]]) - tau[cols]
+
         # Loewner's formula gives the z for which the computed roots are
         # exact, so the eigenvectors zhat_i / (d_i - root_j) come out
-        # orthogonal (Gu & Eisenstat 1995)
-        ratio = delta / np.where(np.eye(kd.size, dtype=bool), 1.0, kd[:, None] - kd[None, :])
-        zhat = np.copysign(np.sqrt(np.abs(np.prod(ratio, axis=1))), kz)
-        vecs = zhat[:, None] / delta
-        norms = np.sqrt(np.einsum("ij,ij->j", vecs, vecs))
-        parts.append((roots, np.einsum("i,ij->j", kf, vecs) / norms,
-                      np.einsum("i,ij->j", kl, vecs) / norms))
-    return tuple(np.concatenate(column) for column in zip(*parts))
+        # orthogonal (Gu & Eisenstat 1995).  Each block's ratios follow the
+        # product so far in one row, so the product runs over all roots in
+        # order, block by block.
+        loewner = np.ones(k)
+        for cols in blocks:
+            delta = differences(cols)
+            ratio = np.empty((k, 1 + delta.shape[1]))
+            ratio[:, 0] = loewner
+            np.divide(delta, np.where(index[:, None] == index[cols], 1.0, kd[:, None] - kd[cols]), out=ratio[:, 1:])
+            loewner = np.multiply.reduce(ratio, axis=1)
+        zhat = np.copysign(np.sqrt(np.abs(loewner)), kz)
+        secular = np.empty((3, k))
+        secular[0] = kd[origin] + tau
+        for cols in blocks:
+            # one block keeps its differences from the Loewner pass
+            if len(blocks) > 1:
+                delta = differences(cols)
+            vecs = zhat[:, None] / delta
+            secular[1:, cols] = np.einsum("ri,ij->rj", rows, vecs) / np.sqrt(np.einsum("ij,ij->j", vecs, vecs))
+        parts.append(secular)
+    return np.concatenate(parts, axis=1)
 
 
-def _divide_and_conquer(d: np.ndarray, e: np.ndarray):
-    """(values, first row, last row) of the eigensystem of the symmetric
-    tridiagonal (d, e), in no particular order, by Cuppen's divide and
+def _divide_and_conquer(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The eigensystem of the symmetric tridiagonal (d, e) as a 3 x n
+    array, its rows the values, the first row and the last row of the
+    eigenvector matrix, in no particular order, by Cuppen's divide and
     conquer over QL leaves of at most _DC_LEAF rows."""
     n = d.size
     if n <= _DC_LEAF:
-        return tuple(map(np.array, _ql_implicit(d.tolist(), e.tolist())))
+        return np.array(_ql_implicit(d.tolist(), e.tolist()))
     h = n // 2
     beta = float(e[h - 1])
     d1, d2 = d[:h].copy(), d[h:].copy()

@@ -16,13 +16,14 @@ from pathlib import Path
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import rcorona
 from rcorona.cli import _closed_form_print_bytes, main
 from rcorona.closedform import closed_form_spectrum
 from rcorona.corona import _ASSEMBLY_BYTES_PER_ENTRY
-from rcorona.graphs import _DENSE_PEAK_MATRICES, _GENERATED_BYTES_PER_EDGE, build_graph, load_graph
+from rcorona.graphs import _DENSE_PEAK_MATRICES, _GENERATED_BYTES_PER_EDGE, build_graph, load_graph, save_graph
 
 # The child's own peak.  On Linux it is VmHWM, the high-water mark of the
 # child's own address space: ru_maxrss also takes in the high-water mark of
@@ -129,18 +130,36 @@ def test_closed_form_spectrum_within_its_estimate(tmp_path, import_peak, base, c
     assert growth <= need, f"{growth} bytes against an estimate of {need}"
 
 
+def random_connected_graph(n, m, seed):
+    """A connected graph on n vertices with m edges: a random tree (each
+    vertex joined to an earlier one), then random further edges."""
+    rng = np.random.default_rng(seed)
+    edges = {(int(rng.integers(v)), v) for v in range(1, n)}
+    while len(edges) < m:
+        u, v = sorted(map(int, rng.choice(n, 2, replace=False)))
+        edges.add((u, v))
+    return build_graph(n, sorted(edges))
+
+
 @pytest.mark.parametrize("specs, order", [
     # a sparse corona: the reduction's first panel runs over the nonzero list
     ((("C65_1_2", "circulant", "65", "1", "2"), ("K4", "complete", "4"), ("C5", "cycle", "5")), 1105),
     # a dense Laplacian, above the density gate; the peak includes reading
     # the file's n(n - 1)/2 edges
     ((("K1000", "complete", "1000"),), 1000),
-], ids=["sparse-corona", "complete"])
+    # a random connected graph with 3n edges has few repeated eigenvalues,
+    # so almost nothing deflates: the top merges solve secular sets of
+    # nearly n poles, which they take in blocks of roots, not k x k arrays
+    ((("random1105", "random"),), 1105),
+], ids=["sparse-corona", "complete", "random-graph"])
 def test_numeric_spectrum_within_the_dense_estimate(tmp_path, import_peak, specs, order):
     files = []
     for name, *params in specs:
         files.append(str(tmp_path / f"{name}.el"))
-        assert main(["generate", *params, "--out", files[-1]]) == 0
+        if params == ["random"]:
+            save_graph(random_connected_graph(order, 3 * order, order), files[-1])
+        else:
+            assert main(["generate", *params, "--out", files[-1]]) == 0
     corona = ["--corona", "double"] if len(files) == 3 else []
     growth = _peak(["spectrum", *corona, *files, "--method", "numeric"]) - import_peak
     matrices = growth / (8 * order * order)

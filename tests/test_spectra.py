@@ -23,11 +23,14 @@ from rcorona import (
     summarize,
 )
 from rcorona import ConvergenceError
+import rcorona.spectra
 from rcorona.spectra import (
     _BLAS_CALL_BOUND,
     _DC_CROSSOVER,
+    _EPS,
     _INNER_ENTRIES,
     _PANEL,
+    _SECULAR_SMALL,
     _SPARSE_DENSITY,
     _TILE,
     _UNBLOCKED,
@@ -36,10 +39,42 @@ from rcorona.spectra import (
     _householder_tridiagonal,
     _ql_implicit,
     _ql_values,
+    _secular_columns,
+    _secular_floats,
     _secular_roots,
     _sparse_nonzeros,
     _split_tolerance,
 )
+
+
+def secular_roots(d, z, rho, order):
+    """_secular_roots's roots, and the differences d_i - root_j as the
+    merge forms them from (origin, tau)."""
+    origin, tau = _secular_roots(d, z, rho, order)
+    return d[origin] + tau, (d[:, None] - d[origin]) - tau
+
+
+def secular_problem(rng, k, kind):
+    """Poles d (strictly increasing), weights z and rho > 0 for a secular
+    set of k poles, of one of three kinds: spread poles; clusters of poles
+    about 1e-14 apart, relative to their size; or some weights just above
+    the merge's deflation tolerance (rho |z_i| > 8 eps max(max|d|, rho))."""
+    rho = 10.0 ** rng.uniform(-12.0, 2.0)
+    z = rng.standard_normal(k)
+    z /= np.linalg.norm(z)
+    if kind == "clustered":
+        base = rng.uniform(-2.0, 2.0)
+        scale = max(1.0, abs(base))
+        gaps = np.where(rng.random(k) < 0.7, scale * 1e-14 * rng.uniform(1.0, 3.0, k), rng.uniform(0.0, 0.5, k))
+        d = base + np.cumsum(gaps)
+    else:
+        d = np.sort(rng.uniform(-2.0, 2.0, k))
+    if kind == "tiny weights":
+        tol = 8.0 * _EPS * max(float(np.max(np.abs(d))), rho)
+        tiny = rng.random(k) < 0.5
+        z[tiny] = np.copysign(tol / rho * rng.uniform(1.0, 4.0, int(tiny.sum())), z[tiny])
+    assert np.all(np.diff(d) > 0.0)
+    return d, z, rho
 
 
 def assert_reduction_invariants(m, nonzeros=None):
@@ -638,16 +673,94 @@ class TestDivideAndConquer:
         # integer tridiagonal (beta = 1)
         d = np.array([0.3819660112501053, 2.6180339887498945])
         z = np.array([0.8506508083520399, 0.5257311121191336])
-        roots, _ = _secular_roots(d, z, 2.0, 2)
+        roots, _ = secular_roots(d, z, 2.0, 2)
         ref = np.linalg.eigvalsh(np.diag(d) + 2.0 * np.outer(z, z))
         assert np.allclose(roots, ref, atol=1e-14)
 
     @pytest.mark.parametrize("d, z, rho", [(0.5, 0.8, 2.0), (-1.25, -0.3, 0.5), (0.0, 1e-3, 1.0)])
-    def test_secular_root_of_one_pole(self, d, z, rho):
-        roots, delta = _secular_roots(np.array([d]), np.array([z]), rho, 1)
+    def test_secular_root_of_one_pole(self, monkeypatch, d, z, rho):
+        # one pole has the root d + rho z^2 in closed form, with no iteration
+        monkeypatch.setattr("rcorona.spectra._SECULAR_MAX_ITER", 0)
+        roots, delta = secular_roots(np.array([d]), np.array([z]), rho, 1)
         ref = np.linalg.eigvalsh(np.diag([d]) + rho * np.outer([z], [z]))
         assert np.allclose(roots, ref, rtol=0, atol=1e-15)
         assert delta.shape == (1, 1) and np.allclose(delta, d - roots, rtol=0, atol=1e-15)
+
+    def test_small_sets_in_floats_match_the_array_solver(self):
+        # the Python-float iteration against the array iteration on the same
+        # set, every root in one block: the same origin and tau bits, so the
+        # same roots and differences d_i - root_j, or the same error
+        rng = np.random.default_rng(28)
+        kinds = ("spread", "clustered", "tiny weights")
+        solved = failed = 0
+        for trial in range(2100):
+            k, kind = 2 + trial % (_SECULAR_SMALL - 1), kinds[trial // 7 % 3]
+            d, z, rho = secular_problem(rng, k, kind)
+            z2 = z * z
+            width = np.append(d[1:] - d[:-1], rho * float(z2.sum()))
+            try:
+                columns = _secular_columns(d, z2, width, rho, k, np.arange(k))
+            except ConvergenceError as exc:
+                with pytest.raises(ConvergenceError, match=str(exc)):
+                    _secular_floats(d.tolist(), z2.tolist(), width.tolist(), rho, k)
+                failed += 1
+                continue
+            origin, tau = _secular_floats(d.tolist(), z2.tolist(), width.tolist(), rho, k)
+            assert np.array_equal(columns[0], origin), (trial, kind)
+            assert np.array_equal(columns[1], tau), (trial, kind)
+            roots = d[origin] + np.array(tau)
+            ref = np.linalg.eigvalsh(np.diag(d) + rho * np.outer(z, z))
+            assert np.max(np.abs(roots - ref)) <= 1e-13 * max(1.0, float(np.max(np.abs(ref)))), (trial, kind)
+            solved += 1
+        assert solved >= 2000 and failed == 0
+
+    @pytest.mark.parametrize("cap", [0, 1, 2, 3])
+    def test_both_paths_raise_the_same_cap_error(self, monkeypatch, cap):
+        # this set needs four iterations for its slowest root
+        monkeypatch.setattr("rcorona.spectra._SECULAR_MAX_ITER", cap)
+        d, z, rho = secular_problem(np.random.default_rng(1), 6, "clustered")
+        errors = []
+        for small in (0, _SECULAR_SMALL):
+            monkeypatch.setattr("rcorona.spectra._SECULAR_SMALL", small)
+            with pytest.raises(ConvergenceError) as exc:
+                _secular_roots(d, z, rho, 40)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
+        assert errors[0] == ("secular equation of a divide-and-conquer merge of order 40 "
+                             f"failed to converge after {cap} iterations")
+
+    def test_only_large_sets_take_the_array_solver(self, monkeypatch):
+        # circulant(36; 2, 5) with {K4, C5}, N = 612: the corona's multiple
+        # eigenvalues deflate, so most merges keep a handful of poles, and
+        # only the sets above _SECULAR_SMALL make numpy calls per root
+        lap = corona_laplacian(36, 2, 5)
+        d, e = _householder_tridiagonal(lap, _sparse_nonzeros(lap))
+        sets, arrays = [], []
+        solve, columns = _secular_roots, _secular_columns
+        monkeypatch.setattr("rcorona.spectra._secular_roots",
+                            lambda d, *args: sets.append(d.size) or solve(d, *args))
+        monkeypatch.setattr("rcorona.spectra._secular_columns",
+                            lambda d, *args: arrays.append(d.size) or columns(d, *args))
+        _divide_and_conquer(d, e)
+        assert len(sets) == 15
+        large = sorted(k for k in sets if k > _SECULAR_SMALL)
+        assert sorted(arrays) == large and len(large) == 4
+        # every one of them in one block of roots
+        assert max(large) < 2 * rcorona.spectra._SECULAR_BLOCK
+
+    @pytest.mark.parametrize("small, block", [(0, 2), (0, 5), (1000, 64), (3, 7)])
+    def test_neither_path_nor_blocks_change_the_bits(self, monkeypatch, small, block):
+        # a random tridiagonal's merges deflate almost nothing, so the top
+        # merge solves about 150 poles: through the floats, the arrays, or
+        # blocks of a few roots, every value and row is the same
+        monkeypatch.setattr("rcorona.spectra._DC_LEAF", 20)
+        rng = np.random.default_rng(150)
+        d, e = rng.standard_normal(150), rng.standard_normal(149)
+        expect = _divide_and_conquer(d, e)
+        monkeypatch.setattr("rcorona.spectra._SECULAR_SMALL", small)
+        monkeypatch.setattr("rcorona.spectra._SECULAR_BLOCK", block)
+        for got, want in zip(_divide_and_conquer(d, e), expect):
+            assert np.array_equal(got, want)
 
     def test_secular_cap_raises(self, monkeypatch):
         monkeypatch.setattr("rcorona.spectra._SECULAR_MAX_ITER", 0)
