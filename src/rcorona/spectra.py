@@ -26,8 +26,9 @@ loops split the tridiagonal where a coupling is at most eps ||T||.
 It uses numpy's matrix products but never ``numpy.linalg``, and fails
 loudly on non-convergence.  It is deterministic for fixed input on a given
 numpy/BLAS build, whatever the BLAS thread count: the panels' trailing
-update runs tile by tile over the lower triangle, their matrix-vector and
-dot products go in blocks, the unblocked loop's matrix has at most
+update runs tile by tile over the lower triangle, each panel decides once,
+from its shapes, whether its matrix-vector and dot products fit one call
+or go in blocks (_panel), the unblocked loop's matrix has at most
 _UNBLOCKED + _PANEL rows, and so every BLAS call stays within OpenBLAS's
 threading thresholds (_BLAS_CALL_BOUND multiply-adds, a sum over
 _INNER_ENTRIES entries); the sums over the nonzero list and the merges
@@ -112,12 +113,19 @@ _DC_LEAF = 48
 _PANEL = 32
 # The reduction runs a panel only while the trailing matrix after it has
 # more than _UNBLOCKED rows, and reduces the columns left one at a time: a
-# panel pays about 25 us of numpy calls per column for its corrections,
+# panel pays about 20 us of numpy calls per column for its corrections,
 # which only a large trailing update repays.  In a sweep of 64, 96, 128 and
 # 160 (medians of 16 runs), 96 was fastest at orders 208 and 304 (5.2 and
 # 10.4 ms, against up to 6.4 and 11.7) and within 4% of the fastest at 160
 # and 612; at 125 and 128, which 96 and above reduce unblocked, all four
-# read 2.6 to 2.8 ms.
+# read 2.6 to 2.8 ms.  Re-swept once the panels decided their BLAS bounds
+# once per panel (medians of 12 runs of the reduction, one BLAS thread):
+# 64/96/128/160 took 6.43/6.34/6.60/7.13 ms on the N = 304 certificate
+# coronas, 28.6/28.9/29.1/31.3 and 138.9/139.4/140.9/139.1 ms on relabelled
+# {K4, C5} coronas of orders 612 and 1020, and 6.15/6.11/6.28/6.66,
+# 28.7/28.9/28.5/29.9 and 145.1/144.6/143.4/144.3 ms on random sparse
+# matrices (1% nonzeros) of orders 300, 612 and 1020: no value won every
+# family, so 96 stays.
 _UNBLOCKED = 96
 # A BLAS call's last bits depend on the thread count once OpenBLAS splits
 # it over threads.  It does not split a product of m*n*k <= 2**18
@@ -228,10 +236,18 @@ def normalized_laplacian_regular(g: Graph) -> np.ndarray:
     return np.eye(n) - adjacency_matrix(g).astype(np.float64) / float(r)
 
 
+# The panels' matrix-vector product where they have found it within both
+# BLAS bounds (see _panel): x @ y as one call, under a name of its own so
+# that the products a panel makes directly can be counted.
+_matvec = np.matmul
+
+
 def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The matrix-vector product x @ y, in blocks of rows of x and chunks
     of at most _INNER_ENTRIES of its columns, so that each BLAS call stays
-    within both bounds; the chunks' partial products are added in order."""
+    within both bounds; the chunks' partial products are added in order.
+    A panel calls it only for the products it has not found within both
+    bounds (see _panel)."""
     rows = _BLAS_CALL_BOUND // max(1, min(x.shape[1], _INNER_ENTRIES))
     if x.shape[0] <= rows and x.shape[1] <= _INNER_ENTRIES:
         return x @ y
@@ -243,34 +259,54 @@ def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> float:
-    """The dot product x . y, summed over chunks of _INNER_ENTRIES entries."""
+    """The dot product x . y, summed over chunks of _INNER_ENTRIES entries.
+    A panel calls it only where its longest dot product is beyond the
+    bound (see _panel)."""
     if x.size <= _INNER_ENTRIES:
         return float(np.dot(x, y))
     return sum(float(np.dot(x[c : c + _INNER_ENTRIES], y[c : c + _INNER_ENTRIES]))
                for c in range(0, x.size, _INNER_ENTRIES))
 
 
-def _panel(a: np.ndarray, p: int, width: int, d: np.ndarray, e: np.ndarray, times):
+def _panel(a: np.ndarray, p: int, width: int, d: np.ndarray, e: np.ndarray, times=None):
     """Reduce columns p to p + width - 1 of the symmetric a as one panel,
     writing their diagonal and coupling into d and e; returns vw.
 
     Row j of a is read un-updated and corrected by the panel's earlier
-    reflectors; so is each product times(j, v) of the trailing square
-    a[j + 1:, j + 1:] by v.  Rows 2k and 2k + 1 of vw hold v and 2w of the
-    panel's k-th reflector, and column c is row p + c of a.  A correction
-    pairs each row with its partner (v with 2w), so it takes the k entries
-    of a column, or of a product by vw's rows, in the swapped order.
+    reflectors; so is each product of the trailing square a[j + 1:, j + 1:]
+    by v, or times(j, v) where the caller has a cheaper way to form it.
+    Rows 2k and 2k + 1 of vw hold v and 2w of the panel's k-th reflector,
+    and column c is row p + c of a.  A correction pairs each row with its
+    partner (v with 2w), so it takes the k entries of a column, or of a
+    product by vw's rows, in the swapped order.
+
+    The BLAS bounds are decided here, once per panel, from its shapes: a
+    panel whose largest correction product (2 width rows by s columns, s
+    the columns of vw) and longest dot product (s entries) fit both bounds
+    calls _matvec and ndarray.dot directly; one that does not hands them to
+    _product and _dot.  A product by the trailing square is one _matvec
+    call while the square has at most sqrt(_BLAS_CALL_BOUND) (and
+    _INNER_ENTRIES) rows, and goes to _product before that.  Either way a
+    product is the one BLAS call, or the same blocks, that _product would
+    make, and a dot product the same sum, so the choice changes no bit.
     """
-    vw = np.zeros((2 * width, a.shape[0] - p))
+    s = a.shape[0] - p
+    if 2 * width * s <= _BLAS_CALL_BOUND and max(s, 2 * width) <= _INNER_ENTRIES:
+        product, dot = _matvec, np.ndarray.dot
+    else:
+        product, dot = _product, _dot
+    square_bound = min(math.isqrt(_BLAS_CALL_BOUND), _INNER_ENTRIES)
+    vw = np.zeros((2 * width, s))
     swap = np.arange(2 * width) ^ 1
     for i, j in enumerate(range(p, p + width)):
         k = 2 * i
+        partners = swap[:k]
         # row j of the symmetric A is its column j, from the diagonal on,
         # corrected in one product; at k = 0 every correction sums over no
         # reflectors and is an exact 0.0
-        row = a[j, j:] - _product(vw[:k, i:].T, vw[:k, i][swap[:k]])
+        row = a[j, j:] - product(vw[:k, i:].T, vw[:k, i][partners])
         d[j], x = row[0], row[1:]
-        norm_x, x0 = math.sqrt(_dot(x, x)), float(x[0])
+        norm_x, x0 = math.sqrt(dot(x, x)), float(x[0])
         # v = x - alpha e_1 with alpha = -sign(x_0) ||x||, so
         # ||v||^2 = 2 ||x|| (||x|| + |x_0|)
         vnorm = math.sqrt(2.0 * norm_x * (norm_x + abs(x0)))
@@ -281,9 +317,14 @@ def _panel(a: np.ndarray, p: int, width: int, d: np.ndarray, e: np.ndarray, time
         v = vw[k, i + 1 :]
         np.divide(x, vnorm, out=v)
         v[0] = (x0 - alpha) / vnorm
-        u = times(j, v)
-        u -= _product(vw[:k, i + 1 :].T, _product(vw[:k, i + 1 :], v)[swap[:k]])
-        u -= _dot(v, u) * v
+        if times is None:
+            square = a[j + 1 :, j + 1 :]
+            u = _matvec(square, v) if len(square) <= square_bound else _product(square, v)
+        else:
+            u = times(j, v)
+        earlier = vw[:k, i + 1 :]
+        u -= product(earlier.T, product(earlier, v)[partners])
+        u -= dot(v, u) * v
         np.multiply(u, 2.0, out=vw[k + 1, i + 1 :])
     return vw
 
@@ -311,7 +352,19 @@ def _first_width(n: int) -> int:
     49.6/47.6/43.3/43.4/45.3/48.1 ms at order 612 (dense route 55.8);
     64/96/128/160/192/224 took 213/199/193/195/201/203 ms at 1020 (dense
     233); 192/256/352/448 took 1.61/1.58/1.55/1.61 s at 2040 (dense 1.80).
-    At 204 and 340 every width ran within noise of the dense route."""
+    At 204 and 340 every width ran within noise of the dense route.
+    Re-swept once the panels decided their BLAS bounds once per panel
+    (medians of 12 runs, one BLAS thread): on the N = 304 certificate
+    coronas 32/64/96/128 took 6.46/6.66/6.81/7.21 ms; on relabelled {K4, C5}
+    coronas 32/64/96/128/160 took 35.2/32.6/28.3/27.4/28.3 ms at 612 and
+    96/128/160/192/224 took 150.7/140.7/139.0/138.9/142.6 ms at 1020; on
+    random sparse matrices (1% nonzeros) 32/64/96/128 took
+    6.13/6.29/6.36/6.90 ms at 300, 32/64/96/128/160 took
+    33.2/29.7/28.2/27.9/29.6 ms at 612 and 96/128/160/192/224 took
+    148.2/153.6/150.1/148.7/152.5 ms at 1020.  Order 300 leans to 32, 612 to
+    128 and 1020 to no width, each by at most 3%, so no width wins every
+    family and n / 6 stays (another width would also move the oracle's last
+    bits)."""
     return _PANEL * max(1, round(n / (6 * _PANEL)))
 
 
@@ -388,7 +441,7 @@ def _householder_tridiagonal(mat: np.ndarray, nonzeros: np.ndarray | None = None
     panels = range(0, n - start - _UNBLOCKED - _PANEL, _PANEL)
     for p in panels:
         q = p + _PANEL
-        vw = _panel(a, p, _PANEL, d_rest, e_rest, lambda j, v: _product(a[j + 1 :, j + 1 :], v))
+        vw = _panel(a, p, _PANEL, d_rest, e_rest)
         _update(a[q:, q:], vw[:, _PANEL:], _TILE)
     # The columns left, on a contiguous copy t of the trailing matrix: each
     # rank-2 update is a product of whole rows of vw, v and 2w from column
@@ -401,10 +454,10 @@ def _householder_tridiagonal(mat: np.ndarray, nonzeros: np.ndarray | None = None
     m = len(t)
     vw = np.zeros((2, m))
     v_row, w_row = vw
+    left, right = vw.T, vw[::-1]
     for i in range(m - 2):
-        d_rest[i] = t[i, i]
         x = t[i, i + 1 :]
-        norm_x, x0 = math.sqrt(x.dot(x)), float(x[0])
+        norm_x, x0 = math.sqrt(x.dot(x)), t.item(i, i + 1)
         vnorm = math.sqrt(2.0 * norm_x * (norm_x + abs(x0)))
         if vnorm == 0.0:
             continue
@@ -416,8 +469,10 @@ def _householder_tridiagonal(mat: np.ndarray, nonzeros: np.ndarray | None = None
         np.matmul(t[i + 1 :, i + 1 :], v, out=w)
         w -= v.dot(w) * v
         w *= 2.0
-        t[i + 1 :] -= vw.T[i + 1 :] @ vw[::-1]
-    d[n - 2 :] = t[m - 2, m - 2], t[m - 1, m - 1]
+        t[i + 1 :] -= left[i + 1 :] @ right
+    # row i is final once column i - 1 is reduced, so its diagonal entry is
+    # read after the loop
+    d_rest[:] = t.diagonal()
     e[n - 2] = t[m - 1, m - 2]
     return d, e
 
@@ -498,6 +553,7 @@ def _ql_implicit(d: list[float], e: list[float]) -> tuple[list[float], list[floa
     e = list(e) + [0.0]
     first = [1.0] + [0.0] * (n - 1)
     last = [0.0] * (n - 1) + [1.0]
+    hypot, copysign = math.hypot, math.copysign
     for l in range(n):
         iterations = 0
         while True:
@@ -513,34 +569,43 @@ def _ql_implicit(d: list[float], e: list[float]) -> tuple[list[float], list[floa
                     f"after {_QL_MAX_ITER} iterations"
                 )
             g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
+            r = hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + copysign(r, g))
             s = c = 1.0
             p = 0.0
+            # the entries at i + 1 of d, first and last, carried in locals
+            # from one rotation to the next: rotation i reads d[i + 1] before
+            # any rotation writes it, and keeps its new first[i] and last[i]
+            # for rotation i - 1, whose entries at i + 1 they are; the end of
+            # the chase, or a split, writes them back
+            d1, f1, l1 = d[m], first[m], last[m]
             for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
+                ei = e[i]
+                f = s * ei
+                b = c * ei
+                r = hypot(f, g)
                 e[i + 1] = r
                 if r == 0.0:
-                    d[i + 1] -= p
+                    d[i + 1] = d1 - p
+                    first[i + 1], last[i + 1] = f1, l1
                     e[m] = 0.0
                     break
                 s = f / r
                 c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
+                g = d1 - p
+                d1 = d[i]
+                r = (d1 - g) * s + 2.0 * c * b
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - b
-                f = first[i + 1]
-                first[i + 1] = s * first[i] + c * f
-                first[i] = c * first[i] - s * f
-                f = last[i + 1]
-                last[i + 1] = s * last[i] + c * f
-                last[i] = c * last[i] - s * f
+                f0, l0 = first[i], last[i]
+                first[i + 1] = s * f0 + c * f1
+                f1 = c * f0 - s * f1
+                last[i + 1] = s * l0 + c * l1
+                l1 = c * l0 - s * l1
             else:
-                d[l] -= p
+                d[l] = d1 - p
+                first[l], last[l] = f1, l1
                 e[l] = g
                 e[m] = 0.0
     return d, first, last

@@ -96,6 +96,16 @@ def corona_laplacian(base, *connections):
     return lap[np.ix_(order, order)]
 
 
+def record_panel_calls(monkeypatch, record):
+    """Call record(kind, x) on each matrix-vector and dot product a panel
+    makes: kind "direct" for a product it makes in one BLAS call (_matvec),
+    "product" and "dot" for those it hands to _product and _dot."""
+    product, dot = rcorona.spectra._product, rcorona.spectra._dot
+    monkeypatch.setattr("rcorona.spectra._matvec", lambda x, y: record("direct", x) or x @ y)
+    monkeypatch.setattr("rcorona.spectra._product", lambda x, y: record("product", x) or product(x, y))
+    monkeypatch.setattr("rcorona.spectra._dot", lambda x, y: record("dot", x) or dot(x, y))
+
+
 def sparse_symmetric(n, fraction, seed):
     """A random symmetric matrix of order n whose off-diagonal entries are
     nonzero with probability about fraction, with a nonzero diagonal."""
@@ -361,10 +371,10 @@ class TestNumericSpectrum:
         assert_reduction_invariants(m)
 
     def test_panels_only_above_the_crossover(self, monkeypatch):
-        # each panel column makes one _product by the square trailing matrix
+        # each panel column makes one product by the square trailing matrix,
+        # directly or through _product
         squares = []
-        monkeypatch.setattr("rcorona.spectra._product",
-                            lambda x, y: squares.append(x.shape[0] == x.shape[1]) or x @ y)
+        record_panel_calls(monkeypatch, lambda kind, x: squares.append(x.ndim == 2 and x.shape[0] == x.shape[1]))
         rng = np.random.default_rng(4)
         for n, panels in ((_UNBLOCKED + _PANEL, 0), (_UNBLOCKED + _PANEL + 1, 1),
                           (_UNBLOCKED + 2 * _PANEL, 1), (_UNBLOCKED + 2 * _PANEL + 1, 2)):
@@ -372,6 +382,61 @@ class TestNumericSpectrum:
             squares.clear()
             _householder_tridiagonal((m + m.T) / 2)
             assert sum(squares) == panels * _PANEL, n
+
+    def test_out_of_bound_panels_take_the_blocked_products(self, monkeypatch):
+        # with the bounds patched as in test_blocked_products_match_lapack,
+        # no panel fits them: each of the two panels' 64 columns hands its
+        # row correction, its product by the square and its two correction
+        # products to _product and its two dot products to _dot, and no
+        # product is made directly
+        monkeypatch.setattr("rcorona.spectra._BLAS_CALL_BOUND", 2**9)
+        monkeypatch.setattr("rcorona.spectra._INNER_ENTRIES", 7)
+        monkeypatch.setattr("rcorona.spectra._UNBLOCKED", 8)
+        calls = []
+        record_panel_calls(monkeypatch, lambda kind, x: calls.append(kind))
+        m = np.random.default_rng(8).standard_normal((2 * _PANEL + 9, 2 * _PANEL + 9))
+        _householder_tridiagonal((m + m.T) / 2)
+        assert calls.count("product") == 4 * 2 * _PANEL
+        assert calls.count("dot") == 2 * 2 * _PANEL
+        assert "direct" not in calls
+
+    def test_sparse_first_panel_beyond_the_bound_is_blocked(self, monkeypatch):
+        # at N = 1105 the sparse first panel's correction products, 2 x 192
+        # reflector rows by 1105 columns, exceed _BLAS_CALL_BOUND: its three
+        # products and two dot products per column go through _product and
+        # _dot; the later panels fit, make their correction products
+        # directly and their products by a square beyond the bound through
+        # _product; and every direct product is within both bounds
+        lap = corona_laplacian(65, 1, 2)
+        n, width = len(lap), _first_width(len(lap))
+        assert 2 * width * n > _BLAS_CALL_BOUND
+        calls = []
+        record_panel_calls(monkeypatch, lambda kind, x: calls.append((kind, x.shape)))
+        panel = rcorona.spectra._panel
+        monkeypatch.setattr("rcorona.spectra._panel", lambda *args: calls.append(("panel", ())) or panel(*args))
+        _householder_tridiagonal(lap, _sparse_nonzeros(lap))
+        end = calls.index(("panel", ()), 1)
+        first = [kind for kind, _ in calls[1:end]]
+        assert first.count("product") == 3 * width and first.count("dot") == 2 * width
+        assert "direct" not in first
+        later = [call for call in calls[end:] if call[0] != "panel"]
+        assert {kind for kind, _ in later} == {"direct", "product"}
+        blocked = [shape for kind, shape in later if kind == "product"]
+        assert blocked and all(rows == cols > math.isqrt(_BLAS_CALL_BOUND) for rows, cols in blocked)
+        assert all(rows * cols <= _BLAS_CALL_BOUND and cols <= _INNER_ENTRIES
+                   for kind, (rows, cols) in later if kind == "direct")
+
+    def test_in_bound_panels_make_their_products_directly(self, monkeypatch):
+        # at N = 612 every panel, the sparse first one among them, fits both
+        # bounds: none hands a correction product to _product or a dot
+        # product to _dot; only the first dense panel's products by the
+        # squares of 515, 514 and 513 rows, beyond the bound, are blocked
+        lap = corona_laplacian(36, 2, 5)
+        calls = []
+        record_panel_calls(monkeypatch, lambda kind, x: calls.append((kind, x.shape)))
+        _householder_tridiagonal(lap, _sparse_nonzeros(lap))
+        assert [shape for kind, shape in calls if kind != "direct"] == [(515, 515), (514, 514), (513, 513)]
+        assert math.isqrt(_BLAS_CALL_BOUND) == 512
 
     @pytest.mark.parametrize("base, connections", [(20, (1, 3)), (36, (2, 5)), (60, (1, 3))],
                              ids=["N340", "N612", "N1020"])
@@ -416,8 +481,8 @@ class TestNumericSpectrum:
         # one such product, as on the dense route
         lap = corona_laplacian(36, 2, 5)
         events = []
-        monkeypatch.setattr("rcorona.spectra._product",
-                            lambda x, y: events.append("square" if x.shape[0] == x.shape[1] else "") or x @ y)
+        record_panel_calls(monkeypatch,
+                           lambda kind, x: events.append("square" if x.ndim == 2 and x.shape[0] == x.shape[1] else ""))
         bincount = np.bincount
         monkeypatch.setattr(np, "bincount", lambda *args, **kwargs: events.append("sum") or bincount(*args, **kwargs))
         n, width = len(lap), _first_width(len(lap))
