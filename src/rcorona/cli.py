@@ -36,14 +36,17 @@ __all__ = ["main"]
 # ru_maxrss in a fresh process over the whole call, printing included.  Over
 # C_100000 with {K4, C5}, {K4, null} and {null, null}, C_10000 with
 # {K300, K300} and C_1000000 with {K4, C5} and {null, null}, plain stdout
-# took 0 to 107 bytes per eigenvalue (132 in an earlier run), the most for
-# C_1000000's R-graph, whose base graph is loaded and solved for only two
-# values per vertex.  --json adds the values' text and the family table,
-# one row per base eigenvalue: at most 884 bytes per row over the plain
-# run (C_1000000's R-graph, 500001 rows for 2 million values, its values'
-# text charged to the rows too), and where the values dominate it stays
-# under 88 bytes per value all told.  Each estimate is the largest with a
-# quarter more.
+# took 0 to 132 bytes per eigenvalue, the most for the R-graphs, whose base
+# graph is loaded and solved for only two values per vertex.  Since the
+# fixed-notation values print through spectra._fixed_g17, in chunks, plain
+# stdout takes 77, 85, 126 and 107 bytes per value over C_100000 with
+# {K4, C5}, {K4, null} and {null, null} and C_1000000 with {null, null},
+# against 83, 92, 132 and 107 before.  --json adds the values' text and the
+# family table, one row per base eigenvalue: at most 884 bytes per row over
+# the plain run (C_1000000's R-graph, 500001 rows for 2 million values, its
+# values' text charged to the rows too), and where the values dominate it
+# stays under 88 bytes per value all told.  Each estimate is the largest
+# with a quarter more.
 _CLOSED_FORM_BYTES_PER_VALUE = 165
 _FAMILY_ROW_BYTES = 1100
 

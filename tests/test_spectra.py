@@ -1,5 +1,6 @@
 """Normalized Laplacians, the eigensolver oracle, comparison, clustering."""
 
+from fractions import Fraction
 import json
 import math
 
@@ -36,6 +37,7 @@ from rcorona.spectra import (
     _UNBLOCKED,
     _divide_and_conquer,
     _first_width,
+    _fixed_g17,
     _householder_tridiagonal,
     _ql_implicit,
     _ql_values,
@@ -188,6 +190,59 @@ def long_runs(draw):
     values = [v for v, count in pairs for _ in range(count)] + zeros
     draw(st.randoms(use_true_random=False)).shuffle(values)
     return values
+
+
+# Where "%.17g" writes fixed notation, _fixed_g17's range: 1e-4 <= |v| < 1e16.
+_in_fixed_range = (st.floats(min_value=1e-4, max_value=1e16, exclude_max=True)
+                   | st.tuples(st.integers(-4, 15), st.floats(1.0, 10.0, exclude_max=True))
+                   .map(lambda t: t[1] * 10.0 ** t[0]).filter(lambda v: 1e-4 <= v < 1e16))
+
+
+def _below(x):
+    return math.nextafter(x, -math.inf)
+
+
+def _above(x):
+    return math.nextafter(x, math.inf)
+
+
+# Each power of ten 10**k, k = -4..16, as the double nearest it, and both
+# neighbours of that double.
+_POWERS_AND_NEIGHBOURS = [f(float(f"1e{k}")) for k in range(-4, 17) for f in (_below, float, _above)]
+
+
+def _dyadic_ties():
+    """Two values k / 2**j in each decade [10**E, 10**(E + 1)), E = -4..15,
+    whose 17th significant digit is followed by exactly a half: with
+    j = 17 - E and k odd, |v| 10**(16 - E) = k 5**(16 - E) / 2, so the
+    digits round half to even."""
+    ties = []
+    for e in range(-4, 16):
+        j = 17 - e
+        k = math.ceil(Fraction(10) ** e * 2**j) | 1
+        ties += [k / 2**j, (k + 2) / 2**j]
+    return ties
+
+
+@st.composite
+def fixed_range_values(draw):
+    """Values with 1e-4 <= |v| < 1e16 of either sign, powers of ten and
+    their neighbours and dyadic ties among them."""
+    magnitude = _in_fixed_range | st.sampled_from([v for v in _POWERS_AND_NEIGHBOURS + _dyadic_ties()
+                                                   if 1e-4 <= v < 1e16])
+    return [-v if negative else v
+            for v, negative in draw(st.lists(st.tuples(magnitude, st.booleans()), max_size=40))]
+
+
+@st.composite
+def mixed_range_values(draw):
+    """Values in and out of _fixed_g17's range: zeros of both signs,
+    subnormals, values below 1e-4 and at or above 1e16, and infinities."""
+    outside = (st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 1e16, -1e16, 1e300, -math.inf, math.inf,
+                                _below(1e-4), -_below(1e-4), _above(1e16)])
+               | st.floats(-1e-4, 1e-4, exclude_min=True, exclude_max=True) | _finite)
+    inside = st.builds(lambda v, negative: -v if negative else v, _in_fixed_range, st.booleans())
+    return draw(st.lists(inside | outside, max_size=30))
 
 
 @st.composite
@@ -958,6 +1013,35 @@ class TestSerialization:
     def test_csv_of_long_runs_matches_the_scalar_reference(self, values):
         # to_csv formats each run of equal bits once, so a run of zeros
         # that mixes the signs must print each zero with its own sign
+        assert Spectrum(values).to_csv() == scalar_csv(sorted(values))
+
+    @given(fixed_range_values())
+    @example([math.nextafter(1.0, 0.0)])
+    @example([v for v in _POWERS_AND_NEIGHBOURS if 1e-4 <= v < 1e16])
+    @example(_dyadic_ties())
+    @example([-v for v in _dyadic_ties()])
+    @example([1.0, 10.0, 1000.0, 1e15, 9999999999999998.0, 100.5, 1.5, -2.0, 0.1, 0.5])
+    def test_fixed_g17_matches_python_format(self, values):
+        values = sorted(values)
+        assert _fixed_g17(np.array(values)) == "".join(f"{v:.17g}\n" for v in values)
+
+    def test_the_powers_of_ten_fixed_g17_relies_on(self):
+        # _fixed_g17 finds E by the double nearest each 10**k, which must be
+        # the least double at or above it, and takes E from the value, not
+        # from its rounded digits: the largest double below each 10**k keeps
+        # 17 digits below 10**k
+        for k in range(-4, 17):
+            nearest = float(f"1e{k}")
+            assert Fraction(nearest) >= Fraction(10) ** k
+            assert int(f"{_below(nearest):.16e}".partition("e")[2]) == k - 1
+
+    def test_csv_of_nan(self):
+        assert Spectrum((math.nan, -0.0, 1.0, -math.inf)).to_csv() == "-inf\n-0\n1\nnan\n"
+
+    @given(mixed_range_values())
+    @example(_POWERS_AND_NEIGHBOURS)
+    @example([0.0, -0.0, 5e-324, 1e-4, -1e-4, _below(1e-4), 1e16, -_below(1e16), 0.5, -0.5])
+    def test_csv_mixing_the_fixed_range_with_the_rest(self, values):
         assert Spectrum(values).to_csv() == scalar_csv(sorted(values))
 
     def test_adjacency_spectra_fit_in_spectrum(self):
