@@ -17,12 +17,11 @@ half recursively (Cuppen 1981) down to implicit-shift QL leaves, which
 also carry the eigenvector matrix's first and last rows, and each merge
 deflates and solves a secular equation for the rest (Gu & Eisenstat 1995;
 LAPACK's dstedc).  The multiple eigenvalues of a corona deflate, so they
-cost no secular solve, and most of a corona's merges keep a handful of
-poles: a set of at most _SECULAR_SMALL is solved in Python floats, without
-numpy's fixed cost per call; a larger one on numpy arrays, one block of
-roots at a time, so that a merge holds k x block arrays instead of k x k.
-Both take every sum in the same order and give the same bits.  Both QL
-loops split the tridiagonal where a coupling is at most eps ||T||.
+cost no secular solve.  The merges run bottom up, one height at a time, and
+all the secular sets of a height are solved together on numpy arrays, a
+column per root, one block of columns at a time, so that they hold k x block
+arrays instead of k x k.  Both QL loops split the tridiagonal where a
+coupling is at most eps ||T||.
 It uses numpy's matrix products but never ``numpy.linalg``, and fails
 loudly on non-convergence.  It is deterministic for fixed input on a given
 numpy/BLAS build, whatever the BLAS thread count: the panels' trailing
@@ -77,26 +76,16 @@ _SYMMETRY_TOL = 1e-12
 _QL_MAX_ITER = 100
 # per secular root, as LAPACK's dlaed4 (MAXIT)
 _SECULAR_MAX_ITER = 30
-# A merge's secular set of at most _SECULAR_SMALL poles is solved in Python
-# floats, a larger one on numpy arrays (see _secular_roots).  Per set (best
-# of 5 runs, one BLAS thread), on 108 sets recorded from coronas of orders
-# 204 to 1020, the certificate coronas and two random inputs, floats took
-# 8/21/44/143/286/417/684 us at k = 2/3/5/13/20/26/37 against
-# 77/228/238/304/591/473/1013 us on arrays, and 1106 against 645 us at
-# k = 40; on random sets (medians of 30) floats were faster at every k from
-# 2 to 24 (524 against 842 us at 24) and even at 32 (887 against 927 us).
-# Divide and conquer on three N = 612 coronas took 21.2 ms with every set on
-# arrays and 18.2 to 19.7 ms at every threshold from 5 to 32; their sets
-# have 2 to 5 poles or more than 46.
-_SECULAR_SMALL = 24
-# A larger set's roots go in blocks of _SECULAR_BLOCK to 2 _SECULAR_BLOCK - 1
-# (see _blocks), so that its arrays are k x block, not k x k.  On random
-# symmetric matrices, whose merges deflate almost nothing, the peak traced
-# memory of divide and conquer was 1.09, 0.54 and 0.29 N x N matrices at
-# N = 612, 1105 and 2040 (2.12, 1.13 and 0.58 with blocks of 128; 8.26,
-# 7.71 and 7.38 with none), and its time 89, 229 and 651 ms (80, 224 and
-# 640 with 128; 32 was 4 to 44% slower).  Every set of a corona of order
-# 612 (at most 77 poles) takes one block.
+# The secular solve takes the roots of all the sets of one merge height,
+# and each merge's Loewner products and rows its own roots, in blocks of
+# _SECULAR_BLOCK to 2 _SECULAR_BLOCK - 1 (see _blocks), so that the arrays
+# are k x block, not k x k: a relabelled corona of order 612 has about 154
+# roots at its first height, in two blocks.  On random symmetric matrices,
+# whose merges deflate almost nothing, the peak traced memory of divide and
+# conquer was 1.09, 0.54 and 0.29 N x N matrices at N = 612, 1105 and 2040
+# (2.12, 1.13 and 0.58 with blocks of 128; 8.26, 7.71 and 7.38 with none),
+# and its time 89, 229 and 651 ms (80, 224 and 640 with 128; 32 was 4 to
+# 44% slower), while each set's roots still went in blocks of their own.
 _SECULAR_BLOCK = 64
 # Orders above _DC_CROSSOVER take divide and conquer.  Against root-free QL
 # (medians of 7 to 9 runs of the tridiagonal stage alone), it was slower at
@@ -144,8 +133,9 @@ _UNBLOCKED = 96
 # a trailing size of 16 400), so the reduction keeps every call within both.
 _BLAS_CALL_BOUND = 2**18
 _INNER_ENTRIES = 10_000
-# Rows and columns per tile of the trailing update: a tile's product is
-# _TILE * _TILE * 2 _PANEL <= _BLAS_CALL_BOUND (56 ran faster than 32 and 48).
+# Rows and columns per tile of the trailing update, at most: a tile's product
+# is _TILE * _TILE * 2 _PANEL <= _BLAS_CALL_BOUND (56 ran faster than 32 and
+# 48); the sparse route's wider first panel takes smaller tiles (_update).
 _TILE = 56
 # A matrix with at most _SPARSE_DENSITY n^2 nonzeros takes the sparse first
 # panel (see _householder_tridiagonal).  On random sparse symmetric
@@ -475,11 +465,13 @@ def _panel(a: np.ndarray, p: int, width: int, d: np.ndarray, e: np.ndarray, time
     return vw
 
 
-def _update(t: np.ndarray, vw: np.ndarray, tile: int) -> None:
+def _update(t: np.ndarray, vw: np.ndarray) -> None:
     """t -= vw^T vw' for a square t, where vw' is vw with each pair of rows
     swapped (one gather per panel), tile by tile over its lower triangle
     (diagonal tiles whole); each finished block of rows is then mirrored to
-    the upper triangle."""
+    the upper triangle.  A tile's product is tile * tile * len(vw)
+    multiply-adds, within _BLAS_CALL_BOUND."""
+    tile = min(_TILE, math.isqrt(_BLAS_CALL_BOUND // len(vw)))
     left = vw.T
     wv = vw[np.arange(len(vw)) ^ 1]
     for r in range(0, len(t), tile):
@@ -578,8 +570,7 @@ def _householder_tridiagonal(mat: np.ndarray, nonzeros: np.ndarray | None = None
 
         vw = _panel(mat, 0, start, d, e, times)
         a = mat[start:, start:].copy()
-        # a tile's product is tile * tile * 2 start multiply-adds
-        _update(a, vw[:, start:], min(_TILE, math.isqrt(_BLAS_CALL_BOUND // (2 * start))))
+        _update(a, vw[:, start:])
     else:
         a = np.array(mat)
     # a is the trailing matrix from row start on, and d and e its part
@@ -588,7 +579,7 @@ def _householder_tridiagonal(mat: np.ndarray, nonzeros: np.ndarray | None = None
     for p in panels:
         q = p + _PANEL
         vw = _panel(a, p, _PANEL, d_rest, e_rest)
-        _update(a[q:, q:], vw[:, _PANEL:], _TILE)
+        _update(a[q:, q:], vw[:, _PANEL:])
     # The columns left, on a contiguous copy t of the trailing matrix: each
     # rank-2 update is a product of whole rows of vw, v and 2w from column
     # i + 1 on, subtracted from whole rows of t (numpy subtracts a contiguous
@@ -765,236 +756,173 @@ def _inside_root(a, b, c, t, lo, hi, fallback):
     disc = b * b - 4.0 * a * c
     q = 0.5 * (b + np.copysign(np.sqrt(np.abs(disc)), b))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for x in (q / a, c / q):
-            y = t + x
-            fallback = np.where((disc >= 0.0) & (y >= lo) & (y <= hi) & (y != 0.0), x, fallback)
-    return fallback
+        x = np.array((q / a, c / q))
+    y = t + x
+    inside = (y >= lo) & (y <= hi) & (y != 0.0) & (disc >= 0.0)
+    # the second candidate wins where both land
+    return np.where(inside[1], x[1], np.where(inside[0], x[0], fallback))
 
 
-def _inside_root_float(a, b, c, t, lo, hi, fallback):
-    """_inside_root for one root, in Python floats.  A zero divisor gives an
-    infinite or NaN candidate there, which no finite bracket holds."""
-    disc = b * b - 4.0 * a * c
-    if not disc >= 0.0:
-        return fallback
-    q = 0.5 * (b + math.copysign(math.sqrt(disc), b))
-    for num, den in ((q, a), (c, q)):
-        if den != 0.0:
-            x = num / den
-            y = t + x
-            if lo <= y <= hi and y != 0.0:
-                fallback = x
-    return fallback
-
-
-def _secular_roots(d: np.ndarray, z: np.ndarray, rho: float, order: int):
-    """Roots of 1/rho + sum_i z_i^2 / (d_i - x) for strictly increasing
-    poles d, nonzero z and rho > 0; returns (origin, tau), root j being
-    d[origin[j]] + tau[j].
+def _secular_roots(sets, orders):
+    """Roots of 1/rho + sum_i z_i^2 / (d_i - x) for each set (d, z, rho) of
+    strictly increasing poles d, nonzero z and rho > 0; orders holds the
+    order of each set's merge, for the error message.  Returns one
+    (origin, tau) per set, its root j being d[origin[j]] + tau[j].
 
     Root j lies between d_j and d_(j+1) (the last one between d_k and
-    d_k + rho |z|^2).  It is found as an offset tau from the nearer pole,
-    so a root close to a pole keeps its relative accuracy (LAPACK's
-    dlaed4), and d_i - root_j is taken as (d_i - d_origin) - tau.  The first
-    guess keeps the interval's two poles exact and the rest as a constant,
-    evaluated at the interval's midpoint.  Each step then solves the
-    middle-way model of R.-C. Li (LAWN 89), which matches the value and
-    slope of the poles below and above the root separately, or, where f
-    falls slowly, a model that keeps the origin's pole exact; a model root
-    outside the bracket falls back to bisection.
+    d_k + rho |z|^2); a set of one pole has it in closed form.  It is found
+    as an offset tau from the nearer pole, so a root close to a pole keeps
+    its relative accuracy (LAPACK's dlaed4), and d_i - root_j is taken as
+    (d_i - d_origin) - tau.  The first guess keeps the interval's two poles
+    exact and the rest as a constant, evaluated at the interval's midpoint.
+    Each step then solves the middle-way model of R.-C. Li (LAWN 89), which
+    matches the value and slope of the poles below and above the root
+    separately, or, where f falls slowly, a model that keeps the origin's
+    pole exact; a model root outside the bracket falls back to bisection.
 
-    Each root iterates on its own, and each sum over the poles runs from
-    0.0 and from the first pole to the last, so a root's bits do not depend
-    on which roots share its arrays.  A set of at most _SECULAR_SMALL
-    poles, the usual case once a corona's multiple eigenvalues deflate,
-    runs the iteration in Python floats (_secular_floats), where numpy's
-    fixed cost per call would outweigh arrays of a few entries; a larger
-    set runs it on numpy arrays (_secular_columns), one block of roots
-    (_blocks) at a time, so that it holds k x block arrays, not k x k.
-    Both give the same bits.
+    Every root of every set with two or more poles takes a column of its
+    own, and the columns go to _secular_columns one block (_blocks) at a
+    time, so that a call holds K x block arrays, K the most poles in the
+    block, never K x K.  A column holds its set's poles in order, then
+    poles at +inf of weight -0.0: their terms are exact -0.0, and
+    x + (-0.0) is x for every x, so each root iterates on its own and each
+    of its sums runs over its own poles, first to last, whichever sets
+    share its arrays.
     """
-    k = d.size
-    z2 = z * z
-    width = np.append(d[1:] - d[:-1], rho * float(z2.sum()))
-    if k == 1:
-        return np.zeros(1, dtype=np.int64), width
-    if k <= _SECULAR_SMALL:
-        origin, tau = _secular_floats(d.tolist(), z2.tolist(), width.tolist(), rho, order)
-        return np.array(origin), np.array(tau)
-    parts = [_secular_columns(d, z2, width, rho, order, np.arange(b.start, b.stop)) for b in _blocks(k)]
-    return tuple(map(np.concatenate, zip(*parts)))
+    if not sets:
+        return []
+    d, z, rho = zip(*sets)
+    sizes = np.array([x.size for x in d])
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    poles = np.concatenate(d)
+    weights = np.square(np.concatenate(z))
+    # each root's interval, the last of a set's up to rho |z|^2 above its
+    # last pole; a set of one pole has its root there
+    width = np.empty(poles.size)
+    width[:-1] = poles[1:] - poles[:-1]
+    width[ends - 1] = [r * float(weights[a:b].sum()) for r, a, b in zip(rho, starts.tolist(), ends.tolist())]
+    origin, tau = np.zeros(poles.size, dtype=np.int64), width.copy()
+    # per root: its set's size, start and rho, its merge's order, and its
+    # index in the set
+    k, start, rho, order = (np.repeat(x, sizes) for x in (sizes, starts, rho, orders))
+    j = np.arange(poles.size) - start
+    many = np.flatnonzero(k > 1)
+    for block in _blocks(many.size):
+        cols = many[block]
+        rows = np.arange(k[cols].max())[:, None]
+        at, inside = start[cols] + rows, rows < k[cols]
+        origin[cols], tau[cols] = _secular_columns(
+            np.where(inside, poles.take(at, mode="clip"), np.inf),
+            np.where(inside, weights.take(at, mode="clip"), -0.0),
+            width[cols], rho[cols], j[cols], k[cols], order[cols])
+    return [(origin[a:b], tau[a:b]) for a, b in zip(starts.tolist(), ends.tolist())]
 
 
-def _blocks(k: int) -> list[slice]:
-    """The roots 0..k-1 in max(1, k // _SECULAR_BLOCK) blocks of
-    consecutive roots, of _SECULAR_BLOCK to 2 _SECULAR_BLOCK - 1 each, or
-    all k in one: so for k >= 2 (and _SECULAR_BLOCK >= 2) every block has
-    at least two roots, whose columns numpy sums in order (see
+def _blocks(m: int) -> list[slice]:
+    """The columns 0..m-1 in max(1, m // _SECULAR_BLOCK) blocks of
+    consecutive columns, of _SECULAR_BLOCK to 2 _SECULAR_BLOCK - 1 each, or
+    all m in one (none for m = 0): so for m >= 2 (and _SECULAR_BLOCK >= 2)
+    every block has at least two columns, which numpy sums in order (see
     _secular_columns)."""
-    count = max(1, k // _SECULAR_BLOCK)
-    return [slice(k * b // count, k * (b + 1) // count) for b in range(count)]
+    count = max(1, m // _SECULAR_BLOCK) if m else 0
+    return [slice(m * b // count, m * (b + 1) // count) for b in range(count)]
 
 
-def _secular_converge_error(order: int) -> ConvergenceError:
-    return ConvergenceError(
-        f"secular equation of a divide-and-conquer merge of order {order} "
-        f"failed to converge after {_SECULAR_MAX_ITER} iterations"
-    )
-
-
-def _secular_columns(d, z2, width, rho, order, j):
-    """_secular_roots's iteration for the roots j (at least two consecutive
-    indices) of a set of k >= 2 poles, all of them together in k x len(j)
-    arrays.  numpy sums each column of a C-ordered k x m array, m >= 2,
-    first to last from 0.0, one row after another."""
-    k = d.size
+def _secular_columns(poles, weights, width, rho, j, k, order):
+    """_secular_roots's iteration for a block of at least two roots, all of
+    them together: column c of the K x m arrays poles and weights (z^2)
+    holds the k[c] poles of root c's set, padded, and width[c], rho[c] and
+    order[c] are its interval, its set's rho and its merge's order, and
+    j[c] its index in the set.  Returns (origin, tau) by column.  numpy sums
+    each column of a C-ordered K x m array, m >= 2, first to last, one row
+    after another; a root that stops moving drops out of the arrays."""
+    columns = np.arange(j.size)
     # the root's model poles, lower and lower + 1 (for the last root the
     # two largest poles, as in dlaed4)
     lower = np.minimum(j, k - 2)
-    upper = lower + 1
-    rows = np.arange(k)[:, None]
-    columns = np.arange(j.size)
-    half = 0.5 * width[j]
-    terms = z2[:, None] / ((d[:, None] - d[j]) - half)
+    model = np.array((lower, lower + 1))
+    half = 0.5 * width
+    terms = weights / ((poles - poles[j, columns]) - half)
     f_mid = 1.0 / rho + terms.sum(axis=0)
     left_half = f_mid >= 0.0
     from_lower = left_half | (j == k - 1)
     origin = np.where(from_lower, j, j + 1)
-    base = np.where(from_lower, 0.0, width[j])
-    shift = d[:, None] - d[origin]
+    base = np.where(from_lower, 0.0, width)
+    shift = poles - poles[origin, columns]
     lo = np.where(left_half, 0.0, half) - base
-    hi = np.where(left_half, half, width[j]) - base
+    hi = np.where(left_half, half, width) - base
     # first guess: c + z_p^2 / (dp - tau) + z_q^2 / (dq - tau) = 0
-    const = f_mid - terms[lower, columns] - terms[upper, columns]
-    zp, zq = z2[lower], z2[upper]
-    dp, dq = shift[lower, columns], shift[upper, columns]
+    (tp, tq), (zp, zq), (dp, dq) = (x[model, columns] for x in (terms, weights, shift))
+    const = f_mid - tp - tq
     tau = _inside_root(const, const * (dp + dq) + zp + zq, const * dp * dq + zp * dq + zq * dp,
                        0.0, lo, hi, 0.5 * (lo + hi))
-    # per root: the last value of f, and whether the model keeps the
-    # origin's pole exact instead (dlaed4 switches so when f falls slowly)
-    last_f = np.zeros(j.size)
+    # per root, compressed as roots stop moving: its offset t, bracket
+    # [lo, hi] and last value of f, the shifts d_i - d_origin of its model
+    # poles and of the one that is not its origin, its origin's z^2, 1/rho
+    # and 2/rho (the origin's own shift is d_origin - d_origin = 0.0)
+    state = np.array((tau, lo, hi, np.zeros(j.size), dp, dq, np.where(origin == lower, dq, dp),
+                      weights[origin, columns], 1.0 / rho, 2.0 / rho))
+    t, lo, hi, last_f, s_lower, s_upper, s_other, z_origin, inv_rho, two_rho = state
+    # whether the model keeps the origin's pole exact instead (dlaed4
+    # switches so when f falls slowly)
     fixed = np.zeros(j.size, dtype=bool)
-    active = columns
+    live = columns
+    # each root's poles below its model split (lower and before) and above
+    below = np.arange(len(poles))[:, None] <= lower
+    halves = np.array((below, ~below), dtype=np.float64)
     for _ in range(_SECULAR_MAX_ITER):
-        t = tau[active]
-        delta = shift[:, active] - t
-        terms = z2[:, None] / delta
-        slopes = terms / delta
-        below = (rows <= lower[active]).astype(np.float64)
-        above = 1.0 - below
-        sums = (terms, below), (terms, above), (slopes, below), (slopes, above)
-        if active.size == 1:
+        # the terms z_i^2 / delta_i and their slopes, summed below and above;
+        # delta = d_i - root_j goes where the slopes go
+        terms = np.empty((2, *shift.shape))
+        delta = np.subtract(shift, t, out=terms[1])
+        np.divide(weights, delta, out=terms[0])
+        np.divide(terms[0], delta, out=terms[1])
+        sums = terms, halves
+        if live.size == 1:
             # numpy sums a lone column as one contiguous run, in its own
             # vectorized order; as the first of two equal columns it is
             # summed first to last
-            sums = [(np.repeat(x, 2, axis=1), np.repeat(y, 2, axis=1)) for x, y in sums]
-        psi, phi, dpsi, dphi = (np.einsum("ij,ij->j", x, y)[: active.size] for x, y in sums)
-        f = 1.0 / rho + psi + phi
+            sums = [np.repeat(x, 2, axis=2) for x in sums]
+        (psi, phi), (dpsi, dphi) = np.einsum("tij,sij->tsj", *sums)[..., : live.size]
+        f = inv_rho + psi + phi
         # the rounding error of f, as bounded in dlaed4
-        moving = np.abs(f) > _EPS * (8.0 * (np.abs(psi) + np.abs(phi)) + 2.0 / rho
-                                     + np.abs(t) * (dpsi + dphi))
+        moving = np.abs(f) > _EPS * (8.0 * (np.abs(psi) + np.abs(phi)) + two_rho + np.abs(t) * (dpsi + dphi))
         if not moving.all():
-            active, t, f, dpsi, dphi = (x[moving] for x in (active, t, f, dpsi, dphi))
-            delta = delta[:, moving]
-            if not active.size:
+            live, fixed, f, dpsi, dphi = (x[moving] for x in (live, fixed, f, dpsi, dphi))
+            if not live.size:
                 break
-        lo[active] = np.where(f < 0.0, t, lo[active])
-        hi[active] = np.where(f > 0.0, t, hi[active])
-        prev = last_f[active]
-        fixed[active] ^= (f * prev > 0.0) & (np.abs(f) > 0.1 * np.abs(prev))
-        last_f[active] = f
-        at = np.arange(active.size)
-        dl, du = delta[lower[active], at], delta[upper[active], at]
+            # compress keeps them C-ordered, where x[:, moving] would not be,
+            # so that each sum still runs down its column
+            state, shift, weights, halves = (x.compress(moving, axis=-1) for x in (state, shift, weights, halves))
+            t, lo, hi, last_f, s_lower, s_upper, s_other, z_origin, inv_rho, two_rho = state
+        np.copyto(lo, t, where=f < 0.0)
+        np.copyto(hi, t, where=f > 0.0)
+        fixed ^= (f * last_f > 0.0) & (np.abs(f) > 0.1 * np.abs(last_f))
+        last_f[...] = f
+        slope = dpsi + dphi
+        dl, du = s_lower - t, s_upper - t
         # the model c + s / (dl - eta) + S / (du - eta) = 0, with weights
         # s = dl^2 dpsi, S = du^2 dphi (middle way) or, fixed, the origin
         # pole's own z^2 and the rest of the slope on the other pole
         c = f - dl * dpsi - du * dphi
-        use = fixed[active]
-        if use.any():
-            at_lower = origin[active] == lower[active]
-            do, dx = np.where(at_lower, dl, du), np.where(at_lower, du, dl)
-            c = np.where(use, f - dx * (dpsi + dphi) - z2[origin[active]] * (do - dx) / (do * do), c)
-        l, h = lo[active], hi[active]
-        tau[active] = t + _inside_root(c, (dl + du) * f - dl * du * (dpsi + dphi), dl * du * f,
-                                       t, l, h, 0.5 * (l + h) - t)
-    if active.size:
-        raise _secular_converge_error(order)
+        if fixed.any():
+            do, dx = 0.0 - t, s_other - t
+            c = np.where(fixed, f - dx * slope - z_origin * (do - dx) / (do * do), c)
+        p = dl * du
+        t += _inside_root(c, (dl + du) * f - p * slope, p * f, t, lo, hi, 0.5 * (lo + hi) - t)
+        tau[live] = t
+    if live.size:
+        raise ConvergenceError(
+            f"secular equation of a divide-and-conquer merge of order {order[live[0]]} "
+            f"failed to converge after {_SECULAR_MAX_ITER} iterations"
+        )
     return origin, tau
 
 
-def _secular_floats(d, z2, width, rho, order):
-    """_secular_roots's iteration for all k >= 2 roots, in Python floats:
-    lists d, z2 (the weights z^2) and width (each root's interval); returns
-    the lists (origin, tau).  Every operation is _secular_columns's, one
-    root at a time and in the same order, each sum from 0.0 and from the
-    first pole to the last."""
-    k = len(d)
-    inv_rho, two_rho = 1.0 / rho, 2.0 / rho
-    origin, tau = [], []
-    for j in range(k):
-        half = 0.5 * width[j]
-        dj = d[j]
-        terms = [w / ((di - dj) - half) for di, w in zip(d, z2)]
-        f_mid = 0.0
-        for y in terms:
-            f_mid += y
-        f_mid = inv_rho + f_mid
-        left_half = f_mid >= 0.0
-        from_lower = left_half or j == k - 1
-        o = j if from_lower else j + 1
-        base = 0.0 if from_lower else width[j]
-        do = d[o]
-        column = [di - do for di in d]
-        lo = (0.0 if left_half else half) - base
-        hi = (half if left_half else width[j]) - base
-        p = min(j, k - 2)
-        const = f_mid - terms[p] - terms[p + 1]
-        zp, zq, dp, dq = z2[p], z2[p + 1], column[p], column[p + 1]
-        t = _inside_root_float(const, const * (dp + dq) + zp + zq, const * dp * dq + zp * dq + zq * dp,
-                               0.0, lo, hi, 0.5 * (lo + hi))
-        below = list(zip(column[: p + 1], z2[: p + 1]))
-        above = list(zip(column[p + 1 :], z2[p + 1 :]))
-        last_f, fixed = 0.0, False
-        for _ in range(_SECULAR_MAX_ITER):
-            psi = dpsi = 0.0
-            for s, w in below:
-                x = s - t
-                y = w / x
-                psi += y
-                dpsi += y / x
-            phi = dphi = 0.0
-            for s, w in above:
-                x = s - t
-                y = w / x
-                phi += y
-                dphi += y / x
-            f = inv_rho + psi + phi
-            if not abs(f) > _EPS * (8.0 * (abs(psi) + abs(phi)) + two_rho + abs(t) * (dpsi + dphi)):
-                break
-            if f < 0.0:
-                lo = t
-            if f > 0.0:
-                hi = t
-            if f * last_f > 0.0 and abs(f) > 0.1 * abs(last_f):
-                fixed = not fixed
-            last_f = f
-            dl, du = column[p] - t, column[p + 1] - t
-            if fixed:
-                do, dx = (dl, du) if o == p else (du, dl)
-                c = f - dx * (dpsi + dphi) - z2[o] * (do - dx) / (do * do)
-            else:
-                c = f - dl * dpsi - du * dphi
-            t = t + _inside_root_float(c, (dl + du) * f - dl * du * (dpsi + dphi), dl * du * f,
-                                       t, lo, hi, 0.5 * (lo + hi) - t)
-        else:
-            raise _secular_converge_error(order)
-        origin.append(o)
-        tau.append(t)
-    return origin, tau
-
-
-def _cuppen_merge(left, right, beta: float):
-    """Merge the eigensystems of the two halves of a torn tridiagonal.
+def _deflate(left, right, beta: float):
+    """Deflate the merge of the eigensystems of the two halves of a torn
+    tridiagonal; returns (parts, table, rho).
 
     left and right are the halves' eigensystems as 3 x n arrays (values,
     first row and last row of the eigenvector matrix), after the tear took
@@ -1002,16 +930,9 @@ def _cuppen_merge(left, right, beta: float):
     the second; the whole is Q (D + rho z z^T) Q^T with rho = 2|beta| and z
     the unit vector of half one's last row and sign(beta) times half two's
     first row.  Entries with a negligible rho z_i, and one of each pair of
-    near-equal poles after a Givens rotation, deflate (LAPACK's dlaed2);
-    the rest solve the secular equation (_secular_roots).  The Loewner
-    products and the eigenvectors' first and last rows then take the
-    differences d_i - root_j one block of roots at a time (_blocks): a
-    secular set of k poles holds a few k x block arrays, of 64 to 127
-    roots, and a set of at most 127 poles, every one of a corona of order
-    612 among them, takes one block.  Returns the merged eigensystem in the
-    same form, unsorted: the parent merge and Spectrum sort stably.  Its
-    sums and products are elementwise or einsum (no BLAS call), so they do
-    not depend on the BLAS thread count.
+    near-equal poles after a Givens rotation, deflate (LAPACK's dlaed2):
+    parts lists their eigensystems, in the same form.  The rest make the
+    4 x k table of the secular set's poles, z and rows, sorted by pole.
     """
     n1 = left.shape[1]
     rho = 2.0 * abs(beta)
@@ -1043,57 +964,93 @@ def _cuppen_merge(left, right, beta: float):
     if prev is not None:
         kept.append(prev)
     parts = [merged[:, ~live], np.array(rotated).reshape(-1, 3).T]
-    if kept:
-        table = np.array(kept).T
-        kd, kz, rows = table[0], table[1], table[2:]
-        k = kd.size
-        origin, tau = _secular_roots(kd, kz, rho, merged.shape[1])
-        blocks = _blocks(k)
-        index = np.arange(k)
+    return parts, np.array(kept).reshape(-1, 4).T, rho
 
-        def differences(cols):
-            # d_i - root_j, as the secular solver takes it
-            return (kd[:, None] - kd[origin[cols]]) - tau[cols]
 
-        # Loewner's formula gives the z for which the computed roots are
-        # exact, so the eigenvectors zhat_i / (d_i - root_j) come out
-        # orthogonal (Gu & Eisenstat 1995).  Each block's ratios follow the
-        # product so far in one row, so the product runs over all roots in
-        # order, block by block.
-        loewner = np.ones(k)
-        for cols in blocks:
+def _secular_system(table, origin, tau):
+    """The eigensystem, as a 3 x k array, of a merge's secular set: table
+    from _deflate, and (origin, tau) its roots from _secular_roots.  The
+    Loewner products and the eigenvectors' first and last rows take the
+    differences d_i - root_j one block of roots at a time (_blocks), so a
+    set of k poles holds a few k x block arrays.  Its sums and products are
+    elementwise or einsum (no BLAS call), whatever the BLAS thread count.
+    """
+    kd, kz, rows = table[0], table[1], table[2:]
+    k = kd.size
+    blocks = _blocks(k)
+    index = np.arange(k)
+
+    def differences(cols):
+        # d_i - root_j, as the secular solver takes it
+        return (kd[:, None] - kd[origin[cols]]) - tau[cols]
+
+    # Loewner's formula gives the z for which the computed roots are
+    # exact, so the eigenvectors zhat_i / (d_i - root_j) come out
+    # orthogonal (Gu & Eisenstat 1995).  Each block's ratios follow the
+    # product so far in one row, so the product runs over all roots in
+    # order, block by block.
+    loewner = np.ones(k)
+    for cols in blocks:
+        delta = differences(cols)
+        ratio = np.empty((k, 1 + delta.shape[1]))
+        ratio[:, 0] = loewner
+        np.divide(delta, np.where(index[:, None] == index[cols], 1.0, kd[:, None] - kd[cols]), out=ratio[:, 1:])
+        loewner = np.multiply.reduce(ratio, axis=1)
+    zhat = np.copysign(np.sqrt(np.abs(loewner)), kz)
+    secular = np.empty((3, k))
+    secular[0] = kd[origin] + tau
+    for cols in blocks:
+        # one block keeps its differences from the Loewner pass
+        if len(blocks) > 1:
             delta = differences(cols)
-            ratio = np.empty((k, 1 + delta.shape[1]))
-            ratio[:, 0] = loewner
-            np.divide(delta, np.where(index[:, None] == index[cols], 1.0, kd[:, None] - kd[cols]), out=ratio[:, 1:])
-            loewner = np.multiply.reduce(ratio, axis=1)
-        zhat = np.copysign(np.sqrt(np.abs(loewner)), kz)
-        secular = np.empty((3, k))
-        secular[0] = kd[origin] + tau
-        for cols in blocks:
-            # one block keeps its differences from the Loewner pass
-            if len(blocks) > 1:
-                delta = differences(cols)
-            vecs = zhat[:, None] / delta
-            secular[1:, cols] = np.einsum("ri,ij->rj", rows, vecs) / np.sqrt(np.einsum("ij,ij->j", vecs, vecs))
-        parts.append(secular)
-    return np.concatenate(parts, axis=1)
+        vecs = zhat[:, None] / delta
+        secular[1:, cols] = np.einsum("ri,ij->rj", rows, vecs) / np.sqrt(np.einsum("ij,ij->j", vecs, vecs))
+    return secular
 
 
 def _divide_and_conquer(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     """The eigensystem of the symmetric tridiagonal (d, e) as a 3 x n
     array, its rows the values, the first row and the last row of the
     eigenvector matrix, in no particular order, by Cuppen's divide and
-    conquer over QL leaves of at most _DC_LEAF rows."""
-    n = d.size
-    if n <= _DC_LEAF:
-        return np.array(_ql_implicit(d.tolist(), e.tolist()))
-    h = n // 2
-    beta = float(e[h - 1])
-    d1, d2 = d[:h].copy(), d[h:].copy()
-    d1[-1] -= abs(beta)
-    d2[0] -= abs(beta)
-    return _cuppen_merge(_divide_and_conquer(d1, e[: h - 1]), _divide_and_conquer(d2, e[h:]), beta)
+    conquer over QL leaves of at most _DC_LEAF rows.
+
+    A segment of more than _DC_LEAF rows is torn in half, the first half
+    taking n // 2 rows, each tear before those within its halves.  The
+    merges then run by height (a leaf's is 0, a merge's one more than its
+    taller half's): each merge of a height deflates, one _secular_roots
+    call solves all their secular sets, and each merge forms its
+    eigensystem, unsorted, since the parent merge and Spectrum sort stably.
+    """
+    d = d.copy()
+    merges = []
+    systems = {}
+
+    def tear(start, stop):
+        # the segment's height, after its tears and leaves are made
+        if stop - start <= _DC_LEAF:
+            systems[start] = np.array(_ql_implicit(d[start:stop].tolist(), e[start : stop - 1].tolist()))
+            return 0
+        mid = (start + stop) // 2
+        beta = float(e[mid - 1])
+        d[mid - 1] -= abs(beta)
+        d[mid] -= abs(beta)
+        height = 1 + max(tear(start, mid), tear(mid, stop))
+        merges.append((height, start, mid, stop, beta))
+        return height
+
+    tear(0, d.size)
+    for _, level in itertools.groupby(sorted(merges), key=operator.itemgetter(0)):
+        level = [(start, stop - start, *_deflate(systems.pop(start), systems.pop(mid), beta))
+                 for _, start, mid, stop, beta in level]
+        # the merges that keep a secular set, solved together
+        solving = [merge for merge in level if merge[3].size]
+        roots = _secular_roots([(table[0], table[1], rho) for *_, table, rho in solving],
+                               [order for _, order, *_ in solving])
+        for (*_, parts, table, _), (origin, tau) in zip(solving, roots):
+            parts.append(_secular_system(table, origin, tau))
+        for start, _, parts, _, _ in level:
+            systems[start] = np.concatenate(parts, axis=1)
+    return systems[0]
 
 
 def numeric_spectrum(mat: np.ndarray) -> Spectrum:

@@ -452,7 +452,10 @@ class TestRouteIndependence:
             patch.setattr("rcorona.spectra._householder_tridiagonal", forbidden)
             patch.setattr("rcorona.spectra._ql_implicit", forbidden)
             patch.setattr("rcorona.spectra._ql_values", forbidden)
-            patch.setattr("rcorona.spectra._cuppen_merge", forbidden)
+            # divide and conquer and each of its steps: a merge's deflation,
+            # its secular solve and its eigenvectors' rows
+            for step in ("_divide_and_conquer", "_deflate", "_secular_roots", "_secular_system"):
+                patch.setattr(f"rcorona.spectra.{step}", forbidden)
             closed = flatten(closed_form_spectrum(g, g1, g2))
         corona, _ = double_corona(g, g1, g2)
         report = compare_spectra(closed, nl_spectrum(corona), 1e-8)

@@ -31,7 +31,6 @@ from rcorona.spectra import (
     _EPS,
     _INNER_ENTRIES,
     _PANEL,
-    _SECULAR_SMALL,
     _SPARSE_DENSITY,
     _TILE,
     _UNBLOCKED,
@@ -41,8 +40,6 @@ from rcorona.spectra import (
     _householder_tridiagonal,
     _ql_implicit,
     _ql_values,
-    _secular_columns,
-    _secular_floats,
     _secular_roots,
     _sparse_nonzeros,
     _split_tolerance,
@@ -50,9 +47,9 @@ from rcorona.spectra import (
 
 
 def secular_roots(d, z, rho, order):
-    """_secular_roots's roots, and the differences d_i - root_j as the
-    merge forms them from (origin, tau)."""
-    origin, tau = _secular_roots(d, z, rho, order)
+    """_secular_roots's roots for the one set (d, z, rho), and the
+    differences d_i - root_j as the merge forms them from (origin, tau)."""
+    (origin, tau), = _secular_roots([(d, z, rho)], [order])
     return d[origin] + tau, (d[:, None] - d[origin]) - tau
 
 
@@ -806,88 +803,114 @@ class TestDivideAndConquer:
         assert np.allclose(roots, ref, rtol=0, atol=1e-15)
         assert delta.shape == (1, 1) and np.allclose(delta, d - roots, rtol=0, atol=1e-15)
 
-    def test_small_sets_in_floats_match_the_array_solver(self):
-        # the Python-float iteration against the array iteration on the same
-        # set, every root in one block: the same origin and tau bits, so the
-        # same roots and differences d_i - root_j, or the same error
+    def test_secular_roots_match_eigvalsh_in_mixed_batches(self):
+        # 2100 seeded sets of 2 to 24 poles, spread, clustered or with tiny
+        # weights, solved in batches of 1 to 12 sets of mixed sizes: every
+        # set converges, to eigvalsh's roots within 1e-13 relative
         rng = np.random.default_rng(28)
         kinds = ("spread", "clustered", "tiny weights")
-        solved = failed = 0
-        for trial in range(2100):
-            k, kind = 2 + trial % (_SECULAR_SMALL - 1), kinds[trial // 7 % 3]
-            d, z, rho = secular_problem(rng, k, kind)
-            z2 = z * z
-            width = np.append(d[1:] - d[:-1], rho * float(z2.sum()))
-            try:
-                columns = _secular_columns(d, z2, width, rho, k, np.arange(k))
-            except ConvergenceError as exc:
-                with pytest.raises(ConvergenceError, match=str(exc)):
-                    _secular_floats(d.tolist(), z2.tolist(), width.tolist(), rho, k)
-                failed += 1
-                continue
-            origin, tau = _secular_floats(d.tolist(), z2.tolist(), width.tolist(), rho, k)
-            assert np.array_equal(columns[0], origin), (trial, kind)
-            assert np.array_equal(columns[1], tau), (trial, kind)
-            roots = d[origin] + np.array(tau)
-            ref = np.linalg.eigvalsh(np.diag(d) + rho * np.outer(z, z))
-            assert np.max(np.abs(roots - ref)) <= 1e-13 * max(1.0, float(np.max(np.abs(ref)))), (trial, kind)
-            solved += 1
-        assert solved >= 2000 and failed == 0
+        problems = [secular_problem(rng, 2 + trial % 23, kinds[trial // 7 % 3]) for trial in range(2100)]
+        solved = 0
+        while solved < len(problems):
+            batch = problems[solved : solved + int(rng.integers(1, 13))]
+            roots = _secular_roots(batch, [d.size for d, _, _ in batch])
+            for (d, z, rho), (origin, tau) in zip(batch, roots):
+                ref = np.linalg.eigvalsh(np.diag(d) + rho * np.outer(z, z))
+                got = d[origin] + tau
+                assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, float(np.max(np.abs(ref)))), solved
+                solved += 1
 
-    @pytest.mark.parametrize("cap", [0, 1, 2, 3])
-    def test_both_paths_raise_the_same_cap_error(self, monkeypatch, cap):
-        # this set needs four iterations for its slowest root
-        monkeypatch.setattr("rcorona.spectra._SECULAR_MAX_ITER", cap)
-        d, z, rho = secular_problem(np.random.default_rng(1), 6, "clustered")
-        errors = []
-        for small in (0, _SECULAR_SMALL):
-            monkeypatch.setattr("rcorona.spectra._SECULAR_SMALL", small)
-            with pytest.raises(ConvergenceError) as exc:
-                _secular_roots(d, z, rho, 40)
-            errors.append(str(exc.value))
-        assert errors[0] == errors[1]
-        assert errors[0] == ("secular equation of a divide-and-conquer merge of order 40 "
-                             f"failed to converge after {cap} iterations")
-
-    def test_only_large_sets_take_the_array_solver(self, monkeypatch):
-        # circulant(36; 2, 5) with {K4, C5}, N = 612: the corona's multiple
-        # eigenvalues deflate, so most merges keep a handful of poles, and
-        # only the sets above _SECULAR_SMALL make numpy calls per root
-        lap = corona_laplacian(36, 2, 5)
-        d, e = _householder_tridiagonal(lap, _sparse_nonzeros(lap))
-        sets, arrays = [], []
-        solve, columns = _secular_roots, _secular_columns
-        monkeypatch.setattr("rcorona.spectra._secular_roots",
-                            lambda d, *args: sets.append(d.size) or solve(d, *args))
-        monkeypatch.setattr("rcorona.spectra._secular_columns",
-                            lambda d, *args: arrays.append(d.size) or columns(d, *args))
-        _divide_and_conquer(d, e)
-        assert len(sets) == 15
-        large = sorted(k for k in sets if k > _SECULAR_SMALL)
-        assert sorted(arrays) == large and len(large) == 4
-        # every one of them in one block of roots
-        assert max(large) < 2 * rcorona.spectra._SECULAR_BLOCK
-
-    @pytest.mark.parametrize("small, block", [(0, 2), (0, 5), (1000, 64), (3, 7)])
-    def test_neither_path_nor_blocks_change_the_bits(self, monkeypatch, small, block):
-        # a random tridiagonal's merges deflate almost nothing, so the top
-        # merge solves about 150 poles: through the floats, the arrays, or
-        # blocks of a few roots, every value and row is the same
-        monkeypatch.setattr("rcorona.spectra._DC_LEAF", 20)
-        rng = np.random.default_rng(150)
-        d, e = rng.standard_normal(150), rng.standard_normal(149)
-        expect = _divide_and_conquer(d, e)
-        monkeypatch.setattr("rcorona.spectra._SECULAR_SMALL", small)
+    @pytest.mark.parametrize("block", [5, 64])
+    def test_a_batch_gives_each_set_its_own_bits(self, monkeypatch, block):
+        # sets of 1 to 150 poles, shuffled, so that a block of columns mixes
+        # sets and a large set spans several blocks: each set's origin and
+        # tau are those it gets solved alone
         monkeypatch.setattr("rcorona.spectra._SECULAR_BLOCK", block)
-        for got, want in zip(_divide_and_conquer(d, e), expect):
-            assert np.array_equal(got, want)
+        rng = np.random.default_rng(32)
+        kinds = ("spread", "clustered", "tiny weights")
+        sizes = [1, 1, 2, 3, 5, 5, 13, 24, 25, 40, 64, 65, 99, 127, 128, 150]
+        sets = [secular_problem(rng, k, kinds[i % 3]) for i, k in enumerate(sizes)]
+        order = rng.permutation(len(sets))
+        batch = [sets[i] for i in order]
+        for (origin, tau), s in zip(_secular_roots(batch, [0] * len(batch)), batch):
+            (alone_origin, alone_tau), = _secular_roots([s], [0])
+            assert np.array_equal(origin, alone_origin) and np.array_equal(tau, alone_tau), s[0].size
 
     def test_secular_cap_raises(self, monkeypatch):
+        # a batch's error names the order of its first merge, in the batch's
+        # order, whose set did not converge within the cap; a set of one pole
+        # takes no iteration.  The clustered set needs four iterations for
+        # its slowest root, and blocks of two roots spread the sets over
+        # several calls
+        monkeypatch.setattr("rcorona.spectra._SECULAR_BLOCK", 2)
+        clustered = secular_problem(np.random.default_rng(1), 6, "clustered")
+        rng = np.random.default_rng(7)
+        sets = [secular_problem(rng, 1, "spread"), secular_problem(rng, 2, "spread"), clustered,
+                secular_problem(rng, 30, "spread")]
+        orders = [10, 20, 40, 90]
+
+        def stalls(s, order):
+            try:
+                _secular_roots([s], [order])
+            except ConvergenceError:
+                return True
+            return False
+
+        named = set()
+        for cap in range(6):
+            monkeypatch.setattr("rcorona.spectra._SECULAR_MAX_ITER", cap)
+            first = next((order for s, order in zip(sets, orders) if stalls(s, order)), None)
+            if first is None:
+                _secular_roots(sets, orders)
+                continue
+            with pytest.raises(ConvergenceError) as exc:
+                _secular_roots(sets, orders)
+            assert str(exc.value) == ("secular equation of a divide-and-conquer merge of order "
+                                      f"{first} failed to converge after {cap} iterations")
+            named.add(first)
+        assert 40 in named and len(named) >= 2
+        # and through numeric_spectrum, above the crossover
         monkeypatch.setattr("rcorona.spectra._SECULAR_MAX_ITER", 0)
         rng = np.random.default_rng(5)
         m = rng.standard_normal((_DC_CROSSOVER + 1, _DC_CROSSOVER + 1))
         with pytest.raises(ConvergenceError, match=r"merge of order \d+"):
             numeric_spectrum((m + m.T) / 2)
+
+    def test_one_secular_solve_per_merge_height(self, monkeypatch):
+        # circulant(36; 2, 5) with {K4, C5}, N = 612: 16 leaves under 15
+        # merges of 4 heights.  The corona's multiple eigenvalues deflate,
+        # so most merges keep a handful of poles; each height's sets are
+        # solved in one call, its columns in blocks of 64 to 127, each with
+        # as many rows as the most poles among its sets, never k x k
+        lap = corona_laplacian(36, 2, 5)
+        d, e = _householder_tridiagonal(lap, _sparse_nonzeros(lap))
+        calls, blocks = [], []
+        solve, columns = _secular_roots, rcorona.spectra._secular_columns
+        monkeypatch.setattr("rcorona.spectra._secular_roots",
+                            lambda sets, orders: calls.append([s[0].size for s in sets]) or solve(sets, orders))
+        monkeypatch.setattr("rcorona.spectra._secular_columns",
+                            lambda poles, *args: blocks.append(poles.shape) or columns(poles, *args))
+        _divide_and_conquer(d, e)
+        assert [len(sets) for sets in calls] == [8, 4, 2, 1]
+        widths = [sum(sets) for sets in calls]
+        assert sum(width for _, width in blocks) == sum(widths)
+        # the first height's 154 columns take two blocks
+        assert widths[0] > 2 * rcorona.spectra._SECULAR_BLOCK and len(blocks) == 5
+        assert all(width < 2 * rcorona.spectra._SECULAR_BLOCK for _, width in blocks)
+        assert [rows for rows, _ in blocks[2:]] == [max(sets) for sets in calls[1:]]
+
+    @pytest.mark.parametrize("block", [2, 5, 64, 7])
+    def test_blocks_do_not_change_the_bits(self, monkeypatch, block):
+        # a random tridiagonal's merges deflate almost nothing, so the top
+        # merge solves about 150 poles: in blocks of a few roots or of many,
+        # every value and row is the same
+        monkeypatch.setattr("rcorona.spectra._DC_LEAF", 20)
+        rng = np.random.default_rng(150)
+        d, e = rng.standard_normal(150), rng.standard_normal(149)
+        expect = _divide_and_conquer(d, e)
+        monkeypatch.setattr("rcorona.spectra._SECULAR_BLOCK", block)
+        for got, want in zip(_divide_and_conquer(d, e), expect):
+            assert np.array_equal(got, want)
 
 
 class TestCompare:
