@@ -836,6 +836,27 @@ class TestDivideAndConquer:
             (alone_origin, alone_tau), = _secular_roots([s], [0])
             assert np.array_equal(origin, alone_origin) and np.array_equal(tau, alone_tau), s[0].size
 
+    @pytest.mark.parametrize("cap", [0, 1, 2, 3])
+    def test_both_paths_raise_the_same_cap_error(self, monkeypatch, cap):
+        # this set needs four iterations for its slowest root: solved alone
+        # in one block, or at the head of a batch whose blocks of two roots
+        # spread it over several calls, it raises the same error
+        monkeypatch.setattr("rcorona.spectra._SECULAR_MAX_ITER", cap)
+        clustered = secular_problem(np.random.default_rng(1), 6, "clustered")
+        rng = np.random.default_rng(7)
+        batch = [clustered, secular_problem(rng, 2, "spread"), secular_problem(rng, 30, "spread")]
+        errors = []
+        with pytest.raises(ConvergenceError) as exc:
+            _secular_roots([clustered], [40])
+        errors.append(str(exc.value))
+        monkeypatch.setattr("rcorona.spectra._SECULAR_BLOCK", 2)
+        with pytest.raises(ConvergenceError) as exc:
+            _secular_roots(batch, [40, 20, 90])
+        errors.append(str(exc.value))
+        assert errors[0] == errors[1]
+        assert errors[0] == ("secular equation of a divide-and-conquer merge of order 40 "
+                             f"failed to converge after {cap} iterations")
+
     def test_secular_cap_raises(self, monkeypatch):
         # a batch's error names the order of its first merge, in the batch's
         # order, whose set did not converge within the cap; a set of one pole
