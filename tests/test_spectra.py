@@ -1,6 +1,7 @@
 """Normalized Laplacians, the eigensolver oracle, comparison, clustering."""
 
 from fractions import Fraction
+import hashlib
 import json
 import math
 
@@ -44,6 +45,7 @@ from rcorona.spectra import (
     _sparse_nonzeros,
     _split_tolerance,
 )
+from test_numeric_digests import _pinned
 
 
 def secular_roots(d, z, rho, order):
@@ -820,7 +822,38 @@ class TestDivideAndConquer:
                 assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, float(np.max(np.abs(ref)))), solved
                 solved += 1
 
-    @pytest.mark.parametrize("block", [5, 64])
+    # SHA-256 of every (origin, tau) of test_secular_bits_are_pinned's sets,
+    # keyed by block size
+    _SECULAR_SHA256 = {64: "9b3732c4da200fdbbc3b554f5a76849a0021a08c8727589f7b0b9cc5843f9402",
+                       2: "feab21800a35f98793cc82cada4cca1aa2a219a1f668e10640b92625d470d513"}
+
+    @pytest.mark.parametrize("block, count", [(64, 3000), (2, 300)])
+    def test_secular_bits_are_pinned(self, monkeypatch, block, count):
+        # seeded sets of 2 to 151 poles, spread, clustered or with tiny
+        # weights, solved in batches of 1 to 12 sets and then every other one
+        # alone, with blocks of 64 roots and of 2, where a block's roots most
+        # often stop one by one; the first count of the same 3000 sets, as
+        # blocks of 2 make every set pay numpy's fixed cost per pair of roots.
+        # The bits are einsum's sums, so the digest holds only on the build
+        # whose kernels recorded the numeric digests
+        _pinned()
+        monkeypatch.setattr("rcorona.spectra._SECULAR_BLOCK", block)
+        rng = np.random.default_rng(33)
+        kinds = ("spread", "clustered", "tiny weights")
+        sets = [secular_problem(rng, 2 + trial % 150, kinds[trial // 7 % 3]) for trial in range(3000)][:count]
+        batches, solved = [], 0
+        while solved < count:
+            batches.append(sets[solved : solved + int(rng.integers(1, 13))])
+            solved += len(batches[-1])
+        batches += [[s] for s in sets[::2]]
+        h = hashlib.sha256()
+        for batch in batches:
+            for origin, tau in _secular_roots(batch, [d.size for d, _, _ in batch]):
+                h.update(origin.tobytes())
+                h.update(tau.tobytes())
+        assert h.hexdigest() == self._SECULAR_SHA256[block]
+
+    @pytest.mark.parametrize("block", [2, 5, 64])
     def test_a_batch_gives_each_set_its_own_bits(self, monkeypatch, block):
         # sets of 1 to 150 poles, shuffled, so that a block of columns mixes
         # sets and a large set spans several blocks: each set's origin and
