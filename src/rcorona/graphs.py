@@ -259,8 +259,9 @@ def _raise_beyond_int64(n: int, pairs: list) -> None:
 # edges read as well, by 3.38 on K_1000.  Divide and conquer's merges take
 # the k eigenvalues that do not deflate in blocks of roots, k x 64 to
 # k x 127 arrays, so a Laplacian with few repeated ones stays within the
-# reduction's peak: 2.46 on a random connected graph of order 1105 with
-# 3315 edges (8.5 while the merges held k x k arrays).
+# reduction's peak: 2.47 on a random connected graph of order 1105 with
+# 3315 edges (2.46 to 2.47 over five runs; 8.5 while the merges held k x k
+# arrays).
 _DENSE_PEAK_MATRICES = 4.1
 # this process's cgroup v2 memory limit as a container sees it ("max": none)
 _CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"

@@ -82,10 +82,10 @@ _SECULAR_MAX_ITER = 30
 # are k x block, not k x k: a relabelled corona of order 612 has about 154
 # roots at its first height, in two blocks.  On random symmetric matrices,
 # whose merges deflate almost nothing, the peak traced memory of divide and
-# conquer was 1.09, 0.54 and 0.29 N x N matrices at N = 612, 1105 and 2040
-# (2.12, 1.13 and 0.58 with blocks of 128; 8.26, 7.71 and 7.38 with none),
-# and its time 89, 229 and 651 ms (80, 224 and 640 with 128; 32 was 4 to
-# 44% slower), while each set's roots still went in blocks of their own.
+# conquer was 0.92, 0.45 and 0.24 N x N matrices at N = 612, 1105 and 2040
+# (1.77, 0.95 and 0.49 with blocks of 128; 8.26, 7.71 and 7.38 when each
+# merge held k x k arrays), and its time 66, 179 and 509 ms (60, 166 and 496
+# with 128; 32 was 8 to 21% slower).
 _SECULAR_BLOCK = 64
 # Orders above _DC_CROSSOVER take divide and conquer.  Against root-free QL
 # (medians of 7 to 9 runs of the tridiagonal stage alone), it was slower at
@@ -94,11 +94,13 @@ _SECULAR_BLOCK = 64
 # (at 208, the {null, K3} certificate corona: 3.6 ms for QL, 4.9 ms for
 # divide and conquer); from 264 on, divide and conquer won some coronas,
 # and the {K3, C4} certificate corona at 304 (8.0 ms against 9.2 ms).
-# Re-measured once small secular sets ran in floats (medians of 9): the
-# certificate coronas at 208 tie (QL 3.55 and 3.10 ms, divide and conquer
-# 3.44 and 3.27), {K4, C5} coronas at 204 favour divide and conquer (4.78
-# against 5.23), but {K3, C4} at 168 and 224 and {P2, null} at 150 to 300
-# still favour QL (at 300, 7.55 against 11.07), so the crossover stays.
+# Re-measured with the merges' secular sets solved a merge height at a time
+# (medians of three rounds of 9 runs): {K4, C5} coronas favour divide and
+# conquer at 204 and 340 (4.39 ms against QL's 5.23, 7.64 against 13.27),
+# as does the {K3, C4} certificate corona at 304 (5.38 against 7.85), but
+# the {null, K3} certificate corona at 208 (3.43 against 3.01) and a
+# relabelled circulant(60; 1, 2) with {P2, null} at 300 (7.33 against 6.55)
+# still favour QL, so the crossover stays.
 # Leaves have at most _DC_LEAF rows (48 and 64 ran equally fast; 32 was
 # slower).  Re-measured on the same coronas above 256: 24 and 32 were
 # slower on every family (at 340, 11.1 ms against 9.4), and 64 won the
@@ -836,15 +838,18 @@ def _secular_columns(poles, weights, width, rho, j, k, order):
     order[c] are its interval, its set's rho and its merge's order, and
     j[c] its index in the set.  Returns (origin, tau) by column.  numpy sums
     each column of a C-ordered K x m array, m >= 2, first to last, one row
-    after another; a root that stops moving drops out of the arrays."""
+    after another; a root that stops moving keeps its column, masked, so
+    every array keeps its shape."""
     columns = np.arange(j.size)
     # the root's model poles, lower and lower + 1 (for the last root the
     # two largest poles, as in dlaed4)
     lower = np.minimum(j, k - 2)
     model = np.array((lower, lower + 1))
     half = 0.5 * width
-    terms = weights / ((poles - poles[j, columns]) - half)
-    f_mid = 1.0 / rho + terms.sum(axis=0)
+    # the terms z_i^2 / delta_i and their slopes
+    terms = np.empty((2, *poles.shape))
+    np.divide(weights, (poles - poles[j, columns]) - half, out=terms[0])
+    f_mid = 1.0 / rho + terms[0].sum(axis=0)
     left_half = f_mid >= 0.0
     from_lower = left_half | (j == k - 1)
     origin = np.where(from_lower, j, j + 1)
@@ -853,68 +858,52 @@ def _secular_columns(poles, weights, width, rho, j, k, order):
     lo = np.where(left_half, 0.0, half) - base
     hi = np.where(left_half, half, width) - base
     # first guess: c + z_p^2 / (dp - tau) + z_q^2 / (dq - tau) = 0
-    (tp, tq), (zp, zq), (dp, dq) = (x[model, columns] for x in (terms, weights, shift))
+    (tp, tq), (zp, zq), (dp, dq) = (x[model, columns] for x in (terms[0], weights, shift))
     const = f_mid - tp - tq
     tau = _inside_root(const, const * (dp + dq) + zp + zq, const * dp * dq + zp * dq + zq * dp,
                        0.0, lo, hi, 0.5 * (lo + hi))
-    # per root, compressed as roots stop moving: its offset t, bracket
-    # [lo, hi] and last value of f, the shifts d_i - d_origin of its model
-    # poles and of the one that is not its origin, its origin's z^2, 1/rho
-    # and 2/rho (the origin's own shift is d_origin - d_origin = 0.0)
-    state = np.array((tau, lo, hi, np.zeros(j.size), dp, dq, np.where(origin == lower, dq, dp),
-                      weights[origin, columns], 1.0 / rho, 2.0 / rho))
-    t, lo, hi, last_f, s_lower, s_upper, s_other, z_origin, inv_rho, two_rho = state
+    # the shift d_i - d_origin of the model pole that is not the origin
+    # (the origin's own is 0.0), and the origin's z^2
+    other, z_origin = np.where(origin == lower, dq, dp), weights[origin, columns]
+    last_f = np.zeros(j.size)
     # whether the model keeps the origin's pole exact instead (dlaed4
     # switches so when f falls slowly)
     fixed = np.zeros(j.size, dtype=bool)
-    live = columns
+    live = np.ones(j.size, dtype=bool)
     # each root's poles below its model split (lower and before) and above
     below = np.arange(len(poles))[:, None] <= lower
     halves = np.array((below, ~below), dtype=np.float64)
     for _ in range(_SECULAR_MAX_ITER):
-        # the terms z_i^2 / delta_i and their slopes, summed below and above;
-        # delta = d_i - root_j goes where the slopes go
-        terms = np.empty((2, *shift.shape))
-        delta = np.subtract(shift, t, out=terms[1])
+        # psi and phi, the sums below and above, and their slopes; delta =
+        # d_i - root_j goes where the slopes go
+        delta = np.subtract(shift, tau, out=terms[1])
         np.divide(weights, delta, out=terms[0])
         np.divide(terms[0], delta, out=terms[1])
-        sums = terms, halves
-        if live.size == 1:
-            # numpy sums a lone column as one contiguous run, in its own
-            # vectorized order; as the first of two equal columns it is
-            # summed first to last
-            sums = [np.repeat(x, 2, axis=2) for x in sums]
-        (psi, phi), (dpsi, dphi) = np.einsum("tij,sij->tsj", *sums)[..., : live.size]
-        f = inv_rho + psi + phi
+        (psi, phi), (dpsi, dphi) = np.einsum("tij,sij->tsj", terms, halves)
+        f = 1.0 / rho + psi + phi
         # the rounding error of f, as bounded in dlaed4
-        moving = np.abs(f) > _EPS * (8.0 * (np.abs(psi) + np.abs(phi)) + two_rho + np.abs(t) * (dpsi + dphi))
-        if not moving.all():
-            live, fixed, f, dpsi, dphi = (x[moving] for x in (live, fixed, f, dpsi, dphi))
-            if not live.size:
-                break
-            # compress keeps them C-ordered, where x[:, moving] would not be,
-            # so that each sum still runs down its column
-            state, shift, weights, halves = (x.compress(moving, axis=-1) for x in (state, shift, weights, halves))
-            t, lo, hi, last_f, s_lower, s_upper, s_other, z_origin, inv_rho, two_rho = state
-        np.copyto(lo, t, where=f < 0.0)
-        np.copyto(hi, t, where=f > 0.0)
+        live &= np.abs(f) > _EPS * (8.0 * (np.abs(psi) + np.abs(phi)) + 2.0 / rho + np.abs(tau) * (dpsi + dphi))
+        if not live.any():
+            break
+        np.copyto(lo, tau, where=f < 0.0)
+        np.copyto(hi, tau, where=f > 0.0)
         fixed ^= (f * last_f > 0.0) & (np.abs(f) > 0.1 * np.abs(last_f))
-        last_f[...] = f
+        last_f = f
         slope = dpsi + dphi
-        dl, du = s_lower - t, s_upper - t
+        dl, du = dp - tau, dq - tau
         # the model c + s / (dl - eta) + S / (du - eta) = 0, with weights
         # s = dl^2 dpsi, S = du^2 dphi (middle way) or, fixed, the origin
         # pole's own z^2 and the rest of the slope on the other pole
         c = f - dl * dpsi - du * dphi
         if fixed.any():
-            do, dx = 0.0 - t, s_other - t
+            do, dx = 0.0 - tau, other - tau
             c = np.where(fixed, f - dx * slope - z_origin * (do - dx) / (do * do), c)
         p = dl * du
-        t += _inside_root(c, (dl + du) * f - p * slope, p * f, t, lo, hi, 0.5 * (lo + hi) - t)
-        tau[live] = t
-    if live.size:
+        step = _inside_root(c, (dl + du) * f - p * slope, p * f, tau, lo, hi, 0.5 * (lo + hi) - tau)
+        tau = np.where(live, tau + step, tau)
+    if live.any():
         raise ConvergenceError(
-            f"secular equation of a divide-and-conquer merge of order {order[live[0]]} "
+            f"secular equation of a divide-and-conquer merge of order {order[live][0]} "
             f"failed to converge after {_SECULAR_MAX_ITER} iterations"
         )
     return origin, tau

@@ -829,13 +829,13 @@ class TestDivideAndConquer:
 
     @pytest.mark.parametrize("block, count", [(64, 3000), (2, 300)])
     def test_secular_bits_are_pinned(self, monkeypatch, block, count):
-        # seeded sets of 2 to 151 poles, spread, clustered or with tiny
+        # 3000 seeded sets of 2 to 151 poles, spread, clustered or with tiny
         # weights, solved in batches of 1 to 12 sets and then every other one
-        # alone, with blocks of 64 roots and of 2, where a block's roots most
-        # often stop one by one; the first count of the same 3000 sets, as
-        # blocks of 2 make every set pay numpy's fixed cost per pair of roots.
-        # The bits are einsum's sums, so the digest holds only on the build
-        # whose kernels recorded the numeric digests
+        # alone, in blocks of 64 roots; and the first 300 of them in blocks
+        # of 2, where a block's last moving root is most often alone (all
+        # 3000 would take about a minute, each pair of roots paying numpy's
+        # fixed cost per call).  The bits are einsum's sums, so the digests
+        # hold only on the build whose kernels recorded the numeric digests
         _pinned()
         monkeypatch.setattr("rcorona.spectra._SECULAR_BLOCK", block)
         rng = np.random.default_rng(33)
