@@ -28,25 +28,34 @@ from .errors import ConvergenceError, HypothesisError, InternalConsistencyError
 from .graphs import (Graph, _refuse_beyond_memory, _refuse_dense, build_graph, format_graph, generate,
                      load_graph, save_graph)
 from .invariants import _spectral_invariants, spanning_trees_matrix_tree
-from .spectra import _MATCH_TOL, compare_spectra, nl_spectrum
+from .spectra import _MATCH_TOL, _WRITE_CHUNK, _write_runs, compare_spectra, nl_spectrum
 
 __all__ = ["main"]
 
 # Peak memory of `spectrum --corona ... --method closed-form`, as growth of
-# ru_maxrss in a fresh process over the whole call, printing included.  Over
-# C_100000 with {K4, C5}, {K4, null} and {null, null}, C_10000 with
-# {K300, K300} and C_1000000 with {K4, C5} and {null, null}, plain stdout
-# took 0 to 132 bytes per eigenvalue, the most for the R-graphs, whose base
-# graph is loaded and solved for only two values per vertex.  Since the
-# fixed-notation values print through spectra._fixed_g17, in chunks, plain
-# stdout takes 77, 85, 126 and 107 bytes per value over C_100000 with
-# {K4, C5}, {K4, null} and {null, null} and C_1000000 with {null, null},
-# against 83, 92, 132 and 107 before.  --json adds the values' text and the
-# family table, one row per base eigenvalue: at most 884 bytes per row over
-# the plain run (C_1000000's R-graph, 500001 rows for 2 million values, its
-# values' text charged to the rows too), and where the values dominate it
-# stays under 88 bytes per value all told.  Each estimate is the largest
-# with a quarter more.
+# the peak resident memory in a fresh process over the whole call, printing
+# included.  Each estimate is the largest measured with a quarter more.
+# Plain stdout is printed from the spectrum's runs (spectra._write_runs), so
+# it is charged per family row, and per line of one piece of text, which
+# also pays for the lines and the formatter's temporaries of one block of
+# runs: 256 bytes for each of up to _WRITE_CHUNK lines, 16 MiB in all.  Over
+# C_100000 with {K4, C5} and {K300, K300} (1.1 and 60.2 million values,
+# 50004 rows) and C_1000000 with {K4, C5} and {null, null} (500004 and
+# 500002 rows) it grew by 28.0, 30.3, 225 and 113 MB, at most 417 bytes per
+# row over 16 MiB; C_10000 with {K300, K300} (6 million values, 5004 rows)
+# grew by 9.7 MB.  A cycle base has a row for every two vertices, whose
+# loading and checks are counted in.
+# Output expanded to the values (--json, --method both) is charged per
+# value: expanded plain stdout took 77, 85, 126 and 107 bytes per value over
+# C_100000 with {K4, C5}, {K4, null} and {null, null} and C_1000000 with
+# {null, null}, the most for the R-graphs, whose base graph is loaded and
+# solved for only two values per vertex.  --json adds the values' text and
+# the family table: at most 884 bytes per row over that (C_1000000's
+# R-graph, 500001 rows for 2 million values, its values' text charged to
+# the rows too), and where the values dominate it stays under 88 bytes per
+# value all told.
+_CLOSED_FORM_BYTES_PER_ROW = 520
+_CLOSED_FORM_BYTES_PER_LINE = 256
 _CLOSED_FORM_BYTES_PER_VALUE = 165
 _FAMILY_ROW_BYTES = 1100
 
@@ -82,12 +91,18 @@ def _write_graph(g: Graph, out: str | None, fmt: str) -> None:
         sys.stdout.write(format_graph(g, fmt))
 
 
-def _closed_form_print_bytes(cf, as_json: bool) -> int:
-    """The estimated peak memory of printing the closed-form spectrum cf,
-    with its family table when as_json."""
+def _closed_form_print_bytes(cf, as_json: bool, expanded: bool) -> int:
+    """The estimated peak memory of printing the closed-form spectrum cf:
+    per family row and one piece of text when it is printed from its runs,
+    per value when it is expanded (--json, --method both), with its family
+    table too when as_json."""
+    rows = len(cf.fixed_families) + len(cf.roots.mu) + (cf.excess is not None)
+    if not expanded:
+        return (rows * _CLOSED_FORM_BYTES_PER_ROW
+                + min(cf.total_multiplicity, _WRITE_CHUNK) * _CLOSED_FORM_BYTES_PER_LINE)
     need = cf.total_multiplicity * _CLOSED_FORM_BYTES_PER_VALUE
     if as_json:
-        need += (len(cf.fixed_families) + len(cf.roots.mu) + (cf.excess is not None)) * _FAMILY_ROW_BYTES
+        need += rows * _FAMILY_ROW_BYTES
     return need
 
 
@@ -137,22 +152,25 @@ def _cmd_spectrum(args) -> int:
         raise HypothesisError("closed-form spectra exist only for coronas; pass --corona")
 
     numeric = closed = None
+    # plain closed-form output is printed from its runs, never expanded to N values
+    expanded = args.json or wants_numeric
     if wants_closed:
         # solved, and its printing refused rather than failing mid-print, before the corona is built
         cf = closed_form_spectrum(*inputs)
-        _refuse_beyond_memory(_closed_form_print_bytes(cf, args.json), 1,
+        _refuse_beyond_memory(_closed_form_print_bytes(cf, args.json, expanded), 1,
                               f"a closed-form spectrum of {cf.total_multiplicity} values")
-        closed = flatten(cf)
+        if expanded:
+            closed = flatten(cf)
     if wants_numeric:
         numeric = nl_spectrum(double_corona(*inputs)[0] if args.corona else _load(args.graphs[0]))
-    # either spectrum has one value per vertex
-    spectrum = numeric if numeric is not None else closed
     report = compare_spectra(closed, numeric, args.tol) if args.method == "both" else None
     code = 1 if report is not None and not report.matched else 0
 
     # the payload, families included, is built only when it is printed
     if args.json:
-        payload: dict = {"vertices": len(spectrum), "method": args.method}
+        # either spectrum has one value per vertex
+        payload: dict = {"vertices": len(numeric if numeric is not None else closed),
+                         "method": args.method}
         if numeric is not None:
             payload["numeric"] = numeric.values.tolist()
         if closed is not None:
@@ -168,8 +186,10 @@ def _cmd_spectrum(args) -> int:
         sys.stdout.write("%24.17g  %24.17g  %12.3e\n" * len(rows) % tuple(rows.ravel().tolist()))
         print(f"verdict: {'MATCH' if report.matched else 'MISMATCH'}")
         print(f"max deviation: {report.max_deviation:.17g} (tol {args.tol:.17g})")
+    elif numeric is not None:
+        sys.stdout.write(numeric.to_csv())
     else:
-        sys.stdout.write(spectrum.to_csv())
+        _write_runs(*cf.runs(), sys.stdout.write)
     return code
 
 

@@ -23,22 +23,27 @@ one base eigenvalue (Brouwer & Haemers, Spectra of Graphs, section 2.3):
 the polynomial is the partition's tridiagonal determinant, expanded without
 division and so exactly whenever the inputs are exact, and its roots are
 the eigenvalues of the partition's symmetric quotient matrix, of order at
-most 4, solved for a whole table in one LAPACK batch.
+most 4, solved for a whole table in one LAPACK batch.  The spectrum leaves
+as runs (``ClosedFormSpectrum.runs``), each fixed value and root once with
+its multiplicity, sorted: plain output is printed from them, never holding
+the N values, and ``flatten`` expands them.
 
 As in the paper's theorem, the closed form reads only the spectra of G, G1
-and G2 (``closed_form_from_spectra``).  ``closed_form_spectrum`` takes them
-from structure where that is exact and independent of the labelling: a
-complete graph K_n has 0 once and n/(n - 1) n - 1 times, a connected
-2-regular graph is C_n with 1 - cos(2 pi k/n), and an edgeless copy graph
-needs only zeros.  Every other input spectrum, and every quotient block, goes
-to LAPACK (``numpy.linalg.eigvalsh``); a connected bipartite graph's largest
-value, whose exact value is 2, is raised to 2 where LAPACK falls short of
-it.  The corona itself is never solved here, and nothing here calls the
+and G2 (``closed_form_from_spectra``), carried as arrays of values and
+multiplicities.  ``closed_form_spectrum`` takes them from structure where
+that is exact and independent of the labelling: a complete graph K_n has 0
+once and n/(n - 1) n - 1 times, a connected 2-regular graph is C_n with
+1 - cos(2 pi k/n), and an edgeless copy graph needs only zeros.  Every other
+input spectrum, and every quotient block, goes to LAPACK
+(``numpy.linalg.eigvalsh``); a connected bipartite graph's largest value,
+whose exact value is 2, is raised to 2 where LAPACK falls short of it.
+The corona itself is never solved here, and nothing here calls the
 package's own eigensolver, so the numeric route, which alone uses that
 solver, stays an independent check.
 """
 
 from dataclasses import dataclass, fields
+import functools
 import math
 
 import numpy as np
@@ -216,12 +221,46 @@ class ClosedFormSpectrum:
         coeffs, mult, label = self._excess_row()
         return RootFamily(RealPolynomial(tuple(coeffs)), mult, label)
 
-    @property
+    def _counted_values(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each fixed value and each root once, with its multiplicity, in
+        ``flatten``'s order: the fixed families, then the root rows and the
+        excess row, each row's roots ascending.  The quotients of a table
+        are solved in one LAPACK batch."""
+        fixed = self.fixed_families
+        values = [np.array([f.value for f in fixed], dtype=float)]
+        counts = [np.array([f.multiplicity for f in fixed], dtype=np.int64)]
+        for tag, table in (("root", self.roots), ("edge excess", self.excess)):
+            if table is None:
+                continue
+            d = table.degree
+            if table.quotients.shape[1:] != (d, d):
+                raise InternalConsistencyError(
+                    f"{tag} families: {table.quotients.shape[1]}x{table.quotients.shape[2]} "
+                    f"quotients for degree {d} polynomials"
+                )
+            values.append(np.linalg.eigvalsh(table.quotients).ravel())
+            counts.append(np.repeat(table.multiplicity, d))
+        return np.concatenate(values), np.concatenate(counts)
+
+    def runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The spectrum as sorted runs, (values, counts): ``flatten``'s
+        values, never expanded.  Neighbouring runs may hold equal values.
+
+        Each fixed value and each root comes once, with its multiplicity,
+        sorted stably from ``flatten``'s order, so -0.0 and 0.0 fall where
+        a stable sort of the expanded values puts them.
+        """
+        values, counts = self._counted_values()
+        order = np.argsort(values, kind="stable")
+        return values[order], counts[order]
+
+    @functools.cached_property
     def total_multiplicity(self) -> int:
         total = sum(f.multiplicity for f in self.fixed_families)
         for table in (self.roots, self.excess):
             if table is not None:
-                total += table.degree * int(table.multiplicity.sum())
+                # summed in Python: on a small table numpy's reduction costs more
+                total += table.degree * sum(table.multiplicity.tolist())
         return total
 
     def to_dict(self) -> dict:
@@ -285,13 +324,22 @@ def _sqrt(x):
     return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
-def _family_table(p: CoronaParams, mu, multiplicity, first: int) -> FamilyTable:
+def _group_arrays(groups) -> tuple[np.ndarray, np.ndarray]:
+    """(value, multiplicity) pairs as (values, counts) arrays.  The values
+    are float64 when every one is a float, and otherwise an object array,
+    which keeps int and Fraction values exact."""
+    values = [v for v, _ in groups]
+    dtype = float if all(isinstance(v, float) for v in values) else object
+    return np.array(values, dtype=dtype), np.array([c for _, c in groups], dtype=np.int64)
+
+
+def _family_table(p: CoronaParams, mu: np.ndarray, multiplicity: np.ndarray,
+                  first: int) -> FamilyTable:
     """The families of the base eigenvalues ``mu``, each root with the
     matching ``multiplicity``, over the partition's classes from path
-    position ``first`` on."""
-    # an object array keeps int and Fraction mu exact
-    dtype = float if all(isinstance(v, float) for v in mu) else object
-    mu = np.array(mu, dtype=dtype)
+    position ``first`` on.  Float64 mu give float coefficients; an object
+    array of exact mu gives exact ones."""
+    dtype = mu.dtype
     classes = range(max(first, _COPY1 if p.n1 else _OLD), _COPY2 + 1 if p.n2 else _COPY2)
     # per class: w, its corona degree; a, the weight inside it; c, the
     # weight joining it to the next class.  Only the old vertex's a and c
@@ -326,7 +374,7 @@ def _family_table(p: CoronaParams, mu, multiplicity, first: int) -> FamilyTable:
         if k + 1 in classes:
             j = rows.index(k + 1)
             q[:, i, j] = q[:, j, i] = 0.0 - _sqrt(_float(c[k] / (w[k] * w[k + 1])))
-    return FamilyTable(mu, np.array(multiplicity, dtype=np.int64), coefficients, q)
+    return FamilyTable(mu, multiplicity, coefficients, q)
 
 
 def family_polynomial(p: CoronaParams, base_eig) -> RealPolynomial:
@@ -344,16 +392,16 @@ def family_polynomial(p: CoronaParams, base_eig) -> RealPolynomial:
     One row of the family table, public so that acceptance test A2 can
     check the paper's printed quartics and cubics against it.
     """
-    (coeffs,) = _family_table(p, [base_eig], [1], _COPY1).coefficients.tolist()
+    (coeffs,) = _family_table(p, *_group_arrays(((base_eig, 1),)), _COPY1).coefficients.tolist()
     return RealPolynomial(tuple(coeffs))
 
 
 # --- assembly ----------------------------------------------------------------
 
 
-def _spectrum_groups(g: Graph, degree: int) -> tuple[tuple[float, int], ...]:
-    """The spectrum of g's normalized Laplacian as increasing (value,
-    multiplicity) pairs, for a regular g of the given degree.
+def _spectrum_groups(g: Graph, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """The spectrum of g's normalized Laplacian as increasing float64 values
+    and their int64 multiplicities, for a regular g of the given degree.
 
     Complete and connected 2-regular graphs, and edgeless ones, get their
     exact spectrum from their structure, whatever their labelling; every
@@ -364,17 +412,16 @@ def _spectrum_groups(g: Graph, degree: int) -> tuple[tuple[float, int], ...]:
     if degree == 0:
         # an edgeless graph joins each copy vertex only to its centre: the
         # copy block is the identity, and zeros stand in for its spectrum
-        return ((0.0, n),) if n else ()
+        return _group_arrays(((0.0, n),) if n else ())
     if degree == n - 1:
         # K_n, K2 included
-        return ((0.0, 1), (n / (n - 1), n - 1))
+        return np.array([0.0, n / (n - 1)]), np.array([1, n - 1], dtype=np.int64)
     if degree == 2 and g.connected:
         # C_n: 1 - cos(2 pi k / n), written so that it keeps its precision
-        # near 0, twice for each k except 0 and n/2
-        return tuple(
-            (2 * math.sin(math.pi * k / n) ** 2, 1 if 2 * k in (0, n) else 2)
-            for k in range(n // 2 + 1)
-        )
+        # near 0 (with math.sin's bits), twice for each k except 0 and n/2
+        values = [2 * math.sin(math.pi * k / n) ** 2 for k in range(n // 2 + 1)]
+        counts = [1] + [2] * (len(values) - 2) + [1 + n % 2]
+        return np.array(values), np.array(counts, dtype=np.int64)
     values = np.linalg.eigvalsh(normalized_laplacian(g))
     # A connected graph has the eigenvalue 2 exactly when it is bipartite
     # (Chung, Spectral Graph Theory, Lemma 1.7), and LAPACK may return it a
@@ -386,7 +433,7 @@ def _spectrum_groups(g: Graph, degree: int) -> tuple[tuple[float, int], ...]:
     # the least value is the zero every such Laplacian has, kept as a group
     # of its own, so that dropping it from a copy graph's groups leaves the
     # other groups' means as they were
-    return ((float(values[0]), 1),) + summarize(Spectrum(values[1:]), _GROUP_TOL)
+    return _group_arrays(((float(values[0]), 1),) + summarize(Spectrum(values[1:]), _GROUP_TOL))
 
 
 def _label(tag: str, v: float) -> str:
@@ -395,9 +442,10 @@ def _label(tag: str, v: float) -> str:
 
 
 def _fixed_families(groups, degree: int, per_value_mult: int, tag: str) -> list[FixedFamily]:
-    """Families from a copy graph's groups, one zero dropped from the first."""
+    """Families from a copy graph's (values, counts), one zero dropped from
+    the first."""
     families = []
-    for i, (v, count) in enumerate(groups):
+    for i, (v, count) in enumerate(zip(*(a.tolist() for a in groups))):
         count -= i == 0
         if count:
             families.append(
@@ -431,21 +479,25 @@ def closed_form_from_spectra(
     Each spectrum is a tuple of increasing (value, multiplicity) pairs of
     the graph's normalized Laplacian, whose multiplicities add up to n, n1
     and n2 of ``params``; the first pair of a copy graph holds its zero.
-    The base must have m >= n edges.
+    The values may be floats, or exact ints and Fractions.  The base must
+    have m >= n edges.
     """
-    p = params
-    for groups, size, tag in ((base_groups, p.n, "base"), (g1_groups, p.n1, "first copy"),
-                              (g2_groups, p.n2, "second copy")):
-        if sum(count for _, count in groups) != size:
+    return _closed_form(params, *map(_group_arrays, (base_groups, g1_groups, g2_groups)))
+
+
+def _closed_form(p: CoronaParams, base, g1, g2) -> ClosedFormSpectrum:
+    """``closed_form_from_spectra`` over (values, counts) arrays."""
+    for (_, counts), size, tag in ((base, p.n, "base"), (g1, p.n1, "first copy"),
+                                   (g2, p.n2, "second copy")):
+        if sum(counts.tolist()) != size:
             raise ValueError(f"{tag} spectrum has multiplicities that do not add up to {size}")
     _refuse_fewer_edges(p)
-    fixed = _fixed_families(g1_groups, p.r1, p.n, "attach1")
-    fixed += _fixed_families(g2_groups, p.r2, p.m, "attach2")
-    roots = _family_table(p, [v for v, _ in base_groups], [count for _, count in base_groups],
-                          _COPY1)
+    fixed = _fixed_families(g1, p.r1, p.n, "attach1")
+    fixed += _fixed_families(g2, p.r2, p.m, "attach2")
+    roots = _family_table(p, *base, _COPY1)
     # the m - n edge excess: the partition from the new vertex on at base
     # eigenvalue 2, a quadratic, or 2(x - 1) when the second copy is null
-    excess = _family_table(p, [2], [p.m - p.n], _NEW) if p.m > p.n else None
+    excess = _family_table(p, *_group_arrays(((2, p.m - p.n),)), _NEW) if p.m > p.n else None
     return _check_total(ClosedFormSpectrum(tuple(fixed), roots, excess), p.total_vertices)
 
 
@@ -459,34 +511,16 @@ def closed_form_spectrum(g: Graph, g1: Graph, g2: Graph) -> ClosedFormSpectrum:
     p = CoronaParams.from_graphs(g, g1, g2)
     # refused before any input spectrum is solved
     _refuse_fewer_edges(p)
-    return closed_form_from_spectra(
-        p,
-        _spectrum_groups(g, p.r),
-        _spectrum_groups(g1, p.r1),
-        _spectrum_groups(g2, p.r2),
-    )
+    return _closed_form(p, _spectrum_groups(g, p.r), _spectrum_groups(g1, p.r1),
+                        _spectrum_groups(g2, p.r2))
 
 
 def flatten(cfs: ClosedFormSpectrum) -> Spectrum:
-    """Expand all families into a sorted eigenvalue multiset (``Spectrum``
-    sorts the values).
+    """Expand all families into a sorted eigenvalue multiset: the values of
+    ``cfs.runs()``, each repeated by its count.
 
     Each root family contributes the eigenvalues of its quotient matrix,
-    each with the family's multiplicity; the quotients of a table are
-    solved in one batch.
+    each with the family's multiplicity.  The values are repeated in the
+    order ``runs`` sorts them from, and ``Spectrum`` sorts them stably.
     """
-    fixed = cfs.fixed_families
-    parts = [np.repeat(np.array([f.value for f in fixed], dtype=float),
-                       [f.multiplicity for f in fixed])]
-    for tag, table in (("root", cfs.roots), ("edge excess", cfs.excess)):
-        if table is None:
-            continue
-        d = table.degree
-        if table.quotients.shape[1:] != (d, d):
-            raise InternalConsistencyError(
-                f"{tag} families: {table.quotients.shape[1]}x{table.quotients.shape[2]} "
-                f"quotients for degree {d} polynomials"
-            )
-        roots = np.linalg.eigvalsh(table.quotients)
-        parts.append(np.repeat(roots.ravel(), np.repeat(table.multiplicity, d)))
-    return Spectrum(np.concatenate(parts))
+    return Spectrum(np.repeat(*cfs._counted_values()))

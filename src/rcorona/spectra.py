@@ -37,7 +37,10 @@ edge list.  The oracle serves the numeric route (the corona's spectrum in
 spectral invariants; the closed form solves its input spectra with LAPACK
 instead, so a cross-check never runs both sides through this solver.
 
-``Spectrum.to_csv`` prints the bytes of ``"%.17g"``.  A value with
+``Spectrum.to_csv`` prints the bytes of ``"%.17g"`` through the run writer
+(``_write_runs``), which the closed form's plain output shares: it takes
+sorted values with counts, formats the value of each run of equal bits
+once, and writes its line repeated in pieces of bounded size.  A value with
 1e-4 <= |v| < 1e16, where %g writes fixed notation, goes through a numpy
 kernel (_fixed_g17): it gets |v| 10**(16 - E) exactly by Dekker's product,
 rounds it half to even as CPython's dtoa does, and lays its 17 digits out
@@ -176,31 +179,54 @@ class Spectrum:
         return len(self.values)
 
     def to_csv(self) -> str:
-        """The values in order, one per line, each as ``"%.17g"`` prints it.
+        """The values in order, one per line, each as ``"%.17g"`` prints it,
+        through the run writer (``_write_runs``)."""
+        pieces = []
+        _write_runs(self.values, np.ones_like(self.values, np.int64), pieces.append)
+        return "".join(pieces)
 
-        The values are sorted, so equal ones are neighbours: the first of
-        each run of equal bits is formatted once (-0.0 and 0.0 are separate
-        runs, each with its own text) and its line repeated by the run
-        length.  Values with 1e-4 <= |v| < 1e16, where ``%g`` uses fixed
-        notation, go through ``_fixed_g17``; the rest through Python's own
-        format, in one call.
-        """
-        bits = self.values.view(np.int64)
-        first = np.ones(len(bits), dtype=bool)
-        first[1:] = bits[1:] != bits[:-1]
-        starts = np.flatnonzero(first)
-        lengths = np.diff(starts, append=len(bits)).tolist()
-        return "".join(map(operator.mul, _g17_lines(self.values[starts]), lengths))
+
+# Lines per write of _write_runs.  A line takes at most 24 bytes, so a piece
+# of text stays under 1.6 MB however long the runs are.
+_WRITE_CHUNK = 1 << 16
+
+
+def _write_runs(values: np.ndarray, counts: np.ndarray, write) -> None:
+    """Write ``"%.17g\\n" % v``, ``counts[i]`` times, for each of the sorted
+    ``values``, through ``write``, in pieces of at most _WRITE_CHUNK lines.
+
+    Neighbours with equal bits form one run (-0.0 and 0.0 do not), whose
+    value is formatted once, by ``_g17_lines``: values with
+    1e-4 <= |v| < 1e16, where ``%g`` uses fixed notation, through
+    ``_fixed_g17``; the rest through Python's own format.  The runs are
+    formatted _FIXED_CHUNK at a time and written as one piece when their
+    lines fit in one, else run by run, a long run in several pieces; so
+    neither the text nor the lines of the values are ever held whole.
+    """
+    # a run starts where the bits change, the first at 0 (~b differs from b)
+    bits = values.view(np.int64)
+    starts = np.flatnonzero(np.diff(bits, prepend=~bits[:1]))
+    values, counts = values[starts], np.add.reduceat(counts, starts)
+    for i in range(0, len(values), _FIXED_CHUNK):
+        lines = _g17_lines(values[i : i + _FIXED_CHUNK])
+        runs = counts[i : i + _FIXED_CHUNK].tolist()
+        if sum(runs) <= _WRITE_CHUNK:
+            write("".join(map(operator.mul, lines, runs)))
+            continue
+        for line, count in zip(lines, runs):
+            for start in range(0, count, _WRITE_CHUNK):
+                write(line * min(count - start, _WRITE_CHUNK))
 
 
 # Sorted values below these edges are those <= -1e16, <= -1e-4, < 1e-4 and
 # < 1e16, so one search finds the two slices in _fixed_g17's range,
 # 1e-4 <= |v| < 1e16.
 _FIXED_EDGES = np.array([math.nextafter(-1e16, math.inf), math.nextafter(-1e-4, math.inf), 1e-4, 1e16])
-# Values per call of _fixed_g17, whose temporaries take about 250 bytes a
-# value.  Printing C_100000 with {K4, C5} (1.1 million values, 200 000
-# distinct) peaked at 77 bytes per value with chunks of 8192, 83 with 65536
-# and 89 in one call, against 83 for Python's format.
+# Values per call of _g17_lines in _write_runs, and so of _fixed_g17, whose
+# temporaries take about 250 bytes a value.  Printing C_100000 with {K4, C5}
+# (1.1 million values, 200 000 distinct) peaked at 77 bytes per value with
+# chunks of 8192, 83 with 65536 and 89 in one call, against 83 for Python's
+# format.
 _FIXED_CHUNK = 1 << 13
 # Veltkamp's splitting constant 2**27 + 1, and the bytes per line of
 # _fixed_g17: a sign, 17 digits, "0." and three zeros at most, a newline.
@@ -213,10 +239,7 @@ def _g17_lines(values: np.ndarray) -> list[str]:
     """``"%.17g\\n" % v`` for each of the sorted values, as a list."""
     # the values in range are two slices, the negative and the positive ones
     a, b, c, d = np.searchsorted(values, _FIXED_EDGES).tolist()
-    inside = np.concatenate((values[a:b], values[c:d]))
-    lines = []
-    for start in range(0, len(inside), _FIXED_CHUNK):
-        lines += _fixed_g17(inside[start : start + _FIXED_CHUNK]).splitlines(keepends=True)
+    lines = _fixed_g17(np.concatenate((values[a:b], values[c:d]))).splitlines(keepends=True)
     rest = np.concatenate((values[:a], values[b:c], values[d:]))
     other = ("%.17g\n" * len(rest) % tuple(rest.tolist())).splitlines(keepends=True)
     # each value out of range back in its place

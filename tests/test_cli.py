@@ -2,6 +2,7 @@
 
 import argparse
 import collections
+import contextlib
 import functools
 import json
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 import resource
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ import pytest
 import rcorona
 from rcorona import ConvergenceError, Graph, parse_edge_list, parse_graph_json
 from rcorona.cli import build_parser, main
-from rcorona.spectra import Spectrum
+from rcorona.closedform import closed_form_spectrum, flatten
+from rcorona.spectra import _WRITE_CHUNK, Spectrum
 
 
 def _run_cli(argv, threads="1", address_space=None, timeout=120):
@@ -352,38 +355,46 @@ class TestSpectrum:
         assert b"1000000000000000 vertices" in run.stderr and b"Traceback" not in run.stderr
 
     def test_closed_form_beyond_address_space_exit_2(self, tmp_path):
-        # C_100000 with K300 twice has 60.2 million eigenvalues, far beyond a
-        # 2 GiB RLIMIT_AS: refused before they are expanded, not a
-        # MemoryError while printing them
+        # C_100000 with K300 twice has 60.2 million eigenvalues, which --json
+        # expands, far beyond a 2 GiB RLIMIT_AS: refused before they are
+        # expanded, not a MemoryError while printing them
         base, k300 = _generate_files(tmp_path, ("C100000", "cycle", "100000"),
                                      ("K300", "complete", "300"))
-        run = _run_cli(["spectrum", "--corona", "double", base, k300, k300, "--method", "closed-form"],
-                       address_space=2 * 2**30, timeout=120)
+        run = _run_cli(["spectrum", "--corona", "double", base, k300, k300, "--method", "closed-form",
+                        "--json"], address_space=2 * 2**30, timeout=120)
         assert run.returncode == 2, run.stderr
         assert b"closed-form spectrum of 60200000 values" in run.stderr
         assert b"address-space limit" in run.stderr and b"Traceback" not in run.stderr
         assert run.stdout == b""
 
     @pytest.mark.parametrize("copies, json_flag, memory, code", [
-        # 6 GiB: the 30.2 million plain values of C_100000 with K300 and
-        # null (about 4.6 GiB) fit, the 60.2 million with K300 twice do not
+        # 6 GiB: plain output is printed from its runs and charged per
+        # family row, so the 30.2 and 60.2 million values of C_100000 with
+        # {K300, null} and {K300, K300} (50004 rows) fit; expanded by
+        # --json, the 60.2 million (about 9.3 GiB) do not
         (("K300", "null"), False, 6 * 2**30, 0),
-        (("K300", "K300"), False, 6 * 2**30, 2),
-        # 50 MB: the R-graph's 200000 values fit, with --json its family
-        # table of 50001 rows does not
+        (("K300", "K300"), False, 6 * 2**30, 0),
+        (("K300", "K300"), True, 6 * 2**30, 2),
+        # 50 MB: the R-graph's 50002 rows fit, its 200000 values expanded
+        # with --json and its family table do not
         (("null", "null"), False, 50 * 10**6, 0),
         (("null", "null"), True, 50 * 10**6, 2),
-    ], ids=["k300-null", "k300-k300", "r-graph", "r-graph-json"])
+        # 20 MB: not even the plain R-graph's rows fit
+        (("null", "null"), False, 20 * 10**6, 2),
+    ], ids=["k300-null", "k300-k300", "k300-k300-json", "r-graph", "r-graph-json", "r-graph-20mb"])
     def test_closed_form_refused_by_its_printed_form(self, tmp_path, capsys, monkeypatch,
                                                      copies, json_flag, memory, code):
         base, k300 = _generate_files(tmp_path, ("C100000", "cycle", "100000"),
                                      ("K300", "complete", "300"))
         files = {"K300": k300, "null": "null"}
         monkeypatch.setattr("rcorona.graphs._physical_memory", lambda: memory)
-        # an admitted spectrum is not expanded: one value stands for it
+        # an admitted spectrum is neither expanded nor written: one value
+        # stands for it, or its runs' total
         admitted = []
         monkeypatch.setattr("rcorona.cli.flatten",
                             lambda cf: admitted.append(cf.total_multiplicity) or Spectrum(np.zeros(1)))
+        monkeypatch.setattr("rcorona.cli._write_runs",
+                            lambda values, lengths, write: admitted.append(int(lengths.sum())))
         argv = ["spectrum", "--corona", "double", base, *map(files.get, copies), "--method", "closed-form"]
         assert main(argv + (["--json"] if json_flag else [])) == code
         err = capsys.readouterr().err
@@ -391,6 +402,43 @@ class TestSpectrum:
             assert admitted == [] and "closed-form spectrum of" in err and "physical memory" in err
         else:
             assert len(admitted) == 1 and err == ""
+
+    def test_plain_closed_form_is_printed_from_runs(self, tmp_path, capsys, monkeypatch):
+        graphs = _generate_files(tmp_path, ("C500", "cycle", "500"), ("K4", "complete", "4"),
+                                 ("C5", "cycle", "5"))
+        argv = ["spectrum", "--corona", "double", *graphs, "--method", "closed-form"]
+        want = flatten(closed_form_spectrum(*map(rcorona.load_graph, graphs))).to_csv()
+        # the N values are never expanded, by the CLI or inside the package
+        monkeypatch.setattr("rcorona.cli.flatten", _forbidden("flatten"))
+        monkeypatch.setattr("rcorona.closedform.flatten", _forbidden("flatten"))
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
+
+    def test_plain_closed_form_peak_is_per_row(self, tmp_path):
+        # C_100000 with {K4, C5}: 1.1 million values from 50004 family rows
+        # (50001 base groups, one K4 and two C5 fixed families), printed in
+        # pieces of at most _WRITE_CHUNK lines; the K4 family's run of
+        # 300000 lines takes several.  Its traced peak was 22.7 MB, 454
+        # bytes a row, against 71.0 MB (1420 a row) when the values were
+        # expanded and printed whole.
+        graphs = _generate_files(tmp_path, ("C100000", "cycle", "100000"), ("K4", "complete", "4"),
+                                 ("C5", "cycle", "5"))
+        pieces = []
+
+        class Sink:
+            def write(self, text):
+                pieces.append(text.count("\n"))
+
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(Sink()):
+                code = main(["spectrum", "--corona", "double", *graphs, "--method", "closed-form"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and sum(pieces) == 1_100_000
+        assert max(pieces) <= _WRITE_CHUNK < 300_000 and len(pieces) > 1_100_000 // _WRITE_CHUNK
+        assert peak <= 600 * 50_004, f"{peak / 50_004:.0f} bytes per row"
 
     def test_deeply_nested_json_exit_2(self, tmp_path, capsys):
         deep = tmp_path / "deep.json"

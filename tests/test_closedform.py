@@ -38,7 +38,7 @@ from rcorona import (
     summarize,
 )
 from rcorona.closedform import _spectrum_groups
-from rcorona.spectra import _MATCH_TOL
+from rcorona.spectra import _FIXED_CHUNK, _MATCH_TOL, _WRITE_CHUNK, _write_runs
 
 K3P2P2 = CoronaParams(n=3, m=3, r=2, n1=2, r1=1, n2=2, r2=1)
 # K3P2P2 over K4: m > n, so it has an excess family, which depends only on
@@ -684,6 +684,87 @@ class TestFlatten:
         assert cfs.excess.multiplicity.tolist() == [2]  # m - n = 6 - 4
 
 
+def _expanded(cfs):
+    """The values as the families expand them, each eigenvalue repeated by
+    its multiplicity, fixed families first, in one stable sort: the order
+    that flatten and the runs must keep, -0.0 and 0.0 included."""
+    parts = [np.repeat(np.array([f.value for f in cfs.fixed_families], dtype=float),
+                       [f.multiplicity for f in cfs.fixed_families])]
+    for table in (cfs.roots, cfs.excess):
+        if table is not None:
+            parts.append(np.repeat(np.linalg.eigvalsh(table.quotients).ravel(),
+                                   np.repeat(table.multiplicity, table.degree)))
+    return np.sort(np.concatenate(parts), kind="stable")
+
+
+def _written(cfs, chunk, block=_FIXED_CHUNK):
+    """What the run writer prints of cfs, and its pieces, with chunk lines
+    per piece at most and the runs formatted block at a time."""
+    pieces = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("rcorona.spectra._WRITE_CHUNK", chunk)
+        patch.setattr("rcorona.spectra._FIXED_CHUNK", block)
+        _write_runs(*cfs.runs(), pieces.append)
+    return "".join(pieces), pieces
+
+
+@st.composite
+def _run_triples(draw):
+    """Regular triples over every source of input spectra: cycles and
+    complete graphs from structure, circulants and bipartite bases (whose
+    2 is raised) from LAPACK, null and edgeless copies, and bases with
+    m > n (the excess family)."""
+    base = draw(st.one_of(
+        st.integers(3, 40).map(lambda n: _relabelled(generate("cycle", n), n)),
+        st.integers(3, 8).map(lambda n: generate("complete", n)),
+        _circulant(st.integers(5, 14)).filter(lambda g: g.connected and g.edge_count >= g.vertex_count),
+        _bipartite_bases(),
+    ))
+    copies = st.one_of(_ATTACHMENTS, st.just(generate("complete_bipartite", 3, 3)))
+    return base, draw(copies), draw(copies)
+
+
+class TestRuns:
+    """Plain closed-form output printed from its runs, against the expanded
+    spectrum's ``to_csv`` and a scalar reference."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(triple=_run_triples(), chunk=st.sampled_from([1, 2, 3, 7, 64, 1 << 16]),
+           block=st.sampled_from([1, 2, 5, 64, _FIXED_CHUNK]))
+    def test_runs_print_the_expanded_spectrum(self, triple, chunk, block):
+        cfs = closed_form_spectrum(*triple)
+        text, pieces = _written(cfs, chunk, block)
+        expanded = _expanded(cfs)
+        assert flatten(cfs).values.tobytes() == expanded.tobytes()
+        assert text == flatten(cfs).to_csv() == "".join(f"{v:.17g}\n" for v in expanded.tolist())
+        assert all(0 < piece.count("\n") <= chunk for piece in pieces)
+
+    def test_signed_zeros_and_shared_bits_across_families(self):
+        # 0.0 and -0.0 from fixed, root and excess families, each where the
+        # stable sort puts it; neighbours with equal bits print as one run,
+        # 0.5 from a fixed family and a root among them
+        fixed = (FixedFamily(0.0, 2, "a"), FixedFamily(-0.0, 3, "b"), FixedFamily(0.5, 1, "c"))
+        roots = FamilyTable(np.zeros(3), np.array([4, 5, 6]), np.zeros((3, 2)),
+                            np.array([[[-0.0]], [[0.0]], [[0.5]]]))
+        excess = FamilyTable(np.zeros(1), np.array([7]), np.zeros((1, 2)), np.array([[[-0.0]]]))
+        cfs = ClosedFormSpectrum(fixed, roots, excess)
+        values, counts = cfs.runs()
+        assert values.tobytes() == np.array([0.0, -0.0, -0.0, 0.0, -0.0, 0.5, 0.5]).tobytes()
+        assert counts.tolist() == [2, 3, 4, 5, 7, 1, 6]
+        text, pieces = _written(cfs, 4, 3)
+        assert text == "0\n" * 2 + "-0\n" * 7 + "0\n" * 5 + "-0\n" * 7 + "0.5\n" * 7
+        assert text == flatten(cfs).to_csv()
+        # the five runs formatted three at a time (14 and 14 lines), each
+        # block longer than a piece of four lines written run by run
+        assert [piece.count("\n") for piece in pieces] == [2, 4, 3, 4, 1, 4, 3, 4, 3]
+
+    def test_a_long_run_takes_several_pieces(self):
+        pieces = []
+        _write_runs(np.array([0.25, 1.0]), np.array([3 * _WRITE_CHUNK + 5, 2]), pieces.append)
+        assert [piece.count("\n") for piece in pieces] == [_WRITE_CHUNK] * 3 + [5, 2]
+        assert "".join(pieces) == "0.25\n" * (3 * _WRITE_CHUNK + 5) + "1\n" * 2
+
+
 def _relabelled(g, seed):
     perm = list(range(g.vertex_count))
     random.Random(seed).shuffle(perm)
@@ -697,8 +778,10 @@ def _forbid_lapack_inputs(monkeypatch):
     monkeypatch.setattr("rcorona.closedform.normalized_laplacian", forbidden)
 
 
-def _expanded(groups):
-    return [v for v, count in groups for _ in range(count)]
+def _pairs(groups):
+    """_spectrum_groups' (values, counts) arrays as closed_form_from_spectra's
+    (value, multiplicity) pairs."""
+    return tuple(zip(*(a.tolist() for a in groups)))
 
 
 # the A03 sweep's grid
@@ -728,10 +811,10 @@ class TestStructuralSpectra:
         _forbid_lapack_inputs(monkeypatch)
         for g, want in zip(graphs, expected):
             n = g.vertex_count
-            groups = _spectrum_groups(g, n - 1 if degree is None else degree)
-            values = [v for v, _ in groups]
-            assert values == sorted(set(values)) and sum(c for _, c in groups) == n
-            assert np.max(np.abs(np.array(_expanded(groups)) - want)) <= 1e-12, n
+            values, counts = _spectrum_groups(g, n - 1 if degree is None else degree)
+            assert values.dtype == np.float64 and counts.dtype == np.int64
+            assert values.tolist() == sorted(set(values.tolist())) and counts.sum() == n
+            assert np.max(np.abs(np.repeat(values, counts) - want)) <= 1e-12, n
 
     def test_disconnected_cycle_copy_falls_back_to_lapack(self, monkeypatch):
         real, orders = normalized_laplacian, []
@@ -761,8 +844,8 @@ class TestStructuralSpectra:
         for base, c1, c2 in itertools.product(_GRID_BASES, _GRID_COPIES, _GRID_COPIES):
             g, g1, g2 = generate(*base), generate(*c1), generate(*c2)
             p = CoronaParams.from_graphs(g, g1, g2)
-            groups = [_spectrum_groups(g, p.r), _spectrum_groups(g1, p.r1),
-                      _spectrum_groups(g2, p.r2)]
+            groups = [_pairs(_spectrum_groups(g, p.r)), _pairs(_spectrum_groups(g1, p.r1)),
+                      _pairs(_spectrum_groups(g2, p.r2))]
             cfs = closed_form_spectrum(g, g1, g2)
             assert closed_form_from_spectra(p, *groups) == cfs
             # the same tables, to rounding, from LAPACK's spectra
@@ -867,7 +950,7 @@ class TestBipartiteBases:
         values = np.linalg.eigvalsh(normalized_laplacian(g))
         values[-1] = largest
         monkeypatch.setattr("numpy.linalg.eigvalsh", lambda a: values.copy())
-        value, _ = _spectrum_groups(g, degree)[-1]
+        value = _spectrum_groups(g, degree)[0][-1]
         assert value == 2.0 if raised else value != 2.0 and (value < 2) == (largest < 2)
 
     @settings(max_examples=25, deadline=None)

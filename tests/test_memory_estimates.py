@@ -110,23 +110,28 @@ def test_generated_graph_within_its_estimate(tmp_path, import_peak, fmt, to_file
     assert growth <= _GENERATED_BYTES_PER_EDGE * edges, f"{growth / edges:.1f} bytes per edge"
 
 
-@pytest.mark.parametrize("json_flag", [False, True], ids=["plain", "json"])
-@pytest.mark.parametrize("base, copies", [
+@pytest.mark.parametrize("base, copies, json_flag", [
     # C_100000's 1.1 million values; C_1000000's R-graph, whose family
-    # table has a row for every two values
-    ("C100000", ("K4", "C5")),
-    ("C1000000", ("null", "null")),
-], ids=["k4-c5", "r-graph"])
+    # table has a row for every two values; plain, printed from their runs,
+    # and expanded by --json
+    ("C100000", ("K4", "C5"), False),
+    ("C100000", ("K4", "C5"), True),
+    ("C1000000", ("null", "null"), False),
+    ("C1000000", ("null", "null"), True),
+    # 60.2 million values, plain only: expanded, they would need about 9 GiB
+    ("C100000", ("K300", "K300"), False),
+], ids=["k4-c5-plain", "k4-c5-json", "r-graph-plain", "r-graph-json", "k300-k300-plain"])
 def test_closed_form_spectrum_within_its_estimate(tmp_path, import_peak, base, copies, json_flag):
     files = {"null": "null"}
-    for name, *params in ((base, "cycle", base[1:]), ("K4", "complete", "4"), ("C5", "cycle", "5")):
+    for name, *params in ((base, "cycle", base[1:]), ("K4", "complete", "4"), ("C5", "cycle", "5"),
+                          ("K300", "complete", "300")):
         files[name] = str(tmp_path / f"{name}.el")
         assert main(["generate", *params, "--out", files[name]]) == 0
     growth = _peak(["spectrum", "--corona", "double", files[base], *map(files.get, copies),
                     "--method", "closed-form", *(["--json"] if json_flag else [])]) - import_peak
     cf = closed_form_spectrum(*(build_graph(0, []) if f == "null" else load_graph(f)
                                 for f in (files[base], *map(files.get, copies))))
-    need = _closed_form_print_bytes(cf, json_flag)
+    need = _closed_form_print_bytes(cf, json_flag, json_flag)
     assert growth <= need, f"{growth} bytes against an estimate of {need}"
 
 
