@@ -221,11 +221,11 @@ class ClosedFormSpectrum:
         coeffs, mult, label = self._excess_row()
         return RootFamily(RealPolynomial(tuple(coeffs)), mult, label)
 
-    def _counted_values(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each fixed value and each root once, with its multiplicity, in
-        ``flatten``'s order: the fixed families, then the root rows and the
-        excess row, each row's roots ascending.  The quotients of a table
-        are solved in one LAPACK batch."""
+    def runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The spectrum as sorted runs, (values, counts): each fixed value and
+        each root once, with its multiplicity, sorted stably from the order
+        fixed families, root rows, excess row (each row's roots ascending).
+        Neighbouring runs may hold equal values."""
         fixed = self.fixed_families
         values = [np.array([f.value for f in fixed], dtype=float)]
         counts = [np.array([f.multiplicity for f in fixed], dtype=np.int64)]
@@ -240,17 +240,7 @@ class ClosedFormSpectrum:
                 )
             values.append(np.linalg.eigvalsh(table.quotients).ravel())
             counts.append(np.repeat(table.multiplicity, d))
-        return np.concatenate(values), np.concatenate(counts)
-
-    def runs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The spectrum as sorted runs, (values, counts): ``flatten``'s
-        values, never expanded.  Neighbouring runs may hold equal values.
-
-        Each fixed value and each root comes once, with its multiplicity,
-        sorted stably from ``flatten``'s order, so -0.0 and 0.0 fall where
-        a stable sort of the expanded values puts them.
-        """
-        values, counts = self._counted_values()
+        values, counts = np.concatenate(values), np.concatenate(counts)
         order = np.argsort(values, kind="stable")
         return values[order], counts[order]
 
@@ -454,14 +444,6 @@ def _fixed_families(groups, degree: int, per_value_mult: int, tag: str) -> list[
     return families
 
 
-def _check_total(cfs: ClosedFormSpectrum, expected: int) -> ClosedFormSpectrum:
-    if cfs.total_multiplicity != expected:
-        raise InternalConsistencyError(
-            f"family multiplicities total {cfs.total_multiplicity}, expected {expected}"
-        )
-    return cfs
-
-
 def _refuse_fewer_edges(p: CoronaParams) -> None:
     if p.m < p.n:
         raise HypothesisError(
@@ -476,29 +458,46 @@ def closed_form_from_spectra(
     """Closed-form spectrum of the double corona from the spectra of its
     base and copy graphs, as the paper's theorem states it.
 
-    Each spectrum is a tuple of increasing (value, multiplicity) pairs of
-    the graph's normalized Laplacian, whose multiplicities add up to n, n1
-    and n2 of ``params``; the first pair of a copy graph holds its zero.
-    The values may be floats, or exact ints and Fractions.  The base must
-    have m >= n edges.
+    Each spectrum is a tuple of (value, multiplicity) pairs of the graph's
+    normalized Laplacian, multiplicities at least 1 and adding up to n, n1
+    and n2 of ``params``.  A copy graph's values increase strictly from its
+    zero; the base's may come in any order.  Values may be floats, or exact
+    ints and Fractions.  A spectrum that breaks this raises ValueError.  The
+    base must have m >= n edges.
     """
-    return _closed_form(params, *map(_group_arrays, (base_groups, g1_groups, g2_groups)))
+    groups = [_group_arrays(s) for s in (base_groups, g1_groups, g2_groups)]
+    for (values, counts), size, tag in zip(groups, (params.n, params.n1, params.n2),
+                                           ("base", "first copy", "second copy")):
+        values, counts = values.tolist(), counts.tolist()
+        if sum(counts) != size:
+            raise ValueError(f"{tag} spectrum has multiplicities that do not add up to {size}")
+        if min(counts, default=1) < 1:
+            raise ValueError(f"{tag} spectrum has a multiplicity below 1")
+        if tag != "base" and values and not abs(values[0]) <= _GROUP_TOL:
+            raise ValueError(f"{tag} spectrum's first value {values[0]} is not its zero")
+        # the zero may stand apart from equal values, as _spectrum_groups holds
+        # a disconnected copy graph's zeros
+        rest = values[values[1:2] == values[:1] :]
+        if tag != "base" and not all(a < b for a, b in zip(rest, rest[1:])):
+            raise ValueError(f"{tag} spectrum's values are not strictly increasing")
+    _refuse_fewer_edges(params)
+    return _closed_form(params, *groups)
 
 
 def _closed_form(p: CoronaParams, base, g1, g2) -> ClosedFormSpectrum:
-    """``closed_form_from_spectra`` over (values, counts) arrays."""
-    for (_, counts), size, tag in ((base, p.n, "base"), (g1, p.n1, "first copy"),
-                                   (g2, p.n2, "second copy")):
-        if sum(counts.tolist()) != size:
-            raise ValueError(f"{tag} spectrum has multiplicities that do not add up to {size}")
-    _refuse_fewer_edges(p)
+    """The corona's families from its checked (values, counts) arrays."""
     fixed = _fixed_families(g1, p.r1, p.n, "attach1")
     fixed += _fixed_families(g2, p.r2, p.m, "attach2")
     roots = _family_table(p, *base, _COPY1)
     # the m - n edge excess: the partition from the new vertex on at base
     # eigenvalue 2, a quadratic, or 2(x - 1) when the second copy is null
     excess = _family_table(p, *_group_arrays(((2, p.m - p.n),)), _NEW) if p.m > p.n else None
-    return _check_total(ClosedFormSpectrum(tuple(fixed), roots, excess), p.total_vertices)
+    cfs = ClosedFormSpectrum(tuple(fixed), roots, excess)
+    if cfs.total_multiplicity != p.total_vertices:
+        raise InternalConsistencyError(
+            f"family multiplicities total {cfs.total_multiplicity}, expected {p.total_vertices}"
+        )
+    return cfs
 
 
 def closed_form_spectrum(g: Graph, g1: Graph, g2: Graph) -> ClosedFormSpectrum:
@@ -506,10 +505,10 @@ def closed_form_spectrum(g: Graph, g1: Graph, g2: Graph) -> ClosedFormSpectrum:
 
     Either copy graph may be null: a null g2 (g1) gives the vertex (edge)
     corona, both null the bare R-graph.  The inputs must pass
-    ``CoronaParams.from_graphs``, and the base must have m >= n edges.
+    ``CoronaParams.from_graphs``, and the base must have m >= n edges; both
+    are checked before any input spectrum is solved.
     """
     p = CoronaParams.from_graphs(g, g1, g2)
-    # refused before any input spectrum is solved
     _refuse_fewer_edges(p)
     return _closed_form(p, _spectrum_groups(g, p.r), _spectrum_groups(g1, p.r1),
                         _spectrum_groups(g2, p.r2))
@@ -517,10 +516,5 @@ def closed_form_spectrum(g: Graph, g1: Graph, g2: Graph) -> ClosedFormSpectrum:
 
 def flatten(cfs: ClosedFormSpectrum) -> Spectrum:
     """Expand all families into a sorted eigenvalue multiset: the values of
-    ``cfs.runs()``, each repeated by its count.
-
-    Each root family contributes the eigenvalues of its quotient matrix,
-    each with the family's multiplicity.  The values are repeated in the
-    order ``runs`` sorts them from, and ``Spectrum`` sorts them stably.
-    """
-    return Spectrum(np.repeat(*cfs._counted_values()))
+    ``cfs.runs()``, each repeated by its count."""
+    return Spectrum(np.repeat(*cfs.runs()))

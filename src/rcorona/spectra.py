@@ -429,6 +429,19 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
                for c in range(0, x.size, _INNER_ENTRIES))
 
 
+# The reflector of x: v = x - alpha e_1 with alpha = -sign(x_0) ||x||, so that
+# ||v||^2 = 2 ||x|| (||x|| + |x_0|), written to v as a unit vector; returns alpha, or None for x = 0
+def _reflector(x: np.ndarray, v: np.ndarray, dot):
+    norm_x, x0 = math.sqrt(dot(x, x)), float(x[0])
+    vnorm = math.sqrt(2.0 * norm_x * (norm_x + abs(x0)))
+    if vnorm == 0.0:
+        return None
+    alpha = -math.copysign(norm_x, x0) if x0 != 0.0 else -norm_x
+    np.divide(x, vnorm, out=v)
+    v[0] = (x0 - alpha) / vnorm
+    return alpha
+
+
 def _panel(a: np.ndarray, p: int, width: int, d: np.ndarray, e: np.ndarray, times=None):
     """Reduce columns p to p + width - 1 of the symmetric a as one panel,
     writing their diagonal and coupling into d and e; returns vw.
@@ -466,18 +479,11 @@ def _panel(a: np.ndarray, p: int, width: int, d: np.ndarray, e: np.ndarray, time
         # corrected in one product; at k = 0 every correction sums over no
         # reflectors and is an exact 0.0
         row = a[j, j:] - product(vw[:k, i:].T, vw[:k, i][partners])
-        d[j], x = row[0], row[1:]
-        norm_x, x0 = math.sqrt(dot(x, x)), float(x[0])
-        # v = x - alpha e_1 with alpha = -sign(x_0) ||x||, so
-        # ||v||^2 = 2 ||x|| (||x|| + |x_0|)
-        vnorm = math.sqrt(2.0 * norm_x * (norm_x + abs(x0)))
-        if vnorm == 0.0:
+        d[j], v = row[0], vw[k, i + 1 :]
+        alpha = _reflector(row[1:], v, dot)
+        if alpha is None:
             continue
-        alpha = -math.copysign(norm_x, x0) if x0 != 0.0 else -norm_x
         e[j] = alpha
-        v = vw[k, i + 1 :]
-        np.divide(x, vnorm, out=v)
-        v[0] = (x0 - alpha) / vnorm
         if times is None:
             square = a[j + 1 :, j + 1 :]
             u = _matvec(square, v) if len(square) <= square_bound else _product(square, v)
@@ -618,16 +624,11 @@ def _householder_tridiagonal(mat: np.ndarray, nonzeros: np.ndarray | None = None
     v_row, w_row = vw
     left, right = vw.T, vw[::-1]
     for i in range(m - 2):
-        x = t[i, i + 1 :]
-        norm_x, x0 = math.sqrt(x.dot(x)), t.item(i, i + 1)
-        vnorm = math.sqrt(2.0 * norm_x * (norm_x + abs(x0)))
-        if vnorm == 0.0:
-            continue
-        alpha = -math.copysign(norm_x, x0) if x0 != 0.0 else -norm_x
-        e_rest[i] = alpha
         v, w = v_row[i + 1 :], w_row[i + 1 :]
-        np.divide(x, vnorm, out=v)
-        v[0] = (x0 - alpha) / vnorm
+        alpha = _reflector(t[i, i + 1 :], v, np.ndarray.dot)
+        if alpha is None:
+            continue
+        e_rest[i] = alpha
         np.matmul(t[i + 1 :, i + 1 :], v, out=w)
         w -= v.dot(w) * v
         w *= 2.0
@@ -645,6 +646,10 @@ def _split_tolerance(d: list[float], e: list[float]) -> float:
     zero (EISPACK tql1's normwise test), which moves no eigenvalue by more
     than it, against the reduction's own O(n eps ||A||) error."""
     return _EPS * (max(map(abs, d), default=0.0) + 2.0 * max(map(abs, e), default=0.0))
+
+
+def _ql_cap_error(l: int) -> ConvergenceError:
+    return ConvergenceError(f"tridiagonal QL failed to converge for eigenvalue {l} after {_QL_MAX_ITER} iterations")
 
 
 def _ql_values(d: list[float], e: list[float]) -> list[float]:
@@ -671,10 +676,7 @@ def _ql_values(d: list[float], e: list[float]) -> list[float]:
                 break
             iterations += 1
             if iterations > _QL_MAX_ITER:
-                raise ConvergenceError(
-                    f"tridiagonal QL failed to converge for eigenvalue {l} "
-                    f"after {_QL_MAX_ITER} iterations"
-                )
+                raise _ql_cap_error(l)
             # the shift of _ql_implicit, from the leading 2x2 block
             rte = math.sqrt(e2[l])
             sigma = (d[l + 1] - d[l]) / (2.0 * rte)
@@ -726,10 +728,7 @@ def _ql_implicit(d: list[float], e: list[float]) -> tuple[list[float], list[floa
                 break
             iterations += 1
             if iterations > _QL_MAX_ITER:
-                raise ConvergenceError(
-                    f"tridiagonal QL failed to converge for eigenvalue {l} "
-                    f"after {_QL_MAX_ITER} iterations"
-                )
+                raise _ql_cap_error(l)
             g = (d[l + 1] - d[l]) / (2.0 * e[l])
             r = hypot(g, 1.0)
             g = d[m] - d[l] + e[l] / (g + copysign(r, g))

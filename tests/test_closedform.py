@@ -37,7 +37,7 @@ from rcorona import (
     normalized_laplacian,
     summarize,
 )
-from rcorona.closedform import _spectrum_groups
+from rcorona.closedform import _refuse_fewer_edges, _spectrum_groups
 from rcorona.spectra import _FIXED_CHUNK, _MATCH_TOL, _WRITE_CHUNK, _write_runs
 
 K3P2P2 = CoronaParams(n=3, m=3, r=2, n1=2, r1=1, n2=2, r2=1)
@@ -869,6 +869,34 @@ class TestStructuralSpectra:
         p = CoronaParams.from_graphs(generate("cycle", 4), generate("path", 2), generate("null"))
         with pytest.raises(ValueError, match="do not add up to 4"):
             closed_form_from_spectra(p, ((0.0, 1), (1.0, 2)), ((0.0, 1), (2.0, 1)), ())
+
+    # C3 with P2 (or K3) as the first copy; each input once gave a wrong
+    # spectrum, or failed only in flatten
+    @pytest.mark.parametrize("p, base, copy, message", [
+        # the 2 would be dropped as the zero: fixed value 0.5, not 1.5
+        (CoronaParams(3, 3, 2, 2, 1, 0, 0), ((0.0, 1), (1.5, 2)), ((2.0, 1), (0.0, 1)),
+         "first copy spectrum's first value 2.0 is not its zero"),
+        (CoronaParams(3, 3, 2, 3, 2, 0, 0), ((0.0, 1), (1.5, 2)), ((0.0, 1), (1.5, 1), (1.5, 1)),
+         "first copy spectrum's values are not strictly increasing"),
+        (CoronaParams(3, 3, 2, 3, 2, 0, 0), ((0.0, 1), (1.5, 2)), ((0.0, 1), (1.5, 1), (0.5, 1)),
+         "first copy spectrum's values are not strictly increasing"),
+        # the sum holds, and numpy's repeat refused the -1
+        (CoronaParams(3, 3, 2, 2, 1, 0, 0), ((0.0, 4), (1.5, -1)), ((0.0, 1), (2.0, 1)),
+         "base spectrum has a multiplicity below 1"),
+        # a root family of multiplicity 0
+        (CoronaParams(3, 3, 2, 2, 1, 0, 0), ((0.0, 1), (1.5, 2), (9.0, 0)), ((0.0, 1), (2.0, 1)),
+         "base spectrum has a multiplicity below 1"),
+    ], ids=["zero-second", "repeated-value", "decreasing", "negative-multiplicity", "zero-multiplicity"])
+    def test_from_spectra_checks_its_contract(self, p, base, copy, message):
+        with pytest.raises(ValueError, match=message):
+            closed_form_from_spectra(p, base, copy, ())
+
+    def test_closed_form_spectrum_refuses_fewer_edges_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("rcorona.closedform._refuse_fewer_edges",
+                            lambda p: calls.append(p) or _refuse_fewer_edges(p))
+        closed_form_spectrum(generate("cycle", 5), generate("complete", 4), generate("cycle", 5))
+        assert len(calls) == 1
 
 
 def _pairing_model(rng, n, r):

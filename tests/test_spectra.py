@@ -529,6 +529,26 @@ class TestNumericSpectrum:
         assert np.max(np.abs(numeric_spectrum(m).values - np.linalg.eigvalsh(m))) <= 1e-14
         assert_reduction_invariants(m, nonzeros)
 
+    def test_dense_route_skips_reduced_columns(self):
+        # a dense direct sum of three random symmetric blocks at order 260:
+        # the last column of the first block is reduced inside a panel, that
+        # of the second inside the unblocked finish, and each has nothing
+        # left to annihilate
+        n, bounds = 260, (70, 200)
+        finish = len(range(0, n - _UNBLOCKED - _PANEL, _PANEL)) * _PANEL
+        assert bounds[0] < finish < bounds[1]
+        rng = np.random.default_rng(26)
+        m = np.zeros((n, n))
+        for lo, hi in zip((0, *bounds), (*bounds, n)):
+            block = rng.standard_normal((hi - lo, hi - lo))
+            m[lo:hi, lo:hi] = (block + block.T) / 2
+        assert _sparse_nonzeros(m) is None
+        e = _householder_tridiagonal(m)[1]
+        assert [e[b - 1] for b in bounds] == [0.0, 0.0]
+        ref = np.linalg.eigvalsh(m)
+        assert np.max(np.abs(numeric_spectrum(m).values - ref)) <= 2e-14 * np.max(np.abs(ref))
+        assert_reduction_invariants(m)
+
     def test_sparse_first_panel_reads_no_square(self, monkeypatch):
         # the first panel makes one sum over the nonzero list per column and
         # no product by the trailing square; every later panel column makes
