@@ -5,7 +5,6 @@ import collections
 import contextlib
 import functools
 import json
-import os
 from pathlib import Path
 import resource
 import subprocess
@@ -15,6 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from harness import child_env
 import rcorona
 from rcorona import ConvergenceError, Graph, parse_edge_list, parse_graph_json
 from rcorona.cli import build_parser, main
@@ -25,10 +25,7 @@ from rcorona.spectra import _WRITE_CHUNK, Spectrum
 def _run_cli(argv, threads="1", address_space=None, timeout=120):
     """Run the CLI in a subprocess with the BLAS thread count pinned and,
     if given, an address-space limit (RLIMIT_AS) in bytes."""
-    src = str(Path(rcorona.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-               MKL_NUM_THREADS=threads,
-               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env = child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
 
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))

@@ -11,15 +11,13 @@ takes more memory per entry than the estimate fails here, instead of
 letting an input that the estimate admits run out of memory.
 """
 
-import os
-from pathlib import Path
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-import rcorona
+from harness import child_env
 from rcorona.cli import _closed_form_print_bytes, main
 from rcorona.closedform import closed_form_spectrum
 from rcorona.corona import _ASSEMBLY_BYTES_PER_ENTRY
@@ -66,9 +64,7 @@ _LOAD_BYTES_PER_EDGE = 48
 def _peak(argv, child=_CHILD):
     """The peak memory in bytes of a fresh process that imports the CLI and
     runs it on argv, if any (or runs another child script)."""
-    src = str(Path(rcorona.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    run = subprocess.run([sys.executable, "-c", child, *argv], env=env, stdout=subprocess.DEVNULL,
+    run = subprocess.run([sys.executable, "-c", child, *argv], env=child_env(), stdout=subprocess.DEVNULL,
                          stderr=subprocess.PIPE, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     code, peak = map(int, run.stderr.splitlines()[-1].split())

@@ -18,19 +18,14 @@ To record the digests again, at a tree whose output is trusted:
     PYTHONPATH=src python tests/test_numeric_digests.py
 """
 
-import contextlib
 import hashlib
-import io
-import json
 from pathlib import Path
 import random
-import sys
 
 import numpy as np
-import pytest
 
+from harness import assert_unchanged, pinned, record, run, sha
 from rcorona import build_graph, generate, save_graph
-from rcorona.cli import main
 
 DATA = Path(__file__).resolve().parent / "data" / "numeric_stdout_sha256.json"
 
@@ -62,15 +57,6 @@ def kernel_fingerprint() -> str:
     return h.hexdigest()
 
 
-def _pinned() -> dict:
-    """The data file; the test is skipped on a build whose kernels round
-    differently from the one that recorded it."""
-    pinned = json.loads(DATA.read_text(encoding="utf-8"))
-    if kernel_fingerprint() != pinned["kernel_fingerprint"]:
-        pytest.skip("this numpy or BLAS rounds differently from the one that recorded the digests")
-    return pinned
-
-
 def _write_graphs(directory: Path) -> dict[str, str]:
     paths = {"null": "null"}
     for name, (spec, seed) in _GRAPHS.items():
@@ -84,13 +70,6 @@ def _write_graphs(directory: Path) -> dict[str, str]:
     return paths
 
 
-def _stdout(argv) -> bytes:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert main(argv) == 0
-    return out.getvalue().encode()
-
-
 def digests(directory: Path) -> dict[str, str]:
     """The digest of every case's plain stdout, keyed by its graphs' names."""
     paths = _write_graphs(directory)
@@ -98,23 +77,14 @@ def digests(directory: Path) -> dict[str, str]:
     for case in CASES:
         corona = ["--corona", "double"] if len(case) == 3 else []
         argv = ["spectrum", *corona, *(paths[name] for name in case), "--method", "numeric"]
-        found[" ".join(case)] = hashlib.sha256(_stdout(argv)).hexdigest()
+        found[" ".join(case)] = sha(run(argv))
     return found
 
 
 def test_numeric_stdout_matches_pinned_digests(tmp_path):
-    pinned = _pinned()
-    found = digests(tmp_path)
-    assert found.keys() == pinned["digests"].keys()
-    changed = sorted(key for key, digest in found.items() if pinned["digests"][key] != digest)
-    assert not changed, f"{len(changed)} outputs changed: {changed}"
+    expected = pinned(DATA, kernel_fingerprint)
+    assert_unchanged(digests(tmp_path), expected)
 
 
 if __name__ == "__main__":
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as tmp:
-        record = {"kernel_fingerprint": kernel_fingerprint(), "digests": digests(Path(tmp))}
-    DATA.parent.mkdir(exist_ok=True)
-    DATA.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"{len(record['digests'])} digests written to {DATA}", file=sys.stderr)
+    record(DATA, digests, kernel_fingerprint)

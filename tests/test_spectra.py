@@ -45,7 +45,8 @@ from rcorona.spectra import (
     _sparse_nonzeros,
     _split_tolerance,
 )
-from test_numeric_digests import _pinned
+from harness import pinned
+from test_numeric_digests import DATA as NUMERIC_DIGESTS, kernel_fingerprint
 
 
 def secular_roots(d, z, rho, order):
@@ -856,7 +857,7 @@ class TestDivideAndConquer:
         # 3000 would take about a minute, each pair of roots paying numpy's
         # fixed cost per call).  The bits are einsum's sums, so the digests
         # hold only on the build whose kernels recorded the numeric digests
-        _pinned()
+        pinned(NUMERIC_DIGESTS, kernel_fingerprint)
         monkeypatch.setattr("rcorona.spectra._SECULAR_BLOCK", block)
         rng = np.random.default_rng(33)
         kinds = ("spread", "clustered", "tiny weights")
