@@ -224,8 +224,9 @@ class ClosedFormSpectrum:
     def runs(self) -> tuple[np.ndarray, np.ndarray]:
         """The spectrum as sorted runs, (values, counts): each fixed value and
         each root once, with its multiplicity, sorted stably from the order
-        fixed families, root rows, excess row (each row's roots ascending).
-        Neighbouring runs may hold equal values."""
+        fixed families, root rows, excess row (each row's roots ascending),
+        so -0.0 and 0.0 fall where a stable sort of the expanded values puts
+        them.  Neighbouring runs may hold equal values."""
         fixed = self.fixed_families
         values = [np.array([f.value for f in fixed], dtype=float)]
         counts = [np.array([f.multiplicity for f in fixed], dtype=np.int64)]
@@ -473,12 +474,14 @@ def closed_form_from_spectra(
             raise ValueError(f"{tag} spectrum has multiplicities that do not add up to {size}")
         if min(counts, default=1) < 1:
             raise ValueError(f"{tag} spectrum has a multiplicity below 1")
-        if tag != "base" and values and not abs(values[0]) <= _GROUP_TOL:
+        if tag == "base":
+            continue
+        if values and not abs(values[0]) <= _GROUP_TOL:
             raise ValueError(f"{tag} spectrum's first value {values[0]} is not its zero")
-        # the zero may stand apart from equal values, as _spectrum_groups holds
-        # a disconnected copy graph's zeros
-        rest = values[values[1:2] == values[:1] :]
-        if tag != "base" and not all(a < b for a, b in zip(rest, rest[1:])):
+        # the zero may stand apart from an equal value, as _spectrum_groups
+        # holds a disconnected copy graph's zeros
+        rest = values[1:] if values[1:2] == values[:1] else values
+        if not all(a < b for a, b in zip(rest, rest[1:])):
             raise ValueError(f"{tag} spectrum's values are not strictly increasing")
     _refuse_fewer_edges(params)
     return _closed_form(params, *groups)
