@@ -400,6 +400,13 @@ class TestSpectrumAssembly:
         with pytest.raises(HypothesisError, match="m<n unsupported"):
             closed_form_spectrum(k2, p2, p2)
 
+    def test_closed_form_spectrum_refuses_fewer_edges_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("rcorona.closedform._refuse_fewer_edges",
+                            lambda p: calls.append(p) or _refuse_fewer_edges(p))
+        closed_form_spectrum(generate("cycle", 5), generate("complete", 4), generate("cycle", 5))
+        assert len(calls) == 1
+
     def test_router(self):
         k3, p2, null = generate("complete", 3), generate("path", 2), generate("null")
         assert closed_form_spectrum(k3, p2, null).excess is None
@@ -890,13 +897,6 @@ class TestStructuralSpectra:
     def test_from_spectra_checks_its_contract(self, p, base, copy, message):
         with pytest.raises(ValueError, match=message):
             closed_form_from_spectra(p, base, copy, ())
-
-    def test_closed_form_spectrum_refuses_fewer_edges_once(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr("rcorona.closedform._refuse_fewer_edges",
-                            lambda p: calls.append(p) or _refuse_fewer_edges(p))
-        closed_form_spectrum(generate("cycle", 5), generate("complete", 4), generate("cycle", 5))
-        assert len(calls) == 1
 
 
 def _pairing_model(rng, n, r):
