@@ -283,6 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # the commands that solve import the oracle before they read any input:
+    # compiled after a large input is allocated, it would raise the peak memory
+    if args.command in ("cospectral", "invariants") or args.command == "spectrum" and args.method != "closed-form":
+        from . import oracle  # noqa: F401
     try:
         return args.func(args)
     except HypothesisError as exc:

@@ -16,6 +16,7 @@ import pytest
 
 from harness import child_env
 import rcorona
+import rcorona.oracle
 from rcorona import ConvergenceError, Graph, parse_edge_list, parse_graph_json
 from rcorona.cli import build_parser, main
 from rcorona.closedform import closed_form_spectrum, flatten
@@ -284,14 +285,14 @@ class TestSpectrum:
         assert capsys.readouterr().err == "internal error: QL iteration cap reached\n"
 
     def test_both_runs_the_oracle_once_on_the_corona(self, files, capsys, monkeypatch):
-        reduce = rcorona.spectra._householder_tridiagonal
+        reduce = rcorona.oracle._householder_tridiagonal
         orders = []
 
         def recording(mat, *nonzeros):
             orders.append(len(mat))
             return reduce(mat, *nonzeros)
 
-        monkeypatch.setattr("rcorona.spectra._householder_tridiagonal", recording)
+        monkeypatch.setattr("rcorona.oracle._householder_tridiagonal", recording)
         argv = ["spectrum", "--corona", "double", files["SH"], files["K3"], files["P2"], "--method", "both"]
         assert main(argv) == 0
         # Shrikhande (16 vertices, 48 edges) with K3 and P2 copies
@@ -568,7 +569,7 @@ class TestSpectrum:
                    for tok in out.split())
 
     def test_ql_iteration_cap_exit_4(self, files, capsys, monkeypatch):
-        monkeypatch.setattr("rcorona.spectra._QL_MAX_ITER", 0)
+        monkeypatch.setattr("rcorona.oracle._QL_MAX_ITER", 0)
         assert main(["spectrum", files["K3"]]) == 4
         assert capsys.readouterr().err.startswith("internal error: tridiagonal QL failed to converge")
 

@@ -25,8 +25,8 @@ from rcorona import (
     summarize,
 )
 from rcorona import ConvergenceError
-import rcorona.spectra
-from rcorona.spectra import (
+import rcorona.oracle
+from rcorona.oracle import (
     _BLAS_CALL_BOUND,
     _DC_CROSSOVER,
     _EPS,
@@ -37,7 +37,6 @@ from rcorona.spectra import (
     _UNBLOCKED,
     _divide_and_conquer,
     _first_width,
-    _fixed_g17,
     _householder_tridiagonal,
     _ql_implicit,
     _ql_values,
@@ -45,6 +44,7 @@ from rcorona.spectra import (
     _sparse_nonzeros,
     _split_tolerance,
 )
+from rcorona.spectra import _fixed_g17
 from harness import pinned
 from test_numeric_digests import DATA as NUMERIC_DIGESTS, kernel_fingerprint
 
@@ -102,10 +102,10 @@ def record_panel_calls(monkeypatch, record):
     """Call record(kind, x) on each matrix-vector and dot product a panel
     makes: kind "direct" for a product it makes in one BLAS call (_matvec),
     "product" and "dot" for those it hands to _product and _dot."""
-    product, dot = rcorona.spectra._product, rcorona.spectra._dot
-    monkeypatch.setattr("rcorona.spectra._matvec", lambda x, y: record("direct", x) or x @ y)
-    monkeypatch.setattr("rcorona.spectra._product", lambda x, y: record("product", x) or product(x, y))
-    monkeypatch.setattr("rcorona.spectra._dot", lambda x, y: record("dot", x) or dot(x, y))
+    product, dot = rcorona.oracle._product, rcorona.oracle._dot
+    monkeypatch.setattr("rcorona.oracle._matvec", lambda x, y: record("direct", x) or x @ y)
+    monkeypatch.setattr("rcorona.oracle._product", lambda x, y: record("product", x) or product(x, y))
+    monkeypatch.setattr("rcorona.oracle._dot", lambda x, y: record("dot", x) or dot(x, y))
 
 
 def sparse_symmetric(n, fraction, seed):
@@ -415,9 +415,9 @@ class TestNumericSpectrum:
         # bounds small enough that every matrix-vector product of the panels
         # goes in blocks of rows and chunks of columns, and every dot
         # product in chunks; two panels run before the unblocked loop
-        monkeypatch.setattr("rcorona.spectra._BLAS_CALL_BOUND", 2**9)
-        monkeypatch.setattr("rcorona.spectra._INNER_ENTRIES", 7)
-        monkeypatch.setattr("rcorona.spectra._UNBLOCKED", 8)
+        monkeypatch.setattr("rcorona.oracle._BLAS_CALL_BOUND", 2**9)
+        monkeypatch.setattr("rcorona.oracle._INNER_ENTRIES", 7)
+        monkeypatch.setattr("rcorona.oracle._UNBLOCKED", 8)
         rng = np.random.default_rng(8)
         m = rng.standard_normal((2 * _PANEL + 9, 2 * _PANEL + 9))
         m = (m + m.T) / 2
@@ -444,9 +444,9 @@ class TestNumericSpectrum:
         # row correction, its product by the square and its two correction
         # products to _product and its two dot products to _dot, and no
         # product is made directly
-        monkeypatch.setattr("rcorona.spectra._BLAS_CALL_BOUND", 2**9)
-        monkeypatch.setattr("rcorona.spectra._INNER_ENTRIES", 7)
-        monkeypatch.setattr("rcorona.spectra._UNBLOCKED", 8)
+        monkeypatch.setattr("rcorona.oracle._BLAS_CALL_BOUND", 2**9)
+        monkeypatch.setattr("rcorona.oracle._INNER_ENTRIES", 7)
+        monkeypatch.setattr("rcorona.oracle._UNBLOCKED", 8)
         calls = []
         record_panel_calls(monkeypatch, lambda kind, x: calls.append(kind))
         m = np.random.default_rng(8).standard_normal((2 * _PANEL + 9, 2 * _PANEL + 9))
@@ -467,8 +467,8 @@ class TestNumericSpectrum:
         assert 2 * width * n > _BLAS_CALL_BOUND
         calls = []
         record_panel_calls(monkeypatch, lambda kind, x: calls.append((kind, x.shape)))
-        panel = rcorona.spectra._panel
-        monkeypatch.setattr("rcorona.spectra._panel", lambda *args: calls.append(("panel", ())) or panel(*args))
+        panel = rcorona.oracle._panel
+        monkeypatch.setattr("rcorona.oracle._panel", lambda *args: calls.append(("panel", ())) or panel(*args))
         _householder_tridiagonal(lap, _sparse_nonzeros(lap))
         end = calls.index(("panel", ()), 1)
         first = [kind for kind, _ in calls[1:end]]
@@ -727,7 +727,7 @@ class TestRootFreeQL:
             assert np.max(np.abs(got - ref)) <= 1e-14 * norm, name
 
     def test_iteration_cap_raises_in_both_loops(self, monkeypatch):
-        monkeypatch.setattr("rcorona.spectra._QL_MAX_ITER", 0)
+        monkeypatch.setattr("rcorona.oracle._QL_MAX_ITER", 0)
         d, e = wilkinson_plus(21)
         for ql in (_ql_values, _ql_implicit):
             with pytest.raises(ConvergenceError, match="tridiagonal QL failed to converge"):
@@ -768,12 +768,12 @@ class TestDivideAndConquer:
         def forbidden(*args, **kwargs):
             raise AssertionError("an order at the crossover took divide and conquer")
 
-        monkeypatch.setattr("rcorona.spectra._divide_and_conquer", forbidden)
+        monkeypatch.setattr("rcorona.oracle._divide_and_conquer", forbidden)
         assert np.array_equal(numeric_spectrum(small).values, expect)
 
     def test_adversarial_tridiagonals(self, monkeypatch):
         # small leaves, so that these orders go through several merges
-        monkeypatch.setattr("rcorona.spectra._DC_LEAF", 5)
+        monkeypatch.setattr("rcorona.oracle._DC_LEAF", 5)
         rng = np.random.default_rng(21)
         d, e = rng.standard_normal(40), rng.standard_normal(39)
         negative = e.copy()
@@ -793,7 +793,7 @@ class TestDivideAndConquer:
             assert np.max(np.abs(np.sort(got) - ref)) < 1e-11, name
 
     def test_rows_are_the_eigenvector_rows(self, monkeypatch):
-        monkeypatch.setattr("rcorona.spectra._DC_LEAF", 7)
+        monkeypatch.setattr("rcorona.oracle._DC_LEAF", 7)
         rng = np.random.default_rng(4)
         d, e = rng.standard_normal(60), rng.standard_normal(59)
         values, first, last = _divide_and_conquer(d, e)
@@ -820,7 +820,7 @@ class TestDivideAndConquer:
     @pytest.mark.parametrize("d, z, rho", [(0.5, 0.8, 2.0), (-1.25, -0.3, 0.5), (0.0, 1e-3, 1.0)])
     def test_secular_root_of_one_pole(self, monkeypatch, d, z, rho):
         # one pole has the root d + rho z^2 in closed form, with no iteration
-        monkeypatch.setattr("rcorona.spectra._SECULAR_MAX_ITER", 0)
+        monkeypatch.setattr("rcorona.oracle._SECULAR_MAX_ITER", 0)
         roots, delta = secular_roots(np.array([d]), np.array([z]), rho, 1)
         ref = np.linalg.eigvalsh(np.diag([d]) + rho * np.outer([z], [z]))
         assert np.allclose(roots, ref, rtol=0, atol=1e-15)
@@ -858,7 +858,7 @@ class TestDivideAndConquer:
         # fixed cost per call).  The bits are einsum's sums, so the digests
         # hold only on the build whose kernels recorded the numeric digests
         pinned(NUMERIC_DIGESTS, kernel_fingerprint)
-        monkeypatch.setattr("rcorona.spectra._SECULAR_BLOCK", block)
+        monkeypatch.setattr("rcorona.oracle._SECULAR_BLOCK", block)
         rng = np.random.default_rng(33)
         kinds = ("spread", "clustered", "tiny weights")
         sets = [secular_problem(rng, 2 + trial % 150, kinds[trial // 7 % 3]) for trial in range(3000)][:count]
@@ -879,7 +879,7 @@ class TestDivideAndConquer:
         # sets of 1 to 150 poles, shuffled, so that a block of columns mixes
         # sets and a large set spans several blocks: each set's origin and
         # tau are those it gets solved alone
-        monkeypatch.setattr("rcorona.spectra._SECULAR_BLOCK", block)
+        monkeypatch.setattr("rcorona.oracle._SECULAR_BLOCK", block)
         rng = np.random.default_rng(32)
         kinds = ("spread", "clustered", "tiny weights")
         sizes = [1, 1, 2, 3, 5, 5, 13, 24, 25, 40, 64, 65, 99, 127, 128, 150]
@@ -895,7 +895,7 @@ class TestDivideAndConquer:
         # this set needs four iterations for its slowest root: solved alone
         # in one block, or at the head of a batch whose blocks of two roots
         # spread it over several calls, it raises the same error
-        monkeypatch.setattr("rcorona.spectra._SECULAR_MAX_ITER", cap)
+        monkeypatch.setattr("rcorona.oracle._SECULAR_MAX_ITER", cap)
         clustered = secular_problem(np.random.default_rng(1), 6, "clustered")
         rng = np.random.default_rng(7)
         batch = [clustered, secular_problem(rng, 2, "spread"), secular_problem(rng, 30, "spread")]
@@ -903,7 +903,7 @@ class TestDivideAndConquer:
         with pytest.raises(ConvergenceError) as exc:
             _secular_roots([clustered], [40])
         errors.append(str(exc.value))
-        monkeypatch.setattr("rcorona.spectra._SECULAR_BLOCK", 2)
+        monkeypatch.setattr("rcorona.oracle._SECULAR_BLOCK", 2)
         with pytest.raises(ConvergenceError) as exc:
             _secular_roots(batch, [40, 20, 90])
         errors.append(str(exc.value))
@@ -917,7 +917,7 @@ class TestDivideAndConquer:
         # takes no iteration.  The clustered set needs four iterations for
         # its slowest root, and blocks of two roots spread the sets over
         # several calls
-        monkeypatch.setattr("rcorona.spectra._SECULAR_BLOCK", 2)
+        monkeypatch.setattr("rcorona.oracle._SECULAR_BLOCK", 2)
         clustered = secular_problem(np.random.default_rng(1), 6, "clustered")
         rng = np.random.default_rng(7)
         sets = [secular_problem(rng, 1, "spread"), secular_problem(rng, 2, "spread"), clustered,
@@ -933,7 +933,7 @@ class TestDivideAndConquer:
 
         named = set()
         for cap in range(6):
-            monkeypatch.setattr("rcorona.spectra._SECULAR_MAX_ITER", cap)
+            monkeypatch.setattr("rcorona.oracle._SECULAR_MAX_ITER", cap)
             first = next((order for s, order in zip(sets, orders) if stalls(s, order)), None)
             if first is None:
                 _secular_roots(sets, orders)
@@ -945,7 +945,7 @@ class TestDivideAndConquer:
             named.add(first)
         assert 40 in named and len(named) >= 2
         # and through numeric_spectrum, above the crossover
-        monkeypatch.setattr("rcorona.spectra._SECULAR_MAX_ITER", 0)
+        monkeypatch.setattr("rcorona.oracle._SECULAR_MAX_ITER", 0)
         rng = np.random.default_rng(5)
         m = rng.standard_normal((_DC_CROSSOVER + 1, _DC_CROSSOVER + 1))
         with pytest.raises(ConvergenceError, match=r"merge of order \d+"):
@@ -960,18 +960,18 @@ class TestDivideAndConquer:
         lap = corona_laplacian(36, 2, 5)
         d, e = _householder_tridiagonal(lap, _sparse_nonzeros(lap))
         calls, blocks = [], []
-        solve, columns = _secular_roots, rcorona.spectra._secular_columns
-        monkeypatch.setattr("rcorona.spectra._secular_roots",
+        solve, columns = _secular_roots, rcorona.oracle._secular_columns
+        monkeypatch.setattr("rcorona.oracle._secular_roots",
                             lambda sets, orders: calls.append([s[0].size for s in sets]) or solve(sets, orders))
-        monkeypatch.setattr("rcorona.spectra._secular_columns",
+        monkeypatch.setattr("rcorona.oracle._secular_columns",
                             lambda poles, *args: blocks.append(poles.shape) or columns(poles, *args))
         _divide_and_conquer(d, e)
         assert [len(sets) for sets in calls] == [8, 4, 2, 1]
         widths = [sum(sets) for sets in calls]
         assert sum(width for _, width in blocks) == sum(widths)
         # the first height's 154 columns take two blocks
-        assert widths[0] > 2 * rcorona.spectra._SECULAR_BLOCK and len(blocks) == 5
-        assert all(width < 2 * rcorona.spectra._SECULAR_BLOCK for _, width in blocks)
+        assert widths[0] > 2 * rcorona.oracle._SECULAR_BLOCK and len(blocks) == 5
+        assert all(width < 2 * rcorona.oracle._SECULAR_BLOCK for _, width in blocks)
         assert [rows for rows, _ in blocks[2:]] == [max(sets) for sets in calls[1:]]
 
     @pytest.mark.parametrize("block", [2, 5, 64, 7])
@@ -979,11 +979,11 @@ class TestDivideAndConquer:
         # a random tridiagonal's merges deflate almost nothing, so the top
         # merge solves about 150 poles: in blocks of a few roots or of many,
         # every value and row is the same
-        monkeypatch.setattr("rcorona.spectra._DC_LEAF", 20)
+        monkeypatch.setattr("rcorona.oracle._DC_LEAF", 20)
         rng = np.random.default_rng(150)
         d, e = rng.standard_normal(150), rng.standard_normal(149)
         expect = _divide_and_conquer(d, e)
-        monkeypatch.setattr("rcorona.spectra._SECULAR_BLOCK", block)
+        monkeypatch.setattr("rcorona.oracle._SECULAR_BLOCK", block)
         for got, want in zip(_divide_and_conquer(d, e), expect):
             assert np.array_equal(got, want)
 
